@@ -1,19 +1,19 @@
 """Walk the full pipeline on the scalar reference instance.
 
 One unknown function, Gaussian kernel, weight excess 0.1 e^{-|t|}/sqrt|t|,
-square-root response map. Every stage prints the quantity it certifies,
-ending with the solved profile's center value and the uniqueness probe.
+square-root response map. The script normalizes the kernel and checks the
+admission conditions, then hands the problem to run_instance, which runs
+the majorant, truncation, plan, error budget, solve and uniqueness probe.
+Every stage prints the quantity it certifies, ending with the solved
+profile's center value and the uniqueness probe.
 """
 
 import numpy as np
 
 from convint import (
-    ExpSqrtWeight, GaussianKernel, PowerNonlin, PowerPhi, ProblemSpec,
-    SolveOptions, SpectralData, a_priori_iterations, asymptotics_report,
-    build_b_matrix, build_grid, build_plan, choose_truncation,
-    contraction_params, estimate_quadrature_error, g_eval, kernel_scalars,
-    perron_vector, solve, solve_xi, spectral_radius, uniqueness_probe,
-    validate_problem,
+    ExpSqrtWeight, GaussianKernel, Numerics, PowerNonlin, PowerPhi,
+    ProblemSpec, a_priori_iterations, kernel_scalars, perron_vector,
+    run_instance, spectral_radius, validate_problem,
 )
 
 
@@ -42,34 +42,27 @@ def main():
               f"  (margin {check.worst_value:+.3e} at {check.worst_point})")
     assert report.passed
 
+    # the remaining stages run once each, in order, inside the library
+    res = run_instance(spec, scalars, eta,
+                       Numerics(tol_trunc=1e-8, n_cells=8192, tol_stop=1e-10))
+    spectral, grid, quad, sol = res.spectral, res.grid, res.quad, res.sol
+
     print("\n== 3. closed-form majorant ==")
-    excess = build_b_matrix(weights, scalars)
-    xi = solve_xi(scalars.a, excess.b, nonlins, eta)
-    sigma, k = contraction_params(eta, xi, phi)
-    b = float(excess.b[0, 0])
-    print(f"excess mass w = {float(excess.w[0]):.12f}, b = {b:.12f}")
-    print(f"upper slab level xi = {float(xi[0]):.12f} "
+    b = float(res.excess.b[0, 0])
+    print(f"excess mass w = {float(res.excess.w[0]):.12f}, b = {b:.12f}")
+    print(f"upper slab level xi = {float(spectral.xi[0]):.12f} "
           f"(= (1 + b)^2 for the square-root map)")
-    print(f"contraction constants sigma = {sigma:.9f}, k = {k:.9f}")
-    n_cert = a_priori_iterations(sigma, k, 1e-8)
+    print(f"contraction constants sigma = {spectral.sigma:.9f}, k = {spectral.k:.9f}")
+    n_cert = a_priori_iterations(spectral.sigma, spectral.k, 1e-8)
     print(f"certified iteration count for tol 1e-8: {n_cert}")
 
     print("\n== 4. discretization ==")
-    g_sup = max(float(g_eval(nl, x)) for nl, x in zip(nonlins, xi))
-    r = choose_truncation(kern, weights, eta, tol_trunc=1e-8, g_sup=g_sup)
-    grid = build_grid(r, 8192)
-    spectral = SpectralData(a=scalars.a, eta=eta, b=excess.b, xi=xi,
-                            sigma=sigma, k=k)
-    plan = build_plan(spec, grid, spectral)
-    quad = estimate_quadrature_error(spec, plan, eta, xi)
-    print(f"truncation radius R = {r:g}, {grid.n_cells} cells, h = {grid.h:g}")
+    print(f"truncation radius R = {grid.r:g}, {grid.n_cells} cells, h = {grid.h:g}")
     print(f"quadrature error budget {quad.total:.3e} "
           f"(regular {quad.regular:.1e}, singular {quad.singular:.1e}, "
           f"dropped tail {quad.dropped_tail:.1e})")
 
     print("\n== 5. monotone iteration ==")
-    opts = SolveOptions(tol_stop=1e-10, mono_slack=10.0 * quad.total)
-    sol = solve(spec, grid, spectral, plan, opts)
     print(f"{sol.iterations} iterations ({sol.termination}), "
           f"residual {sol.residual_sup:.3e}")
     tr = sol.trace
@@ -80,14 +73,11 @@ def main():
     print("\n== 6. shape of the solution ==")
     f0 = float(sol.field.values[0, grid.n_cells // 2])
     print(f"center value f(0) = {f0:.12f}; edges sit on eta = 1")
-    asym = asymptotics_report(sol.field, eta, grid)
+    asym = sol.asymptotics
     print(f"edge deviation {float(asym.edge_deviation[0]):.3e}, "
           f"outer-band tail integral {float(asym.tail_integral[0]):.3e}, "
           f"half-tail ratio {float(asym.half_tail_ratio[0]):.4f}")
-
-    dev = uniqueness_probe(spec, grid, spectral, plan, sol, scale=2.0,
-                           opts=opts)
-    print(f"restart from twice the majorant lands within {dev:.3e}")
+    print(f"restart from twice the majorant lands within {sol.probe_deviation:.3e}")
 
 
 if __name__ == "__main__":

@@ -10,12 +10,10 @@ the off-diagonal kernel entries.
 import numpy as np
 
 from convint import (
-    ExpMixtureKernel, ExpSqrtWeight, PowerPhi, ProblemSpec,
-    RootPowerMeanNonlin, SolveOptions, SpectralData, TwoPowerMeanNonlin,
-    a_priori_iterations, asymptotics_report, build_b_matrix, build_grid,
-    build_plan, choose_truncation, contraction_params,
-    estimate_quadrature_error, g_eval, kernel_scalars, perron_vector, solve,
-    solve_xi, spectral_radius, uniqueness_probe, validate_problem,
+    ExpMixtureKernel, ExpSqrtWeight, Numerics, PowerPhi, ProblemSpec,
+    RootPowerMeanNonlin, TwoPowerMeanNonlin, a_priori_iterations,
+    kernel_scalars, perron_vector, run_instance, spectral_radius,
+    validate_problem,
 )
 
 
@@ -41,40 +39,26 @@ def main():
         print(f"  condition {check.condition:>3}: "
               f"margin {check.worst_value:+.3e} at {check.worst_point}")
 
-    excess = build_b_matrix(weights, scalars)
-    xi = solve_xi(scalars.a, excess.b, nonlins, eta)
-    sigma, k = contraction_params(eta, xi, phi)
-    print(f"xi = {np.array2string(xi, precision=8)}; "
-          f"sigma = {sigma:.8f}, k = {k:.8f}")
+    res = run_instance(spec, scalars, eta,
+                       Numerics(tol_trunc=1e-6, n_cells=8192, tol_stop=1e-9))
+    spectral, grid, sol = res.spectral, res.grid, res.sol
+    print(f"xi = {np.array2string(spectral.xi, precision=8)}; "
+          f"sigma = {spectral.sigma:.8f}, k = {spectral.k:.8f}")
     print(f"certified iteration count for tol 1e-9: "
-          f"{a_priori_iterations(sigma, k, 1e-9)}")
-
-    g_sup = max(float(g_eval(nl, x)) for nl, x in zip(nonlins, xi))
-    r = choose_truncation(kern, weights, eta, tol_trunc=1e-6, g_sup=g_sup)
-    grid = build_grid(r, 8192)
-    spectral = SpectralData(a=scalars.a, eta=eta, b=excess.b, xi=xi,
-                            sigma=sigma, k=k)
-    plan = build_plan(spec, grid, spectral)
-    quad = estimate_quadrature_error(spec, plan, eta, xi)
-    print(f"R = {r:g} ({grid.n_cells} cells, h = {grid.h:g}); "
-          f"quadrature error {quad.total:.3e}")
-
-    opts = SolveOptions(tol_stop=1e-9, mono_slack=10.0 * quad.total)
-    sol = solve(spec, grid, spectral, plan, opts)
+          f"{a_priori_iterations(spectral.sigma, spectral.k, 1e-9)}")
+    print(f"R = {grid.r:g} ({grid.n_cells} cells, h = {grid.h:g}); "
+          f"quadrature error {res.quad.total:.3e}")
     print(f"{sol.iterations} iterations ({sol.termination}), "
           f"residual {sol.residual_sup:.3e}")
 
     center = sol.field.values[:, grid.n_cells // 2]
     print(f"center values f(0) = {np.array2string(center, precision=10)}")
-    asym = asymptotics_report(sol.field, eta, grid)
+    asym = sol.asymptotics
     for j in range(2):
         print(f"component {j + 1}: edge deviation "
               f"{float(asym.edge_deviation[j]):.2e}, half-tail ratio "
               f"{float(asym.half_tail_ratio[j]):.4f}")
-
-    dev = uniqueness_probe(spec, grid, spectral, plan, sol, scale=2.0,
-                           opts=opts)
-    print(f"restart from twice the majorant lands within {dev:.3e}")
+    print(f"restart from twice the majorant lands within {sol.probe_deviation:.3e}")
 
 
 if __name__ == "__main__":

@@ -11,11 +11,10 @@ Three experiments on the scalar reference instance:
 import numpy as np
 
 from convint import (
-    ExpSqrtWeight, FieldVector, GaussianKernel, PowerNonlin, PowerPhi,
-    ProblemSpec, SolveOptions, SpectralData, apply_operator,
-    asymptotics_report, build_b_matrix, build_grid, build_plan,
-    contraction_params, estimate_quadrature_error, kernel_scalars,
-    perron_vector, solve, solve_xi,
+    ExpSqrtWeight, FieldVector, GaussianKernel, Numerics, PowerNonlin,
+    PowerPhi, ProblemSpec, SpectralData, apply_operator, build_b_matrix,
+    build_grid, build_plan, contraction_params, estimate_quadrature_error,
+    kernel_scalars, perron_vector, run_instance, solve_xi,
 )
 
 
@@ -32,17 +31,17 @@ def build_spec():
     sigma, k = contraction_params(eta, xi, spec.phi)
     spectral = SpectralData(a=scalars.a, eta=eta, b=excess.b, xi=xi,
                             sigma=sigma, k=k)
-    return spec, spectral
+    return spec, scalars, spectral
 
 
 def main():
-    spec, spectral = build_spec()
+    spec, scalars, spectral = build_spec()
     r = 32.0
 
     print("== quadrature error budget vs grid size (R = 32) ==")
     for n_cells in (1024, 2048, 4096, 8192):
         grid = build_grid(r, n_cells)
-        plan = build_plan(spec, grid, spectral)
+        plan = build_plan(spec, grid)
         quad = estimate_quadrature_error(spec, plan, spectral.eta,
                                          spectral.xi)
         print(f"  {n_cells:>5} cells: regular {quad.regular:.2e}  "
@@ -52,7 +51,7 @@ def main():
     outputs = []
     for n_cells in (1024, 2048, 4096):
         grid = build_grid(r, n_cells)
-        plan = build_plan(spec, grid, spectral)
+        plan = build_plan(spec, grid)
         values = (1.0 + 0.4 * np.exp(-grid.nodes**2 / 4.0))[None, :]
         f = FieldVector(grid=grid, values=values, boundary=np.array([1.0]))
         outputs.append(apply_operator(plan, f, spec.nonlins).values[0])
@@ -64,13 +63,10 @@ def main():
 
     print("\n== outer tail vs truncation radius ==")
     for radius, n_cells in ((32.0, 8192), (64.0, 16384)):
-        grid = build_grid(radius, n_cells)
-        plan = build_plan(spec, grid, spectral)
-        quad = estimate_quadrature_error(spec, plan, spectral.eta,
-                                         spectral.xi)
-        opts = SolveOptions(tol_stop=1e-10, mono_slack=10.0 * quad.total)
-        sol = solve(spec, grid, spectral, plan, opts)
-        asym = asymptotics_report(sol.field, spectral.eta, grid)
+        res = run_instance(spec, scalars, spectral.eta,
+                           Numerics(tol_stop=1e-10, run_probe=False),
+                           grid=build_grid(radius, n_cells))
+        asym = res.sol.asymptotics
         print(f"  R = {radius:>4g}: outer-band tail integral "
               f"{float(asym.tail_integral[0]):.3e}, half-tail ratio "
               f"{float(asym.half_tail_ratio[0]):.4f}")

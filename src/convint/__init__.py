@@ -10,8 +10,7 @@ with every step of the theory checked numerically along the way.
 """
 
 from .algebra import (SpectralData, a_priori_iterations, contraction_params,
-                      normalize_to_unit_radius, perron_vector, solve_xi,
-                      spectral_radius)
+                      perron_vector, solve_xi, spectral_radius)
 from .discretization import (FieldVector, Grid, OperatorPlan, QuadratureError,
                              apply_operator, build_grid, build_plan,
                              choose_truncation, constant_field,
@@ -29,14 +28,13 @@ from .nonlinearities import (PowerNonlin, PowerPhi, RootPowerMeanNonlin,
                              phi_eval)
 from .problem import (ConditionCheck, ProblemSpec, ValidationReport,
                       validate_problem)
-from .solver import (AsymptoticsReport, IterationTrace, SolutionReport,
-                     SolveOptions, asymptotics_report, residual, solve,
-                     uniqueness_probe)
+from .solver import (AsymptoticsReport, IterationTrace, Numerics, RunResult,
+                     SolutionReport, SolveOptions, asymptotics_report,
+                     residual, run_instance, solve, uniqueness_probe)
 from .weights import (ExcessIntegrals, ExpSqrtWeight, RationalWeight,
                       TabulatedExcessWeight, build_b_matrix,
                       excess_cell_moments, excess_integral, excess_tail_mass,
-                      excess_weighted_integral, load_tabulated_excess,
-                      weight_eval)
+                      excess_weighted_integral, load_tabulated_excess)
 
 __version__ = "0.1.0"
 
@@ -51,7 +49,7 @@ __all__ = [
     "kernel_tail_one_sided", "load_tabulated_kernel",
     # weights
     "ExpSqrtWeight", "RationalWeight", "TabulatedExcessWeight",
-    "ExcessIntegrals", "weight_eval", "excess_integral", "excess_tail_mass",
+    "ExcessIntegrals", "excess_integral", "excess_tail_mass",
     "excess_cell_moments", "excess_weighted_integral", "build_b_matrix",
     "load_tabulated_excess",
     # nonlinearities
@@ -59,8 +57,8 @@ __all__ = [
     "SaturatingExpNonlin", "TabulatedNonlin", "PowerPhi", "g_eval", "phi_eval",
     "check_condition_iv", "chord_slope_gap", "load_tabulated_nonlin",
     # algebra
-    "SpectralData", "spectral_radius", "normalize_to_unit_radius",
-    "perron_vector", "solve_xi", "contraction_params", "a_priori_iterations",
+    "SpectralData", "spectral_radius", "perron_vector", "solve_xi",
+    "contraction_params", "a_priori_iterations",
     # problem
     "ProblemSpec", "ConditionCheck", "ValidationReport", "validate_problem",
     # discretization
@@ -68,6 +66,7 @@ __all__ = [
     "constant_field", "choose_truncation", "build_plan", "apply_operator",
     "estimate_quadrature_error",
     # solver
-    "SolveOptions", "IterationTrace", "AsymptoticsReport", "SolutionReport",
-    "solve", "uniqueness_probe", "residual", "asymptotics_report",
+    "Numerics", "RunResult", "run_instance", "SolveOptions", "IterationTrace",
+    "AsymptoticsReport", "SolutionReport", "solve", "uniqueness_probe",
+    "residual", "asymptotics_report",
 ]

@@ -3,8 +3,9 @@
 Three layers, each feeding the next:
 
   1. Power iteration on the positive symmetric kernel-integral matrix:
-     spectral radius, normalization to unit radius, and the positive
-     eigenvector eta with A eta = eta (normalized so max eta_i = 1).
+     spectral radius and, once the matrix is normalized to unit radius,
+     the positive eigenvector eta with A eta = eta (normalized so
+     max eta_i = 1).
   2. The majorant fixed point xi_i = sum_j (a_ij + b_ij) G_j(xi_j), found by
      doubling a supersolution s * eta and iterating the monotone map
      downward until it stalls. Concavity makes the iterates nonincreasing,
@@ -29,7 +30,6 @@ from .nonlinearities import g_eval, phi_eval
 __all__ = [
     "SpectralData",
     "spectral_radius",
-    "normalize_to_unit_radius",
     "perron_vector",
     "solve_xi",
     "contraction_params",
@@ -84,13 +84,6 @@ def spectral_radius(m, tol: float = 1e-13, max_iters: int = 100_000) -> float:
     m = _check_positive_symmetric(m)
     lam, _ = _power_iteration(m, tol, max_iters)
     return lam
-
-
-def normalize_to_unit_radius(m, tol: float = 1e-13):
-    """(A, scale) with A = m / scale and spectral radius of A equal to one."""
-    m = _check_positive_symmetric(m)
-    scale = spectral_radius(m, tol)
-    return m / scale, scale
 
 
 def perron_vector(a, tol: float = 1e-12, max_iters: int = 100_000) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Command-line front end: config parsing, pipeline orchestration, outputs.
+"""Command-line front end: config parsing, problem setup, outputs.
 
 One JSON document describes a run: the kernel, weights, nonlinearities and
 scaling map by variant name with a parameters object, plus numeric controls.
@@ -10,7 +10,10 @@ The pipeline executes in dependency order
   operator plan -> quadrature error budget -> monotone solve ->
   uniqueness probe -> emission
 
-and every failure maps to a distinct exit code with a message naming the
+This module runs the stages up to the condition checks and the emission;
+the chain from the excess masses to the probe lives in the library, in
+convint.solver.run_instance, which solve mode and every sweep entry call.
+Every failure maps to a distinct exit code with a message naming the
 stage or condition: 1 config, 2 validation, 3 spectral, 4 majorant,
 5 solve. Outputs are a report JSON (byte-reproducible: sorted keys, no
 timestamps) and a profile CSV with one row per grid node.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -28,43 +32,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import (SpectralData, contraction_params, perron_vector,
-                      solve_xi, spectral_radius)
-from .discretization import (build_grid, build_plan, choose_truncation,
-                             estimate_quadrature_error)
+from .algebra import SpectralData, perron_vector, spectral_radius
 from .errors import (ConfigError, ConvintError, MajorantError, SolveError,
                      SpectralError, ValidationFailure)
 from .kernels import (ExpMixtureKernel, GaussianKernel, kernel_scalars,
                       load_tabulated_kernel)
 from .nonlinearities import (PowerNonlin, PowerPhi, RootPowerMeanNonlin,
                              SaturatingExpNonlin, TwoPowerMeanNonlin,
-                             g_eval, load_tabulated_nonlin)
+                             load_tabulated_nonlin)
 from .problem import ProblemSpec, validate_problem
-from .solver import SolveOptions, solve, uniqueness_probe
-from .weights import (ExpSqrtWeight, RationalWeight, build_b_matrix,
-                      load_tabulated_excess)
+# solve is unused here but stays bound as convint.cli.solve: the benchmark's
+# tracer test (bench/tests) checks that a function bound under two module
+# names is patched under both, using this name
+from .solver import Numerics, RunResult, run_instance, solve  # noqa: F401
+from .weights import ExpSqrtWeight, RationalWeight, load_tabulated_excess
 
-__all__ = ["Numerics", "RunConfig", "load_config", "run", "emit_profile",
-           "emit_report", "main"]
+__all__ = ["RunConfig", "load_config", "run", "emit_profile", "emit_report",
+           "main"]
 
 SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class Numerics:
-    tol_eig: float = 1e-12
-    tol_alg: float = 1e-13
-    tol_trunc: float = 1e-8
-    tol_stop: float = 1e-8
-    tol_validate: float = 1e-8
-    n_cells: int = None
-    h_target: float = None
-    max_iters: int = 400
-    mono_slack: float = None
-    samples: int = 64
-    probe_scale: float = 2.0
-    run_probe: bool = True
-    conv_method: str = "auto"
 
 
 @dataclass(frozen=True)
@@ -120,10 +106,6 @@ def _parse_numerics(d: dict) -> Numerics:
         kwargs["probe_scale"] = p
     if "run_probe" in d:
         kwargs["run_probe"] = bool(d["run_probe"])
-    if "conv_method" in d:
-        _require(d["conv_method"] in ("auto", "fft", "direct"),
-                 "numerics.conv_method must be auto, fft, or direct")
-        kwargs["conv_method"] = d["conv_method"]
     return Numerics(**kwargs)
 
 
@@ -299,14 +281,6 @@ def _solve_block(sol):
     }
 
 
-def _n_cells_for(num: Numerics, r: float) -> int:
-    if num.n_cells is not None:
-        return num.n_cells
-    if num.h_target is not None:
-        return 2 * max(1, math.ceil(r / num.h_target))
-    raise ConfigError("set numerics.n_cells or numerics.h_target")
-
-
 def _prepare_spec(config: RunConfig, weights, say):
     """Normalize the kernel, compute eta, build nonlinearities, validate."""
     kernel_raw = _build_kernel(config.kernel, config.base_dir)
@@ -336,45 +310,33 @@ def _prepare_spec(config: RunConfig, weights, say):
     return spec, scalars, eta, rho, validation
 
 
-def _solve_one(spec, scalars, eta, num: Numerics, grid, say):
-    """Majorant, contraction parameters, plan, solve, probe for one problem."""
-    excess = build_b_matrix(spec.weights, scalars)
-    try:
-        xi = solve_xi(scalars.a, excess.b, spec.nonlins, eta, num.tol_alg)
-    except ValueError as exc:
-        raise MajorantError(str(exc)) from exc
-    sigma, k = contraction_params(eta, xi, spec.phi)
-    spectral = SpectralData(a=scalars.a, eta=eta, b=excess.b, xi=xi,
-                            sigma=sigma, k=k)
-    say(f"majorant xi = {np.array2string(xi, precision=8)}; "
-        f"sigma = {sigma:.8g}, k = {k:.8g}")
+def _stage_blocks(res: RunResult) -> dict:
+    """Report blocks of one run_instance result."""
+    q = res.quad
+    return {
+        "spectral": _spectral_block(res.spectral, res.excess.w),
+        "quadrature_error": {"regular": q.regular, "singular": q.singular,
+                             "dropped_tail": q.dropped_tail, "total": q.total,
+                             "mono_slack": res.opts.mono_slack},
+        "solve": _solve_block(res.sol),
+    }
 
-    plan = build_plan(spec, grid, spectral)
-    quad = estimate_quadrature_error(spec, plan, eta, xi)
-    mono_slack = num.mono_slack if num.mono_slack is not None else 10.0 * quad.total
-    say(f"quadrature error budget {quad.total:.3e} "
-        f"(regular {quad.regular:.1e}, singular {quad.singular:.1e}, "
-        f"dropped tail {quad.dropped_tail:.1e}); slack {mono_slack:.3e}")
 
-    opts = SolveOptions(tol_stop=num.tol_stop, max_iters=num.max_iters,
-                        mono_slack=mono_slack, conv_method=num.conv_method)
-    sol = solve(spec, grid, spectral, plan, opts)
+def _say_stages(say, res: RunResult):
+    sp, q, sol = res.spectral, res.quad, res.sol
+    say(f"majorant xi = {np.array2string(sp.xi, precision=8)}; "
+        f"sigma = {sp.sigma:.8g}, k = {sp.k:.8g}")
+    say(f"quadrature error budget {q.total:.3e} "
+        f"(regular {q.regular:.1e}, singular {q.singular:.1e}, "
+        f"dropped tail {q.dropped_tail:.1e}); slack {res.opts.mono_slack:.3e}")
     say(f"solve: {sol.iterations} iterations ({sol.termination}), "
         f"residual {sol.residual_sup:.3e}")
-    if sol.termination == "iteration_cap":
-        raise SolveError(
-            f"iteration cap {num.max_iters} reached before the step tolerance "
-            f"{num.tol_stop:g} (last step {sol.trace.d[-1]:.3e})")
-
-    if num.run_probe:
-        sol.probe_deviation = uniqueness_probe(
-            spec, grid, spectral, plan, sol, scale=num.probe_scale, opts=opts)
+    if sol.probe_deviation is not None:
         say(f"uniqueness probe deviation {sol.probe_deviation:.3e}")
 
-    quad_block = {"regular": quad.regular, "singular": quad.singular,
-                  "dropped_tail": quad.dropped_tail, "total": quad.total,
-                  "mono_slack": mono_slack}
-    return spectral, excess, quad_block, sol
+
+def _truncation_block(grid) -> dict:
+    return {"r": grid.r, "n_cells": grid.n_cells, "h": grid.h}
 
 
 def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
@@ -408,54 +370,47 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
 
         num = config.numerics
         if config.mode == "solve":
-            g_sup = _g_sup_bound(spec, scalars, eta, num)
-            r = choose_truncation(spec.kernel, spec.weights, eta,
-                                  num.tol_trunc, g_sup)
-            grid = build_grid(r, _n_cells_for(num, r))
-            say(f"truncation R = {grid.r:g}, n_cells = {grid.n_cells}, h = {grid.h:g}")
-            spectral, excess, quad_block, sol = _solve_one(
-                spec, scalars, eta, num, grid, say)
-            doc["spectral"] = _spectral_block(spectral, excess.w)
-            doc["truncation"] = {"r": grid.r, "n_cells": grid.n_cells, "h": grid.h}
-            doc["quadrature_error"] = quad_block
-            doc["solve"] = _solve_block(sol)
+            res = run_instance(spec, scalars, eta, num)
+            say(f"truncation R = {res.grid.r:g}, n_cells = {res.grid.n_cells}, "
+                f"h = {res.grid.h:g}")
+            _say_stages(say, res)
+            doc["truncation"] = _truncation_block(res.grid)
+            doc.update(_stage_blocks(res))
             emit_report(doc, out / "report.json")
-            emit_profile(sol, spectral.eta, out / "profile.csv")
+            emit_profile(res.sol, res.spectral.eta, out / "profile.csv")
             say(f"wrote {out / 'report.json'} and {out / 'profile.csv'}")
             return 0
 
-        # sweep: one grid sized for the largest excess, fresh majorant per eps
-        entries = []
+        # sweep: the largest eps runs first and sizes the grid that every
+        # other entry shares; each entry's plan is dropped once its profile
+        # is written
         sweeps = sorted(config.sweep_eps)
-        top_weights = [_swept(w, sweeps[-1], j) for j, w in enumerate(weights)]
-        top_spec = ProblemSpec(n=spec.n, kernel=spec.kernel, weights=top_weights,
-                               nonlins=spec.nonlins, phi=spec.phi, labels=spec.labels)
-        g_sup = _g_sup_bound(top_spec, scalars, eta, num)
-        r = choose_truncation(spec.kernel, top_weights, eta, num.tol_trunc, g_sup)
-        grid = build_grid(r, _n_cells_for(num, r))
-        say(f"sweep grid: R = {grid.r:g}, n_cells = {grid.n_cells} "
-            f"(sized for eps = {sweeps[-1]:g})")
-        for idx, eps in enumerate(sweeps):
+
+        def solve_entry(idx, grid=None):
+            eps = sweeps[idx]
             say(f"-- sweep entry {idx}: eps = {eps:g}")
             w_eps = [_swept(w, eps, j) for j, w in enumerate(weights)]
-            spec_eps = ProblemSpec(n=spec.n, kernel=spec.kernel, weights=w_eps,
-                                   nonlins=spec.nonlins, phi=spec.phi,
-                                   labels=spec.labels)
+            spec_eps = dataclasses.replace(spec, weights=w_eps)
             val_eps = validate_problem(spec_eps, samples=num.samples,
                                        tol=num.tol_validate)
             if not val_eps.passed:
                 raise ValidationFailure(
                     f"sweep eps = {eps:g}: condition(s) "
                     f"{', '.join(val_eps.failing_ids)} failed", report=val_eps)
-            spectral, excess, quad_block, sol = _solve_one(
-                spec_eps, scalars, eta, num, grid, say)
-            emit_profile(sol, spectral.eta, out / f"profile_{idx:03d}.csv")
-            entries.append({"eps": eps, "profile": f"profile_{idx:03d}.csv",
-                            "validation": val_eps.as_dict(),
-                            "spectral": _spectral_block(spectral, excess.w),
-                            "quadrature_error": quad_block,
-                            "solve": _solve_block(sol)})
-        doc["truncation"] = {"r": grid.r, "n_cells": grid.n_cells, "h": grid.h}
+            res = run_instance(spec_eps, scalars, eta, num, grid)
+            _say_stages(say, res)
+            name = f"profile_{idx:03d}.csv"
+            emit_profile(res.sol, res.spectral.eta, out / name)
+            return res.grid, {"eps": eps, "profile": name,
+                              "validation": val_eps.as_dict(),
+                              **_stage_blocks(res)}
+
+        grid, top = solve_entry(len(sweeps) - 1)
+        say(f"sweep grid: R = {grid.r:g}, n_cells = {grid.n_cells} "
+            f"(sized for eps = {sweeps[-1]:g})")
+        entries = [solve_entry(idx, grid)[1] for idx in range(len(sweeps) - 1)]
+        entries.append(top)
+        doc["truncation"] = _truncation_block(grid)
         doc["entries"] = entries
         emit_report(doc, out / "report.json")
         say(f"wrote {out / 'report.json'} and {len(entries)} profiles")
@@ -486,16 +441,6 @@ def _swept(weight, eps: float, idx: int):
     return weight.with_eps(eps)
 
 
-def _g_sup_bound(spec, scalars, eta, num: Numerics) -> float:
-    """Largest nonlinearity value the solve can reach, for truncation choice."""
-    excess = build_b_matrix(spec.weights, scalars)
-    try:
-        xi = solve_xi(scalars.a, excess.b, spec.nonlins, eta, num.tol_alg)
-    except (MajorantError, ValueError):
-        xi = 4.0 * np.asarray(eta, dtype=float)
-    return max(float(g_eval(nl, x)) for nl, x in zip(spec.nonlins, xi))
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="convint",
@@ -513,11 +458,7 @@ def main(argv=None) -> int:
         if args.mode and args.mode != config.mode:
             if args.mode == "sweep" and not config.sweep_eps:
                 raise ConfigError("sweep mode needs a sweep_eps list in the config")
-            config = RunConfig(mode=args.mode, kernel=config.kernel,
-                               weights=config.weights, nonlins=config.nonlins,
-                               phi=config.phi, numerics=config.numerics,
-                               sweep_eps=config.sweep_eps, labels=config.labels,
-                               base_dir=config.base_dir, raw=config.raw)
+            config = dataclasses.replace(config, mode=args.mode)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

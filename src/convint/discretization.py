@@ -171,16 +171,13 @@ def _regular_node_weights(h: float, m: int) -> np.ndarray:
     return w
 
 
-def build_plan(spec, grid: Grid, spectral=None) -> OperatorPlan:
+def build_plan(spec, grid: Grid) -> OperatorPlan:
     """Tables for apply_operator; every weight it produces is nonnegative.
 
-    spectral is accepted for interface symmetry with the solver entry points
-    and used only for a dimension check; the continuation values enter at
-    application time through the field's boundary vector.
+    The continuation values enter at application time through the field's
+    boundary vector.
     """
     n = spec.n
-    if spectral is not None and len(spectral.eta) != n:
-        raise ValueError("spectral data does not match the problem size")
     nodes = grid.nodes
     m = grid.n_nodes
 

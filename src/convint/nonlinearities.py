@@ -67,12 +67,6 @@ class PowerNonlin:
     def g(self, u):
         return self.eta ** (1.0 - self.alpha) * np.power(u, self.alpha)
 
-    def derivative(self, u):
-        return self.alpha * self.eta ** (1.0 - self.alpha) * np.power(u, self.alpha - 1.0)
-
-    def with_eta(self, eta):
-        return PowerNonlin(self.alpha, eta)
-
 
 class RootPowerMeanNonlin:
     """G(u) = (sqrt(u eta) + eta^(1-alpha) u^alpha) / 2."""
@@ -89,16 +83,6 @@ class RootPowerMeanNonlin:
         out = 0.5 * (np.sqrt(u * self.eta)
                      + self.eta ** (1.0 - self.alpha) * np.power(u, self.alpha))
         return out if out.ndim else float(out)
-
-    def derivative(self, u):
-        u = np.asarray(u, dtype=float)
-        out = 0.5 * (0.5 * np.sqrt(self.eta / u)
-                     + self.alpha * self.eta ** (1.0 - self.alpha)
-                     * np.power(u, self.alpha - 1.0))
-        return out if out.ndim else float(out)
-
-    def with_eta(self, eta):
-        return RootPowerMeanNonlin(self.alpha, eta)
 
 
 class TwoPowerMeanNonlin:
@@ -118,16 +102,6 @@ class TwoPowerMeanNonlin:
                      + self.eta ** (1.0 - self.alpha) * np.power(u, self.alpha))
         return out if out.ndim else float(out)
 
-    def derivative(self, u):
-        u = np.asarray(u, dtype=float)
-        out = 0.5 * (self.beta * self.eta ** (1.0 - self.beta) * np.power(u, self.beta - 1.0)
-                     + self.alpha * self.eta ** (1.0 - self.alpha)
-                     * np.power(u, self.alpha - 1.0))
-        return out if out.ndim else float(out)
-
-    def with_eta(self, eta):
-        return TwoPowerMeanNonlin(self.alpha, self.beta, eta)
-
 
 class SaturatingExpNonlin:
     """G(u) = c (1 - exp(-eta^(1-alpha) u^alpha)) with c = eta / (1 - exp(-eta))."""
@@ -146,16 +120,6 @@ class SaturatingExpNonlin:
     def g(self, u):
         out = self.gain * -np.expm1(-self._inner(u))
         return out if np.ndim(out) else float(out)
-
-    def derivative(self, u):
-        u = np.asarray(u, dtype=float)
-        v = self._inner(u)
-        out = (self.gain * np.exp(-v) * self.alpha * self.eta ** (1.0 - self.alpha)
-               * np.power(u, self.alpha - 1.0))
-        return out if out.ndim else float(out)
-
-    def with_eta(self, eta):
-        return SaturatingExpNonlin(self.alpha, eta)
 
 
 class TabulatedNonlin:
@@ -181,7 +145,6 @@ class TabulatedNonlin:
             raise ValueError("table must cover the fixed point eta")
         self.u_max = float(u[-1])
         self._interp = PchipInterpolator(u, values, extrapolate=False)
-        self._deriv = self._interp.derivative()
         self.phi_exponent = None
 
     def g(self, u):
@@ -190,13 +153,6 @@ class TabulatedNonlin:
             raise ValueError(f"u beyond tabulated range [0, {self.u_max}]")
         out = self._interp(np.minimum(u, self.u_max))
         return out if out.ndim else float(out)
-
-    def derivative(self, u):
-        out = self._deriv(np.minimum(np.asarray(u, dtype=float), self.u_max))
-        return out if out.ndim else float(out)
-
-    def with_eta(self, eta):
-        raise ValueError("tabulated nonlinearity has a fixed table; declare eta explicitly")
 
 
 class PowerPhi:

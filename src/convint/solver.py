@@ -9,23 +9,38 @@ and this module enforces per step up to a measured quadrature slack:
   * the sup-norm step d_n obeys a geometric envelope with ratio k.
 
 Violations beyond the slack indicate a too-coarse grid or a real defect and
-abort the run with the offending node. Termination is by step size, by the
-pessimistic iteration count derived from (sigma, k), or by the iteration
-cap, each reported distinctly. A second run from an inflated majorant (the
-uniqueness probe) must land on the same field; their deviation is reported.
+abort the run with the offending node. Termination is by step size or by
+the iteration cap, reported distinctly; the pessimistic iteration count
+derived from (sigma, k) is reported alongside. A second run from an
+inflated majorant (the uniqueness probe) must land on the same field; their
+deviation is reported.
+
+run_instance assembles the paper's stage chain for one problem once:
+majorant xi and (sigma, k), truncation and grid, operator plan, quadrature
+error budget, monotone solve, uniqueness probe.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import a_priori_iterations
-from .discretization import FieldVector, apply_operator, constant_field
-from .errors import SolveError
+from .algebra import (SpectralData, a_priori_iterations, contraction_params,
+                      solve_xi)
+from .discretization import (FieldVector, Grid, OperatorPlan, QuadratureError,
+                             apply_operator, build_grid, build_plan,
+                             choose_truncation, constant_field,
+                             estimate_quadrature_error)
+from .errors import ConfigError, MajorantError, SolveError
+from .nonlinearities import g_eval
+from .weights import ExcessIntegrals, build_b_matrix
 
 __all__ = [
+    "Numerics",
+    "RunResult",
+    "run_instance",
     "SolveOptions",
     "IterationTrace",
     "AsymptoticsReport",
@@ -44,8 +59,6 @@ class SolveOptions:
     tol_stop: float = 1e-8
     max_iters: int = 400
     mono_slack: float = 0.0
-    use_a_priori: bool = False
-    conv_method: str = "auto"
 
     def __post_init__(self):
         if not (self.tol_stop > 0.0):
@@ -121,12 +134,9 @@ def _iterate(problem, plan, start: FieldVector, lower, upper, opts: SolveOptions
     xi_max = float(np.max(upper))
     termination = "iteration_cap"
     n_done = opts.max_iters
-    a_priori_n = None
-    if spectral is not None:
-        a_priori_n = a_priori_iterations(spectral.sigma, spectral.k, opts.tol_stop)
 
     for n in range(1, opts.max_iters + 1):
-        f_next = apply_operator(plan, f_prev, problem.nonlins, method=opts.conv_method)
+        f_next = apply_operator(plan, f_prev, problem.nonlins)
 
         rise = f_next.values - f_prev.values
         worst_rise = float(np.max(rise))
@@ -157,9 +167,6 @@ def _iterate(problem, plan, start: FieldVector, lower, upper, opts: SolveOptions
         if d_n <= opts.tol_stop:
             termination, n_done = "step_below_tol", n
             break
-        if opts.use_a_priori and a_priori_n is not None and n >= a_priori_n:
-            termination, n_done = "a_priori_bound", n
-            break
 
     return f_prev, n_done, termination
 
@@ -172,7 +179,7 @@ def solve(problem, grid, spectral, plan, opts: SolveOptions) -> SolutionReport:
         problem, plan, start, lower=spectral.eta, upper=spectral.xi,
         opts=opts, spectral=spectral, trace=trace)
 
-    res = residual(plan, f, problem.nonlins, method=opts.conv_method)
+    res = residual(plan, f, problem.nonlins)
     asym = asymptotics_report(f, spectral.eta, grid)
     return SolutionReport(
         field=f,
@@ -200,7 +207,7 @@ def uniqueness_probe(problem, grid, spectral, plan, base: SolutionReport,
     if opts is None:
         raise ValueError("pass the SolveOptions used for the base run")
     start = constant_field(grid, scale * spectral.xi, boundary=spectral.eta)
-    trial = apply_operator(plan, start, problem.nonlins, method=opts.conv_method)
+    trial = apply_operator(plan, start, problem.nonlins)
     overshoot = float(np.max(trial.values - start.values))
     if overshoot > opts.mono_slack:
         raise SolveError(
@@ -215,9 +222,9 @@ def uniqueness_probe(problem, grid, spectral, plan, base: SolutionReport,
     return float(np.max(np.abs(f.values - base.field.values)))
 
 
-def residual(plan, f: FieldVector, nonlins, method: str = "auto") -> float:
+def residual(plan, f: FieldVector, nonlins) -> float:
     """Sup-norm defect of the fixed-point identity at f."""
-    wf = apply_operator(plan, f, nonlins, method=method)
+    wf = apply_operator(plan, f, nonlins)
     return float(np.max(np.abs(f.values - wf.values)))
 
 
@@ -250,3 +257,95 @@ def asymptotics_report(f: FieldVector, eta, grid) -> AsymptoticsReport:
                          np.where(outer > 0.0, np.inf, 0.0))
     return AsymptoticsReport(edge_deviation=edge, tail_integral=tail,
                              half_tail_ratio=ratio)
+
+
+@dataclass(frozen=True)
+class Numerics:
+    """Numeric controls of one run; the keys of a config's numerics block.
+
+    Solving needs n_cells, or h_target to derive it from the truncation
+    radius, unless run_instance is handed a grid. mono_slack defaults to ten
+    times the measured quadrature error budget.
+    """
+
+    tol_eig: float = 1e-12
+    tol_alg: float = 1e-13
+    tol_trunc: float = 1e-8
+    tol_stop: float = 1e-8
+    tol_validate: float = 1e-8
+    n_cells: int = None
+    h_target: float = None
+    max_iters: int = 400
+    mono_slack: float = None
+    samples: int = 64
+    probe_scale: float = 2.0
+    run_probe: bool = True
+
+
+@dataclass(frozen=True)
+class RunResult:
+    """Every stage run_instance computed for one problem."""
+
+    spec: object
+    spectral: SpectralData
+    excess: ExcessIntegrals
+    grid: Grid
+    plan: OperatorPlan
+    quad: QuadratureError
+    opts: SolveOptions
+    sol: SolutionReport
+
+
+def _n_cells_for(num: Numerics, r: float) -> int:
+    if num.n_cells is not None:
+        return num.n_cells
+    if num.h_target is not None:
+        return 2 * max(1, math.ceil(r / num.h_target))
+    raise ConfigError("set numerics.n_cells or numerics.h_target")
+
+
+def run_instance(spec, scalars, eta, numerics: Numerics, grid: Grid = None) -> RunResult:
+    """Run the paper's stages once each on a validated problem.
+
+    spec must carry the normalized kernel, scalars its kernel scalars and
+    eta the eigenvector of scalars.a. The stages run in order: majorant xi
+    and (sigma, k); truncation radius and grid, unless grid is given (a
+    sweep shares one grid across its entries); operator plan; quadrature
+    error budget; monotone solve; uniqueness probe when numerics.run_probe.
+
+    Raises MajorantError when no majorant exists, SolveError when a solve
+    guard trips or the iteration cap is reached before the step tolerance,
+    and ConfigError when a grid is needed and neither numerics.n_cells nor
+    numerics.h_target is set.
+    """
+    num = numerics
+    excess = build_b_matrix(spec.weights, scalars)
+    try:
+        xi = solve_xi(scalars.a, excess.b, spec.nonlins, eta, num.tol_alg)
+    except ValueError as exc:
+        raise MajorantError(str(exc)) from exc
+    sigma, k = contraction_params(eta, xi, spec.phi)
+    spectral = SpectralData(a=scalars.a, eta=eta, b=excess.b, xi=xi,
+                            sigma=sigma, k=k)
+
+    if grid is None:
+        # largest nonlinearity value the solve can reach
+        g_sup = max(float(g_eval(nl, x)) for nl, x in zip(spec.nonlins, xi))
+        r = choose_truncation(spec.kernel, spec.weights, eta, num.tol_trunc, g_sup)
+        grid = build_grid(r, _n_cells_for(num, r))
+
+    plan = build_plan(spec, grid)
+    quad = estimate_quadrature_error(spec, plan, eta, xi)
+    mono_slack = num.mono_slack if num.mono_slack is not None else 10.0 * quad.total
+    opts = SolveOptions(tol_stop=num.tol_stop, max_iters=num.max_iters,
+                        mono_slack=mono_slack)
+    sol = solve(spec, grid, spectral, plan, opts)
+    if sol.termination == "iteration_cap":
+        raise SolveError(
+            f"iteration cap {num.max_iters} reached before the step tolerance "
+            f"{num.tol_stop:g} (last step {sol.trace.d[-1]:.3e})")
+    if num.run_probe:
+        sol.probe_deviation = uniqueness_probe(
+            spec, grid, spectral, plan, sol, scale=num.probe_scale, opts=opts)
+    return RunResult(spec=spec, spectral=spectral, excess=excess, grid=grid,
+                     plan=plan, quad=quad, opts=opts, sol=sol)

@@ -42,7 +42,6 @@ __all__ = [
     "ExpSqrtWeight",
     "RationalWeight",
     "TabulatedExcessWeight",
-    "weight_eval",
     "excess_integral",
     "excess_tail_mass",
     "excess_cell_moments",
@@ -330,11 +329,6 @@ def _fold_cells(edges):
     hi = np.where(neg, -a, b)
     sign = np.where(neg, -1.0, 1.0)
     return lo, hi, sign
-
-
-def weight_eval(model, t):
-    """mu(t) = 1 + excess; raises exactly at the singular point t = 0."""
-    return 1.0 + model.excess(t)
 
 
 def excess_integral(model, method: str = "closed") -> float:

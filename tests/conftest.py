@@ -1,14 +1,12 @@
 """Shared fixtures: the two reference instances used across the suite.
 
 Pipelines are expensive enough (a truncation search, a dense plan, a full
-monotone solve) that each is built once per session. All stages run exactly
-as the command line tool runs them, so the fixtures double as an end-to-end
-check of the library API.
+monotone solve) that each is built once per session. The stages run through
+the same library entry point as the command line tool, so the fixtures
+double as an end-to-end check of the library API.
 """
 
 from __future__ import annotations
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,62 +14,36 @@ import pytest
 from convint import (
     ExpSqrtWeight,
     GaussianKernel,
+    Numerics,
     PowerNonlin,
     PowerPhi,
     ProblemSpec,
     RationalWeight,
     RootPowerMeanNonlin,
     SaturatingExpNonlin,
-    SolveOptions,
-    SpectralData,
-    build_b_matrix,
-    build_grid,
-    build_plan,
-    choose_truncation,
-    contraction_params,
-    estimate_quadrature_error,
-    g_eval,
     kernel_scalars,
     perron_vector,
-    solve,
-    solve_xi,
+    run_instance,
     spectral_radius,
     validate_problem,
 )
 
 
 def build_pipeline(kernel, weights, make_nonlins, phi, tol_trunc, n_cells,
-                   tol_stop, r_override=None):
-    """Run every stage on one instance and hand back all intermediates."""
-    raw = kernel_scalars(kernel)
-    rho = spectral_radius(raw.a)
+                   tol_stop, grid=None):
+    """Normalize and validate one instance, then run every stage through
+    run_instance (without the probe) and hand back its RunResult."""
+    rho = spectral_radius(kernel_scalars(kernel).a)
     kern = kernel.rescaled(1.0 / rho)
     scalars = kernel_scalars(kern)
     eta = perron_vector(scalars.a)
-    nonlins = tuple(make_nonlins(eta))
     spec = ProblemSpec(n=len(weights), kernel=kern, weights=tuple(weights),
-                       nonlins=nonlins, phi=phi)
+                       nonlins=tuple(make_nonlins(eta)), phi=phi)
     validation = validate_problem(spec)
     assert validation.passed, validation.failing_ids
-
-    excess = build_b_matrix(spec.weights, scalars)
-    xi = solve_xi(scalars.a, excess.b, nonlins, eta)
-    sigma, k = contraction_params(eta, xi, phi)
-    spectral = SpectralData(a=scalars.a, eta=eta, b=excess.b, xi=xi,
-                            sigma=sigma, k=k)
-
-    g_sup = max(float(g_eval(nl, x)) for nl, x in zip(nonlins, xi))
-    r = r_override if r_override is not None else choose_truncation(
-        kern, spec.weights, eta, tol_trunc, g_sup)
-    grid = build_grid(r, n_cells)
-    plan = build_plan(spec, grid, spectral)
-    quad = estimate_quadrature_error(spec, plan, eta, xi)
-    opts = SolveOptions(tol_stop=tol_stop, mono_slack=10.0 * quad.total)
-    sol = solve(spec, grid, spectral, plan, opts)
-    return SimpleNamespace(spec=spec, scalars=scalars, rho=rho, eta=eta,
-                           excess=excess, spectral=spectral,
-                           validation=validation, grid=grid, plan=plan,
-                           quad=quad, opts=opts, sol=sol)
+    numerics = Numerics(tol_trunc=tol_trunc, n_cells=n_cells, tol_stop=tol_stop,
+                        run_probe=False)
+    return run_instance(spec, scalars, eta, numerics, grid)
 
 
 def flagship_models():

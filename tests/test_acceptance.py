@@ -15,9 +15,9 @@ from convint import cli
 from convint.algebra import (
     SpectralData,
     a_priori_iterations,
-    normalize_to_unit_radius,
     perron_vector,
     solve_xi,
+    spectral_radius,
 )
 from convint.discretization import (
     FieldVector,
@@ -95,7 +95,8 @@ def test_criterion_03_eigenvector_identity_random_matrices():
     worst = 0.0
     for n in range(2, 9):
         raw = rng.uniform(0.2, 2.0, size=(n, n))
-        mat, _ = normalize_to_unit_radius(0.5 * (raw + raw.T))
+        sym = 0.5 * (raw + raw.T)
+        mat = sym / spectral_radius(sym)
         eta = perron_vector(mat)
         worst = max(worst, float(np.max(np.abs(mat @ eta - eta))))
     elapsed = time.perf_counter() - t0
@@ -175,7 +176,7 @@ def test_criterion_06_residual_and_unit_weight_variant(flagship):
     grid = build_grid(r, 4096)
     spectral = SpectralData(a=scalars.a, eta=eta, b=excess.b, xi=xi,
                             sigma=0.5, k=0.5)
-    plan = build_plan(spec, grid, spectral)
+    plan = build_plan(spec, grid)
     quad = estimate_quadrature_error(spec, plan, eta, xi)
     opts = SolveOptions(tol_stop=1e-8, mono_slack=10.0 * quad.total)
     sol = solve(spec, grid, spectral, plan, opts)
@@ -196,7 +197,8 @@ def test_criterion_07_edge_decay_and_tail_shrink(flagship_hires):
     assert ratio < 1.0
 
     doubled = build_pipeline(**flagship_models(), tol_trunc=1e-8,
-                             n_cells=16384, tol_stop=1e-10, r_override=64.0)
+                             n_cells=16384, tol_stop=1e-10,
+                             grid=build_grid(64.0, 16384))
     tail_base = float(asym.tail_integral[0])
     tail_doubled = float(doubled.sol.asymptotics.tail_integral[0])
     assert tail_doubled < tail_base

@@ -12,7 +12,6 @@ from convint import (
     SpectralError,
     a_priori_iterations,
     contraction_params,
-    normalize_to_unit_radius,
     perron_vector,
     solve_xi,
     spectral_radius,
@@ -33,17 +32,11 @@ class TestSpectral:
             want = float(np.max(np.abs(np.linalg.eigvalsh(m))))
             assert spectral_radius(m) == pytest.approx(want, rel=1e-11)
 
-    def test_normalize_to_unit_radius(self):
-        rng = np.random.default_rng(11)
-        m = random_spd_like(rng, 4)
-        a, scale = normalize_to_unit_radius(m)
-        assert spectral_radius(a) == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(a * scale, m, rtol=1e-15)
-
     def test_perron_identity_random_matrices(self):
         rng = np.random.default_rng(20260816)
         for n in range(2, 9):
-            a, _ = normalize_to_unit_radius(random_spd_like(rng, n))
+            m = random_spd_like(rng, n)
+            a = m / spectral_radius(m)
             eta = perron_vector(a)
             assert float(np.max(eta)) == pytest.approx(1.0, abs=1e-15)
             assert np.all(eta > 0.0)

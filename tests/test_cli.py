@@ -213,6 +213,23 @@ class TestSweepMode:
         b_values = [e["spectral"]["b"][0][0] for e in doc["entries"]]
         assert b_values == sorted(b_values)
 
+    def test_entry_matches_a_solve_of_the_same_eps(self, tmp_path, sweep_outcome):
+        # a sweep entry and a plain solve run the same stage chain; at the
+        # largest eps they also pick the same grid
+        path = write_config(tmp_path / "run.json", scalar_config(eps=0.2, n_cells=2048))
+        assert cli.main(["--config", path, "--out-dir", str(tmp_path / "out"),
+                         "--quiet"]) == 0
+        sweep_dir = sweep_outcome[1]
+        assert (tmp_path / "out" / "profile.csv").read_bytes() == \
+            (sweep_dir / "profile_002.csv").read_bytes()
+        solo = json.loads((tmp_path / "out" / "report.json").read_text())
+        swept = json.loads((sweep_dir / "report.json").read_text())
+        entry = swept["entries"][2]
+        assert entry["eps"] == 0.2
+        for block in ("spectral", "quadrature_error", "solve", "validation"):
+            assert solo[block] == entry[block], block
+        assert solo["truncation"] == swept["truncation"]
+
     def test_sweep_rejects_nonparametric_weight(self, tmp_path, capsys):
         table = write_excess_table(tmp_path / "excess.csv")
         doc = scalar_config(mode="sweep", n_cells=512)

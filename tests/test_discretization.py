@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from convint.algebra import SpectralData
 from convint.discretization import (
     FieldVector,
     apply_operator,
@@ -123,19 +122,6 @@ class TestPlanTables:
         x = grid.nodes
         expect = 0.5 * (erfc(grid.r - x) + erfc(grid.r + x))
         assert np.allclose(coeff, expect, rtol=1e-13, atol=1e-300)
-
-    def test_spectral_dimension_mismatch_rejected(self, small):
-        spec, grid, _ = small
-        wrong = SpectralData(
-            a=np.eye(2),
-            eta=np.ones(2),
-            b=np.zeros((2, 2)),
-            xi=np.ones(2),
-            sigma=0.5,
-            k=0.5,
-        )
-        with pytest.raises(ValueError, match="does not match"):
-            build_plan(spec, grid, spectral=wrong)
 
 
 class TestApplyOperator:

@@ -1,0 +1,37 @@
+"""The library examples run to their last line: demos 01 and 02 and the
+README quickstart."""
+
+import contextlib
+import io
+import re
+import runpy
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_captured(fn) -> list:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        fn()
+    return buf.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("script", ["01_scalar_instance.py", "02_coupled_system.py"])
+def test_demo_completes(script):
+    lines = run_captured(
+        lambda: runpy.run_path(str(ROOT / "demos" / script), run_name="__main__"))
+    assert lines[-1].startswith("restart from twice the majorant lands within")
+
+
+def test_readme_quickstart_completes():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(),
+                        flags=re.S)
+    assert len(blocks) == 1
+    code = compile(blocks[0], "README.md quickstart", "exec")
+    lines = run_captured(lambda: exec(code, {"__name__": "__main__"}))
+    assert len(lines) == 3
+    assert lines[0] == "[1.44]"
+    assert float(lines[-1]) == pytest.approx(1.28, abs=0.01)

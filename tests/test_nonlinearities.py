@@ -45,12 +45,6 @@ class TestFamilyProperties:
         for lo in (0.1, 0.5, 1.0):
             assert chord_slope_gap(nl, lo * nl.eta, 2.5 * nl.eta) > 0.0
 
-    def test_derivative_matches_finite_differences(self, nl):
-        u = np.array([0.3, 0.9, 1.7]) * nl.eta
-        h = 1e-6
-        fd = (np.asarray(g_eval(nl, u + h)) - np.asarray(g_eval(nl, u - h))) / (2 * h)
-        np.testing.assert_allclose(np.asarray(nl.derivative(u)), fd, rtol=1e-7)
-
     def test_declared_phi_exponent_certifies_scaling(self, nl):
         phi = PowerPhi(p=nl.phi_exponent)
         ok, margin = check_condition_iv(nl, phi, nl.eta, 2.0 * nl.eta)
@@ -94,11 +88,6 @@ def test_saturating_exp_gain():
     inner = 2.0 ** 0.4 * 0.5 ** 0.6
     want = nl.gain * (1.0 - math.exp(-inner))
     assert float(g_eval(nl, 0.5)) == pytest.approx(want, rel=1e-14)
-
-
-def test_with_eta_rebinds_fixed_point():
-    nl = RootPowerMeanNonlin(alpha=0.3, eta=1.0).with_eta(0.5)
-    assert float(g_eval(nl, 0.5)) == pytest.approx(0.5, rel=1e-14)
 
 
 class TestPhi:
@@ -164,11 +153,6 @@ class TestTabulated:
             TabulatedNonlin([0.0, 1.0, 2.0], [0.0, 1.0, 0.9], eta=1.0)
         with pytest.raises(ValueError):
             TabulatedNonlin([0.0, 1.0, 2.0], [0.0, 1.0, 1.4], eta=3.0)
-
-    def test_with_eta_refused(self, tmp_path):
-        nl = load_tabulated_nonlin(write_nonlin_table(tmp_path / "g.csv"))
-        with pytest.raises(ValueError):
-            nl.with_eta(0.9)
 
     def test_loader_needs_eta(self, tmp_path):
         p = tmp_path / "no_eta.csv"

@@ -12,12 +12,13 @@ from convint import (
     PowerNonlin,
     PowerPhi,
     ProblemSpec,
+    load_tabulated_excess,
     load_tabulated_nonlin,
     validate_problem,
 )
 from convint.problem import CONDITION_IDS
 
-from conftest import write_linear_nonlin_table, write_nonlin_table
+from conftest import write_excess_table, write_linear_nonlin_table, write_nonlin_table
 
 ETA_GAP_NOTE = "table does not cover the computed eta"
 
@@ -158,6 +159,13 @@ class TestTabulatedWorkflow:
         spec = scalar_spec(nonlins=(nl,), phi=PowerPhi(0.5))
         report = validate_problem(spec, tol=1e-12)
         assert "IV" in report.failing_ids
+
+    def test_excess_table_end_between_round_numbers_passes(self, tmp_path):
+        # the last log-spaced |t| sample must not round past the table's
+        # end, where the excess reads 0 and condition a would fail
+        w = load_tabulated_excess(write_excess_table(tmp_path / "mu.csv", t_max=55.5))
+        report = validate_problem(scalar_spec(weights=(w,)))
+        assert report.failing_ids == [], str(report)
 
 
 def test_problem_spec_shape_enforced():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import build_pipeline, flagship_models
 
-from convint.algebra import SpectralData, a_priori_iterations
+from convint.algebra import SpectralData
 from convint.discretization import FieldVector, build_grid, constant_field
 from convint.errors import SolveError
 from convint.solver import (
@@ -97,23 +97,6 @@ class TestStoppingRules:
         assert sol.termination == "iteration_cap"
         assert sol.iterations == 3
         assert len(sol.trace.d) == 3
-
-    def test_a_priori_stop_fires_at_certified_count(self, coarse):
-        # contraction constants that certify convergence in very few steps,
-        # long before the step criterion could trigger
-        fake = doctored_spectral(coarse.spectral, sigma=0.99, k=0.01)
-        n_cert = a_priori_iterations(0.99, 0.01, 1e-8)
-        opts = SolveOptions(tol_stop=1e-8, max_iters=100,
-                            mono_slack=coarse.opts.mono_slack, use_a_priori=True)
-        sol = solve(coarse.spec, coarse.grid, fake, coarse.plan, opts)
-        assert sol.termination == "a_priori_bound"
-        assert sol.iterations == n_cert == sol.a_priori_n
-
-    def test_a_priori_caps_iteration_count(self, coarse):
-        opts = SolveOptions(tol_stop=1e-4, max_iters=100,
-                            mono_slack=coarse.opts.mono_slack, use_a_priori=True)
-        sol = solve(coarse.spec, coarse.grid, coarse.spectral, coarse.plan, opts)
-        assert sol.iterations <= sol.a_priori_n
 
     def test_option_validation(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,6 @@ from convint import (
     excess_weighted_integral,
     kernel_scalars,
     load_tabulated_excess,
-    weight_eval,
 )
 from conftest import write_excess_table
 
@@ -30,11 +29,11 @@ SQRT_PI = math.sqrt(math.pi)
 class TestExpSqrt:
     def test_pointwise_and_evenness(self):
         w = ExpSqrtWeight(eps=0.5)
-        assert weight_eval(w, 1.0) == pytest.approx(1.0 + 0.5 * math.exp(-1.0))
+        assert w.excess(1.0) == pytest.approx(0.5 * math.exp(-1.0))
         t = np.array([0.25, 1.0, 7.0])
         np.testing.assert_array_equal(w.excess(t), w.excess(-t))
         with pytest.raises(ValueError):
-            weight_eval(w, 0.0)
+            w.excess(0.0)
 
     def test_closed_integral(self):
         for eps in (0.02, 0.1, 1.3):
@@ -67,7 +66,7 @@ class TestExpSqrt:
 class TestRational:
     def test_pointwise_value(self):
         w = RationalWeight(eps=1.0, alpha=0.5)
-        assert weight_eval(w, 1.0) == pytest.approx(1.5, rel=1e-15)
+        assert w.excess(1.0) == pytest.approx(0.5, rel=1e-15)
 
     def test_closed_integral(self):
         assert excess_integral(RationalWeight(1.0, 0.5)) == pytest.approx(
