@@ -43,7 +43,7 @@ def main():
         grid = build_grid(r, n_cells)
         plan = build_plan(spec, grid)
         quad = estimate_quadrature_error(spec, plan, spectral.eta,
-                                         spectral.xi)
+                                         spectral.xi, scalars)
         print(f"  {n_cells:>5} cells: regular {quad.regular:.2e}  "
               f"singular {quad.singular:.2e}  total {quad.total:.2e}")
 

@@ -22,7 +22,6 @@ timestamps) and a profile CSV with one row per grid node.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -74,6 +73,10 @@ def _require(cond: bool, msg: str):
 
 def _parse_numerics(d: dict) -> Numerics:
     _require(isinstance(d, dict), "numerics must be an object")
+    known = sorted(f.name for f in dataclasses.fields(Numerics))
+    unknown = sorted(set(d) - set(known))
+    _require(not unknown, f"unknown numerics key(s) {', '.join(map(repr, unknown))}; "
+                          f"accepted keys: {', '.join(known)}")
     kwargs = {}
     for name in ("tol_eig", "tol_alg", "tol_trunc", "tol_stop", "tol_validate"):
         if name in d:
@@ -244,16 +247,10 @@ def emit_profile(report, eta, path):
     """CSV with x, the field components, and their gaps to eta, full precision."""
     f = report.field
     eta = np.asarray(eta, dtype=float)
-    n = f.n
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["x"] + [f"f_{i + 1}" for i in range(n)]
-                   + [f"eta_gap_{i + 1}" for i in range(n)])
-        for m, x in enumerate(f.grid.nodes):
-            row = [format(float(x), ".17g")]
-            row += [format(float(f.values[i, m]), ".17g") for i in range(n)]
-            row += [format(float(f.values[i, m] - eta[i]), ".17g") for i in range(n)]
-            w.writerow(row)
+    header = ",".join(["x"] + [f"f_{i + 1}" for i in range(f.n)]
+                      + [f"eta_gap_{i + 1}" for i in range(f.n)])
+    table = np.column_stack([f.grid.nodes, f.values.T, (f.values - eta[:, None]).T])
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def _spectral_block(spectral: SpectralData, excess_w):

@@ -6,9 +6,10 @@ constant continuation is the right closure; zero would inject O(1) error).
 One application of the integral operator splits into three parts:
 
   regular     trapezoid product weights, end-corrected to third order,
-              against the kernel lag table; one discrete convolution per
-              (i, j), direct or FFT, identical semantics (the fast path
-              must match the direct sum to 1e-12);
+              against the kernel lag table; the plan stores the table's
+              spectrum, so an application is N forward real FFTs, one
+              contraction over j per frequency, and N inverse FFTs (the
+              tests hold it to direct summation at 1e-12);
   singular    the excess (mu - 1) is integrated exactly per cell (moments
               m0, m1) against a linear model of the smooth cofactor
               K(x - t) G(f(t)), which lands nonnegative per-node weights
@@ -25,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import SolveError
-from .kernels import kernel_eval, kernel_scalars, kernel_tail_mass, kernel_tail_one_sided
+from .kernels import kernel_eval, kernel_tail_mass, kernel_tail_one_sided
 from .nonlinearities import g_eval
 from .weights import excess_tail_mass, excess_weighted_integral
 
@@ -44,8 +45,6 @@ __all__ = [
     "apply_operator",
     "estimate_quadrature_error",
 ]
-
-FFT_THRESHOLD = 1024
 
 
 @dataclass(frozen=True)
@@ -137,17 +136,26 @@ def choose_truncation(kernel, weights, eta, tol_trunc: float, g_sup: float,
 
 @dataclass
 class OperatorPlan:
-    """Precomputed tables for one grid: kernel lags, node weights, tails."""
+    """Precomputed tables for one grid: kernel spectrum, node weights, tails.
+
+    kernel_hat is the real FFT of the kernel lag table at the 2 n_cells + 1
+    lags -2R..2R, zero-padded to fft_len >= 2 n_cells + 1. That length keeps
+    the wrap-around of the circular convolution out of the window
+    [n_cells, 2 n_cells] that apply_operator reads. fft_len is stored
+    because next_fast_len may return an odd length, which the spectrum's
+    size fft_len // 2 + 1 cannot tell apart from the even one below it.
+    """
 
     grid: Grid
-    kappa_sym: np.ndarray      # (N, N, 2 n_cells + 1) kernel at lags -R..R
+    fft_len: int
+    kernel_hat: np.ndarray     # (N, N, fft_len // 2 + 1) rfft of the lag table
     trapw: np.ndarray          # (n_cells + 1,) end-corrected trapezoid weights
     omega: np.ndarray          # (N, n_cells + 1) singular product weights
     tail_coeff: np.ndarray     # (N, N, n_cells + 1) kernel mass beyond the grid
 
     @property
     def n(self) -> int:
-        return self.kappa_sym.shape[0]
+        return self.kernel_hat.shape[0]
 
 
 def _regular_node_weights(h: float, m: int) -> np.ndarray:
@@ -188,6 +196,8 @@ def build_plan(spec, grid: Grid) -> OperatorPlan:
         for j in range(n):
             half = np.asarray(kernel_eval(spec.kernel, i, j, lags_half), dtype=float)
             kappa_sym[i, j] = np.concatenate([half[::-1], half[1:]])
+    fft_len = next_fast_len(2 * grid.n_cells + 1, real=True)
+    kernel_hat = rfft(kappa_sym, fft_len, axis=-1)
 
     trapw = _regular_node_weights(grid.h, m)
 
@@ -217,55 +227,33 @@ def build_plan(spec, grid: Grid) -> OperatorPlan:
     if np.min(tail_coeff) < 0.0:
         raise SolveError("negative tail correction")
 
-    return OperatorPlan(grid=grid, kappa_sym=kappa_sym, trapw=trapw,
-                        omega=omega, tail_coeff=tail_coeff)
-
-
-def _convolve(kappa_row, v, method: str):
-    """r[m] = sum_l v[l] * kappa(x_m - t_l) via the symmetric lag table."""
-    n = v.size - 1
-    if method == "direct":
-        full = np.convolve(v, kappa_row)
-    else:
-        full = fftconvolve(v, kappa_row)
-    return full[n:2 * n + 1]
-
-
-def _resolve_method(method: str, n_cells: int) -> str:
-    if method == "auto":
-        return "fft" if n_cells >= FFT_THRESHOLD else "direct"
-    if method in ("fft", "direct"):
-        return method
-    raise ValueError(f"unknown convolution method {method!r}")
+    return OperatorPlan(grid=grid, fft_len=fft_len, kernel_hat=kernel_hat,
+                        trapw=trapw, omega=omega, tail_coeff=tail_coeff)
 
 
 def apply_operator(plan: OperatorPlan, f: FieldVector, nonlins,
-                   method: str = "auto", include_singular: bool = True) -> FieldVector:
+                   include_singular: bool = True) -> FieldVector:
     """One application of the discrete integral operator to the field f.
 
     Regular and singular parts share the kernel lag convolution (their node
-    weights just add), so each (i, j) pair costs a single convolution; the
-    tail adds the analytic correction for the constant continuation.
+    weights just add). Entry m of the full linear convolution of a weighted
+    row v_j with the lag table is sum_l v_j[l] kappa_ij(x_{m - n_cells} - t_l),
+    so the nodes sit at m = n_cells..2 n_cells. The tail adds the analytic
+    correction for the constant continuation.
     """
     if f.grid is not plan.grid and not np.array_equal(f.grid.nodes, plan.grid.nodes):
         raise ValueError("field grid does not match the plan grid")
     if f.n != plan.n:
         raise ValueError("field component count does not match the plan")
-    method = _resolve_method(method, plan.grid.n_cells)
 
     g_nodes = np.vstack([g_eval(nl, row) for nl, row in zip(nonlins, f.values)])
     g_bound = np.array([float(g_eval(nl, bv)) for nl, bv in zip(nonlins, f.boundary)])
 
     node_w = plan.trapw[None, :] + (plan.omega if include_singular else 0.0)
-    v = g_nodes * node_w
-
-    out = np.zeros_like(f.values)
-    for i in range(plan.n):
-        acc = np.zeros(plan.grid.n_nodes)
-        for j in range(plan.n):
-            acc += _convolve(plan.kappa_sym[i, j], v[j], method)
-            acc += g_bound[j] * plan.tail_coeff[i, j]
-        out[i] = acc
+    v_hat = rfft(g_nodes * node_w, plan.fft_len, axis=-1)
+    full = irfft(np.einsum("ijk,jk->ik", plan.kernel_hat, v_hat), plan.fft_len, axis=-1)
+    m = plan.grid.n_cells
+    out = full[:, m:2 * m + 1] + np.einsum("j,ijk->ik", g_bound, plan.tail_coeff)
     return FieldVector(grid=f.grid, values=out, boundary=f.boundary.copy())
 
 
@@ -291,7 +279,9 @@ class QuadratureError:
         return self.regular + self.singular + self.dropped_tail
 
 
-def estimate_quadrature_error(spec, plan: OperatorPlan, eta, xi) -> QuadratureError:
+def estimate_quadrature_error(spec, plan: OperatorPlan, eta, xi, scalars) -> QuadratureError:
+    """Budget of plan against spec; scalars are the kernel scalars of
+    spec.kernel, whose sup matrix bounds the dropped excess tail."""
     grid = plan.grid
     eta = np.asarray(eta, dtype=float)
     xi = np.asarray(xi, dtype=float)
@@ -311,9 +301,8 @@ def estimate_quadrature_error(spec, plan: OperatorPlan, eta, xi) -> QuadratureEr
             disc = eta[j] * float(plan.omega[j] @ k_nodes)
             e_sing = max(e_sing, abs(ref - disc))
 
-    sup = kernel_scalars(spec.kernel).sup
     g_xi = np.array([float(g_eval(nl, x)) for nl, x in zip(spec.nonlins, xi)])
     dropped = np.array([excess_tail_mass(w, grid.r) for w in spec.weights])
-    e_tail = float(np.max(sup @ (dropped * g_xi)))
+    e_tail = float(np.max(scalars.sup @ (dropped * g_xi)))
 
     return QuadratureError(regular=e_reg, singular=e_sing, dropped_tail=e_tail)

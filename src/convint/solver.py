@@ -335,7 +335,7 @@ def run_instance(spec, scalars, eta, numerics: Numerics, grid: Grid = None) -> R
         grid = build_grid(r, _n_cells_for(num, r))
 
     plan = build_plan(spec, grid)
-    quad = estimate_quadrature_error(spec, plan, eta, xi)
+    quad = estimate_quadrature_error(spec, plan, eta, xi, scalars)
     mono_slack = num.mono_slack if num.mono_slack is not None else 10.0 * quad.total
     opts = SolveOptions(tol_stop=num.tol_stop, max_iters=num.max_iters,
                         mono_slack=mono_slack)

@@ -177,7 +177,7 @@ def test_criterion_06_residual_and_unit_weight_variant(flagship):
     spectral = SpectralData(a=scalars.a, eta=eta, b=excess.b, xi=xi,
                             sigma=0.5, k=0.5)
     plan = build_plan(spec, grid)
-    quad = estimate_quadrature_error(spec, plan, eta, xi)
+    quad = estimate_quadrature_error(spec, plan, eta, xi, scalars)
     opts = SolveOptions(tol_stop=1e-8, mono_slack=10.0 * quad.total)
     sol = solve(spec, grid, spectral, plan, opts)
 

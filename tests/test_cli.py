@@ -137,6 +137,15 @@ class TestSolveMode:
         assert f1 == pytest.approx(1.2807635, abs=1e-4)
         assert gap == pytest.approx(f1 - 1.0, rel=1e-12)
 
+    def test_profile_cells_match_per_value_format(self, solve_outcome):
+        # reference writer: format(value, ".17g") cell by cell, gap = f - eta
+        out = solve_outcome[1]
+        eta = json.loads((out / "report.json").read_text())["spectral"]["eta"][0]
+        for line in (out / "profile.csv").read_text().splitlines()[1:]:
+            x, f1, gap = line.split(",")
+            assert [x, f1] == [format(float(x), ".17g"), format(float(f1), ".17g")]
+            assert gap == format(float(f1) - eta, ".17g")
+
     def test_report_bytes_reproducible(self, tmp_path):
         path = write_config(tmp_path / "run.json", scalar_config(n_cells=512))
         for sub in ("a", "b"):
@@ -266,6 +275,16 @@ class TestFailureExitCodes:
         assert cli.main(["--config", path, "--out-dir", str(tmp_path)]) == 1
         assert "unknown kernel variant" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["tol_stp", "conv_method"])
+    def test_unknown_numerics_key_exits_1(self, tmp_path, capsys, key):
+        doc = scalar_config(n_cells=512, **{key: 1e-12})
+        path = write_config(tmp_path / "k.json", doc)
+        assert cli.main(["--config", path, "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"unknown numerics key(s) '{key}'" in err
+        assert "tol_stop" in err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestModeOverride:
     def test_validate_config_can_be_solved(self, tmp_path):
@@ -335,3 +354,13 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         assert "usage: convint" in proc.stdout
         assert "--config" in proc.stdout
+
+    def test_import_leaves_scipy_signal_unloaded(self, tmp_path):
+        # scipy.signal alone costs about half a second of a cold start
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        code = "import sys, convint.cli; print('scipy.signal' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, cwd=tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

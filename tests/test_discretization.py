@@ -7,6 +7,8 @@ expressions to compare the precomputed tables against.
 
 import numpy as np
 import pytest
+from conftest import coupled_models
+from scipy.fft import irfft
 from scipy.special import erfc
 
 from convint.discretization import (
@@ -19,8 +21,8 @@ from convint.discretization import (
     estimate_quadrature_error,
 )
 from convint.errors import SolveError
-from convint.kernels import GaussianKernel
-from convint.nonlinearities import PowerNonlin, PowerPhi
+from convint.kernels import GaussianKernel, kernel_eval
+from convint.nonlinearities import PowerNonlin, PowerPhi, g_eval
 from convint.problem import ProblemSpec
 from convint.weights import ExpSqrtWeight, excess_integral, excess_tail_mass
 
@@ -33,6 +35,22 @@ def scalar_spec(eps: float = 0.1) -> ProblemSpec:
         nonlins=(PowerNonlin(0.5, 1.0),),
         phi=PowerPhi(0.5),
     )
+
+
+def direct_apply(spec, plan, f):
+    """Reference operator by direct summation over the kernel lag table."""
+    n_cells = plan.grid.n_cells
+    lags = plan.grid.h * np.arange(-n_cells, n_cells + 1)
+    v = np.vstack([g_eval(nl, row) for nl, row in zip(spec.nonlins, f.values)])
+    v = v * (plan.trapw + plan.omega)
+    g_bound = [float(g_eval(nl, b)) for nl, b in zip(spec.nonlins, f.boundary)]
+    out = np.zeros_like(f.values)
+    for i in range(spec.n):
+        for j in range(spec.n):
+            row = kernel_eval(spec.kernel, i, j, lags)
+            out[i] += np.convolve(v[j], row)[n_cells : 2 * n_cells + 1]
+            out[i] += g_bound[j] * plan.tail_coeff[i, j]
+    return out
 
 
 class TestGrid:
@@ -94,12 +112,14 @@ def small():
 class TestPlanTables:
     def test_kernel_lag_table_even_and_exact(self, small):
         spec, grid, plan = small
-        row = plan.kappa_sym[0, 0]
-        assert row.shape == (2 * grid.n_cells + 1,)
-        assert np.array_equal(row, row[::-1])
-        lags = np.linspace(0.0, 2.0 * grid.r, grid.n_cells + 1)
+        # 64 cells: the fast length for 129 lags is odd, so it is stored
+        assert plan.fft_len == 135
+        assert plan.kernel_hat.shape == (1, 1, plan.fft_len // 2 + 1)
+        row = irfft(plan.kernel_hat[0, 0], plan.fft_len)
+        lags = grid.h * np.arange(-grid.n_cells, grid.n_cells + 1)
         expect = np.exp(-(lags**2)) / np.sqrt(np.pi)
-        assert np.allclose(row[grid.n_cells :], expect, rtol=1e-15)
+        assert np.max(np.abs(row[: 2 * grid.n_cells + 1] - expect)) <= 1e-15
+        assert np.max(np.abs(row[2 * grid.n_cells + 1 :])) <= 1e-15
 
     def test_singular_weights_nonnegative_and_mass_exact(self, small):
         spec, grid, plan = small
@@ -140,9 +160,25 @@ class TestApplyOperator:
         eta = flagship.spectral.eta
         values = eta[:, None] * (1.0 + 0.3 * np.exp(-(x**2)))[None, :]
         f = FieldVector(grid=flagship.grid, values=values, boundary=eta.copy())
-        fast = apply_operator(flagship.plan, f, flagship.spec.nonlins, method="fft")
-        slow = apply_operator(flagship.plan, f, flagship.spec.nonlins, method="direct")
-        assert np.max(np.abs(fast.values - slow.values)) <= 1e-12
+        fast = apply_operator(flagship.plan, f, flagship.spec.nonlins)
+        slow = direct_apply(flagship.spec, flagship.plan, f)
+        assert np.max(np.abs(fast.values - slow)) <= 1e-12
+
+    def test_coupled_pair_matches_direct_sum_at_odd_fft_length(self):
+        # distinct kernel coefficients, weights, maps and uneven field rows,
+        # so mixed-up components or a shifted window show
+        models = coupled_models()
+        spec = ProblemSpec(n=2, kernel=models["kernel"], weights=models["weights"],
+                           nonlins=models["make_nonlins"]([1.0, 0.8]), phi=models["phi"])
+        grid = build_grid(8.0, 64)
+        plan = build_plan(spec, grid)
+        assert plan.fft_len % 2 == 1
+        x = grid.nodes
+        values = np.vstack([1.0 + 0.3 * np.exp(-((x - 1.0) ** 2)),
+                            0.8 + 0.5 * np.exp(-((x + 2.0) ** 2) / 2.0)])
+        f = FieldVector(grid=grid, values=values, boundary=np.array([1.0, 0.8]))
+        fast = apply_operator(plan, f, spec.nonlins)
+        assert np.max(np.abs(fast.values - direct_apply(spec, plan, f))) <= 1e-12
 
     def test_operator_is_monotone_between_constant_fields(self, flagship):
         lo = apply_operator(
@@ -167,8 +203,6 @@ class TestApplyOperator:
         two = FieldVector(grid=grid, values=np.ones((2, grid.n_nodes)), boundary=np.ones(2))
         with pytest.raises(ValueError, match="component count"):
             apply_operator(plan, two, spec.nonlins * 2)
-        with pytest.raises(ValueError, match="unknown convolution method"):
-            apply_operator(plan, constant_field(grid, [1.0]), spec.nonlins, method="simpson")
 
 
 class TestTruncation:
