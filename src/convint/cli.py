@@ -71,6 +71,15 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
+def _number(v, what: str, integer: bool = False):
+    """A JSON number as float (or an integral one as int); else a ConfigError."""
+    ok = isinstance(v, (int, float)) and not isinstance(v, bool)
+    if integer:
+        ok = ok and (isinstance(v, int) or v.is_integer())
+    _require(ok, f"{what} must be {'an integer' if integer else 'a number'} (got {v!r})")
+    return int(v) if integer else float(v)
+
+
 def _parse_numerics(d: dict) -> Numerics:
     _require(isinstance(d, dict), "numerics must be an object")
     known = sorted(f.name for f in dataclasses.fields(Numerics))
@@ -80,35 +89,37 @@ def _parse_numerics(d: dict) -> Numerics:
     kwargs = {}
     for name in ("tol_eig", "tol_alg", "tol_trunc", "tol_stop", "tol_validate"):
         if name in d:
-            v = float(d[name])
+            v = _number(d[name], f"numerics.{name}")
             _require(v > 0.0, f"numerics.{name} must be positive")
             kwargs[name] = v
     if d.get("n_cells") is not None:
-        n = int(d["n_cells"])
+        n = _number(d["n_cells"], "numerics.n_cells", integer=True)
         _require(n >= 2 and n % 2 == 0, "numerics.n_cells must be even and >= 2")
         kwargs["n_cells"] = n
     if d.get("h_target") is not None:
-        h = float(d["h_target"])
+        h = _number(d["h_target"], "numerics.h_target")
         _require(h > 0.0, "numerics.h_target must be positive")
         kwargs["h_target"] = h
     if "max_iters" in d:
-        m = int(d["max_iters"])
+        m = _number(d["max_iters"], "numerics.max_iters", integer=True)
         _require(m >= 1, "numerics.max_iters must be at least 1")
         kwargs["max_iters"] = m
     if d.get("mono_slack") is not None:
-        s = float(d["mono_slack"])
+        s = _number(d["mono_slack"], "numerics.mono_slack")
         _require(s >= 0.0, "numerics.mono_slack must be nonnegative")
         kwargs["mono_slack"] = s
     if "samples" in d:
-        s = int(d["samples"])
+        s = _number(d["samples"], "numerics.samples", integer=True)
         _require(s >= 2, "numerics.samples must be at least 2")
         kwargs["samples"] = s
     if "probe_scale" in d:
-        p = float(d["probe_scale"])
+        p = _number(d["probe_scale"], "numerics.probe_scale")
         _require(p >= 1.0, "numerics.probe_scale must be at least 1")
         kwargs["probe_scale"] = p
     if "run_probe" in d:
-        kwargs["run_probe"] = bool(d["run_probe"])
+        _require(isinstance(d["run_probe"], bool),
+                 f"numerics.run_probe must be true or false (got {d['run_probe']!r})")
+        kwargs["run_probe"] = d["run_probe"]
     return Numerics(**kwargs)
 
 
@@ -141,7 +152,7 @@ def load_config(path) -> RunConfig:
     if mode == "sweep":
         _require(isinstance(sweep_eps, list) and sweep_eps,
                  "sweep mode needs a nonempty sweep_eps list")
-        sweep_eps = [float(e) for e in sweep_eps]
+        sweep_eps = [_number(e, "sweep_eps entries") for e in sweep_eps]
 
     labels = raw.get("labels")
     if labels is not None:
@@ -196,7 +207,10 @@ def _build_nonlin(cfg: dict, eta_default: float, base_dir: Path, idx: int):
     _require(isinstance(cfg, dict) and "variant" in cfg,
              f"nonlin {idx + 1} needs a variant")
     v = cfg["variant"]
-    eta = float(cfg["eta"]) if cfg.get("eta") is not None else float(eta_default)
+    eta_cfg = cfg.get("eta")
+    if eta_cfg is not None:
+        eta_cfg = _number(eta_cfg, f"nonlin {idx + 1} eta")
+    eta = eta_cfg if eta_cfg is not None else float(eta_default)
     try:
         if v == "power":
             return PowerNonlin(cfg["alpha"], eta)
@@ -207,7 +221,7 @@ def _build_nonlin(cfg: dict, eta_default: float, base_dir: Path, idx: int):
         if v == "saturating_exp":
             return SaturatingExpNonlin(cfg["alpha"], eta)
         if v == "tabulated":
-            return load_tabulated_nonlin(base_dir / cfg["path"], eta=cfg.get("eta"))
+            return load_tabulated_nonlin(base_dir / cfg["path"], eta=eta_cfg)
     except (ValueError, KeyError, OSError) as exc:
         raise ConfigError(f"nonlin {idx + 1}: {exc}") from exc
     raise ConfigError(f"unknown nonlin variant {v!r} (nonlin {idx + 1})")

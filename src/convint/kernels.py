@@ -255,24 +255,15 @@ class TabulatedKernel:
         return KernelScalars(a=a, sup=sup, first_moment=mom)
 
     def one_sided_tail(self, i, j, y):
-        scalar = np.isscalar(y) or np.asarray(y).ndim == 0
-        ys = np.atleast_1d(np.asarray(y, dtype=float))
         t, v = self.tau, self.tables[i, j]
         area, _ = self._segment_integrals(i, j)
         cum_from_right = np.concatenate([np.cumsum(area[::-1])[::-1], [0.0]])
-        out = np.empty_like(ys)
-        for k, yk in enumerate(ys):
-            if yk >= t[-1]:
-                out[k] = 0.0
-                continue
-            yk = max(yk, 0.0)
-            seg = int(np.searchsorted(t, yk, side="right")) - 1
-            seg = min(max(seg, 0), t.size - 2)
-            # partial trapezoid from yk to the end of its segment
-            vy = float(np.interp(yk, t, v))
-            partial = 0.5 * (vy + v[seg + 1]) * (t[seg + 1] - yk)
-            out[k] = partial + cum_from_right[seg + 1]
-        return out if not scalar else float(out[0])
+        ys = np.maximum(np.asarray(y, dtype=float), 0.0)
+        end = np.clip(np.searchsorted(t, ys, side="right"), 1, t.size - 1)
+        # partial trapezoid from y to the end of its segment, then whole ones
+        out = 0.5 * (np.interp(ys, t, v) + v[end]) * (t[end] - ys) + cum_from_right[end]
+        out = np.where(ys >= t[-1], 0.0, out)
+        return out if out.ndim else float(out)
 
     def tail_mass(self, i, j, radius):
         return 2.0 * self.one_sided_tail(i, j, radius)

@@ -71,6 +71,14 @@ class TestLoadConfig:
         path = write_config(tmp_path / "c.json", scalar_config(mode="validate-only"))
         assert cli.load_config(path).mode == "validate"
 
+    def test_null_defaults_and_integral_floats(self, tmp_path):
+        doc = scalar_config(n_cells=None, h_target=None, mono_slack=None,
+                            max_iters=50.0, run_probe=False)
+        num = cli.load_config(write_config(tmp_path / "c.json", doc)).numerics
+        assert (num.n_cells, num.h_target, num.mono_slack) == (None, None, None)
+        assert num.max_iters == 50 and isinstance(num.max_iters, int)
+        assert num.run_probe is False
+
 
 @pytest.fixture(scope="module")
 def solve_outcome(tmp_path_factory):
@@ -283,6 +291,26 @@ class TestFailureExitCodes:
         err = capsys.readouterr().err
         assert f"unknown numerics key(s) '{key}'" in err
         assert "tol_stop" in err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("key, edit", [
+        ("tol_stop", lambda d: d["numerics"].update(tol_stop="abc")),
+        ("n_cells", lambda d: d["numerics"].update(n_cells="2048x")),
+        ("n_cells", lambda d: d["numerics"].update(n_cells=2048.9)),
+        ("max_iters", lambda d: d["numerics"].update(max_iters=None)),
+        ("run_probe", lambda d: d["numerics"].update(run_probe="false")),
+        ("sweep_eps", lambda d: d.update(mode="sweep", sweep_eps=["x"])),
+        ("eta", lambda d: d["nonlins"][0].update(eta="x")),
+    ], ids=["tol_stop-str", "n_cells-str", "n_cells-frac", "max_iters-null",
+            "run_probe-str", "sweep_eps-str", "eta-str"])
+    def test_malformed_value_exits_1(self, tmp_path, capsys, key, edit):
+        doc = scalar_config(n_cells=512)
+        edit(doc)
+        path = write_config(tmp_path / "v.json", doc)
+        assert cli.main(["--config", path, "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and key in err
+        assert "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
 
 

@@ -144,6 +144,9 @@ class TestTabulated:
         model = self.make()
         ys = np.array([0.0, 0.5, 2.0, 9.5, 10.0, 12.0])
         tails = np.asarray(kernel_tail_one_sided(model, 0, 0, ys))
+        np.testing.assert_array_equal(
+            tails, [kernel_tail_one_sided(model, 0, 0, y) for y in ys])
+        assert isinstance(kernel_tail_one_sided(model, 0, 0, 0.5), float)
         assert np.all(np.diff(tails) <= 0.0)
         assert tails[0] == pytest.approx(0.5, rel=1e-6)
         assert tails[-2] == 0.0 and tails[-1] == 0.0

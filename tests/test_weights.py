@@ -14,6 +14,7 @@ from convint import (
     RationalWeight,
     TabulatedExcessWeight,
     build_b_matrix,
+    build_grid,
     excess_cell_moments,
     excess_integral,
     excess_tail_mass,
@@ -132,12 +133,39 @@ class TestCellMoments:
         inside = excess_integral(w) - excess_tail_mass(w, 20.0)
         assert float(np.sum(m0)) == pytest.approx(inside, rel=1e-12)
 
-    def test_batch_rejects_straddling_cells(self):
-        w = ExpSqrtWeight(0.1)
+    @pytest.mark.parametrize("w", [
+        ExpSqrtWeight(0.1), RationalWeight(0.08, 0.4),
+        TabulatedExcessWeight([0.5, 1.0, 2.0], [0.3, 0.2, 0.1], 0.5)],
+        ids=lambda w: w.variant)
+    def test_batch_rejects_straddling_cells(self, w):
         with pytest.raises(ValueError):
             w.cell_moments_batch(np.array([-1.0, 1.0]))
         with pytest.raises(ValueError):
             w.cell_moments_batch(np.array([1.0, 0.5]))
+
+
+def tabulated_moments_by_cell(tab, edges):
+    """Per-cell scalar reference for TabulatedExcessWeight.cell_moments_batch.
+
+    Each cell is split at 0, folded onto t >= 0, clipped to the table and
+    integrated in closed form against the linear model of s = (mu-1) t^gamma.
+    """
+    g = tab.gamma_exponent
+    m0 = np.zeros(edges.size - 1)
+    m1 = np.zeros(edges.size - 1)
+    for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        parts = [(a, 0.0), (0.0, b)] if a < 0.0 < b else [(a, b)]
+        for ca, cb in parts:
+            lo, hi, sign = (-cb, -ca, -1.0) if cb <= 0.0 else (ca, cb, 1.0)
+            lo, hi = max(lo, tab.t[0]), min(hi, tab.t[-1])
+            if hi <= lo:
+                continue
+            s_lo, s_hi = tab._s_at(lo), tab._s_at(hi)
+            slope = (s_hi - s_lo) / (hi - lo)
+            i0, i1, i2 = ((hi ** q - lo ** q) / q for q in (1.0 - g, 2.0 - g, 3.0 - g))
+            m0[k] += s_lo * i0 + slope * (i1 - lo * i0)
+            m1[k] += sign * (s_lo * i1 + slope * (i2 - lo * i1))
+    return m0, m1
 
 
 class TestTabulatedExcess:
@@ -187,6 +215,21 @@ class TestTabulatedExcess:
         assert m0p > 0.0
         assert m0m == pytest.approx(m0p, rel=1e-14)
         assert m1m == pytest.approx(-m1p, rel=1e-14)
+
+    @pytest.mark.parametrize("t_max", [60.0, 59.99])
+    def test_batch_matches_per_cell_reference(self, t_max):
+        # cells on both sides of 0, the first clipped at t[0], cells wholly
+        # past t[-1], and (t_max = 59.99) one cell clipped at t[-1]
+        _, tab = self.make(t_max=t_max)
+        edges = np.asarray(build_grid(64.0, 4096).nodes)
+        want0, want1 = tabulated_moments_by_cell(tab, edges)
+        got0, got1 = tab.cell_moments_batch(edges)
+        assert np.count_nonzero(want0 == 0.0) > 0
+        np.testing.assert_array_equal(got0 == 0.0, want0 == 0.0)
+        np.testing.assert_array_equal(got1 == 0.0, want1 == 0.0)
+        np.testing.assert_allclose(got0, want0, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(got1, want1, rtol=0.0,
+                                   atol=1e-12 * np.max(np.abs(want1)))
 
     def test_structural_rejects(self):
         with pytest.raises(ValueError):
