@@ -182,7 +182,7 @@ def _build_kernel(cfg: dict, base_dir: Path):
                                     decay=cfg.get("decay", 0.0))
         if v == "tabulated":
             return load_tabulated_kernel(base_dir / cfg["path"])
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, TypeError, KeyError, OSError) as exc:
         raise ConfigError(f"kernel: {exc}") from exc
     raise ConfigError(f"unknown kernel variant {v!r}")
 
@@ -198,7 +198,7 @@ def _build_weight(cfg: dict, base_dir: Path, idx: int):
             return RationalWeight(cfg["eps"], cfg["alpha"])
         if v == "tabulated_excess":
             return load_tabulated_excess(base_dir / cfg["path"])
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, TypeError, KeyError, OSError) as exc:
         raise ConfigError(f"weight {idx + 1}: {exc}") from exc
     raise ConfigError(f"unknown weight variant {v!r} (weight {idx + 1})")
 
@@ -222,7 +222,7 @@ def _build_nonlin(cfg: dict, eta_default: float, base_dir: Path, idx: int):
             return SaturatingExpNonlin(cfg["alpha"], eta)
         if v == "tabulated":
             return load_tabulated_nonlin(base_dir / cfg["path"], eta=eta_cfg)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, TypeError, KeyError, OSError) as exc:
         raise ConfigError(f"nonlin {idx + 1}: {exc}") from exc
     raise ConfigError(f"unknown nonlin variant {v!r} (nonlin {idx + 1})")
 
@@ -232,7 +232,7 @@ def _build_phi(cfg: dict):
     if cfg["variant"] == "power":
         try:
             return PowerPhi(cfg["p"])
-        except (ValueError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError) as exc:
             raise ConfigError(f"phi: {exc}") from exc
     raise ConfigError(f"unknown phi variant {cfg['variant']!r}")
 

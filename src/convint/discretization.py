@@ -263,9 +263,10 @@ class QuadratureError:
 
     regular: worst defect of the weight-free operator on its own fixed
     point (the eigenvector field), i.e. pure trapezoid-plus-tail error.
-    singular: worst gap between the product-quadrature excess term and an
-    adaptive-quadrature reference, probed at the center node where the
-    kernel peak sits on the singularity.
+    singular: worst gap between the product-quadrature excess term and the
+    reference weighted integral (a graded Gauss-Legendre rule after the
+    substitution that removes the singularity), probed at the center node
+    where the kernel peak sits on the singularity.
     dropped_tail: bound on the excess mass beyond the grid that the plan
     ignores (only the kernel continuation is corrected analytically).
     """

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -283,34 +283,10 @@ def kernel_eval(model, i: int, j: int, tau):
     return model.eval(i, j, tau)
 
 
-def kernel_scalars(model, quad_tol: float = 1e-10, method: str = "auto") -> KernelScalars:
-    """Row integrals, suprema and first half-moments of the kernel.
-
-    method="auto" uses each model's closed or semi-closed forms;
-    method="quadrature" forces adaptive integration of `eval` and exists so
-    the two routes can be checked against each other.
-    """
-    if method == "auto":
-        sc = model.scalars()
-    elif method == "quadrature":
-        n = model.n
-        a = np.zeros((n, n))
-        sup = np.zeros((n, n))
-        mom = np.zeros((n, n))
-        span = model.sample_span()
-        for i in range(n):
-            for j in range(n):
-                f = lambda t: model.eval(i, j, t)
-                ai, _ = integrate.quad(f, 0.0, span, epsabs=quad_tol * 1e-2, epsrel=1e-13, limit=400)
-                mi, _ = integrate.quad(lambda t: t * f(t), 0.0, span,
-                                       epsabs=quad_tol * 1e-2, epsrel=1e-13, limit=400)
-                grid = np.linspace(0.0, span, 4097)
-                a[i, j] = 2.0 * ai
-                sup[i, j] = float(np.max(model.eval(i, j, grid)))
-                mom[i, j] = mi
-        sc = KernelScalars(a=a, sup=sup, first_moment=mom)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+def kernel_scalars(model) -> KernelScalars:
+    """Row integrals, suprema and first half-moments of the kernel, from each
+    model's closed or semi-closed forms."""
+    sc = model.scalars()
     for name, m in (("a", sc.a), ("sup", sc.sup), ("first_moment", sc.first_moment)):
         if not np.all(np.isfinite(m)) or np.any(m <= 0.0):
             raise ValueError(f"kernel scalar matrix {name} must be finite and positive")

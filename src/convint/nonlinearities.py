@@ -23,7 +23,6 @@ import csv
 import math
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "PowerNonlin",
@@ -144,6 +143,9 @@ class TabulatedNonlin:
         if self.eta > u[-1]:
             raise ValueError("table must cover the fixed point eta")
         self.u_max = float(u[-1])
+        # imported here: scipy.interpolate loads scipy's optimize, linalg and
+        # sparse stack, which no other model needs
+        from scipy.interpolate import PchipInterpolator
         self._interp = PchipInterpolator(u, values, extrapolate=False)
         self.phi_exponent = None
 

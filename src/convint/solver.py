@@ -1,15 +1,18 @@
 """Monotone successive approximations for the discretized system.
 
 The iteration starts at the constant majorant field (each component pinned
-at xi_i) and applies the discrete operator repeatedly. Theory guarantees,
-and this module enforces per step up to a measured quadrature slack:
+at xi_i) and applies the discrete operator repeatedly. Theory guarantees
+that
 
   * iterates decrease pointwise,
   * every iterate stays inside the slab [eta, xi],
   * the sup-norm step d_n obeys a geometric envelope with ratio k.
 
-Violations beyond the slack indicate a too-coarse grid or a real defect and
-abort the run with the offending node. Termination is by step size or by
+The first two are enforced per step up to a measured quadrature slack;
+violations beyond it indicate a too-coarse grid or a real defect and abort
+the run with the offending node. The envelope is only recorded: the trace
+holds d_n beside its bound step_bound, and nothing checks one against the
+other during the run. Termination is by step size or by
 the iteration cap, reported distinctly; the pessimistic iteration count
 derived from (sigma, k) is reported alongside. A second run from an
 inflated majorant (the uniqueness probe) must land on the same field; their
@@ -233,7 +236,9 @@ def asymptotics_report(f: FieldVector, eta, grid) -> AsymptoticsReport:
 
     The tail integral is of |f - eta| over R/2 < |x| < R; the ratio compares
     the outer quarter (3R/4..R) against the inner quarter (R/2..3R/4) of
-    that band and must come out below one for a field that settles to eta.
+    that band. It is a diagnostic, not a pass condition: once the field has
+    settled to eta both band masses sit at the regular-quadrature noise
+    floor, and the ratio of two noise-level masses can read above one.
     """
     eta = np.asarray(eta, dtype=float)
     x = grid.nodes

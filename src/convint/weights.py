@@ -5,11 +5,13 @@ the line, and may blow up like |t|^(-gamma), gamma in [0, 1), at t = 0. Each
 model provides
 
   * pointwise evaluation (with a domain error exactly at the singular point),
-  * the total excess integral w = int (mu - 1) dt, closed form where one
-    exists and a singularity-aware quadrature route for cross-checking,
+  * the total excess integral w = int (mu - 1) dt,
   * exact cell moments m0 = int_cell (mu - 1) dt and m1 = int_cell t (mu - 1) dt,
     which the discretization uses as a product-quadrature measure,
-  * tail masses outside [-T, T].
+  * tail masses outside [-T, T],
+  * weighted integrals int_0^hi fn(t) (mu - 1)(t) dt, all by one rule: with
+    mu - 1 = s(t) t^-gamma and s regular, u = t^(1-gamma) removes the
+    singular factor and a fixed Gauss-Legendre rule integrates the rest.
 
 Built-ins:
 
@@ -18,7 +20,8 @@ Built-ins:
   RationalWeight:  mu(t) = 1 + eps / ((1 + t^2) |t|^alpha), alpha in (0, 1).
                    w = eps pi / cos(pi alpha / 2); moments by a
                    desingularizing substitution u = t^(1-alpha) and a fixed
-                   Gauss rule on the (smooth) transformed integrand.
+                   Gauss rule on the (smooth) transformed integrand; tails
+                   as a hypergeometric function.
   TabulatedExcessWeight: samples of mu - 1 with a declared singularity
                    exponent gamma; the regular factor s(t) = (mu-1)|t|^gamma
                    is interpolated linearly and integrated against |t|^-gamma
@@ -32,10 +35,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 SQRT_PI = math.sqrt(math.pi)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 __all__ = [
     "ExcessIntegrals",
@@ -82,14 +86,6 @@ class ExpSqrtWeight:
     def excess_integral_closed(self) -> float:
         return 2.0 * self.eps * SQRT_PI
 
-    def excess_integral_quadrature(self) -> float:
-        # t = u^2 removes the singularity on [0, 1]
-        head, _ = integrate.quad(lambda u: 2.0 * math.exp(-u * u), 0.0, 1.0,
-                                 epsabs=1e-13, epsrel=1e-13)
-        tail, _ = integrate.quad(lambda t: math.exp(-t) / math.sqrt(t), 1.0, np.inf,
-                                 epsabs=1e-13, epsrel=1e-13)
-        return 2.0 * self.eps * (head + tail)
-
     def excess_tail(self, t_from: float) -> float:
         return 2.0 * self.eps * SQRT_PI * float(special.gammaincc(0.5, t_from))
 
@@ -108,10 +104,8 @@ class ExpSqrtWeight:
         return m0, m1
 
     def weighted_integral(self, fn, hi: float) -> float:
-        """int_0^hi fn(t) (mu-1)(t) dt by adaptive quadrature, t = u^2."""
-        val, _ = integrate.quad(lambda u: fn(u * u) * 2.0 * self.eps * math.exp(-u * u),
-                                0.0, math.sqrt(hi), epsabs=1e-12, epsrel=1e-12, limit=400)
-        return val
+        return _regular_integral(fn, lambda t: self.eps * np.exp(-t), 0.5,
+                                 _graded_edges(hi, 0.5))
 
     def with_eps(self, eps):
         return ExpSqrtWeight(eps)
@@ -145,24 +139,13 @@ class RationalWeight:
     def excess_integral_closed(self) -> float:
         return self.eps * math.pi / math.cos(math.pi * self.alpha / 2.0)
 
-    def excess_integral_quadrature(self) -> float:
-        b = self._beta
-        head, _ = integrate.quad(lambda u: b / (1.0 + u ** (2.0 * b)), 0.0, 1.0,
-                                 epsabs=1e-13, epsrel=1e-13)
-        # t -> 1/v maps [1, inf) onto (0, 1] with a smooth integrand
-        tail, _ = integrate.quad(lambda v: v ** self.alpha / (1.0 + v * v), 0.0, 1.0,
-                                 epsabs=1e-13, epsrel=1e-13)
-        return 2.0 * self.eps * (head + tail)
-
     def excess_tail(self, t_from: float) -> float:
         if t_from <= 0.0:
             return self.excess_integral_closed()
-        if t_from < 1.0:
-            inner = self.weighted_integral(lambda t: 1.0, t_from)
-            return self.excess_integral_closed() - 2.0 * inner
-        val, _ = integrate.quad(lambda v: v ** self.alpha / (1.0 + v * v), 0.0, 1.0 / t_from,
-                                epsabs=1e-14, epsrel=1e-13)
-        return 2.0 * self.eps * val
+        # t = 1/v: 2 eps int_0^x v^alpha / (1 + v^2) dv with x = 1/t_from
+        x, q = 1.0 / t_from, 1.0 + self.alpha
+        return float(2.0 * self.eps * x ** q / q
+                     * special.hyp2f1(1.0, q / 2.0, q / 2.0 + 1.0, -x * x))
 
     def cell_moments_batch(self, edges):
         lo, hi, sign = _fold_cells(np.asarray(edges, dtype=float))
@@ -179,11 +162,8 @@ class RationalWeight:
         return m0, m1
 
     def weighted_integral(self, fn, hi: float) -> float:
-        b = self._beta
-        val, _ = integrate.quad(
-            lambda u: fn(u ** b) * self.eps * b / (1.0 + u ** (2.0 * b)),
-            0.0, hi ** (1.0 - self.alpha), epsabs=1e-12, epsrel=1e-12, limit=400)
-        return val
+        return _regular_integral(fn, lambda t: self.eps / (1.0 + t * t), self.alpha,
+                                 _graded_edges(hi, self.alpha))
 
     def with_eps(self, eps):
         return RationalWeight(eps, self.alpha)
@@ -278,8 +258,6 @@ class TabulatedExcessWeight:
         m0, _ = self.cell_moments_batch(self.t)
         return 2.0 * float(np.sum(m0))
 
-    excess_integral_quadrature = excess_integral_closed
-
     def excess_tail(self, t_from: float) -> float:
         # integrate outward along the table's own cells; a single wide cell
         # would misrepresent the curve through its linear model
@@ -292,22 +270,43 @@ class TabulatedExcessWeight:
         return 2.0 * float(np.sum(m0))
 
     def weighted_integral(self, fn, hi: float) -> float:
-        # u = t^(1-gamma) removes the singular factor; the integrand is
-        # smooth inside each table cell, so fixed Gauss-Legendre per cell
-        # is exact to roundoff for our piecewise-linear s
-        p = 1.0 - self.gamma_exponent
+        # the table nodes are the panel edges: s is linear inside each cell,
+        # so the rule is exact to roundoff there
         top = min(hi, self.t[-1])
         lo = self.t[0]
         if top <= lo:
             return 0.0
-        nodes, wts = np.polynomial.legendre.leggauss(16)
         edges = np.concatenate([[lo], self.t[(self.t > lo) & (self.t < top)],
                                 [top]])
-        ue = np.power(edges, p)
-        mid, halfw = 0.5 * (ue[:-1] + ue[1:]), 0.5 * (ue[1:] - ue[:-1])
-        t = np.power(mid[:, None] + halfw[:, None] * nodes, 1.0 / p).ravel()
-        f = (np.asarray(fn(t), dtype=float) * self._s_at(t)).reshape(-1, nodes.size)
-        return float(np.sum(halfw * np.sum(wts * f, axis=1))) / p
+        return _regular_integral(fn, self._s_at, self.gamma_exponent, edges)
+
+
+def _graded_edges(hi: float, gamma: float):
+    """Panel edges on [0, hi], dyadically graded toward 0 in u = t^(1-gamma).
+
+    Sixty halvings below u = hi^(1-gamma), two panels per level, then one
+    panel down to 0: t = u^(1/(1-gamma)) is not smooth at u = 0 unless
+    1/(1-gamma) is an integer, and a kernel with a cusp at the origin needs
+    the same refinement.
+    """
+    r = np.ldexp(1.0, -np.arange(61))
+    r = np.concatenate([[0.0], np.sort(np.concatenate([r, 0.75 * r[:-1]]))])
+    return hi * np.power(r, 1.0 / (1.0 - gamma))
+
+
+def _regular_integral(fn, s, gamma: float, edges) -> float:
+    """int fn(t) (mu-1)(t) dt from edges[0] to edges[-1], (mu-1) = s(t) t^-gamma.
+
+    With p = 1 - gamma and u = t^p the integral is (1/p) int fn(t) s(t) du,
+    t = u^(1/p): a 16-point Gauss-Legendre rule on each panel between
+    consecutive edges (mapped to u) evaluates it.
+    """
+    p = 1.0 - gamma
+    ue = np.power(edges, p)
+    mid, halfw = 0.5 * (ue[:-1] + ue[1:]), 0.5 * (ue[1:] - ue[:-1])
+    t = np.power(mid[:, None] + halfw[:, None] * _GL16_NODES, 1.0 / p).ravel()
+    f = (np.asarray(fn(t), dtype=float) * s(t)).reshape(-1, _GL16_NODES.size)
+    return float(np.sum(halfw * np.sum(_GL16_WEIGHTS * f, axis=1))) / p
 
 
 def _fold_cells(edges):
@@ -328,13 +327,9 @@ def _fold_cells(edges):
     return lo, hi, sign
 
 
-def excess_integral(model, method: str = "closed") -> float:
+def excess_integral(model) -> float:
     """Total excess mass w = int (mu - 1) dt over the whole line."""
-    if method == "closed":
-        return float(model.excess_integral_closed())
-    if method == "quadrature":
-        return float(model.excess_integral_quadrature())
-    raise ValueError(f"unknown method {method!r}")
+    return float(model.excess_integral_closed())
 
 
 def excess_tail_mass(model, t_from: float) -> float:
@@ -356,7 +351,8 @@ def excess_cell_moments(model, t0: float, t1: float):
 def excess_weighted_integral(model, fn, hi: float) -> float:
     """int_0^hi fn(t) (mu - 1)(t) dt with the singularity handled analytically.
 
-    Reference-quality route used for error estimation and cross-checks.
+    fn takes an array of t. Reference-quality route used for error estimation
+    and cross-checks.
     """
     return float(model.weighted_integral(fn, hi))
 

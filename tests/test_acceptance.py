@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 from conftest import build_pipeline, flagship_models, write_linear_nonlin_table
+from oracles import excess_integral_quadrature
 
 from convint import cli
 from convint.algebra import (
@@ -62,14 +63,14 @@ def test_criterion_02_excess_integrals_and_kernel_scalars():
     worst_closed, worst_quad = 0.0, 0.0
     for eps in (0.05, 0.1, 0.37):
         w = ExpSqrtWeight(eps)
-        closed = excess_integral(w, method="closed")
-        quad = excess_integral(w, method="quadrature")
+        closed = excess_integral(w)
+        quad = excess_integral_quadrature(w)
         worst_closed = max(worst_closed, abs(closed - 2.0 * eps * np.sqrt(np.pi)))
         worst_quad = max(worst_quad, abs(closed - quad))
     for eps, alpha in ((0.08, 0.4), (0.1, 0.5), (0.03, 0.8)):
         w = RationalWeight(eps, alpha)
-        closed = excess_integral(w, method="closed")
-        quad = excess_integral(w, method="quadrature")
+        closed = excess_integral(w)
+        quad = excess_integral_quadrature(w)
         formula = eps * np.pi / np.cos(np.pi * alpha / 2.0)
         worst_closed = max(worst_closed, abs(closed - formula))
         worst_quad = max(worst_quad, abs(closed - quad))

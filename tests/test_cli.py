@@ -301,8 +301,12 @@ class TestFailureExitCodes:
         ("run_probe", lambda d: d["numerics"].update(run_probe="false")),
         ("sweep_eps", lambda d: d.update(mode="sweep", sweep_eps=["x"])),
         ("eta", lambda d: d["nonlins"][0].update(eta="x")),
+        ("weight 1", lambda d: d["weights"][0].update(eps=None)),
+        ("nonlin 1", lambda d: d["nonlins"][0].update(alpha=None)),
+        ("phi", lambda d: d["phi"].update(p=[1])),
     ], ids=["tol_stop-str", "n_cells-str", "n_cells-frac", "max_iters-null",
-            "run_probe-str", "sweep_eps-str", "eta-str"])
+            "run_probe-str", "sweep_eps-str", "eta-str", "weight-eps-null",
+            "nonlin-alpha-null", "phi-p-list"])
     def test_malformed_value_exits_1(self, tmp_path, capsys, key, edit):
         doc = scalar_config(n_cells=512)
         edit(doc)
@@ -383,11 +387,13 @@ class TestConsoleScript:
         assert "usage: convint" in proc.stdout
         assert "--config" in proc.stdout
 
-    def test_import_leaves_scipy_signal_unloaded(self, tmp_path):
-        # scipy.signal alone costs about half a second of a cold start
+    @pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate",
+                                        "scipy.interpolate"])
+    def test_import_leaves_scipy_signal_unloaded(self, tmp_path, module):
+        # each costs a cold start a large share of a second
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        code = "import sys, convint.cli; print('scipy.signal' in sys.modules)"
+        code = f"import sys, convint.cli; print({module!r} in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, cwd=tmp_path, env=env)
         assert proc.returncode == 0, proc.stderr

@@ -125,7 +125,7 @@ class TestPlanTables:
         spec, grid, plan = small
         assert np.all(plan.omega >= 0.0)
         w = spec.weights[0]
-        inside = excess_integral(w, method="closed") - excess_tail_mass(w, grid.r)
+        inside = excess_integral(w) - excess_tail_mass(w, grid.r)
         assert plan.omega[0].sum() == pytest.approx(inside, rel=1e-12)
 
     def test_singular_weights_preserve_odd_moment(self, small):

@@ -19,6 +19,7 @@ from convint import (
     load_tabulated_kernel,
 )
 from conftest import write_kernel_table
+from oracles import kernel_scalars_quadrature
 
 SQRT_PI = math.sqrt(math.pi)
 COEFFS_2X2 = np.array([[0.8, 0.3], [0.3, 1.1]])
@@ -35,7 +36,7 @@ class TestGaussian:
     def test_scalars_match_quadrature_route(self):
         model = GaussianKernel(COEFFS_2X2)
         auto = kernel_scalars(model)
-        quad = kernel_scalars(model, method="quadrature")
+        quad = kernel_scalars_quadrature(model)
         np.testing.assert_allclose(quad.a, auto.a, rtol=1e-10)
         np.testing.assert_allclose(quad.sup, auto.sup, rtol=1e-8)
         np.testing.assert_allclose(quad.first_moment, auto.first_moment,

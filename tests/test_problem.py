@@ -115,8 +115,6 @@ class TestNegativeCases:
             def excess_integral_closed(self):
                 return float("inf")
 
-            excess_integral_quadrature = excess_integral_closed
-
             def excess_tail(self, t_from):
                 return float("inf")
 

@@ -9,6 +9,7 @@ import pytest
 from scipy import integrate
 
 from convint import (
+    ExpMixtureKernel,
     ExpSqrtWeight,
     GaussianKernel,
     RationalWeight,
@@ -19,10 +20,13 @@ from convint import (
     excess_integral,
     excess_tail_mass,
     excess_weighted_integral,
+    kernel_eval,
     kernel_scalars,
     load_tabulated_excess,
 )
 from conftest import write_excess_table
+from oracles import (excess_integral_quadrature, rational_tail_quadrature,
+                     weighted_integral_quadrature)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -39,9 +43,9 @@ class TestExpSqrt:
     def test_closed_integral(self):
         for eps in (0.02, 0.1, 1.3):
             w = ExpSqrtWeight(eps)
-            assert excess_integral(w, "closed") == pytest.approx(
+            assert excess_integral(w) == pytest.approx(
                 2.0 * eps * SQRT_PI, rel=1e-15)
-            assert excess_integral(w, "quadrature") == pytest.approx(
+            assert excess_integral_quadrature(w) == pytest.approx(
                 2.0 * eps * SQRT_PI, abs=1e-12)
 
     def test_tail_matches_quadrature(self):
@@ -75,17 +79,15 @@ class TestRational:
         for eps, alpha in ((0.05, 0.3), (0.08, 0.4), (1.0, 0.9)):
             w = RationalWeight(eps, alpha)
             closed = eps * math.pi / math.cos(math.pi * alpha / 2.0)
-            assert excess_integral(w, "closed") == pytest.approx(closed, rel=1e-15)
-            assert excess_integral(w, "quadrature") == pytest.approx(
+            assert excess_integral(w) == pytest.approx(closed, rel=1e-15)
+            assert excess_integral_quadrature(w) == pytest.approx(
                 closed, abs=1e-10)
 
     def test_tail_continuity_and_quadrature(self):
         w = RationalWeight(eps=0.08, alpha=0.4)
         for t0 in (0.2, 0.999, 1.0, 4.0, 300.0):
-            ref, _ = integrate.quad(lambda t: w.excess(t), t0, np.inf)
-            # the far tail piece is fixed-order quadrature, good to ~3e-7
-            # relative there (absolute error ~1e-11, far below any tol_trunc)
-            assert excess_tail_mass(w, t0) == pytest.approx(2.0 * ref, rel=1e-6)
+            assert excess_tail_mass(w, t0) == pytest.approx(
+                rational_tail_quadrature(w, t0), rel=1e-13)
         # the heavy tail is what drives large truncation radii
         assert excess_tail_mass(w, 1000.0) > 1e-6
 
@@ -94,6 +96,22 @@ class TestRational:
             RationalWeight(0.1, 0.0)
         with pytest.raises(ValueError):
             RationalWeight(0.1, 1.0)
+
+
+@pytest.mark.parametrize("w", [
+    ExpSqrtWeight(0.1), ExpSqrtWeight(0.12),
+    RationalWeight(0.08, 0.4), RationalWeight(0.07, 0.6)],
+    ids=["exp_sqrt-0.1", "exp_sqrt-0.12", "rational-0.08-0.4", "rational-0.07-0.6"])
+@pytest.mark.parametrize("kernel", [
+    GaussianKernel([[1.0]]), ExpMixtureKernel([[1.0]], s_lo=1.0, s_hi=2.0)],
+    ids=lambda k: k.variant)
+@pytest.mark.parametrize("r", [8.0, 32.0, 2048.0])
+def test_weighted_integral_matches_quadrature(w, kernel, r):
+    # the singular-budget reference against adaptive quadrature; the
+    # exp_mixture kernel has a cusp at the singular point
+    fn = lambda t: kernel_eval(kernel, 0, 0, t)
+    assert excess_weighted_integral(w, fn, r) == pytest.approx(
+        weighted_integral_quadrature(w, fn, r), rel=1e-13)
 
 
 class TestCellMoments:
@@ -106,8 +124,8 @@ class TestCellMoments:
                 - excess_weighted_integral(w, lambda t: np.ones_like(t), a)
             ref1 = excess_weighted_integral(w, lambda t: t, b) \
                 - excess_weighted_integral(w, lambda t: t, a)
-            # two independent quadratures (cell-moment rule vs adaptive)
-            # agree to their joint accuracy, ~1e-7 relative on far cells
+            # two independent quadratures (cell-moment rule vs the graded
+            # reference rule) agree to their joint accuracy
             assert m0 == pytest.approx(ref0, rel=1e-7, abs=1e-14)
             assert m1 == pytest.approx(ref1, rel=1e-7, abs=1e-14)
 
@@ -276,11 +294,6 @@ class TestLoader:
         p.write_text("# gamma=0.5\nt,wrong\n0.1,1.0\n1.0,0.1\n")
         with pytest.raises(ValueError):
             load_tabulated_excess(p)
-
-
-def test_excess_integral_unknown_method():
-    with pytest.raises(ValueError):
-        excess_integral(ExpSqrtWeight(0.1), "magic")
 
 
 def test_excess_tail_mass_negative_start():
