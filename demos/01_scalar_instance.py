@@ -3,9 +3,9 @@
 One unknown function, Gaussian kernel, weight excess 0.1 e^{-|t|}/sqrt|t|,
 square-root response map. The script normalizes the kernel and checks the
 admission conditions, then hands the problem to run_instance, which runs
-the majorant, truncation, plan, error budget, solve and uniqueness probe.
+the majorant, truncation, plan, error budget and the two-sided solve.
 Every stage prints the quantity it certifies, ending with the solved
-profile's center value and the uniqueness probe.
+profile's center value and the width of the two-sided enclosure.
 """
 
 import numpy as np
@@ -77,7 +77,8 @@ def main():
     print(f"edge deviation {float(asym.edge_deviation[0]):.3e}, "
           f"outer-band tail integral {float(asym.tail_integral[0]):.3e}, "
           f"half-tail ratio {float(asym.half_tail_ratio[0]):.4f}")
-    print(f"restart from twice the majorant lands within {sol.probe_deviation:.3e}")
+    print(f"the iterates from xi and from eta enclose the discrete solution "
+          f"within {sol.probe_deviation:.3e}")
 
 
 if __name__ == "__main__":

@@ -58,7 +58,8 @@ def main():
         print(f"component {j + 1}: edge deviation "
               f"{float(asym.edge_deviation[j]):.2e}, half-tail ratio "
               f"{float(asym.half_tail_ratio[j]):.4f}")
-    print(f"restart from twice the majorant lands within {sol.probe_deviation:.3e}")
+    print(f"the iterates from xi and from eta enclose the discrete solution "
+          f"within {sol.probe_deviation:.3e}")
 
 
 if __name__ == "__main__":

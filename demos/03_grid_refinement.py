@@ -64,7 +64,7 @@ def main():
     print("\n== outer tail vs truncation radius ==")
     for radius, n_cells in ((32.0, 8192), (64.0, 16384)):
         res = run_instance(spec, scalars, spectral.eta,
-                           Numerics(tol_stop=1e-10, run_probe=False),
+                           Numerics(tol_stop=1e-10),
                            grid=build_grid(radius, n_cells))
         asym = res.sol.asymptotics
         print(f"  R = {radius:>4g}: outer-band tail integral "

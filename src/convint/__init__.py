@@ -30,7 +30,7 @@ from .problem import (ConditionCheck, ProblemSpec, ValidationReport,
                       validate_problem)
 from .solver import (AsymptoticsReport, IterationTrace, Numerics, RunResult,
                      SolutionReport, SolveOptions, asymptotics_report,
-                     residual, run_instance, solve, uniqueness_probe)
+                     residual, run_instance, solve)
 from .weights import (ExcessIntegrals, ExpSqrtWeight, RationalWeight,
                       TabulatedExcessWeight, build_b_matrix,
                       excess_cell_moments, excess_integral, excess_tail_mass,
@@ -67,6 +67,6 @@ __all__ = [
     "estimate_quadrature_error",
     # solver
     "Numerics", "RunResult", "run_instance", "SolveOptions", "IterationTrace",
-    "AsymptoticsReport", "SolutionReport", "solve", "uniqueness_probe",
-    "residual", "asymptotics_report",
+    "AsymptoticsReport", "SolutionReport", "solve", "residual",
+    "asymptotics_report",
 ]

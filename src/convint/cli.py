@@ -7,11 +7,11 @@ The pipeline executes in dependency order
   kernel scalars -> spectral normalization -> eigenvector eta ->
   nonlinearities (eta filled in where not declared) -> condition checks ->
   excess masses -> majorant xi -> (sigma, k) -> truncation R -> grid ->
-  operator plan -> quadrature error budget -> monotone solve ->
-  uniqueness probe -> emission
+  operator plan -> quadrature error budget -> two-sided monotone solve ->
+  emission
 
 This module runs the stages up to the condition checks and the emission;
-the chain from the excess masses to the probe lives in the library, in
+the chain from the excess masses to the solve lives in the library, in
 convint.solver.run_instance, which solve mode and every sweep entry call.
 Every failure maps to a distinct exit code with a message naming the
 stage or condition: 1 config, 2 validation, 3 spectral, 4 majorant,
@@ -49,7 +49,7 @@ from .weights import ExpSqrtWeight, RationalWeight, load_tabulated_excess
 __all__ = ["RunConfig", "load_config", "run", "emit_profile", "emit_report",
            "main"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -112,14 +112,6 @@ def _parse_numerics(d: dict) -> Numerics:
         s = _number(d["samples"], "numerics.samples", integer=True)
         _require(s >= 2, "numerics.samples must be at least 2")
         kwargs["samples"] = s
-    if "probe_scale" in d:
-        p = _number(d["probe_scale"], "numerics.probe_scale")
-        _require(p >= 1.0, "numerics.probe_scale must be at least 1")
-        kwargs["probe_scale"] = p
-    if "run_probe" in d:
-        _require(isinstance(d["run_probe"], bool),
-                 f"numerics.run_probe must be true or false (got {d['run_probe']!r})")
-        kwargs["run_probe"] = d["run_probe"]
     return Numerics(**kwargs)
 
 
@@ -341,9 +333,7 @@ def _say_stages(say, res: RunResult):
         f"(regular {q.regular:.1e}, singular {q.singular:.1e}, "
         f"dropped tail {q.dropped_tail:.1e}); slack {res.opts.mono_slack:.3e}")
     say(f"solve: {sol.iterations} iterations ({sol.termination}), "
-        f"residual {sol.residual_sup:.3e}")
-    if sol.probe_deviation is not None:
-        say(f"uniqueness probe deviation {sol.probe_deviation:.3e}")
+        f"residual {sol.residual_sup:.3e}, enclosure width {sol.probe_deviation:.3e}")
 
 
 def _truncation_block(grid) -> dict:

@@ -96,10 +96,6 @@ class GaussianKernel:
         c = self.coeffs
         return KernelScalars(a=c.copy(), sup=c / SQRT_PI, first_moment=c / (2.0 * SQRT_PI))
 
-    def tail_mass(self, i, j, radius):
-        # two-sided mass beyond |tau| = radius
-        return self._c(i, j) * float(special.erfc(radius))
-
     def one_sided_tail(self, i, j, y):
         y = np.asarray(y, dtype=float)
         out = self._c(i, j) * 0.5 * special.erfc(y)
@@ -176,10 +172,6 @@ class ExpMixtureKernel:
         m_core = float(np.sum(self._w * self._dens / self._s ** 2))
         return KernelScalars(a=self.coeffs * a_core, sup=self.coeffs * s_core,
                              first_moment=self.coeffs * m_core)
-
-    def tail_mass(self, i, j, radius):
-        core = float(np.sum(self._w * self._dens * np.exp(-radius * self._s) * 2.0 / self._s))
-        return float(self.coeffs[i, j]) * core
 
     def one_sided_tail(self, i, j, y):
         y = np.asarray(y, dtype=float)
@@ -265,9 +257,6 @@ class TabulatedKernel:
         out = np.where(ys >= t[-1], 0.0, out)
         return out if out.ndim else float(out)
 
-    def tail_mass(self, i, j, radius):
-        return 2.0 * self.one_sided_tail(i, j, radius)
-
     def rescaled(self, factor: float) -> "TabulatedKernel":
         return TabulatedKernel(self.tau, self.tables * factor)
 
@@ -297,7 +286,7 @@ def kernel_tail_mass(model, i: int, j: int, radius: float) -> float:
     """Two-sided mass of entry (i, j) beyond |tau| = radius (radius >= 0)."""
     if radius < 0.0:
         raise ValueError("radius must be nonnegative")
-    return float(model.tail_mass(i, j, radius))
+    return 2.0 * float(model.one_sided_tail(i, j, radius))
 
 
 def kernel_tail_one_sided(model, i: int, j: int, y):

@@ -1,26 +1,28 @@
-"""Monotone successive approximations for the discretized system.
+"""Two-sided monotone successive approximations for the discretized system.
 
-The iteration starts at the constant majorant field (each component pinned
-at xi_i) and applies the discrete operator repeatedly. Theory guarantees
-that
+Two sequences run in lock-step: the upper one starts at the constant
+majorant field (each component pinned at xi_i) and the lower one at the
+constant eigenvector field eta; each step applies the discrete operator
+once to each. Theory guarantees that
 
-  * iterates decrease pointwise,
+  * the upper iterates decrease and the lower ones increase pointwise,
   * every iterate stays inside the slab [eta, xi],
-  * the sup-norm step d_n obeys a geometric envelope with ratio k.
+  * the upper sup-norm step d_n obeys a geometric envelope with ratio k.
 
-The first two are enforced per step up to a measured quadrature slack;
+Each guard is enforced per step up to a measured quadrature slack;
 violations beyond it indicate a too-coarse grid or a real defect and abort
-the run with the offending node. The envelope is only recorded: the trace
-holds d_n beside its bound step_bound, and nothing checks one against the
-other during the run. Termination is by step size or by
-the iteration cap, reported distinctly; the pessimistic iteration count
-derived from (sigma, k) is reported alongside. A second run from an
-inflated majorant (the uniqueness probe) must land on the same field; their
-deviation is reported.
+the run, naming the sequence and the offending node. Because the operator
+is monotone, every discrete fixed point in the slab lies between the two
+sequences, so the gap sup(upper - lower) bounds the distance from the
+upper iterate to the discrete solution (and shows the solution unique in
+the slab once it closes). The run stops when both d_n and the gap drop to
+the step tolerance, or at the iteration cap, reported distinctly; the
+pessimistic iteration count derived from (sigma, k) is reported alongside.
+The final gap is reported as probe_deviation.
 
 run_instance assembles the paper's stage chain for one problem once:
 majorant xi and (sigma, k), truncation and grid, operator plan, quadrature
-error budget, monotone solve, uniqueness probe.
+error budget, two-sided monotone solve.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "AsymptoticsReport",
     "SolutionReport",
     "solve",
-    "uniqueness_probe",
     "residual",
     "asymptotics_report",
 ]
@@ -74,24 +75,24 @@ class SolveOptions:
 
 @dataclass
 class IterationTrace:
-    """Per-step diagnostics: d[n-1] is the sup step at iteration n, e[n-1]
-    the distance-to-limit envelope k^n (1-sigma)/(1-k), step_bound[n-1] the
-    geometric step bound k^(n-1) (1-sigma) max(xi)."""
+    """Per-step diagnostics: d[n-1] is the upper sup step at iteration n,
+    gap[n-1] the enclosure width sup(upper - lower) after it, e[n-1] the
+    distance-to-limit envelope k^n (1-sigma)/(1-k), step_bound[n-1] the
+    geometric step bound k^(n-1) (1-sigma) max(xi). mono_violation and
+    slab_excursion hold the upper sequence's worst rise and slab overshoot;
+    the lower sequence's are enforced but not recorded."""
 
     d: list = field(default_factory=list)
+    gap: list = field(default_factory=list)
     e: list = field(default_factory=list)
     step_bound: list = field(default_factory=list)
     mono_violation: list = field(default_factory=list)
     slab_excursion: list = field(default_factory=list)
 
     def as_dict(self):
-        return {
-            "d": [float(v) for v in self.d],
-            "e": [float(v) for v in self.e],
-            "step_bound": [float(v) for v in self.step_bound],
-            "mono_violation": [float(v) for v in self.mono_violation],
-            "slab_excursion": [float(v) for v in self.slab_excursion],
-        }
+        return {name: [float(v) for v in getattr(self, name)]
+                for name in ("d", "gap", "e", "step_bound", "mono_violation",
+                             "slab_excursion")}
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ class SolutionReport:
     asymptotics: AsymptoticsReport
     trace: IterationTrace
     a_priori_n: int
-    probe_deviation: float = None
+    probe_deviation: float
 
 
 def _worst_node(delta, grid):
@@ -127,60 +128,71 @@ def _worst_node(delta, grid):
     return f"component {i + 1}, node x = {grid.nodes[m]:.6g}"
 
 
-def _iterate(problem, plan, start: FieldVector, lower, upper, opts: SolveOptions,
-             spectral=None, trace: IterationTrace = None):
-    """Shared monotone loop; returns (field, iterations, termination)."""
+def _guard(name, wrong_way, values, eta, xi, slack, grid):
+    """Check one sequence's step; wrong_way is positive where it moved
+    against its direction. Returns the worst wrong-way step and the worst
+    slab overshoot, raising SolveError when either exceeds slack."""
+    worst = float(np.max(wrong_way))
+    if worst > slack:
+        raise SolveError(
+            f"{name} sequence: monotonicity violated by {worst:.3e} "
+            f"(slack {slack:.3e}) at {_worst_node(wrong_way, grid)}; "
+            "grid likely too coarse")
+    below, above = eta - values, values - xi
+    out = max(float(np.max(below)), float(np.max(above)))
+    if out > slack:
+        where = _worst_node(below if np.max(below) >= np.max(above) else above, grid)
+        raise SolveError(f"{name} sequence left the bounding slab by {out:.3e} "
+                         f"(slack {slack:.3e}) at {where}")
+    return worst, out
+
+
+def _iterate(problem, plan, spectral, opts: SolveOptions, trace: IterationTrace):
+    """Two-sided monotone loop; returns (upper field, iterations, termination)."""
     grid = plan.grid
-    lower = np.asarray(lower, dtype=float)[:, None]
-    upper = np.asarray(upper, dtype=float)[:, None]
-    f_prev = start
-    xi_max = float(np.max(upper))
+    eta = np.asarray(spectral.eta, dtype=float)[:, None]
+    xi = np.asarray(spectral.xi, dtype=float)[:, None]
+    up = constant_field(grid, spectral.xi, boundary=spectral.eta)
+    lo = constant_field(grid, spectral.eta)
+    sig, k = spectral.sigma, spectral.k
+    xi_max = float(np.max(xi))
+    slack = opts.mono_slack
     termination = "iteration_cap"
     n_done = opts.max_iters
 
     for n in range(1, opts.max_iters + 1):
-        f_next = apply_operator(plan, f_prev, problem.nonlins)
+        up_next = apply_operator(plan, up, problem.nonlins)
+        lo_next = apply_operator(plan, lo, problem.nonlins)
+        step = up_next.values - up.values
+        worst_rise, worst_out = _guard("upper", step, up_next.values, eta, xi, slack, grid)
+        _guard("lower", lo.values - lo_next.values, lo_next.values, eta, xi, slack, grid)
 
-        rise = f_next.values - f_prev.values
-        worst_rise = float(np.max(rise))
-        if worst_rise > opts.mono_slack:
+        d_n = float(np.max(np.abs(step)))
+        bound = k ** (n - 1) * (1.0 - sig) * xi_max
+        if d_n > bound + slack:
             raise SolveError(
-                f"monotonicity violated by {worst_rise:.3e} (slack {opts.mono_slack:.3e}) "
-                f"at {_worst_node(rise, grid)}; grid likely too coarse")
+                f"upper sequence: step {d_n:.3e} at iteration {n} exceeds the "
+                f"geometric bound {bound:.3e} (slack {slack:.3e})")
+        gap = float(np.max(up_next.values - lo_next.values))
+        trace.d.append(d_n)
+        trace.gap.append(gap)
+        trace.e.append(k ** n * (1.0 - sig) / (1.0 - k))
+        trace.step_bound.append(bound)
+        trace.mono_violation.append(max(worst_rise, 0.0))
+        trace.slab_excursion.append(max(worst_out, 0.0))
 
-        below = lower - f_next.values
-        above = f_next.values - upper
-        worst_out = max(float(np.max(below)), float(np.max(above)))
-        if worst_out > opts.mono_slack:
-            where = _worst_node(below if np.max(below) >= np.max(above) else above, grid)
-            raise SolveError(
-                f"iterate left the bounding slab by {worst_out:.3e} "
-                f"(slack {opts.mono_slack:.3e}) at {where}")
-
-        d_n = float(np.max(np.abs(rise)))
-        if trace is not None and spectral is not None:
-            sig, k = spectral.sigma, spectral.k
-            trace.d.append(d_n)
-            trace.e.append(k ** n * (1.0 - sig) / (1.0 - k))
-            trace.step_bound.append(k ** (n - 1) * (1.0 - sig) * xi_max)
-            trace.mono_violation.append(max(worst_rise, 0.0))
-            trace.slab_excursion.append(max(worst_out, 0.0))
-
-        f_prev = f_next
-        if d_n <= opts.tol_stop:
+        up, lo = up_next, lo_next
+        if d_n <= opts.tol_stop and gap <= opts.tol_stop:
             termination, n_done = "step_below_tol", n
             break
 
-    return f_prev, n_done, termination
+    return up, n_done, termination
 
 
 def solve(problem, grid, spectral, plan, opts: SolveOptions) -> SolutionReport:
-    """Run the iteration from the majorant field down to the solution."""
-    start = constant_field(grid, spectral.xi, boundary=spectral.eta)
+    """Run the two-sided iteration from xi down and from eta up."""
     trace = IterationTrace()
-    f, iters, termination = _iterate(
-        problem, plan, start, lower=spectral.eta, upper=spectral.xi,
-        opts=opts, spectral=spectral, trace=trace)
+    f, iters, termination = _iterate(problem, plan, spectral, opts, trace)
 
     res = residual(plan, f, problem.nonlins)
     asym = asymptotics_report(f, spectral.eta, grid)
@@ -194,35 +206,8 @@ def solve(problem, grid, spectral, plan, opts: SolveOptions) -> SolutionReport:
         asymptotics=asym,
         trace=trace,
         a_priori_n=a_priori_iterations(spectral.sigma, spectral.k, opts.tol_stop),
+        probe_deviation=trace.gap[-1],
     )
-
-
-def uniqueness_probe(problem, grid, spectral, plan, base: SolutionReport,
-                     scale: float = 2.0, opts: SolveOptions = None) -> float:
-    """Re-run from an inflated majorant and report the sup deviation.
-
-    The start scale * xi must itself be a supersolution (one operator
-    application moves it down); concavity guarantees that for scale >= 1,
-    and the check refuses to run otherwise.
-    """
-    if scale < 1.0:
-        raise ValueError("scale must be at least 1")
-    if opts is None:
-        raise ValueError("pass the SolveOptions used for the base run")
-    start = constant_field(grid, scale * spectral.xi, boundary=spectral.eta)
-    trial = apply_operator(plan, start, problem.nonlins)
-    overshoot = float(np.max(trial.values - start.values))
-    if overshoot > opts.mono_slack:
-        raise SolveError(
-            f"scale {scale:g} * xi is not a supersolution "
-            f"(operator exceeds it by {overshoot:.3e}); probe refused")
-
-    f, _, termination = _iterate(
-        problem, plan, start, lower=spectral.eta, upper=scale * spectral.xi,
-        opts=opts, spectral=None, trace=None)
-    if termination == "iteration_cap":
-        raise SolveError("uniqueness probe did not converge within the iteration cap")
-    return float(np.max(np.abs(f.values - base.field.values)))
 
 
 def residual(plan, f: FieldVector, nonlins) -> float:
@@ -283,8 +268,6 @@ class Numerics:
     max_iters: int = 400
     mono_slack: float = None
     samples: int = 64
-    probe_scale: float = 2.0
-    run_probe: bool = True
 
 
 @dataclass(frozen=True)
@@ -316,10 +299,11 @@ def run_instance(spec, scalars, eta, numerics: Numerics, grid: Grid = None) -> R
     eta the eigenvector of scalars.a. The stages run in order: majorant xi
     and (sigma, k); truncation radius and grid, unless grid is given (a
     sweep shares one grid across its entries); operator plan; quadrature
-    error budget; monotone solve; uniqueness probe when numerics.run_probe.
+    error budget; two-sided monotone solve.
 
     Raises MajorantError when no majorant exists, SolveError when a solve
-    guard trips or the iteration cap is reached before the step tolerance,
+    guard trips or the iteration cap is reached before the step and the
+    enclosure gap drop to the step tolerance,
     and ConfigError when a grid is needed and neither numerics.n_cells nor
     numerics.h_target is set.
     """
@@ -348,9 +332,7 @@ def run_instance(spec, scalars, eta, numerics: Numerics, grid: Grid = None) -> R
     if sol.termination == "iteration_cap":
         raise SolveError(
             f"iteration cap {num.max_iters} reached before the step tolerance "
-            f"{num.tol_stop:g} (last step {sol.trace.d[-1]:.3e})")
-    if num.run_probe:
-        sol.probe_deviation = uniqueness_probe(
-            spec, grid, spectral, plan, sol, scale=num.probe_scale, opts=opts)
+            f"{num.tol_stop:g} (last step {sol.trace.d[-1]:.3e}, "
+            f"enclosure gap {sol.trace.gap[-1]:.3e})")
     return RunResult(spec=spec, spectral=spectral, excess=excess, grid=grid,
                      plan=plan, quad=quad, opts=opts, sol=sol)

@@ -142,6 +142,13 @@ class RationalWeight:
     def excess_tail(self, t_from: float) -> float:
         if t_from <= 0.0:
             return self.excess_integral_closed()
+        if t_from < 1.0:
+            # the total less the head 2 eps int_0^t s^-alpha / (1 + s^2) ds,
+            # so no 1/t_from overflows as t_from -> 0
+            q = 1.0 - self.alpha
+            head = (2.0 * self.eps * t_from ** q / q
+                    * special.hyp2f1(1.0, q / 2.0, q / 2.0 + 1.0, -t_from * t_from))
+            return float(self.excess_integral_closed() - head)
         # t = 1/v: 2 eps int_0^x v^alpha / (1 + v^2) dv with x = 1/t_from
         x, q = 1.0 / t_from, 1.0 + self.alpha
         return float(2.0 * self.eps * x ** q / q

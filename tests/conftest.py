@@ -21,6 +21,7 @@ from convint import (
     RationalWeight,
     RootPowerMeanNonlin,
     SaturatingExpNonlin,
+    SpectralData,
     kernel_scalars,
     perron_vector,
     run_instance,
@@ -32,7 +33,7 @@ from convint import (
 def build_pipeline(kernel, weights, make_nonlins, phi, tol_trunc, n_cells,
                    tol_stop, grid=None):
     """Normalize and validate one instance, then run every stage through
-    run_instance (without the probe) and hand back its RunResult."""
+    run_instance and hand back its RunResult."""
     rho = spectral_radius(kernel_scalars(kernel).a)
     kern = kernel.rescaled(1.0 / rho)
     scalars = kernel_scalars(kern)
@@ -41,9 +42,16 @@ def build_pipeline(kernel, weights, make_nonlins, phi, tol_trunc, n_cells,
                        nonlins=tuple(make_nonlins(eta)), phi=phi)
     validation = validate_problem(spec)
     assert validation.passed, validation.failing_ids
-    numerics = Numerics(tol_trunc=tol_trunc, n_cells=n_cells, tol_stop=tol_stop,
-                        run_probe=False)
+    numerics = Numerics(tol_trunc=tol_trunc, n_cells=n_cells, tol_stop=tol_stop)
     return run_instance(spec, scalars, eta, numerics, grid)
+
+
+def doctored_spectral(spectral, **overrides):
+    """A copy of spectral with the given fields replaced."""
+    fields = dict(a=spectral.a, eta=spectral.eta, b=spectral.b,
+                  xi=spectral.xi, sigma=spectral.sigma, k=spectral.k)
+    fields.update(overrides)
+    return SpectralData(**fields)
 
 
 def flagship_models():

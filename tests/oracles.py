@@ -34,10 +34,21 @@ def excess_integral_quadrature(model) -> float:
 
 
 def rational_tail_quadrature(model: RationalWeight, t_from: float) -> float:
-    """Two-sided excess mass beyond |t| = t_from, as 2 eps int_0^(1/t_from)
-    v^alpha / (1 + v^2) dv (t = 1/v), which has no singularity to resolve."""
+    """Two-sided excess mass beyond |t| = t_from. The part beyond
+    max(t_from, 1) is 2 eps int_0^x v^alpha / (1 + v^2) dv with
+    x = 1/max(t_from, 1) (t = 1/v); for t_from < 1 the band t_from < |t| < 1
+    adds 2 eps b int_(t_from^(1/b))^1 du / (1 + u^(2b)) with b = 1/(1-alpha)
+    (t = u^b). Neither integrand has a singularity to resolve, and neither
+    interval grows as t_from -> 0."""
     val, _ = integrate.quad(lambda v: v ** model.alpha / (1.0 + v * v),
-                            0.0, 1.0 / t_from, epsabs=0.0, epsrel=2e-14, limit=400)
+                            0.0, 1.0 / max(t_from, 1.0),
+                            epsabs=0.0, epsrel=2e-14, limit=400)
+    if t_from < 1.0:
+        b = 1.0 / (1.0 - model.alpha)
+        band, _ = integrate.quad(lambda u: b / (1.0 + u ** (2.0 * b)),
+                                 t_from ** (1.0 - model.alpha), 1.0,
+                                 epsabs=0.0, epsrel=2e-14, limit=400)
+        val += band
     return 2.0 * model.eps * val
 
 

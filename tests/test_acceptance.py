@@ -9,13 +9,15 @@ import json
 import time
 
 import numpy as np
-from conftest import build_pipeline, flagship_models, write_linear_nonlin_table
+from conftest import (build_pipeline, doctored_spectral, flagship_models,
+                      write_linear_nonlin_table)
 from oracles import excess_integral_quadrature
 
 from convint import cli
 from convint.algebra import (
     SpectralData,
     a_priori_iterations,
+    contraction_params,
     perron_vector,
     solve_xi,
     spectral_radius,
@@ -32,7 +34,7 @@ from convint.discretization import (
 from convint.kernels import GaussianKernel, kernel_scalars
 from convint.nonlinearities import PowerNonlin, PowerPhi, g_eval
 from convint.problem import ProblemSpec
-from convint.solver import SolveOptions, solve, uniqueness_probe
+from convint.solver import SolveOptions, solve
 from convint.weights import (
     ExpSqrtWeight,
     RationalWeight,
@@ -209,14 +211,23 @@ def test_criterion_07_edge_decay_and_tail_shrink(flagship_hires):
 
 
 def test_criterion_08_uniqueness_probe(flagship_hires, coupled):
-    devs = {}
+    devs, restarts = {}, {}
     for name, pipe in (("scalar", flagship_hires), ("coupled", coupled)):
-        dev = uniqueness_probe(pipe.spec, pipe.grid, pipe.spectral, pipe.plan,
-                               pipe.sol, scale=2.0, opts=pipe.opts)
-        assert dev <= 2.0 * pipe.opts.tol_stop + pipe.opts.mono_slack
-        devs[name] = dev
-    print(f"[criterion 08] PASS: restart from 2 xi returns within "
-          f"{devs['scalar']:.2e} (scalar) and {devs['coupled']:.2e} (coupled)")
+        opts = pipe.opts
+        dev = pipe.sol.probe_deviation
+        assert dev <= opts.tol_stop
+        # a restart from 2 xi, with (sigma, k) of the wider slab so the step
+        # envelope holds, lands on the same field
+        xi2 = 2.0 * pipe.spectral.xi
+        sigma2, k2 = contraction_params(pipe.spectral.eta, xi2, pipe.spec.phi)
+        wide = doctored_spectral(pipe.spectral, xi=xi2, sigma=sigma2, k=k2)
+        again = solve(pipe.spec, pipe.grid, wide, pipe.plan, opts)
+        moved = float(np.max(np.abs(again.field.values - pipe.sol.field.values)))
+        assert moved <= dev + opts.tol_stop + opts.mono_slack
+        devs[name], restarts[name] = dev, moved
+    print(f"[criterion 08] PASS: two-sided enclosure width {devs['scalar']:.2e} "
+          f"(scalar) and {devs['coupled']:.2e} (coupled); restart from 2 xi "
+          f"returns within {restarts['scalar']:.2e} and {restarts['coupled']:.2e}")
 
 
 def test_criterion_09_discretization_order():

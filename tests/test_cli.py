@@ -73,11 +73,10 @@ class TestLoadConfig:
 
     def test_null_defaults_and_integral_floats(self, tmp_path):
         doc = scalar_config(n_cells=None, h_target=None, mono_slack=None,
-                            max_iters=50.0, run_probe=False)
+                            max_iters=50.0)
         num = cli.load_config(write_config(tmp_path / "c.json", doc)).numerics
         assert (num.n_cells, num.h_target, num.mono_slack) == (None, None, None)
         assert num.max_iters == 50 and isinstance(num.max_iters, int)
-        assert num.run_probe is False
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +103,7 @@ class TestSolveMode:
 
     def test_report_schema(self, solve_outcome):
         doc = json.loads((solve_outcome[1] / "report.json").read_text())
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["mode"] == "solve"
         assert doc["validation"]["passed"] is True
         assert len(doc["validation"]["checks"]) == 8

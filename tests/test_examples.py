@@ -1,13 +1,16 @@
 """The library examples run to their last line: demos 01 and 02 and the
-README quickstart."""
+README quickstart; the README's numerics table matches convint.Numerics."""
 
 import contextlib
+import dataclasses
 import io
 import re
 import runpy
 from pathlib import Path
 
 import pytest
+
+from convint import Numerics
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,7 +26,8 @@ def run_captured(fn) -> list:
 def test_demo_completes(script):
     lines = run_captured(
         lambda: runpy.run_path(str(ROOT / "demos" / script), run_name="__main__"))
-    assert lines[-1].startswith("restart from twice the majorant lands within")
+    assert lines[-1].startswith("the iterates from xi and from eta enclose the discrete "
+                                "solution within")
 
 
 def test_readme_quickstart_completes():
@@ -35,3 +39,11 @@ def test_readme_quickstart_completes():
     assert len(lines) == 3
     assert lines[0] == "[1.44]"
     assert float(lines[-1]) == pytest.approx(1.28, abs=0.01)
+
+
+def test_readme_numerics_table_lists_every_numerics_field():
+    text = (ROOT / "README.md").read_text()
+    table = text[text.index("Numerics block"):].split("\n\n")[1]
+    keys = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
+    assert len(keys) == len(set(keys))
+    assert set(keys) == {f.name for f in dataclasses.fields(Numerics)}

@@ -94,9 +94,6 @@ class TestNegativeCases:
             def sample_span(self):
                 return 8.0
 
-            def tail_mass(self, i, j, radius):
-                return 0.0
-
             def one_sided_tail(self, i, j, y):
                 return np.zeros_like(np.asarray(y, dtype=float))
 

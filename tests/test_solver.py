@@ -2,9 +2,8 @@
 
 import numpy as np
 import pytest
-from conftest import build_pipeline, flagship_models
+from conftest import build_pipeline, doctored_spectral, flagship_models
 
-from convint.algebra import SpectralData
 from convint.discretization import FieldVector, build_grid, constant_field
 from convint.errors import SolveError
 from convint.solver import (
@@ -12,7 +11,6 @@ from convint.solver import (
     asymptotics_report,
     residual,
     solve,
-    uniqueness_probe,
 )
 
 
@@ -21,13 +19,6 @@ def coarse():
     """Same scalar instance on a deliberately coarse grid (fast to re-solve)."""
     return build_pipeline(**flagship_models(), tol_trunc=1e-6, n_cells=512,
                           tol_stop=1e-8)
-
-
-def doctored_spectral(spectral, **overrides):
-    fields = dict(a=spectral.a, eta=spectral.eta, b=spectral.b,
-                  xi=spectral.xi, sigma=spectral.sigma, k=spectral.k)
-    fields.update(overrides)
-    return SpectralData(**fields)
 
 
 class TestReferenceRun:
@@ -75,16 +66,19 @@ class TestReferenceRun:
         again = residual(flagship.plan, flagship.sol.field, flagship.spec.nonlins)
         assert again == pytest.approx(flagship.sol.residual_sup, rel=1e-12)
 
-    def test_probe_returns_to_same_solution(self, flagship):
-        dev = uniqueness_probe(flagship.spec, flagship.grid, flagship.spectral,
-                               flagship.plan, flagship.sol, scale=2.0,
-                               opts=flagship.opts)
-        assert dev <= 2.0 * flagship.opts.tol_stop + flagship.opts.mono_slack
+    def test_enclosure_gap_closes_to_the_reported_width(self, flagship):
+        sol = flagship.sol
+        gap = np.asarray(sol.trace.gap)
+        assert len(gap) == sol.iterations
+        assert np.all(np.diff(gap) <= flagship.opts.mono_slack)
+        assert gap[-1] == sol.probe_deviation
+        assert sol.probe_deviation <= flagship.opts.tol_stop
 
     def test_trace_serializes(self, flagship):
         doc = flagship.sol.trace.as_dict()
-        assert set(doc) == {"d", "e", "step_bound", "mono_violation", "slab_excursion"}
-        assert all(isinstance(v, float) for v in doc["d"])
+        assert set(doc) == {"d", "gap", "e", "step_bound", "mono_violation",
+                            "slab_excursion"}
+        assert all(isinstance(v, float) for v in doc["d"] + doc["gap"])
         asym = flagship.sol.asymptotics.as_dict()
         assert set(asym) == {"edge_deviation", "tail_integral", "half_tail_ratio"}
 
@@ -115,26 +109,19 @@ class TestGuards:
         with pytest.raises(SolveError, match="monotonicity violated"):
             solve(coarse.spec, coarse.grid, fake, coarse.plan, coarse.opts)
 
-    def test_probe_refuses_non_supersolution_start(self, coarse):
-        fake = doctored_spectral(coarse.spectral, xi=0.2 * coarse.spectral.eta)
-        with pytest.raises(SolveError, match="not a supersolution"):
-            uniqueness_probe(coarse.spec, coarse.grid, fake, coarse.plan,
-                             coarse.sol, scale=2.0, opts=coarse.opts)
+    def test_lower_start_above_the_solution_raises(self, coarse):
+        # the solution settles to eta at the edges, so a lower start pinned
+        # above eta falls there on the first application
+        fake = doctored_spectral(coarse.spectral, eta=1.02 * coarse.spectral.eta)
+        with pytest.raises(SolveError, match="lower sequence: monotonicity violated"):
+            solve(coarse.spec, coarse.grid, fake, coarse.plan, coarse.opts)
 
-    def test_probe_raises_on_iteration_cap(self, coarse):
-        opts = SolveOptions(tol_stop=1e-8, max_iters=2,
-                            mono_slack=coarse.opts.mono_slack)
-        with pytest.raises(SolveError, match="did not converge"):
-            uniqueness_probe(coarse.spec, coarse.grid, coarse.spectral,
-                             coarse.plan, coarse.sol, scale=2.0, opts=opts)
-
-    def test_probe_argument_validation(self, coarse):
-        with pytest.raises(ValueError, match="at least 1"):
-            uniqueness_probe(coarse.spec, coarse.grid, coarse.spectral,
-                             coarse.plan, coarse.sol, scale=0.5, opts=coarse.opts)
-        with pytest.raises(ValueError, match="SolveOptions"):
-            uniqueness_probe(coarse.spec, coarse.grid, coarse.spectral,
-                             coarse.plan, coarse.sol, scale=2.0, opts=None)
+    def test_step_beyond_geometric_envelope_raises(self, coarse):
+        # a contraction ratio far below the true one shrinks the envelope
+        # faster than the steps can follow
+        fake = doctored_spectral(coarse.spectral, k=0.1)
+        with pytest.raises(SolveError, match="exceeds the geometric bound"):
+            solve(coarse.spec, coarse.grid, fake, coarse.plan, coarse.opts)
 
 
 class TestAsymptotics:

@@ -85,9 +85,14 @@ class TestRational:
 
     def test_tail_continuity_and_quadrature(self):
         w = RationalWeight(eps=0.08, alpha=0.4)
-        for t0 in (0.2, 0.999, 1.0, 4.0, 300.0):
+        # radii so small that 1/t0 squared (1e-160) or raised to 1 + alpha
+        # (1e-300) overflows
+        for t0 in (1e-300, 1e-160, 0.2, 0.999, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 4.0,
+                   300.0):
             assert excess_tail_mass(w, t0) == pytest.approx(
                 rational_tail_quadrature(w, t0), rel=1e-13)
+        assert excess_tail_mass(w, 1e-300) == pytest.approx(excess_integral(w),
+                                                           rel=1e-15)
         # the heavy tail is what drives large truncation radii
         assert excess_tail_mass(w, 1000.0) > 1e-6
 
