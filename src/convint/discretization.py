@@ -3,12 +3,16 @@
 The field lives on a uniform symmetric grid over [-R, R] and is continued by
 the constant vector eta beyond it (the solution tends to eta at infinity, so
 constant continuation is the right closure; zero would inject O(1) error).
+Kernel, weights and maps all depend on |x|, so the solution is even: the
+operator takes bitwise even fields only, works on the x >= 0 half of the
+grid, and mirrors its result, which is then bitwise even by construction.
 One application of the integral operator splits into three parts:
 
   regular     trapezoid product weights, end-corrected to third order,
-              against the kernel lag table; the plan stores the table's
-              spectrum, so an application is N forward real FFTs, one
-              contraction over j per frequency, and N inverse FFTs (the
+              against the kernel lag table; an even row convolved with the
+              even lag table is a symmetric convolution, so the plan stores
+              the table's DCT-I and an application is N forward DCT-Is, one
+              contraction over j per frequency, and N inverse DCT-Is (the
               tests hold it to direct summation at 1e-12);
   singular    the excess (mu - 1) is integrated exactly per cell (moments
               m0, m1) against a linear model of the smooth cofactor
@@ -26,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from scipy.fft import dct, idct, next_fast_len
 
 from .errors import SolveError
 from .kernels import kernel_eval, kernel_tail_mass, kernel_tail_one_sided
@@ -136,26 +140,31 @@ def choose_truncation(kernel, weights, eta, tol_trunc: float, g_sup: float,
 
 @dataclass
 class OperatorPlan:
-    """Precomputed tables for one grid: kernel spectrum, node weights, tails.
+    """Precomputed tables for one grid, kept on its x >= 0 half.
 
-    kernel_hat is the real FFT of the kernel lag table at the 2 n_cells + 1
-    lags -2R..2R, zero-padded to fft_len >= 2 n_cells + 1. That length keeps
-    the wrap-around of the circular convolution out of the window
-    [n_cells, 2 n_cells] that apply_operator reads. fft_len is stored
-    because next_fast_len may return an odd length, which the spectrum's
-    size fft_len // 2 + 1 cannot tell apart from the even one below it.
+    Every per-node table holds the n_cells // 2 + 1 columns of the nodes
+    x >= 0; the x < 0 columns are their mirror image. kernel_hat is the DCT-I
+    of the one-sided kernel lag table at the n_cells + 1 lags 0..2R,
+    zero-padded to p + 1 entries with p >= n_cells and 2p a fast FFT length.
+    Its inverse pair is a circular convolution of length 2p of the even
+    extensions, and p >= n_cells keeps the wrap-around off the lags
+    -R..2R that the x >= 0 nodes read.
     """
 
     grid: Grid
-    fft_len: int
-    kernel_hat: np.ndarray     # (N, N, fft_len // 2 + 1) rfft of the lag table
-    trapw: np.ndarray          # (n_cells + 1,) end-corrected trapezoid weights
-    omega: np.ndarray          # (N, n_cells + 1) singular product weights
-    tail_coeff: np.ndarray     # (N, N, n_cells + 1) kernel mass beyond the grid
+    kernel_hat: np.ndarray     # (N, N, p + 1) DCT-I of the one-sided lag table
+    trapw: np.ndarray          # (n_cells // 2 + 1,) end-corrected trapezoid weights
+    omega: np.ndarray          # (N, n_cells // 2 + 1) singular product weights
+    tail_coeff: np.ndarray     # (N, N, n_cells // 2 + 1) kernel mass beyond the grid
 
     @property
     def n(self) -> int:
         return self.kernel_hat.shape[0]
+
+
+def _mirror(half: np.ndarray) -> np.ndarray:
+    """The full-grid rows of x >= 0 columns: x < 0 copies x > 0 in reverse."""
+    return np.concatenate([half[..., :0:-1], half], axis=-1)
 
 
 def _regular_node_weights(h: float, m: int) -> np.ndarray:
@@ -186,31 +195,32 @@ def build_plan(spec, grid: Grid) -> OperatorPlan:
     boundary vector.
     """
     n = spec.n
-    nodes = grid.nodes
-    m = grid.n_nodes
+    half = grid.n_cells // 2
+    nodes = grid.nodes[half:]
 
-    # kernel lag table, bitwise even by construction from the one-sided half
-    lags_half = np.linspace(0.0, 2.0 * grid.r, grid.n_cells + 1)
-    kappa_sym = np.empty((n, n, 2 * grid.n_cells + 1))
+    lags = np.linspace(0.0, 2.0 * grid.r, grid.n_cells + 1)
+    table = np.empty((n, n, grid.n_cells + 1))
     for i in range(n):
         for j in range(n):
-            half = np.asarray(kernel_eval(spec.kernel, i, j, lags_half), dtype=float)
-            kappa_sym[i, j] = np.concatenate([half[::-1], half[1:]])
-    fft_len = next_fast_len(2 * grid.n_cells + 1, real=True)
-    kernel_hat = rfft(kappa_sym, fft_len, axis=-1)
+            table[i, j] = kernel_eval(spec.kernel, i, j, lags)
+    # even 5-smooth lengths are twice the 5-smooth ones
+    p = next_fast_len(grid.n_cells, real=True)
+    kernel_hat = dct(table, type=1, n=p + 1, axis=-1)
 
-    trapw = _regular_node_weights(grid.h, m)
+    trapw = _regular_node_weights(grid.h, grid.n_nodes)[half:]
 
     # exact excess cell moments folded into per-node weights: a linear model
     # v(t) = v_l + (t - t_l)(v_{l+1} - v_l)/h integrates against the measure
     # to w_l v_l + w_{l+1} v_{l+1} with the weights below, both nonnegative
-    # because t_l <= m1/m0 <= t_{l+1}
-    omega = np.zeros((n, m))
+    # because t_l <= m1/m0 <= t_{l+1}. The node x = 0 also takes the mirror
+    # of its right-hand cell's weight, from the cell [-h, 0].
+    omega = np.zeros((n, half + 1))
     t_lo, t_hi = nodes[:-1], nodes[1:]
     for j, w_model in enumerate(spec.weights):
         m0, m1 = w_model.cell_moments_batch(nodes)
         omega[j, :-1] += (t_hi * m0 - m1) / grid.h
         omega[j, 1:] += (m1 - t_lo * m0) / grid.h
+    omega[:, 0] *= 2.0
 
     floor = -1e-14 * max(float(np.max(omega)), 1.0)
     if np.min(omega) < floor:
@@ -218,43 +228,52 @@ def build_plan(spec, grid: Grid) -> OperatorPlan:
                          "excess cell moments are inconsistent")
     np.clip(omega, 0.0, None, out=omega)
 
-    tail_coeff = np.empty((n, n, m))
-    y = grid.r + nodes
+    # kernel mass beyond -R and beyond R, at distances R + x and R - x
+    tail_coeff = np.empty((n, n, half + 1))
+    y = grid.r + grid.nodes
     for i in range(n):
         for j in range(n):
             left = np.asarray(kernel_tail_one_sided(spec.kernel, i, j, y), dtype=float)
-            tail_coeff[i, j] = left[::-1] + left
+            tail_coeff[i, j] = left[half::-1] + left[half:]
     if np.min(tail_coeff) < 0.0:
         raise SolveError("negative tail correction")
 
-    return OperatorPlan(grid=grid, fft_len=fft_len, kernel_hat=kernel_hat,
-                        trapw=trapw, omega=omega, tail_coeff=tail_coeff)
+    return OperatorPlan(grid=grid, kernel_hat=kernel_hat, trapw=trapw,
+                        omega=omega, tail_coeff=tail_coeff)
 
 
 def apply_operator(plan: OperatorPlan, f: FieldVector, nonlins,
                    include_singular: bool = True) -> FieldVector:
-    """One application of the discrete integral operator to the field f.
+    """One application of the discrete integral operator to the even field f.
 
     Regular and singular parts share the kernel lag convolution (their node
-    weights just add). Entry m of the full linear convolution of a weighted
-    row v_j with the lag table is sum_l v_j[l] kappa_ij(x_{m - n_cells} - t_l),
-    so the nodes sit at m = n_cells..2 n_cells. The tail adds the analytic
-    correction for the constant continuation.
+    weights just add). For an even weighted row v_j the sum
+    sum_l v_j[l] kappa_ij(x - t_l) over the full grid is the symmetric
+    convolution of the x >= 0 half of v_j with the one-sided lag table; the
+    DCT-I pair evaluates it, and its first n_cells // 2 + 1 entries are the
+    x >= 0 nodes. The tail adds the analytic correction for the constant
+    continuation, and the result is mirrored onto x < 0.
+
+    Raises ValueError unless f is bitwise even, f(-x) == f(x).
     """
     if f.grid is not plan.grid and not np.array_equal(f.grid.nodes, plan.grid.nodes):
         raise ValueError("field grid does not match the plan grid")
     if f.n != plan.n:
         raise ValueError("field component count does not match the plan")
+    half = plan.grid.n_cells // 2
+    if not np.array_equal(f.values[:, :half], f.values[:, :half:-1]):
+        raise ValueError("field is not even: f(-x) must equal f(x) bitwise")
 
-    g_nodes = np.vstack([g_eval(nl, row) for nl, row in zip(nonlins, f.values)])
-    g_bound = np.array([float(g_eval(nl, bv)) for nl, bv in zip(nonlins, f.boundary)])
+    # the continuation value rides as one more column: one g_eval per row
+    u = np.column_stack([f.values[:, half:], f.boundary])
+    g = np.vstack([g_eval(nl, row) for nl, row in zip(nonlins, u)])
+    g_nodes, g_bound = g[:, :-1], g[:, -1]
 
     node_w = plan.trapw[None, :] + (plan.omega if include_singular else 0.0)
-    v_hat = rfft(g_nodes * node_w, plan.fft_len, axis=-1)
-    full = irfft(np.einsum("ijk,jk->ik", plan.kernel_hat, v_hat), plan.fft_len, axis=-1)
-    m = plan.grid.n_cells
-    out = full[:, m:2 * m + 1] + np.einsum("j,ijk->ik", g_bound, plan.tail_coeff)
-    return FieldVector(grid=f.grid, values=out, boundary=f.boundary.copy())
+    v_hat = dct(g_nodes * node_w, type=1, n=plan.kernel_hat.shape[-1], axis=-1)
+    conv = idct(np.einsum("ijk,jk->ik", plan.kernel_hat, v_hat), type=1, axis=-1)
+    out = conv[:, :half + 1] + np.einsum("j,ijk->ik", g_bound, plan.tail_coeff)
+    return FieldVector(grid=f.grid, values=_mirror(out), boundary=f.boundary.copy())
 
 
 @dataclass(frozen=True)
@@ -299,7 +318,7 @@ def estimate_quadrature_error(spec, plan: OperatorPlan, eta, xi, scalars) -> Qua
                 lambda t, i=i, j=j: kernel_eval(spec.kernel, i, j, t),
                 grid.r)
             k_nodes = np.asarray(kernel_eval(spec.kernel, i, j, grid.nodes), dtype=float)
-            disc = eta[j] * float(plan.omega[j] @ k_nodes)
+            disc = eta[j] * float(_mirror(plan.omega[j]) @ k_nodes)
             e_sing = max(e_sing, abs(ref - disc))
 
     g_xi = np.array([float(g_eval(nl, x)) for nl, x in zip(spec.nonlins, xi)])

@@ -79,8 +79,10 @@ class IterationTrace:
     gap[n-1] the enclosure width sup(upper - lower) after it, e[n-1] the
     distance-to-limit envelope k^n (1-sigma)/(1-k), step_bound[n-1] the
     geometric step bound k^(n-1) (1-sigma) max(xi). mono_violation and
-    slab_excursion hold the upper sequence's worst rise and slab overshoot;
-    the lower sequence's are enforced but not recorded."""
+    slab_excursion hold the upper sequence's worst rise and slab overshoot
+    per step; lower_mono_violation and lower_slab_excursion hold the lower
+    sequence's worst fall and slab overshoot over the whole run, as scalars,
+    so a sweep report does not carry two more lists per entry."""
 
     d: list = field(default_factory=list)
     gap: list = field(default_factory=list)
@@ -88,11 +90,16 @@ class IterationTrace:
     step_bound: list = field(default_factory=list)
     mono_violation: list = field(default_factory=list)
     slab_excursion: list = field(default_factory=list)
+    lower_mono_violation: float = 0.0
+    lower_slab_excursion: float = 0.0
 
     def as_dict(self):
-        return {name: [float(v) for v in getattr(self, name)]
-                for name in ("d", "gap", "e", "step_bound", "mono_violation",
-                             "slab_excursion")}
+        doc = {name: [float(v) for v in getattr(self, name)]
+               for name in ("d", "gap", "e", "step_bound", "mono_violation",
+                            "slab_excursion")}
+        doc["lower_mono_violation"] = float(self.lower_mono_violation)
+        doc["lower_slab_excursion"] = float(self.lower_slab_excursion)
+        return doc
 
 
 @dataclass(frozen=True)
@@ -165,7 +172,8 @@ def _iterate(problem, plan, spectral, opts: SolveOptions, trace: IterationTrace)
         lo_next = apply_operator(plan, lo, problem.nonlins)
         step = up_next.values - up.values
         worst_rise, worst_out = _guard("upper", step, up_next.values, eta, xi, slack, grid)
-        _guard("lower", lo.values - lo_next.values, lo_next.values, eta, xi, slack, grid)
+        worst_fall, lower_out = _guard("lower", lo.values - lo_next.values,
+                                       lo_next.values, eta, xi, slack, grid)
 
         d_n = float(np.max(np.abs(step)))
         bound = k ** (n - 1) * (1.0 - sig) * xi_max
@@ -180,6 +188,8 @@ def _iterate(problem, plan, spectral, opts: SolveOptions, trace: IterationTrace)
         trace.step_bound.append(bound)
         trace.mono_violation.append(max(worst_rise, 0.0))
         trace.slab_excursion.append(max(worst_out, 0.0))
+        trace.lower_mono_violation = max(trace.lower_mono_violation, worst_fall)
+        trace.lower_slab_excursion = max(trace.lower_slab_excursion, lower_out)
 
         up, lo = up_next, lo_next
         if d_n <= opts.tol_stop and gap <= opts.tol_stop:

@@ -255,9 +255,8 @@ def test_criterion_09_discretization_order():
 
 def test_criterion_10_even_solution(flagship):
     vals = flagship.sol.field.values
-    worst = float(np.max(np.abs(vals - vals[:, ::-1])))
-    assert worst <= 1e-10
-    print(f"[criterion 10] PASS: solution even in x to {worst:.2e}")
+    assert np.array_equal(vals, vals[:, ::-1])
+    print("[criterion 10] PASS: solution bitwise even in x")
 
 
 def test_criterion_11_named_condition_failures(tmp_path, capsys):

@@ -5,13 +5,17 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from conftest import write_excess_table, write_kernel_table, write_linear_nonlin_table, write_nonlin_table
 
 from convint import cli
+from convint.discretization import FieldVector, build_grid
 from convint.errors import ConfigError
+
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 
 def write_config(path, doc):
@@ -103,7 +107,7 @@ class TestSolveMode:
 
     def test_report_schema(self, solve_outcome):
         doc = json.loads((solve_outcome[1] / "report.json").read_text())
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         assert doc["mode"] == "solve"
         assert doc["validation"]["passed"] is True
         assert len(doc["validation"]["checks"]) == 8
@@ -160,6 +164,67 @@ class TestSolveMode:
                              str(tmp_path / sub), "--quiet"]) == 0
         assert (tmp_path / "a" / "report.json").read_bytes() == \
             (tmp_path / "b" / "report.json").read_bytes()
+
+
+class TestProfileWriter:
+    @staticmethod
+    def report(grid, n):
+        x = np.abs(grid.nodes)
+        values = np.vstack([1.0 + 0.1 * (i + 1) * np.exp(-(i + 1) * (x / grid.r) ** 2)
+                            for i in range(n)])
+        return SimpleNamespace(field=FieldVector(grid=grid, values=values,
+                                                 boundary=np.ones(n)))
+
+    # more than one block, the last one partial; two components; nodes so
+    # close to 0 that '%.17g' prints them in exponent form
+    @pytest.mark.parametrize("n, r, n_cells", [(1, 8.0, 4098), (2, 8.0, 64),
+                                               (2, 2e-5, 8)])
+    def test_bytes_match_savetxt_of_the_full_table(self, tmp_path, n, r, n_cells):
+        rep = self.report(build_grid(r, n_cells), n)
+        eta = np.linspace(0.99, 1.0, n)
+        cli.emit_profile(rep, eta, tmp_path / "profile.csv")
+        f = rep.field
+        header = ",".join(["x"] + [f"f_{i + 1}" for i in range(n)]
+                          + [f"eta_gap_{i + 1}" for i in range(n)])
+        table = np.column_stack([f.grid.nodes, f.values.T, (f.values - eta[:, None]).T])
+        np.savetxt(tmp_path / "reference.csv", table, fmt="%.17g", delimiter=",",
+                   header=header, comments="")
+        assert (tmp_path / "profile.csv").read_bytes() == \
+            (tmp_path / "reference.csv").read_bytes()
+
+    def test_uneven_field_rejected(self, tmp_path):
+        rep = self.report(build_grid(8.0, 64), 1)
+        rep.field.values[0, 3] = np.nextafter(rep.field.values[0, 3], 2.0)
+        with pytest.raises(ValueError, match="not even"):
+            cli.emit_profile(rep, [1.0], tmp_path / "profile.csv")
+
+
+@pytest.fixture(scope="module", params=["coupled_pair", "tabulated"])
+def demo_solve(request, tmp_path_factory):
+    out = tmp_path_factory.mktemp(request.param)
+    code = cli.main(["--config", str(DEMO_CONFIGS / f"{request.param}.json"),
+                     "--out-dir", str(out), "--quiet"])
+    return code, out
+
+
+class TestDemoConfigs:
+    def test_profile_bitwise_even(self, demo_solve):
+        code, out = demo_solve
+        assert code == 0
+        data = np.loadtxt(out / "profile.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(data[:, 0], -data[::-1, 0])
+        assert np.array_equal(data[:, 1:], data[::-1, 1:])
+
+    def test_lower_sequence_guard_figures_recorded(self, demo_solve):
+        # the lower sequence falls a little near the edges (the regular
+        # quadrature defect), within the slack the guard allows
+        code, out = demo_solve
+        doc = json.loads((out / "report.json").read_text())
+        trace = doc["solve"]["trace"]
+        slack = doc["quadrature_error"]["mono_slack"]
+        for key in ("lower_mono_violation", "lower_slab_excursion"):
+            assert 0.0 <= trace[key] <= slack
+        assert trace["lower_mono_violation"] > 0.0
 
 
 class TestValidateMode:

@@ -8,8 +8,8 @@ expressions to compare the precomputed tables against.
 import numpy as np
 import pytest
 from conftest import coupled_models
-from scipy.fft import irfft
-from scipy.special import erfc
+from scipy.fft import idct
+from scipy.special import erfc, gamma, gammainc
 
 from convint.discretization import (
     FieldVector,
@@ -37,19 +37,24 @@ def scalar_spec(eps: float = 0.1) -> ProblemSpec:
     )
 
 
+def mirror(half):
+    """Full-grid rows of a plan table that holds the x >= 0 columns."""
+    return np.concatenate([half[..., :0:-1], half], axis=-1)
+
+
 def direct_apply(spec, plan, f):
     """Reference operator by direct summation over the kernel lag table."""
     n_cells = plan.grid.n_cells
     lags = plan.grid.h * np.arange(-n_cells, n_cells + 1)
     v = np.vstack([g_eval(nl, row) for nl, row in zip(spec.nonlins, f.values)])
-    v = v * (plan.trapw + plan.omega)
+    v = v * mirror(plan.trapw + plan.omega)
     g_bound = [float(g_eval(nl, b)) for nl, b in zip(spec.nonlins, f.boundary)]
     out = np.zeros_like(f.values)
     for i in range(spec.n):
         for j in range(spec.n):
             row = kernel_eval(spec.kernel, i, j, lags)
             out[i] += np.convolve(v[j], row)[n_cells : 2 * n_cells + 1]
-            out[i] += g_bound[j] * plan.tail_coeff[i, j]
+            out[i] += g_bound[j] * mirror(plan.tail_coeff[i, j])
     return out
 
 
@@ -82,24 +87,26 @@ class TestNodeWeights:
     def test_end_corrected_trapezoid(self):
         grid = build_grid(8.0, 64)
         plan = build_plan(scalar_spec(), grid)
+        assert plan.trapw.shape == (grid.n_cells // 2 + 1,)
+        trapw = mirror(plan.trapw)
         h = grid.h
         end = h * np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
-        assert np.allclose(plan.trapw[:3], end, rtol=1e-15)
-        assert np.allclose(plan.trapw[-3:], end[::-1], rtol=1e-15)
-        assert np.all(plan.trapw[3:-3] == h)
+        assert np.allclose(trapw[:3], end, rtol=1e-15)
+        assert np.allclose(trapw[-3:], end[::-1], rtol=1e-15)
+        assert np.all(trapw[3:-3] == h)
 
     def test_positive_and_mass_preserving(self):
         grid = build_grid(8.0, 64)
         plan = build_plan(scalar_spec(), grid)
         assert np.all(plan.trapw > 0.0)
-        assert plan.trapw.sum() == pytest.approx(2.0 * grid.r, rel=1e-14)
+        assert mirror(plan.trapw).sum() == pytest.approx(2.0 * grid.r, rel=1e-14)
 
     def test_short_grid_falls_back_to_plain_trapezoid(self):
         grid = build_grid(1.0, 4)
         plan = build_plan(scalar_spec(), grid)
         h = grid.h
-        assert np.allclose(plan.trapw, [h / 2, h, h, h, h / 2], rtol=1e-15)
-        assert plan.trapw.sum() == pytest.approx(2.0, rel=1e-15)
+        assert np.allclose(mirror(plan.trapw), [h / 2, h, h, h, h / 2], rtol=1e-15)
+        assert mirror(plan.trapw).sum() == pytest.approx(2.0, rel=1e-15)
 
 
 @pytest.fixture(scope="module")
@@ -112,34 +119,35 @@ def small():
 class TestPlanTables:
     def test_kernel_lag_table_even_and_exact(self, small):
         spec, grid, plan = small
-        # 64 cells: the fast length for 129 lags is odd, so it is stored
-        assert plan.fft_len == 135
-        assert plan.kernel_hat.shape == (1, 1, plan.fft_len // 2 + 1)
-        row = irfft(plan.kernel_hat[0, 0], plan.fft_len)
-        lags = grid.h * np.arange(-grid.n_cells, grid.n_cells + 1)
+        # 64 cells: 2 * 64 is a fast length, so the one-sided table of lags
+        # 0..2R is not padded
+        assert plan.kernel_hat.shape == (1, 1, grid.n_cells + 1)
+        row = idct(plan.kernel_hat[0, 0], type=1)
+        lags = grid.h * np.arange(grid.n_cells + 1)
         expect = np.exp(-(lags**2)) / np.sqrt(np.pi)
-        assert np.max(np.abs(row[: 2 * grid.n_cells + 1] - expect)) <= 1e-15
-        assert np.max(np.abs(row[2 * grid.n_cells + 1 :])) <= 1e-15
+        assert np.max(np.abs(row - expect)) <= 1e-15
 
     def test_singular_weights_nonnegative_and_mass_exact(self, small):
         spec, grid, plan = small
         assert np.all(plan.omega >= 0.0)
         w = spec.weights[0]
         inside = excess_integral(w) - excess_tail_mass(w, grid.r)
-        assert plan.omega[0].sum() == pytest.approx(inside, rel=1e-12)
+        assert mirror(plan.omega[0]).sum() == pytest.approx(inside, rel=1e-12)
 
     def test_singular_weights_preserve_odd_moment(self, small):
         spec, grid, plan = small
-        # the per-cell linear model reproduces first moments, and the excess
-        # measure is even, so the discrete first moment must vanish
-        mass = plan.omega[0].sum()
-        assert abs(plan.omega[0] @ grid.nodes) <= 1e-13 * mass
+        # the per-cell linear model reproduces first moments, so the x >= 0
+        # weights give int_0^R t (mu - 1) dt = eps gamma(3/2, R) exactly
+        # (the x = 0 weight, which also holds the cell [-h, 0], has x = 0)
+        eps = spec.weights[0].eps
+        expect = eps * gamma(1.5) * gammainc(1.5, grid.r)
+        x = grid.nodes[grid.n_cells // 2 :]
+        assert plan.omega[0] @ x == pytest.approx(expect, rel=1e-12)
 
     def test_tail_correction_matches_closed_form(self, small):
         spec, grid, plan = small
         coeff = plan.tail_coeff[0, 0]
-        assert np.array_equal(coeff, coeff[::-1])
-        x = grid.nodes
+        x = grid.nodes[grid.n_cells // 2 :]
         expect = 0.5 * (erfc(grid.r - x) + erfc(grid.r + x))
         assert np.allclose(coeff, expect, rtol=1e-13, atol=1e-300)
 
@@ -164,21 +172,36 @@ class TestApplyOperator:
         slow = direct_apply(flagship.spec, flagship.plan, f)
         assert np.max(np.abs(fast.values - slow)) <= 1e-12
 
-    def test_coupled_pair_matches_direct_sum_at_odd_fft_length(self):
-        # distinct kernel coefficients, weights, maps and uneven field rows,
-        # so mixed-up components or a shifted window show
+    @pytest.mark.parametrize("n_cells", [64, 98])
+    def test_coupled_pair_matches_direct_sum(self, n_cells):
+        # distinct kernel coefficients, weights, maps and field rows with
+        # off-center bumps, so mixed-up components or a shifted window show;
+        # at 98 cells the transforms run zero-padded to 2 * 100
         models = coupled_models()
         spec = ProblemSpec(n=2, kernel=models["kernel"], weights=models["weights"],
                            nonlins=models["make_nonlins"]([1.0, 0.8]), phi=models["phi"])
-        grid = build_grid(8.0, 64)
+        grid = build_grid(8.0, n_cells)
         plan = build_plan(spec, grid)
-        assert plan.fft_len % 2 == 1
-        x = grid.nodes
+        x = np.abs(grid.nodes)
         values = np.vstack([1.0 + 0.3 * np.exp(-((x - 1.0) ** 2)),
-                            0.8 + 0.5 * np.exp(-((x + 2.0) ** 2) / 2.0)])
+                            0.8 + 0.5 * np.exp(-((x - 2.0) ** 2) / 2.0)])
         f = FieldVector(grid=grid, values=values, boundary=np.array([1.0, 0.8]))
         fast = apply_operator(plan, f, spec.nonlins)
+        assert np.array_equal(fast.values, fast.values[:, ::-1])
         assert np.max(np.abs(fast.values - direct_apply(spec, plan, f))) <= 1e-12
+
+    def test_uneven_field_rejected(self, small):
+        spec, grid, plan = small
+        values = 1.0 + 0.3 * np.exp(-((grid.nodes - 1.0) ** 2))[None, :]
+        f = FieldVector(grid=grid, values=values, boundary=np.array([1.0]))
+        with pytest.raises(ValueError, match="not even"):
+            apply_operator(plan, f, spec.nonlins)
+        # a last-bit difference is enough
+        values = np.ones((1, grid.n_nodes))
+        values[0, 0] = np.nextafter(1.0, 2.0)
+        f = FieldVector(grid=grid, values=values, boundary=np.array([1.0]))
+        with pytest.raises(ValueError, match="not even"):
+            apply_operator(plan, f, spec.nonlins)
 
     def test_operator_is_monotone_between_constant_fields(self, flagship):
         lo = apply_operator(

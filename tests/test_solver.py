@@ -77,7 +77,8 @@ class TestReferenceRun:
     def test_trace_serializes(self, flagship):
         doc = flagship.sol.trace.as_dict()
         assert set(doc) == {"d", "gap", "e", "step_bound", "mono_violation",
-                            "slab_excursion"}
+                            "slab_excursion", "lower_mono_violation",
+                            "lower_slab_excursion"}
         assert all(isinstance(v, float) for v in doc["d"] + doc["gap"])
         asym = flagship.sol.asymptotics.as_dict()
         assert set(asym) == {"edge_deviation", "tail_integral", "half_tail_ratio"}
