@@ -71,7 +71,8 @@ def main():
         print(f"  n={n + 1}: d = {tr.d[n]:.3e}  bound = {tr.step_bound[n]:.3e}")
 
     print("\n== 6. shape of the solution ==")
-    f0 = float(sol.field.values[0, grid.n_cells // 2])
+    # the field stores the nodes x >= 0, so column 0 is x = 0
+    f0 = float(sol.field.values[0, 0])
     print(f"center value f(0) = {f0:.12f}; edges sit on eta = 1")
     asym = sol.asymptotics
     print(f"edge deviation {float(asym.edge_deviation[0]):.3e}, "

@@ -52,7 +52,7 @@ def main():
     for n_cells in (1024, 2048, 4096):
         grid = build_grid(r, n_cells)
         plan = build_plan(spec, grid)
-        values = (1.0 + 0.4 * np.exp(-grid.nodes**2 / 4.0))[None, :]
+        values = (1.0 + 0.4 * np.exp(-grid.half_nodes**2 / 4.0))[None, :]
         f = FieldVector(grid=grid, values=values, boundary=np.array([1.0]))
         outputs.append(apply_operator(plan, f, spec.nonlins).values[0])
     coarse, mid, fine = outputs

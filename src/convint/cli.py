@@ -51,9 +51,9 @@ __all__ = ["RunConfig", "load_config", "run", "emit_profile", "emit_report",
 
 SCHEMA_VERSION = 3
 
-# profile rows formatted or written per call; bounds the writer's temporaries
-# (blocks of 1024 rows or fewer left a higher peak RSS on a 4096-cell sweep)
-_PROFILE_BLOCK = 2048
+# profile values formatted per call: bounds the writer's temporaries whatever
+# the component count (8192 rows at one component, 1890 at six)
+_PROFILE_BLOCK_VALUES = 24576
 
 
 @dataclass(frozen=True)
@@ -256,32 +256,30 @@ def emit_report(doc: dict, path):
 def emit_profile(report, eta, path):
     """CSV with x, the field components, and their gaps to eta, full precision.
 
-    The bytes are those of np.savetxt(fmt="%.17g") on the full table. The
-    field must be bitwise even (ValueError otherwise): the x >= 0 rows are
-    formatted once, in blocks, and each x < 0 row is written from its
-    mirror's text with a '-' before x.
+    One row per grid node, x from -R to R; the bytes are those of
+    np.savetxt(fmt="%.17g") on the full table. The field stores the x >= 0
+    nodes: their rows are formatted once, in blocks, and each x < 0 row is
+    written from its mirror's text with a '-' before x.
     """
     f = report.field
-    if not np.array_equal(f.values, f.values[:, ::-1]):
-        raise ValueError("profile field is not even: f(-x) must equal f(x) bitwise")
     eta = np.asarray(eta, dtype=float)
     half = f.grid.n_cells // 2
-    vals = f.values[:, half:]
-    table = np.column_stack([f.grid.nodes[half:], vals.T, (vals - eta[:, None]).T])
+    table = np.column_stack([f.grid.half_nodes, f.values.T, (f.values - eta[:, None]).T])
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    rows = max(1, _PROFILE_BLOCK_VALUES // table.shape[1])
     lines = []
-    for start in range(0, half + 1, _PROFILE_BLOCK):
-        block = table[start:start + _PROFILE_BLOCK]
+    for start in range(0, half + 1, rows):
+        block = table[start:start + rows]
         lines += (row * len(block) % tuple(block.ravel().tolist())).splitlines()
     header = ",".join(["x"] + [f"f_{i + 1}" for i in range(f.n)]
                       + [f"eta_gap_{i + 1}" for i in range(f.n)])
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for stop in range(half, 0, -_PROFILE_BLOCK):
-            start = max(stop - _PROFILE_BLOCK, 0)
+        for stop in range(half, 0, -rows):
+            start = max(stop - rows, 0)
             fh.write("-" + "\n-".join(lines[stop:start:-1]) + "\n")
-        for start in range(0, half + 1, _PROFILE_BLOCK):
-            fh.write("\n".join(lines[start:start + _PROFILE_BLOCK]) + "\n")
+        for start in range(0, half + 1, rows):
+            fh.write("\n".join(lines[start:start + rows]) + "\n")
 
 
 def _spectral_block(spectral: SpectralData, excess_w):

@@ -3,9 +3,9 @@
 The field lives on a uniform symmetric grid over [-R, R] and is continued by
 the constant vector eta beyond it (the solution tends to eta at infinity, so
 constant continuation is the right closure; zero would inject O(1) error).
-Kernel, weights and maps all depend on |x|, so the solution is even: the
-operator takes bitwise even fields only, works on the x >= 0 half of the
-grid, and mirrors its result, which is then bitwise even by construction.
+Kernel, weights and maps all depend on |x|, so the solution is even: a
+FieldVector stores only the x >= 0 nodes, and its value at -x is its value
+at x by construction. The operator plan keeps the same half of every table.
 One application of the integral operator splits into three parts:
 
   regular     trapezoid product weights, end-corrected to third order,
@@ -62,8 +62,10 @@ class Grid:
     nodes: np.ndarray
 
     @property
-    def n_nodes(self) -> int:
-        return self.n_cells + 1
+    def half_nodes(self) -> np.ndarray:
+        """The n_cells // 2 + 1 nodes x >= 0, from 0 to R: the columns a
+        field on this grid stores."""
+        return self.nodes[self.n_cells // 2:]
 
 
 def build_grid(r: float, n_cells: int) -> Grid:
@@ -80,7 +82,11 @@ def build_grid(r: float, n_cells: int) -> Grid:
 
 @dataclass
 class FieldVector:
-    """N sampled components on a grid plus the constant continuation vector."""
+    """N even components on a grid plus the constant continuation vector.
+
+    values holds each component at the x >= 0 nodes, grid.half_nodes; the
+    value at -x is the value at x.
+    """
 
     grid: Grid
     values: np.ndarray
@@ -89,8 +95,8 @@ class FieldVector:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         self.boundary = np.asarray(self.boundary, dtype=float)
-        if self.values.ndim != 2 or self.values.shape[1] != self.grid.n_nodes:
-            raise ValueError("values must be N x (n_cells + 1)")
+        if self.values.ndim != 2 or self.values.shape[1] != self.grid.half_nodes.size:
+            raise ValueError("values must be N x (n_cells // 2 + 1), the nodes x >= 0")
         if self.boundary.shape != (self.values.shape[0],):
             raise ValueError("boundary must have one entry per component")
         if not np.all(np.isfinite(self.values)) or np.any(self.values < 0.0):
@@ -103,7 +109,7 @@ class FieldVector:
 
 def constant_field(grid: Grid, levels, boundary=None) -> FieldVector:
     levels = np.asarray(levels, dtype=float)
-    values = np.repeat(levels[:, None], grid.n_nodes, axis=1)
+    values = np.repeat(levels[:, None], grid.half_nodes.size, axis=1)
     bv = levels if boundary is None else np.asarray(boundary, dtype=float)
     return FieldVector(grid=grid, values=values, boundary=bv.copy())
 
@@ -162,29 +168,23 @@ class OperatorPlan:
         return self.kernel_hat.shape[0]
 
 
-def _mirror(half: np.ndarray) -> np.ndarray:
-    """The full-grid rows of x >= 0 columns: x < 0 copies x > 0 in reverse."""
-    return np.concatenate([half[..., :0:-1], half], axis=-1)
+def _regular_node_weights(h: float, n_cells: int) -> np.ndarray:
+    """Composite trapezoid weights with a third-order boundary correction,
+    at the n_cells // 2 + 1 nodes x >= 0 (the x < 0 weights mirror them).
 
-
-def _regular_node_weights(h: float, m: int) -> np.ndarray:
-    """Composite trapezoid weights with a third-order boundary correction.
-
-    The correction replaces the first and last three weights by
-    h * (3/8, 7/6, 23/24); every weight stays positive (monotonicity of the
-    discrete operator depends on that) and the total mass is unchanged.
-    Without it the plain-trapezoid boundary error, O(h^2) and concentrated
-    in a kernel-width zone at +-R, swamps the true decay of the solution
-    tail on domains sized for small truncation tolerances.  Grids too short
-    for the stencil fall back to plain trapezoid weights.
+    The correction replaces the three weights nearest each end by
+    h * (23/24, 7/6, 3/8), outermost last; every weight stays positive
+    (monotonicity of the discrete operator depends on that) and the total
+    mass is unchanged. Without it the plain-trapezoid boundary error, O(h^2)
+    and concentrated in a kernel-width zone at +-R, swamps the true decay of
+    the solution tail on domains sized for small truncation tolerances.
+    Grids too short for the stencil fall back to plain trapezoid weights.
     """
-    w = np.full(m, h)
-    if m >= 7:
-        end = h * np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
-        w[:3] = end
-        w[-3:] = end[::-1]
+    w = np.full(n_cells // 2 + 1, h)
+    if n_cells >= 6:
+        w[-3:] = h * np.array([23.0 / 24.0, 7.0 / 6.0, 3.0 / 8.0])
     else:
-        w[0] = w[-1] = h / 2.0
+        w[-1] = h / 2.0
     return w
 
 
@@ -196,7 +196,7 @@ def build_plan(spec, grid: Grid) -> OperatorPlan:
     """
     n = spec.n
     half = grid.n_cells // 2
-    nodes = grid.nodes[half:]
+    nodes = grid.half_nodes
 
     lags = np.linspace(0.0, 2.0 * grid.r, grid.n_cells + 1)
     table = np.empty((n, n, grid.n_cells + 1))
@@ -207,7 +207,7 @@ def build_plan(spec, grid: Grid) -> OperatorPlan:
     p = next_fast_len(grid.n_cells, real=True)
     kernel_hat = dct(table, type=1, n=p + 1, axis=-1)
 
-    trapw = _regular_node_weights(grid.h, grid.n_nodes)[half:]
+    trapw = _regular_node_weights(grid.h, grid.n_cells)
 
     # exact excess cell moments folded into per-node weights: a linear model
     # v(t) = v_l + (t - t_l)(v_{l+1} - v_l)/h integrates against the measure
@@ -228,13 +228,12 @@ def build_plan(spec, grid: Grid) -> OperatorPlan:
                          "excess cell moments are inconsistent")
     np.clip(omega, 0.0, None, out=omega)
 
-    # kernel mass beyond -R and beyond R, at distances R + x and R - x
+    # kernel mass beyond -R and beyond R, at distances R - x and R + x
     tail_coeff = np.empty((n, n, half + 1))
-    y = grid.r + grid.nodes
     for i in range(n):
         for j in range(n):
-            left = np.asarray(kernel_tail_one_sided(spec.kernel, i, j, y), dtype=float)
-            tail_coeff[i, j] = left[half::-1] + left[half:]
+            tail_coeff[i, j] = kernel_tail_one_sided(spec.kernel, i, j, grid.r - nodes)
+            tail_coeff[i, j] += kernel_tail_one_sided(spec.kernel, i, j, grid.r + nodes)
     if np.min(tail_coeff) < 0.0:
         raise SolveError("negative tail correction")
 
@@ -252,28 +251,22 @@ def apply_operator(plan: OperatorPlan, f: FieldVector, nonlins,
     convolution of the x >= 0 half of v_j with the one-sided lag table; the
     DCT-I pair evaluates it, and its first n_cells // 2 + 1 entries are the
     x >= 0 nodes. The tail adds the analytic correction for the constant
-    continuation, and the result is mirrored onto x < 0.
-
-    Raises ValueError unless f is bitwise even, f(-x) == f(x).
+    continuation.
     """
     if f.grid is not plan.grid and not np.array_equal(f.grid.nodes, plan.grid.nodes):
         raise ValueError("field grid does not match the plan grid")
     if f.n != plan.n:
         raise ValueError("field component count does not match the plan")
-    half = plan.grid.n_cells // 2
-    if not np.array_equal(f.values[:, :half], f.values[:, :half:-1]):
-        raise ValueError("field is not even: f(-x) must equal f(x) bitwise")
-
     # the continuation value rides as one more column: one g_eval per row
-    u = np.column_stack([f.values[:, half:], f.boundary])
+    u = np.column_stack([f.values, f.boundary])
     g = np.vstack([g_eval(nl, row) for nl, row in zip(nonlins, u)])
     g_nodes, g_bound = g[:, :-1], g[:, -1]
 
     node_w = plan.trapw[None, :] + (plan.omega if include_singular else 0.0)
     v_hat = dct(g_nodes * node_w, type=1, n=plan.kernel_hat.shape[-1], axis=-1)
     conv = idct(np.einsum("ijk,jk->ik", plan.kernel_hat, v_hat), type=1, axis=-1)
-    out = conv[:, :half + 1] + np.einsum("j,ijk->ik", g_bound, plan.tail_coeff)
-    return FieldVector(grid=f.grid, values=_mirror(out), boundary=f.boundary.copy())
+    out = conv[:, :plan.trapw.size] + np.einsum("j,ijk->ik", g_bound, plan.tail_coeff)
+    return FieldVector(grid=f.grid, values=out, boundary=f.boundary.copy())
 
 
 @dataclass(frozen=True)
@@ -318,7 +311,8 @@ def estimate_quadrature_error(spec, plan: OperatorPlan, eta, xi, scalars) -> Qua
                 lambda t, i=i, j=j: kernel_eval(spec.kernel, i, j, t),
                 grid.r)
             k_nodes = np.asarray(kernel_eval(spec.kernel, i, j, grid.nodes), dtype=float)
-            disc = eta[j] * float(_mirror(plan.omega[j]) @ k_nodes)
+            omega = np.concatenate([plan.omega[j, :0:-1], plan.omega[j]])
+            disc = eta[j] * float(omega @ k_nodes)
             e_sing = max(e_sing, abs(ref - disc))
 
     g_xi = np.array([float(g_eval(nl, x)) for nl, x in zip(spec.nonlins, xi)])

@@ -132,7 +132,7 @@ class SolutionReport:
 
 def _worst_node(delta, grid):
     i, m = np.unravel_index(int(np.argmax(delta)), delta.shape)
-    return f"component {i + 1}, node x = {grid.nodes[m]:.6g}"
+    return f"component {i + 1}, node x = {grid.half_nodes[m]:.6g}"
 
 
 def _guard(name, wrong_way, values, eta, xi, slack, grid):
@@ -199,20 +199,32 @@ def _iterate(problem, plan, spectral, opts: SolveOptions, trace: IterationTrace)
     return up, n_done, termination
 
 
-def solve(problem, grid, spectral, plan, opts: SolveOptions) -> SolutionReport:
-    """Run the two-sided iteration from xi down and from eta up."""
+def solve(problem, spectral, plan, opts: SolveOptions) -> SolutionReport:
+    """Run the two-sided iteration from xi down and from eta up on plan.grid.
+
+    Raises ValueError unless spectral's (sigma, k) are those
+    contraction_params gives for its eta, xi and problem.phi: the step
+    envelope is built from them.
+    """
+    sigma_k = contraction_params(spectral.eta, spectral.xi, problem.phi)
+    if (spectral.sigma, spectral.k) != sigma_k:
+        raise ValueError(
+            f"spectral sigma = {spectral.sigma:.17g}, k = {spectral.k:.17g} do not "
+            f"belong to its eta and xi, which give sigma = {sigma_k[0]:.17g}, "
+            f"k = {sigma_k[1]:.17g}")
     trace = IterationTrace()
     f, iters, termination = _iterate(problem, plan, spectral, opts, trace)
 
     res = residual(plan, f, problem.nonlins)
-    asym = asymptotics_report(f, spectral.eta, grid)
+    asym = asymptotics_report(f, spectral.eta)
+    # the field is even: both edges x = -R and x = R hold its last column
     return SolutionReport(
         field=f,
         iterations=iters,
         termination=termination,
         residual_sup=res,
         alpha_plus=f.values[:, -1].copy(),
-        alpha_minus=f.values[:, 0].copy(),
+        alpha_minus=f.values[:, -1].copy(),
         asymptotics=asym,
         trace=trace,
         a_priori_n=a_priori_iterations(spectral.sigma, spectral.k, opts.tol_stop),
@@ -226,28 +238,24 @@ def residual(plan, f: FieldVector, nonlins) -> float:
     return float(np.max(np.abs(f.values - wf.values)))
 
 
-def asymptotics_report(f: FieldVector, eta, grid) -> AsymptoticsReport:
-    """Edge deviation, outer-band tail mass, and its decay ratio.
+def asymptotics_report(f: FieldVector, eta) -> AsymptoticsReport:
+    """Edge deviation at x = R, outer-band tail mass, and its decay ratio.
 
-    The tail integral is of |f - eta| over R/2 < |x| < R; the ratio compares
-    the outer quarter (3R/4..R) against the inner quarter (R/2..3R/4) of
-    that band. It is a diagnostic, not a pass condition: once the field has
-    settled to eta both band masses sit at the regular-quadrature noise
-    floor, and the ratio of two noise-level masses can read above one.
+    The tail integral is of |f - eta| over R/2 < |x| < R, twice the mass of
+    the x >= 0 band since f is even; the ratio compares the outer quarter
+    (3R/4..R) against the inner quarter (R/2..3R/4) of that band. It is a
+    diagnostic, not a pass condition: once the field has settled to eta
+    both band masses sit at the regular-quadrature noise floor, and the
+    ratio of two noise-level masses can read above one.
     """
     eta = np.asarray(eta, dtype=float)
-    x = grid.nodes
+    grid = f.grid
+    x = grid.half_nodes
     gap = np.abs(f.values - eta[:, None])
 
-    edge = np.maximum(gap[:, 0], gap[:, -1])
-
     def band_mass(lo, hi):
-        right = (x >= lo - 1e-12) & (x <= hi + 1e-12)
-        left = (x <= -lo + 1e-12) & (x >= -hi - 1e-12)
-        out = np.empty(f.n)
-        for i in range(f.n):
-            out[i] = _trapz(gap[i, right], x[right]) + _trapz(gap[i, left], x[left])
-        return out
+        band = (x >= lo - 1e-12) & (x <= hi + 1e-12)
+        return 2.0 * _trapz(gap[:, band], x[band], axis=-1)
 
     tail = band_mass(grid.r / 2.0, grid.r)
     inner = band_mass(grid.r / 2.0, 0.75 * grid.r)
@@ -255,7 +263,7 @@ def asymptotics_report(f: FieldVector, eta, grid) -> AsymptoticsReport:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(inner > 0.0, outer / np.where(inner > 0.0, inner, 1.0),
                          np.where(outer > 0.0, np.inf, 0.0))
-    return AsymptoticsReport(edge_deviation=edge, tail_integral=tail,
+    return AsymptoticsReport(edge_deviation=gap[:, -1].copy(), tail_integral=tail,
                              half_tail_ratio=ratio)
 
 
@@ -338,7 +346,7 @@ def run_instance(spec, scalars, eta, numerics: Numerics, grid: Grid = None) -> R
     mono_slack = num.mono_slack if num.mono_slack is not None else 10.0 * quad.total
     opts = SolveOptions(tol_stop=num.tol_stop, max_iters=num.max_iters,
                         mono_slack=mono_slack)
-    sol = solve(spec, grid, spectral, plan, opts)
+    sol = solve(spec, spectral, plan, opts)
     if sol.termination == "iteration_cap":
         raise SolveError(
             f"iteration cap {num.max_iters} reached before the step tolerance "

@@ -6,8 +6,9 @@ model provides
 
   * pointwise evaluation (with a domain error exactly at the singular point),
   * the total excess integral w = int (mu - 1) dt,
-  * exact cell moments m0 = int_cell (mu - 1) dt and m1 = int_cell t (mu - 1) dt,
-    which the discretization uses as a product-quadrature measure,
+  * exact cell moments m0 = int_cell (mu - 1) dt and m1 = int_cell t (mu - 1) dt
+    over cells of the nonnegative axis (the weight is even), which the
+    discretization uses as a product-quadrature measure,
   * tail masses outside [-T, T],
   * weighted integrals int_0^hi fn(t) (mu - 1)(t) dt, all by one rule: with
     mu - 1 = s(t) t^-gamma and s regular, u = t^(1-gamma) removes the
@@ -98,10 +99,8 @@ class ExpSqrtWeight:
         return scale * np.where(lo >= 1.0, q, p)
 
     def cell_moments_batch(self, edges):
-        lo, hi, sign = _fold_cells(np.asarray(edges, dtype=float))
-        m0 = self._mass_diff(lo, hi, 0.5)
-        m1 = sign * self._mass_diff(lo, hi, 1.5)
-        return m0, m1
+        lo, hi = _cells(edges)
+        return self._mass_diff(lo, hi, 0.5), self._mass_diff(lo, hi, 1.5)
 
     def weighted_integral(self, fn, hi: float) -> float:
         return _regular_integral(fn, lambda t: self.eps * np.exp(-t), 0.5,
@@ -155,7 +154,7 @@ class RationalWeight:
                      * special.hyp2f1(1.0, q / 2.0, q / 2.0 + 1.0, -x * x))
 
     def cell_moments_batch(self, edges):
-        lo, hi, sign = _fold_cells(np.asarray(edges, dtype=float))
+        lo, hi = _cells(edges)
         b = self._beta
         u0 = np.power(lo, 1.0 - self.alpha)
         u1 = np.power(hi, 1.0 - self.alpha)
@@ -165,7 +164,7 @@ class RationalWeight:
         ub = np.power(u, b)
         den = 1.0 + ub * ub
         m0 = self.eps * b * half * ((1.0 / den) @ _GL_WEIGHTS)
-        m1 = sign * self.eps * b * half * ((ub / den) @ _GL_WEIGHTS)
+        m1 = self.eps * b * half * ((ub / den) @ _GL_WEIGHTS)
         return m0, m1
 
     def weighted_integral(self, fn, hi: float) -> float:
@@ -221,13 +220,9 @@ class TabulatedExcessWeight:
         return out if out.ndim else float(out)
 
     def cell_moments_batch(self, edges):
-        # fold to the positive axis first, then clip to the support; a cell
-        # outside the support clips to zero width and contributes nothing
-        lo, hi, sign = _fold_cells(np.asarray(edges, dtype=float))
-        neg = sign < 0.0    # a bool mask holds an eighth of the float sign
-        del sign
-        np.clip(lo, self.t[0], self.t[-1], out=lo)
-        np.clip(hi, self.t[0], self.t[-1], out=hi)
+        # clip to the support; a cell outside it clips to zero width and
+        # contributes nothing
+        lo, hi = (np.clip(e, self.t[0], self.t[-1]) for e in _cells(edges))
         s_lo = self._s_at(lo)
         slope = self._s_at(hi)
         slope -= s_lo       # 0 on a zero-width cell, which the divide skips
@@ -240,7 +235,7 @@ class TabulatedExcessWeight:
             out /= q
             return out
 
-        # m0 = s_lo i0 + slope (i1 - lo i0), m1 = sign (s_lo i1 + slope (i2 - lo i1))
+        # m0 = s_lo i0 + slope (i1 - lo i0), m1 = s_lo i1 + slope (i2 - lo i1)
         # with i_k the moment of t^(k - gamma). The steps run in place and
         # reuse buffers: plain expressions hold a dozen cell-sized arrays at
         # once, which showed in the peak memory of a 32768-cell plan
@@ -257,7 +252,6 @@ class TabulatedExcessWeight:
         m1 *= slope
         i1 *= s_lo
         m1 += i1
-        np.negative(m1, out=m1, where=neg)
         return m0, m1
 
     def excess_integral_closed(self) -> float:
@@ -316,22 +310,19 @@ def _regular_integral(fn, s, gamma: float, edges) -> float:
     return float(np.sum(halfw * np.sum(_GL16_WEIGHTS * f, axis=1))) / p
 
 
-def _fold_cells(edges):
-    """Map cells to the positive axis; returns (lo, hi, orientation sign).
+def _cells(edges):
+    """(lo, hi) of each cell between consecutive edges.
 
-    Requires no cell to straddle 0 (the solver grids always place a node
-    there); straddling input raises.
+    The weights are even, so cells lie on the nonnegative axis; a negative
+    or non-increasing edge raises ValueError.
     """
-    a, b = edges[:-1], edges[1:]
-    if np.any(b <= a):
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    if np.any(hi <= lo):
         raise ValueError("cell edges must increase")
-    if np.any((a < 0.0) & (b > 0.0)):
-        raise ValueError("cells must not straddle t = 0; split them first")
-    neg = b <= 0.0
-    lo = np.where(neg, -b, a)
-    hi = np.where(neg, -a, b)
-    sign = np.where(neg, -1.0, 1.0)
-    return lo, hi, sign
+    if np.any(lo < 0.0):
+        raise ValueError("cell edges must be nonnegative; the weight is even in t")
+    return lo, hi
 
 
 def excess_integral(model) -> float:
@@ -347,12 +338,9 @@ def excess_tail_mass(model, t_from: float) -> float:
 
 
 def excess_cell_moments(model, t0: float, t1: float):
-    """(m0, m1) of the excess over one cell [t0, t1]; exact across t = 0."""
-    if not (t1 > t0):
-        raise ValueError("need t1 > t0")
-    edges = [t0, 0.0, t1] if t0 < 0.0 < t1 else [t0, t1]
-    m0, m1 = model.cell_moments_batch(np.array(edges, dtype=float))
-    return float(np.sum(m0)), float(np.sum(m1))
+    """(m0, m1) of the excess over one cell [t0, t1], 0 <= t0 < t1."""
+    m0, m1 = model.cell_moments_batch(np.array([t0, t1], dtype=float))
+    return float(m0[0]), float(m1[0])
 
 
 def excess_weighted_integral(model, fn, hi: float) -> float:

@@ -161,7 +161,9 @@ def test_criterion_06_residual_and_unit_weight_variant(flagship):
     assert flagship.sol.residual_sup <= budget
 
     # with mu identically 1 the excess vanishes, the majorant collapses to
-    # eta, and the constant eta field solves the system exactly
+    # eta, and the constant eta field solves the system exactly. A collapsed
+    # slab has no contraction ratio (sigma = 1), so the solve runs from a
+    # constant upper level a hair above eta, with the (sigma, k) of that slab
     models = flagship_models()
     kernel = models["kernel"]
     weights = (ExpSqrtWeight(0.0),)
@@ -177,12 +179,15 @@ def test_criterion_06_residual_and_unit_weight_variant(flagship):
     g_sup = max(float(g_eval(nl, x)) for nl, x in zip(nonlins, xi))
     r = choose_truncation(kernel, weights, eta, 1e-8, g_sup)
     grid = build_grid(r, 4096)
-    spectral = SpectralData(a=scalars.a, eta=eta, b=excess.b, xi=xi,
-                            sigma=0.5, k=0.5)
+    upper = (1.0 + 1e-6) * eta
+    sigma, k = contraction_params(eta, upper, spec.phi)
+    spectral = SpectralData(a=scalars.a, eta=eta, b=excess.b, xi=upper,
+                            sigma=sigma, k=k)
     plan = build_plan(spec, grid)
     quad = estimate_quadrature_error(spec, plan, eta, xi, scalars)
-    opts = SolveOptions(tol_stop=1e-8, mono_slack=10.0 * quad.total)
-    sol = solve(spec, grid, spectral, plan, opts)
+    opts = SolveOptions(tol_stop=1e-12, mono_slack=10.0 * quad.total)
+    sol = solve(spec, spectral, plan, opts)
+    assert sol.termination == "step_below_tol"
 
     flat = float(np.max(np.abs(sol.field.values - eta[:, None])))
     assert flat <= opts.mono_slack
@@ -221,7 +226,7 @@ def test_criterion_08_uniqueness_probe(flagship_hires, coupled):
         xi2 = 2.0 * pipe.spectral.xi
         sigma2, k2 = contraction_params(pipe.spectral.eta, xi2, pipe.spec.phi)
         wide = doctored_spectral(pipe.spectral, xi=xi2, sigma=sigma2, k=k2)
-        again = solve(pipe.spec, pipe.grid, wide, pipe.plan, opts)
+        again = solve(pipe.spec, wide, pipe.plan, opts)
         moved = float(np.max(np.abs(again.field.values - pipe.sol.field.values)))
         assert moved <= dev + opts.tol_stop + opts.mono_slack
         devs[name], restarts[name] = dev, moved
@@ -240,7 +245,7 @@ def test_criterion_09_discretization_order():
     for n_cells in (1024, 2048, 4096):
         grid = build_grid(r, n_cells)
         plan = build_plan(spec, grid)
-        values = (1.0 + 0.4 * np.exp(-grid.nodes**2 / 4.0))[None, :]
+        values = (1.0 + 0.4 * np.exp(-grid.half_nodes**2 / 4.0))[None, :]
         f = FieldVector(grid=grid, values=values, boundary=np.array([1.0]))
         out = apply_operator(plan, f, spec.nonlins)
         outputs.append(out.values[0])
@@ -253,10 +258,15 @@ def test_criterion_09_discretization_order():
           f"observed order {order:.2f} >= 1.8")
 
 
-def test_criterion_10_even_solution(flagship):
-    vals = flagship.sol.field.values
-    assert np.array_equal(vals, vals[:, ::-1])
-    print("[criterion 10] PASS: solution bitwise even in x")
+def test_criterion_10_even_solution(flagship, tmp_path):
+    path = tmp_path / "profile.csv"
+    cli.emit_profile(flagship.sol, flagship.spectral.eta, path)
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert rows.shape[0] == flagship.grid.n_cells + 1
+    assert np.array_equal(rows[:, 0], -rows[::-1, 0])
+    assert np.array_equal(rows[:, 1:], rows[::-1, 1:])
+    print(f"[criterion 10] PASS: profile rows at x and -x bitwise equal over "
+          f"{rows.shape[0]} nodes")
 
 
 def test_criterion_11_named_condition_failures(tmp_path, capsys):

@@ -38,18 +38,19 @@ def scalar_spec(eps: float = 0.1) -> ProblemSpec:
 
 
 def mirror(half):
-    """Full-grid rows of a plan table that holds the x >= 0 columns."""
+    """Full-grid rows of a field or plan table that holds the x >= 0 columns."""
     return np.concatenate([half[..., :0:-1], half], axis=-1)
 
 
 def direct_apply(spec, plan, f):
-    """Reference operator by direct summation over the kernel lag table."""
+    """Reference operator on the full grid by direct summation over the
+    kernel lag table."""
     n_cells = plan.grid.n_cells
     lags = plan.grid.h * np.arange(-n_cells, n_cells + 1)
-    v = np.vstack([g_eval(nl, row) for nl, row in zip(spec.nonlins, f.values)])
+    v = np.vstack([g_eval(nl, row) for nl, row in zip(spec.nonlins, mirror(f.values))])
     v = v * mirror(plan.trapw + plan.omega)
     g_bound = [float(g_eval(nl, b)) for nl, b in zip(spec.nonlins, f.boundary)]
-    out = np.zeros_like(f.values)
+    out = np.zeros_like(v)
     for i in range(spec.n):
         for j in range(spec.n):
             row = kernel_eval(spec.kernel, i, j, lags)
@@ -67,8 +68,9 @@ class TestGrid:
 
     def test_shape_and_spacing(self):
         grid = build_grid(6.4, 128)
-        assert grid.n_nodes == 129
+        assert grid.nodes.shape == (129,)
         assert grid.nodes[0] == -6.4 and grid.nodes[-1] == 6.4
+        assert np.array_equal(grid.half_nodes, grid.nodes[64:])
         assert grid.h == pytest.approx(2.0 * 6.4 / 128, rel=1e-15)
         assert np.allclose(np.diff(grid.nodes), grid.h, rtol=0.0, atol=1e-14)
 
@@ -141,13 +143,12 @@ class TestPlanTables:
         # (the x = 0 weight, which also holds the cell [-h, 0], has x = 0)
         eps = spec.weights[0].eps
         expect = eps * gamma(1.5) * gammainc(1.5, grid.r)
-        x = grid.nodes[grid.n_cells // 2 :]
-        assert plan.omega[0] @ x == pytest.approx(expect, rel=1e-12)
+        assert plan.omega[0] @ grid.half_nodes == pytest.approx(expect, rel=1e-12)
 
     def test_tail_correction_matches_closed_form(self, small):
         spec, grid, plan = small
         coeff = plan.tail_coeff[0, 0]
-        x = grid.nodes[grid.n_cells // 2 :]
+        x = grid.half_nodes
         expect = 0.5 * (erfc(grid.r - x) + erfc(grid.r + x))
         assert np.allclose(coeff, expect, rtol=1e-13, atol=1e-300)
 
@@ -164,13 +165,13 @@ class TestApplyOperator:
         assert gap <= 1e-8
 
     def test_fft_and_direct_agree(self, flagship):
-        x = flagship.grid.nodes
+        x = flagship.grid.half_nodes
         eta = flagship.spectral.eta
         values = eta[:, None] * (1.0 + 0.3 * np.exp(-(x**2)))[None, :]
         f = FieldVector(grid=flagship.grid, values=values, boundary=eta.copy())
         fast = apply_operator(flagship.plan, f, flagship.spec.nonlins)
         slow = direct_apply(flagship.spec, flagship.plan, f)
-        assert np.max(np.abs(fast.values - slow)) <= 1e-12
+        assert np.max(np.abs(mirror(fast.values) - slow)) <= 1e-12
 
     @pytest.mark.parametrize("n_cells", [64, 98])
     def test_coupled_pair_matches_direct_sum(self, n_cells):
@@ -182,26 +183,12 @@ class TestApplyOperator:
                            nonlins=models["make_nonlins"]([1.0, 0.8]), phi=models["phi"])
         grid = build_grid(8.0, n_cells)
         plan = build_plan(spec, grid)
-        x = np.abs(grid.nodes)
+        x = grid.half_nodes
         values = np.vstack([1.0 + 0.3 * np.exp(-((x - 1.0) ** 2)),
                             0.8 + 0.5 * np.exp(-((x - 2.0) ** 2) / 2.0)])
         f = FieldVector(grid=grid, values=values, boundary=np.array([1.0, 0.8]))
         fast = apply_operator(plan, f, spec.nonlins)
-        assert np.array_equal(fast.values, fast.values[:, ::-1])
-        assert np.max(np.abs(fast.values - direct_apply(spec, plan, f))) <= 1e-12
-
-    def test_uneven_field_rejected(self, small):
-        spec, grid, plan = small
-        values = 1.0 + 0.3 * np.exp(-((grid.nodes - 1.0) ** 2))[None, :]
-        f = FieldVector(grid=grid, values=values, boundary=np.array([1.0]))
-        with pytest.raises(ValueError, match="not even"):
-            apply_operator(plan, f, spec.nonlins)
-        # a last-bit difference is enough
-        values = np.ones((1, grid.n_nodes))
-        values[0, 0] = np.nextafter(1.0, 2.0)
-        f = FieldVector(grid=grid, values=values, boundary=np.array([1.0]))
-        with pytest.raises(ValueError, match="not even"):
-            apply_operator(plan, f, spec.nonlins)
+        assert np.max(np.abs(mirror(fast.values) - direct_apply(spec, plan, f))) <= 1e-12
 
     def test_operator_is_monotone_between_constant_fields(self, flagship):
         lo = apply_operator(
@@ -223,9 +210,12 @@ class TestApplyOperator:
         other = build_grid(8.0, 32)
         with pytest.raises(ValueError, match="grid"):
             apply_operator(plan, constant_field(other, [1.0]), spec.nonlins)
-        two = FieldVector(grid=grid, values=np.ones((2, grid.n_nodes)), boundary=np.ones(2))
+        two = FieldVector(grid=grid, values=np.ones((2, 33)), boundary=np.ones(2))
         with pytest.raises(ValueError, match="component count"):
             apply_operator(plan, two, spec.nonlins * 2)
+        # a field stores the x >= 0 nodes only, not the full grid
+        with pytest.raises(ValueError, match="x >= 0"):
+            FieldVector(grid=grid, values=np.ones((1, 65)), boundary=np.ones(1))
 
 
 class TestTruncation:

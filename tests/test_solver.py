@@ -1,11 +1,15 @@
 """Monotone iteration, stopping rules, guards, and post-solve diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import build_pipeline, doctored_spectral, flagship_models
 
+from convint.algebra import contraction_params
 from convint.discretization import FieldVector, build_grid, constant_field
 from convint.errors import SolveError
+from convint.nonlinearities import PowerPhi
 from convint.solver import (
     SolveOptions,
     asymptotics_report,
@@ -55,12 +59,14 @@ class TestReferenceRun:
         slack = flagship.opts.mono_slack
         assert np.all(vals >= eta - slack)
         assert np.all(vals <= xi + slack)
-        assert np.max(np.abs(vals - vals[:, ::-1])) <= 1e-10
+        # an even field is stored as its x >= 0 half
+        assert vals.shape == (1, flagship.grid.n_cells // 2 + 1)
 
     def test_edge_values_recorded(self, flagship):
+        # values[:, 0] is x = 0; both edges x = -R and x = R are values[:, -1]
         sol = flagship.sol
         assert np.array_equal(sol.alpha_plus, sol.field.values[:, -1])
-        assert np.array_equal(sol.alpha_minus, sol.field.values[:, 0])
+        assert np.array_equal(sol.alpha_minus, sol.field.values[:, -1])
 
     def test_residual_recomputes(self, flagship):
         again = residual(flagship.plan, flagship.sol.field, flagship.spec.nonlins)
@@ -88,7 +94,7 @@ class TestStoppingRules:
     def test_iteration_cap_reported_not_raised(self, coarse):
         opts = SolveOptions(tol_stop=coarse.opts.tol_stop, max_iters=3,
                             mono_slack=coarse.opts.mono_slack)
-        sol = solve(coarse.spec, coarse.grid, coarse.spectral, coarse.plan, opts)
+        sol = solve(coarse.spec, coarse.spectral, coarse.plan, opts)
         assert sol.termination == "iteration_cap"
         assert sol.iterations == 3
         assert len(sol.trace.d) == 3
@@ -102,38 +108,56 @@ class TestStoppingRules:
             SolveOptions(mono_slack=-1.0)
 
 
+def slab(spectral, phi, **overrides):
+    """spectral with eta and/or xi replaced and (sigma, k) recomputed for them."""
+    fake = doctored_spectral(spectral, **overrides)
+    sigma, k = contraction_params(fake.eta, fake.xi, phi)
+    return doctored_spectral(fake, sigma=sigma, k=k)
+
+
 class TestGuards:
     def test_non_supersolution_start_raises(self, coarse):
         # an upper level below the true majorant makes the first application
         # rise, which the monotonicity guard must catch
-        fake = doctored_spectral(coarse.spectral, xi=1.05 * coarse.spectral.eta)
+        fake = slab(coarse.spectral, coarse.spec.phi, xi=1.05 * coarse.spectral.eta)
         with pytest.raises(SolveError, match="monotonicity violated"):
-            solve(coarse.spec, coarse.grid, fake, coarse.plan, coarse.opts)
+            solve(coarse.spec, fake, coarse.plan, coarse.opts)
 
     def test_lower_start_above_the_solution_raises(self, coarse):
         # the solution settles to eta at the edges, so a lower start pinned
         # above eta falls there on the first application
-        fake = doctored_spectral(coarse.spectral, eta=1.02 * coarse.spectral.eta)
+        fake = slab(coarse.spectral, coarse.spec.phi, eta=1.02 * coarse.spectral.eta)
         with pytest.raises(SolveError, match="lower sequence: monotonicity violated"):
-            solve(coarse.spec, coarse.grid, fake, coarse.plan, coarse.opts)
+            solve(coarse.spec, fake, coarse.plan, coarse.opts)
 
     def test_step_beyond_geometric_envelope_raises(self, coarse):
-        # a contraction ratio far below the true one shrinks the envelope
-        # faster than the steps can follow
-        fake = doctored_spectral(coarse.spectral, k=0.1)
+        # a scaling map far stronger than the true one gives a contraction
+        # ratio (0.09 here, about 0.6 for the true map) that shrinks the
+        # envelope faster than the steps can follow
+        spec = dataclasses.replace(coarse.spec, phi=PowerPhi(0.06))
+        fake = slab(coarse.spectral, spec.phi)
+        assert fake.k < 0.1
         with pytest.raises(SolveError, match="exceeds the geometric bound"):
-            solve(coarse.spec, coarse.grid, fake, coarse.plan, coarse.opts)
+            solve(spec, fake, coarse.plan, coarse.opts)
+
+    def test_spectral_of_another_slab_rejected(self, flagship_hires):
+        # 2 xi is a valid upper start, but (sigma, k) belong to xi; the step
+        # envelope would be built from the wrong slab
+        pipe = flagship_hires
+        fake = doctored_spectral(pipe.spectral, xi=2.0 * pipe.spectral.xi)
+        with pytest.raises(ValueError, match=r"sigma = .*, k = .*"):
+            solve(pipe.spec, fake, pipe.plan, pipe.opts)
 
 
 class TestAsymptotics:
     def make_field(self, grid, gap_fn):
-        values = (1.0 + gap_fn(grid.nodes))[None, :]
+        values = (1.0 + gap_fn(grid.half_nodes))[None, :]
         return FieldVector(grid=grid, values=values, boundary=np.array([1.0]))
 
     def test_settling_field_has_small_edge_and_decaying_tail(self):
         grid = build_grid(8.0, 256)
         f = self.make_field(grid, lambda x: 0.4 * np.exp(-(x**2)))
-        rep = asymptotics_report(f, [1.0], grid)
+        rep = asymptotics_report(f, [1.0])
         assert rep.edge_deviation[0] <= 1e-20
         assert rep.tail_integral[0] > 0.0
         assert rep.half_tail_ratio[0] < 1.0
@@ -141,7 +165,7 @@ class TestAsymptotics:
     def test_exact_constant_reports_zeros(self):
         grid = build_grid(8.0, 256)
         f = constant_field(grid, [1.0])
-        rep = asymptotics_report(f, [1.0], grid)
+        rep = asymptotics_report(f, [1.0])
         assert rep.edge_deviation[0] == 0.0
         assert rep.tail_integral[0] == 0.0
         assert rep.half_tail_ratio[0] == 0.0
@@ -149,5 +173,5 @@ class TestAsymptotics:
     def test_outer_bump_gives_infinite_ratio(self):
         grid = build_grid(8.0, 256)
         f = self.make_field(grid, lambda x: np.where(np.abs(x) >= 6.5, 0.2, 0.0))
-        rep = asymptotics_report(f, [1.0], grid)
+        rep = asymptotics_report(f, [1.0])
         assert np.isinf(rep.half_tail_ratio[0])

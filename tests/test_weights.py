@@ -134,27 +134,13 @@ class TestCellMoments:
             assert m0 == pytest.approx(ref0, rel=1e-7, abs=1e-14)
             assert m1 == pytest.approx(ref1, rel=1e-7, abs=1e-14)
 
-    @pytest.mark.parametrize("w", [ExpSqrtWeight(0.1),
-                                   RationalWeight(0.08, 0.4)])
-    def test_mirror_cell_flips_m1(self, w):
-        m0p, m1p = excess_cell_moments(w, 0.5, 2.0)
-        m0m, m1m = excess_cell_moments(w, -2.0, -0.5)
-        assert m0m == pytest.approx(m0p, rel=1e-14)
-        assert m1m == pytest.approx(-m1p, rel=1e-14)
-
-    def test_cell_straddling_zero_splits(self):
-        w = ExpSqrtWeight(0.1)
-        m0, m1 = excess_cell_moments(w, -0.5, 0.5)
-        half0, _ = excess_cell_moments(w, 0.0, 0.5)
-        assert m0 == pytest.approx(2.0 * half0, rel=1e-14)
-        assert m1 == pytest.approx(0.0, abs=1e-18)
-
     def test_grid_moments_sum_to_truncated_mass(self):
+        # the cells cover [0, 20]; the weight is even, so the mass doubles
         w = ExpSqrtWeight(0.1)
-        edges = np.linspace(-20.0, 20.0, 4001)
+        edges = np.linspace(0.0, 20.0, 2001)
         m0, _ = w.cell_moments_batch(edges)
         inside = excess_integral(w) - excess_tail_mass(w, 20.0)
-        assert float(np.sum(m0)) == pytest.approx(inside, rel=1e-12)
+        assert 2.0 * float(np.sum(m0)) == pytest.approx(inside, rel=1e-12)
 
     @pytest.mark.parametrize("w", [
         ExpSqrtWeight(0.1), RationalWeight(0.08, 0.4),
@@ -165,29 +151,29 @@ class TestCellMoments:
             w.cell_moments_batch(np.array([-1.0, 1.0]))
         with pytest.raises(ValueError):
             w.cell_moments_batch(np.array([1.0, 0.5]))
+        # cells lie on the nonnegative axis only
+        with pytest.raises(ValueError, match="nonnegative"):
+            w.cell_moments_batch(np.array([-2.0, -1.0]))
 
 
 def tabulated_moments_by_cell(tab, edges):
     """Per-cell scalar reference for TabulatedExcessWeight.cell_moments_batch.
 
-    Each cell is split at 0, folded onto t >= 0, clipped to the table and
-    integrated in closed form against the linear model of s = (mu-1) t^gamma.
+    Each cell of t >= 0 is clipped to the table and integrated in closed
+    form against the linear model of s = (mu-1) t^gamma.
     """
     g = tab.gamma_exponent
     m0 = np.zeros(edges.size - 1)
     m1 = np.zeros(edges.size - 1)
     for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        parts = [(a, 0.0), (0.0, b)] if a < 0.0 < b else [(a, b)]
-        for ca, cb in parts:
-            lo, hi, sign = (-cb, -ca, -1.0) if cb <= 0.0 else (ca, cb, 1.0)
-            lo, hi = max(lo, tab.t[0]), min(hi, tab.t[-1])
-            if hi <= lo:
-                continue
-            s_lo, s_hi = tab._s_at(lo), tab._s_at(hi)
-            slope = (s_hi - s_lo) / (hi - lo)
-            i0, i1, i2 = ((hi ** q - lo ** q) / q for q in (1.0 - g, 2.0 - g, 3.0 - g))
-            m0[k] += s_lo * i0 + slope * (i1 - lo * i0)
-            m1[k] += sign * (s_lo * i1 + slope * (i2 - lo * i1))
+        lo, hi = max(a, tab.t[0]), min(b, tab.t[-1])
+        if hi <= lo:
+            continue
+        s_lo, s_hi = tab._s_at(lo), tab._s_at(hi)
+        slope = (s_hi - s_lo) / (hi - lo)
+        i0, i1, i2 = ((hi ** q - lo ** q) / q for q in (1.0 - g, 2.0 - g, 3.0 - g))
+        m0[k] = s_lo * i0 + slope * (i1 - lo * i0)
+        m1[k] = s_lo * i1 + slope * (i2 - lo * i1)
     return m0, m1
 
 
@@ -230,21 +216,12 @@ class TestTabulatedExcess:
         assert excess_weighted_integral(tab, fn, 8.0) == pytest.approx(
             want, rel=1e-5)
 
-    def test_cell_moments_fold_before_clipping(self):
-        # a negative-side cell must carry the same mass as its mirror image
-        _, tab = self.make()
-        m0p, m1p = excess_cell_moments(tab, 0.2, 1.5)
-        m0m, m1m = excess_cell_moments(tab, -1.5, -0.2)
-        assert m0p > 0.0
-        assert m0m == pytest.approx(m0p, rel=1e-14)
-        assert m1m == pytest.approx(-m1p, rel=1e-14)
-
     @pytest.mark.parametrize("t_max", [60.0, 59.99])
     def test_batch_matches_per_cell_reference(self, t_max):
-        # cells on both sides of 0, the first clipped at t[0], cells wholly
+        # the x >= 0 cells of a grid: the first clipped at t[0], cells wholly
         # past t[-1], and (t_max = 59.99) one cell clipped at t[-1]
         _, tab = self.make(t_max=t_max)
-        edges = np.asarray(build_grid(64.0, 4096).nodes)
+        edges = build_grid(64.0, 4096).half_nodes
         want0, want1 = tabulated_moments_by_cell(tab, edges)
         got0, got1 = tab.cell_moments_batch(edges)
         assert np.count_nonzero(want0 == 0.0) > 0
