@@ -2,8 +2,9 @@
 
 One unknown function, Gaussian kernel, weight excess 0.1 e^{-|t|}/sqrt|t|,
 square-root response map. The script normalizes the kernel and checks the
-admission conditions, then hands the problem to run_instance, which runs
-the majorant, truncation, plan, error budget and the two-sided solve.
+admission conditions, which also solves the majorant, then hands the
+validation report to run_instance, which runs the truncation, plan, error
+budget and the two-sided solve.
 Every stage prints the quantity it certifies, ending with the solved
 profile's center value and the width of the two-sided enclosure.
 """
@@ -35,21 +36,22 @@ def main():
     phi = PowerPhi(p=0.5)
     spec = ProblemSpec(n=1, kernel=kern, weights=weights, nonlins=nonlins,
                        phi=phi)
-    report = validate_problem(spec)
+    report = validate_problem(spec, scalars, eta)
     for check in report.checks:
         print(f"condition {check.condition:>3}: "
               f"{'pass' if check.passed else 'FAIL'}"
               f"  (margin {check.worst_value:+.3e} at {check.worst_point})")
-    assert report.passed
 
-    # the remaining stages run once each, in order, inside the library
-    res = run_instance(spec, scalars, eta,
+    # the remaining stages run once each, in order, inside the library;
+    # run_instance refuses a report with a failed condition
+    res = run_instance(report,
                        Numerics(tol_trunc=1e-8, n_cells=8192, tol_stop=1e-10))
     spectral, grid, quad, sol = res.spectral, res.grid, res.quad, res.sol
 
     print("\n== 3. closed-form majorant ==")
-    b = float(res.excess.b[0, 0])
-    print(f"excess mass w = {float(res.excess.w[0]):.12f}, b = {b:.12f}")
+    excess = res.validation.excess
+    b = float(excess.b[0, 0])
+    print(f"excess mass w = {float(excess.w[0]):.12f}, b = {b:.12f}")
     print(f"upper slab level xi = {float(spectral.xi[0]):.12f} "
           f"(= (1 + b)^2 for the square-root map)")
     print(f"contraction constants sigma = {spectral.sigma:.9f}, k = {spectral.k:.9f}")

@@ -32,15 +32,15 @@ def main():
     phi = PowerPhi(p=0.7)
     spec = ProblemSpec(n=2, kernel=kern, weights=weights, nonlins=nonlins,
                        phi=phi)
-    report = validate_problem(spec)
-    assert report.passed, report.failing_ids
+    # run_instance refuses a report with a failed condition
+    report = validate_problem(spec, scalars, eta)
+    res = run_instance(report,
+                       Numerics(tol_trunc=1e-6, n_cells=8192, tol_stop=1e-9))
     print("all eight admission conditions pass; tightest margins:")
     for check in sorted(report.checks, key=lambda c: c.worst_value)[:3]:
         print(f"  condition {check.condition:>3}: "
               f"margin {check.worst_value:+.3e} at {check.worst_point}")
 
-    res = run_instance(spec, scalars, eta,
-                       Numerics(tol_trunc=1e-6, n_cells=8192, tol_stop=1e-9))
     spectral, grid, sol = res.spectral, res.grid, res.sol
     print(f"xi = {np.array2string(spectral.xi, precision=8)}; "
           f"sigma = {spectral.sigma:.8f}, k = {spectral.k:.8f}")

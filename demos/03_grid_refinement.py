@@ -12,13 +12,15 @@ import numpy as np
 
 from convint import (
     ExpSqrtWeight, FieldVector, GaussianKernel, Numerics, PowerNonlin,
-    PowerPhi, ProblemSpec, SpectralData, apply_operator, build_b_matrix,
-    build_grid, build_plan, contraction_params, estimate_quadrature_error,
-    kernel_scalars, perron_vector, run_instance, solve_xi,
+    PowerPhi, ProblemSpec, apply_operator, build_grid, build_plan,
+    estimate_quadrature_error, kernel_scalars, perron_vector, run_instance,
+    validate_problem,
 )
 
 
-def build_spec():
+def build_report():
+    """Validation report of the instance; it carries the spec, the kernel
+    scalars, eta and the majorant xi."""
     kern = GaussianKernel(coeffs=np.array([[1.0]]))
     scalars = kernel_scalars(kern)
     eta = perron_vector(scalars.a)
@@ -26,24 +28,20 @@ def build_spec():
                        weights=(ExpSqrtWeight(eps=0.1),),
                        nonlins=(PowerNonlin(alpha=0.5, eta=float(eta[0])),),
                        phi=PowerPhi(p=0.5))
-    excess = build_b_matrix(spec.weights, scalars)
-    xi = solve_xi(scalars.a, excess.b, spec.nonlins, eta)
-    sigma, k = contraction_params(eta, xi, spec.phi)
-    spectral = SpectralData(a=scalars.a, eta=eta, b=excess.b, xi=xi,
-                            sigma=sigma, k=k)
-    return spec, scalars, spectral
+    return validate_problem(spec, scalars, eta)
 
 
 def main():
-    spec, scalars, spectral = build_spec()
+    report = build_report()
+    spec = report.spec
     r = 32.0
 
     print("== quadrature error budget vs grid size (R = 32) ==")
     for n_cells in (1024, 2048, 4096, 8192):
         grid = build_grid(r, n_cells)
         plan = build_plan(spec, grid)
-        quad = estimate_quadrature_error(spec, plan, spectral.eta,
-                                         spectral.xi, scalars)
+        quad = estimate_quadrature_error(spec, plan, report.eta, report.xi,
+                                         report.scalars)
         print(f"  {n_cells:>5} cells: regular {quad.regular:.2e}  "
               f"singular {quad.singular:.2e}  total {quad.total:.2e}")
 
@@ -63,8 +61,7 @@ def main():
 
     print("\n== outer tail vs truncation radius ==")
     for radius, n_cells in ((32.0, 8192), (64.0, 16384)):
-        res = run_instance(spec, scalars, spectral.eta,
-                           Numerics(tol_stop=1e-10),
+        res = run_instance(report, Numerics(tol_stop=1e-10),
                            grid=build_grid(radius, n_cells))
         asym = res.sol.asymptotics
         print(f"  R = {radius:>4g}: outer-band tail integral "

@@ -60,30 +60,19 @@ def _check_positive_symmetric(m):
     return 0.5 * (m + m.T)
 
 
-def _power_iteration(m, tol, max_iters):
-    """Dominant eigenpair of a positive symmetric matrix, all-ones start.
-
-    Returns (lam, v) with v max-normalized; terminates when the residual
-    ||Mv - lam v||_inf drops below tol * lam.
-    """
+def spectral_radius(m, tol: float = 1e-13, max_iters: int = 100_000) -> float:
+    """Dominant eigenvalue of a positive symmetric matrix, by power iteration
+    from the all-ones vector until ||Mv - lam v||_inf <= tol * lam."""
+    m = _check_positive_symmetric(m)
     v = np.ones(m.shape[0])
-    lam = 0.0
     for _ in range(max_iters):
         mv = m @ v
         lam = float(v @ mv) / float(v @ v)
-        resid = float(np.max(np.abs(mv - lam * v)))
+        if float(np.max(np.abs(mv - lam * v))) <= tol * lam:
+            return lam
         v = mv / np.max(mv)
-        if resid <= tol * lam:
-            return lam, v
     raise SpectralError(
         f"power iteration did not reach residual {tol:g} in {max_iters} steps")
-
-
-def spectral_radius(m, tol: float = 1e-13, max_iters: int = 100_000) -> float:
-    """Dominant eigenvalue of a positive symmetric matrix."""
-    m = _check_positive_symmetric(m)
-    lam, _ = _power_iteration(m, tol, max_iters)
-    return lam
 
 
 def perron_vector(a, tol: float = 1e-12, max_iters: int = 100_000) -> np.ndarray:

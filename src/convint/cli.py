@@ -5,14 +5,16 @@ scaling map by variant name with a parameters object, plus numeric controls.
 The pipeline executes in dependency order
 
   kernel scalars -> spectral normalization -> eigenvector eta ->
-  nonlinearities (eta filled in where not declared) -> condition checks ->
-  excess masses -> majorant xi -> (sigma, k) -> truncation R -> grid ->
+  nonlinearities (eta filled in where not declared) -> excess masses ->
+  majorant xi -> condition checks -> (sigma, k) -> truncation R -> grid ->
   operator plan -> quadrature error budget -> two-sided monotone solve ->
   emission
 
-This module runs the stages up to the condition checks and the emission;
-the chain from the excess masses to the solve lives in the library, in
-convint.solver.run_instance, which solve mode and every sweep entry call.
+This module runs the stages up to the eigenvector and the emission. The
+library does the rest: convint.problem.validate_problem computes the excess
+masses and xi and checks the conditions on them, and
+convint.solver.run_instance takes its report and runs the chain from
+(sigma, k) to the solve, for solve mode and for every sweep entry.
 Every failure maps to a distinct exit code with a message naming the
 stage or condition: 1 config, 2 validation, 3 spectral, 4 majorant,
 5 solve. Outputs are a report JSON (byte-reproducible: sorted keys, no
@@ -31,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import SpectralData, perron_vector, spectral_radius
+from .algebra import perron_vector, spectral_radius
 from .errors import (ConfigError, ConvintError, MajorantError, SolveError,
                      SpectralError, ValidationFailure)
 from .kernels import (ExpMixtureKernel, GaussianKernel, kernel_scalars,
@@ -282,33 +284,9 @@ def emit_profile(report, eta, path):
             fh.write("\n".join(lines[start:start + rows]) + "\n")
 
 
-def _spectral_block(spectral: SpectralData, excess_w):
-    return {
-        "eta": spectral.eta,
-        "xi": spectral.xi,
-        "sigma": spectral.sigma,
-        "k": spectral.k,
-        "excess_w": excess_w,
-        "b": spectral.b,
-    }
-
-
-def _solve_block(sol):
-    return {
-        "iterations": sol.iterations,
-        "termination": sol.termination,
-        "a_priori_n": sol.a_priori_n,
-        "residual_sup": sol.residual_sup,
-        "alpha_plus": sol.alpha_plus,
-        "alpha_minus": sol.alpha_minus,
-        "asymptotics": sol.asymptotics.as_dict(),
-        "trace": sol.trace.as_dict(),
-        "probe_deviation": sol.probe_deviation,
-    }
-
-
 def _prepare_spec(config: RunConfig, weights, say):
-    """Normalize the kernel, compute eta, build nonlinearities, validate."""
+    """Normalize the kernel, compute eta, build nonlinearities, validate;
+    returns the normalization factor and the validation report."""
     kernel_raw = _build_kernel(config.kernel, config.base_dir)
     try:
         scalars_raw = kernel_scalars(kernel_raw)
@@ -331,20 +309,29 @@ def _prepare_spec(config: RunConfig, weights, say):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    validation = validate_problem(spec, samples=config.numerics.samples,
-                                  tol=config.numerics.tol_validate)
-    return spec, scalars, eta, rho, validation
+    return rho, _validate(spec, scalars, eta, config.numerics)
+
+
+def _validate(spec, scalars, eta, num: Numerics):
+    return validate_problem(spec, scalars, eta, samples=num.samples,
+                            tol=num.tol_validate, tol_alg=num.tol_alg)
 
 
 def _stage_blocks(res: RunResult) -> dict:
     """Report blocks of one run_instance result."""
-    q = res.quad
+    sp, q, sol = res.spectral, res.quad, res.sol
     return {
-        "spectral": _spectral_block(res.spectral, res.excess.w),
+        "spectral": {"eta": sp.eta, "xi": sp.xi, "sigma": sp.sigma, "k": sp.k,
+                     "excess_w": res.validation.excess.w, "b": sp.b},
         "quadrature_error": {"regular": q.regular, "singular": q.singular,
                              "dropped_tail": q.dropped_tail, "total": q.total,
                              "mono_slack": res.opts.mono_slack},
-        "solve": _solve_block(res.sol),
+        "solve": {"iterations": sol.iterations, "termination": sol.termination,
+                  "a_priori_n": sol.a_priori_n, "residual_sup": sol.residual_sup,
+                  "alpha_plus": sol.alpha_plus, "alpha_minus": sol.alpha_minus,
+                  "asymptotics": sol.asymptotics.as_dict(),
+                  "trace": sol.trace.as_dict(),
+                  "probe_deviation": sol.probe_deviation},
     }
 
 
@@ -371,13 +358,14 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
         out.mkdir(parents=True, exist_ok=True)
         weights = [_build_weight(cfg, config.base_dir, j)
                    for j, cfg in enumerate(config.weights)]
-        spec, scalars, eta, rho, validation = _prepare_spec(config, weights, say)
+        rho, validation = _prepare_spec(config, weights, say)
         doc = {"schema_version": SCHEMA_VERSION, "mode": config.mode,
                "config": config.raw, "kernel_scale": rho,
                "validation": validation.as_dict()}
+        if config.mode == "validate" or not validation.passed:
+            emit_report(doc, out / "report.json")
 
         if config.mode == "validate":
-            emit_report(doc, out / "report.json")
             say(validation)
             if not validation.passed:
                 say(f"validation failed: condition(s) "
@@ -386,15 +374,9 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
             say("all eight conditions pass")
             return 0
 
-        if not validation.passed:
-            emit_report(doc, out / "report.json")
-            raise ValidationFailure(
-                f"condition(s) {', '.join(validation.failing_ids)} failed",
-                report=validation)
-
         num = config.numerics
         if config.mode == "solve":
-            res = run_instance(spec, scalars, eta, num)
+            res = run_instance(validation, num)
             say(f"truncation R = {res.grid.r:g}, n_cells = {res.grid.n_cells}, "
                 f"h = {res.grid.h:g}")
             _say_stages(say, res)
@@ -405,28 +387,28 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
             say(f"wrote {out / 'report.json'} and {out / 'profile.csv'}")
             return 0
 
-        # sweep: the largest eps runs first and sizes the grid that every
-        # other entry shares; each entry's plan is dropped once its profile
-        # is written
+        # sweep: the configured instance must pass too. The largest eps runs
+        # first and sizes the grid that every other entry shares; each
+        # entry's plan is dropped once its profile is written
+        validation.require_passed()
         sweeps = sorted(config.sweep_eps)
 
         def solve_entry(idx, grid=None):
             eps = sweeps[idx]
             say(f"-- sweep entry {idx}: eps = {eps:g}")
             w_eps = [_swept(w, eps, j) for j, w in enumerate(weights)]
-            spec_eps = dataclasses.replace(spec, weights=w_eps)
-            val_eps = validate_problem(spec_eps, samples=num.samples,
-                                       tol=num.tol_validate)
-            if not val_eps.passed:
-                raise ValidationFailure(
-                    f"sweep eps = {eps:g}: condition(s) "
-                    f"{', '.join(val_eps.failing_ids)} failed", report=val_eps)
-            res = run_instance(spec_eps, scalars, eta, num, grid)
+            spec_eps = dataclasses.replace(validation.spec, weights=w_eps)
+            try:
+                res = run_instance(_validate(spec_eps, validation.scalars,
+                                             validation.eta, num), num, grid)
+            except ValidationFailure as exc:
+                raise ValidationFailure(f"sweep eps = {eps:g}: {exc}",
+                                        report=exc.report) from None
             _say_stages(say, res)
             name = f"profile_{idx:03d}.csv"
             emit_profile(res.sol, res.spectral.eta, out / name)
             return res.grid, {"eps": eps, "profile": name,
-                              "validation": val_eps.as_dict(),
+                              "validation": res.validation.as_dict(),
                               **_stage_blocks(res)}
 
         grid, top = solve_entry(len(sweeps) - 1)

@@ -310,9 +310,10 @@ def estimate_quadrature_error(spec, plan: OperatorPlan, eta, xi, scalars) -> Qua
                 spec.weights[j],
                 lambda t, i=i, j=j: kernel_eval(spec.kernel, i, j, t),
                 grid.r)
-            k_nodes = np.asarray(kernel_eval(spec.kernel, i, j, grid.nodes), dtype=float)
-            omega = np.concatenate([plan.omega[j, :0:-1], plan.omega[j]])
-            disc = eta[j] * float(omega @ k_nodes)
+            # both sides of the even sum, with x = 0 counted once
+            k = np.asarray(kernel_eval(spec.kernel, i, j, grid.half_nodes), dtype=float)
+            omega = plan.omega[j]
+            disc = eta[j] * (2.0 * float(omega @ k) - omega[0] * k[0])
             e_sing = max(e_sing, abs(ref - disc))
 
     g_xi = np.array([float(g_eval(nl, x)) for nl, x in zip(spec.nonlins, xi)])

@@ -5,20 +5,25 @@ concave nonlinearities, and the scaling map phi. validate_problem checks the
 eight admission conditions by sampling and by the models' analytic facilities:
 
   1   kernel entries even, symmetric in the index pair, strictly positive
-  2   kernel-integral matrix has unit spectral radius; first moments finite
+  2   kernel-integral matrix has unit spectral radius and eta as its
+      eigenvector with largest entry one; first moments finite
   a   weights exceed one (positive excess) where defined
   b   excess masses are finite with vanishing tails
   I   nonlinearities strictly increasing from zero
   II  fixed-point consistency: G_j(0) = 0 and G_j(eta_j) = eta_j, both for
-      the declared eta_j and for the eigenvector computed from the kernel
+      the declared eta_j and for the run's eigenvector eta
   III strict concavity, witnessed by a positive chord-slope gap
   IV  the scaling inequality G_j(sigma u) >= phi(sigma) G_j(u) on
       [0,1] x [eta_j, xi_j]
 
+The caller supplies the run's kernel scalars and eta (checked, not
+trusted); the excess masses and the majorant xi are computed here, once, so
+the report carries the very slab [eta, xi] that run_instance solves in.
+
 Continuous statements are checked on deterministic sample grids: uniform in
 u, logarithmic in |t| so both the singularity and the tail of each weight
-are probed. Failures are collected into a report, never raised from here;
-callers decide how to surface them.
+are probed. validate_problem collects failures into the report and raises
+none; its require_passed raises them as ValidationFailure.
 """
 
 from __future__ import annotations
@@ -27,11 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import perron_vector, solve_xi, spectral_radius
-from .errors import MajorantError, SpectralError
-from .kernels import kernel_eval, kernel_scalars
+from .algebra import solve_xi, spectral_radius
+from .errors import MajorantError, SpectralError, ValidationFailure
+from .kernels import kernel_eval
 from .nonlinearities import check_condition_iv, chord_slope_gap, g_eval
-from .weights import TabulatedExcessWeight, build_b_matrix, excess_tail_mass
+from .weights import (ExcessIntegrals, TabulatedExcessWeight, build_b_matrix,
+                      excess_tail_mass)
 
 __all__ = ["ProblemSpec", "ConditionCheck", "ValidationReport", "validate_problem"]
 
@@ -87,6 +93,15 @@ class ConditionCheck:
 
 @dataclass
 class ValidationReport:
+    """The checks and what they were made on. xi is None when no majorant
+    exists; majorant_error then holds the reason, if xi was attempted."""
+
+    spec: ProblemSpec
+    scalars: object
+    eta: np.ndarray
+    excess: ExcessIntegrals = None
+    xi: np.ndarray = None
+    majorant_error: MajorantError = None
     checks: list = field(default_factory=list)
 
     @property
@@ -96,6 +111,13 @@ class ValidationReport:
     @property
     def failing_ids(self):
         return [c.condition for c in self.checks if not c.passed]
+
+    def require_passed(self):
+        """Raise ValidationFailure, carrying this report, unless every
+        condition passed."""
+        if not self.passed:
+            raise ValidationFailure(
+                f"condition(s) {', '.join(self.failing_ids)} failed", report=self)
 
     def as_dict(self):
         return {"passed": self.passed, "checks": [c.as_dict() for c in self.checks]}
@@ -124,14 +146,16 @@ def _weight_sample_grid(model, samples):
     return np.clip(np.logspace(np.log10(lo), np.log10(hi), samples), lo, hi)
 
 
-def validate_problem(spec: ProblemSpec, samples: int = 64,
-                     tol: float = 1e-8) -> ValidationReport:
-    """Check all eight admission conditions; returns a report, raises nothing
-    for condition failures (structural defects still raise ValueError)."""
+def validate_problem(spec: ProblemSpec, scalars, eta, samples: int = 64,
+                     tol: float = 1e-8, tol_alg: float = 1e-13) -> ValidationReport:
+    """Check all eight admission conditions of spec, given its kernel
+    scalars and eigenvector eta; xi is solved to tol_alg. Returns a report,
+    raises nothing for condition failures (structural defects still raise
+    ValueError)."""
     if samples < 2:
         raise ValueError("samples must be at least 2")
-    report = ValidationReport()
-    scalars = kernel_scalars(spec.kernel)
+    eta = np.asarray(eta, dtype=float)
+    report = ValidationReport(spec=spec, scalars=scalars, eta=eta)
 
     # condition 1: evenness, index symmetry, strict positivity of the kernel
     span = spec.kernel.sample_span()
@@ -159,21 +183,27 @@ def validate_problem(spec: ProblemSpec, samples: int = 64,
         worst1, note1 = min_val, "smallest sampled kernel value"
     report.checks.append(ConditionCheck("1", ok_pos and ok_sym, min_at, worst1, tol, note1))
 
-    # condition 2: unit spectral radius and finite first moments
+    # condition 2: unit spectral radius, eta its eigenvector with max entry
+    # 1 (as perron_vector returns it), finite first moments
     try:
-        rho = spectral_radius(scalars.a)
-        gap = abs(rho - 1.0)
-        moments_ok = bool(np.all(np.isfinite(scalars.first_moment))
-                          and np.all(scalars.first_moment > 0.0))
-        ok2 = gap <= tol and moments_ok
-        note2 = "" if ok2 else ("spectral radius differs from one"
-                                if gap > tol else "first moments not finite positive")
-        report.checks.append(ConditionCheck(
-            "2", ok2, "rho(A) - 1", gap, tol, note2))
+        gap = abs(spectral_radius(scalars.a) - 1.0)
     except SpectralError as exc:
         report.checks.append(ConditionCheck(
             "2", False, "power iteration", float("nan"), tol, str(exc)))
-        rho = None
+    else:
+        eta_gap = max(float(np.max(np.abs(scalars.a @ eta - eta))),
+                      abs(float(np.max(eta)) - 1.0))
+        moments_ok = bool(np.all(np.isfinite(scalars.first_moment))
+                          and np.all(scalars.first_moment > 0.0))
+        at2, worst2, note2 = "rho(A) - 1", gap, ""
+        if gap > tol:
+            note2 = "spectral radius differs from one"
+        elif eta_gap > tol:
+            at2, worst2 = "A eta - eta, max eta - 1", eta_gap
+            note2 = "eta is not the eigenvector of A with largest entry one"
+        elif not moments_ok:
+            note2 = "first moments not finite positive"
+        report.checks.append(ConditionCheck("2", not note2, at2, worst2, tol, note2))
 
     # condition a: mu > 1, i.e. strictly positive excess at every sample
     worst_exc, worst_at = np.inf, ""
@@ -191,7 +221,7 @@ def validate_problem(spec: ProblemSpec, samples: int = 64,
 
     # condition b: finite excess mass with a vanishing tail
     try:
-        excess = build_b_matrix(spec.weights, scalars)
+        excess = report.excess = build_b_matrix(spec.weights, scalars)
         tails = np.array([excess_tail_mass(w, 1e6 if not isinstance(w, TabulatedExcessWeight)
                                            else float(np.max(np.abs(w.t))))
                           for w in spec.weights])
@@ -201,28 +231,21 @@ def validate_problem(spec: ProblemSpec, samples: int = 64,
             "b", okb, f"weight {jmax + 1}", float(excess.w[jmax]), tol,
             "largest excess mass" if okb else "excess mass not summable"))
     except ValueError as exc:
-        excess = None
         report.checks.append(ConditionCheck(
             "b", False, "excess integral", float("nan"), tol, str(exc)))
 
-    # shared sampling range for the nonlinearity conditions
-    eta_comp = None
-    if rho is not None:
-        try:
-            eta_comp = perron_vector(scalars.a / rho, tol=min(tol, 1e-12))
-        except SpectralError:
-            eta_comp = None
-    eta_ref = eta_comp if eta_comp is not None else np.array(
-        [nl.eta for nl in spec.nonlins])
-
+    # the run's majorant; the nonlinearity conditions sample up to 2 xi
     xi_ref, xi_note = None, ""
-    if eta_comp is not None and excess is not None:
+    if report.excess is not None:
         try:
-            xi_ref = solve_xi(scalars.a / rho, excess.b, spec.nonlins, eta_comp)
+            xi_ref = report.xi = solve_xi(scalars.a, report.excess.b,
+                                          spec.nonlins, eta, tol_alg)
         except (MajorantError, ValueError) as exc:
+            report.majorant_error = (exc if isinstance(exc, MajorantError)
+                                     else MajorantError(str(exc)))
             xi_note = f"majorant solve failed ({exc}); using 4 eta"
     if xi_ref is None:
-        xi_ref = 4.0 * eta_ref
+        xi_ref = 4.0 * eta
         xi_note = xi_note or "majorant unavailable; using 4 eta"
     u_top = 2.0 * float(np.max(xi_ref))
 
@@ -253,21 +276,20 @@ def validate_problem(spec: ProblemSpec, samples: int = 64,
         gap_dec = abs(float(g_eval(nl, nl.eta)) - nl.eta)
         if gap_dec > worst_fp:
             worst_fp, fp_at = gap_dec, f"u=eta declared ({nl.eta:.6g}, nonlin {j + 1})"
-        if eta_comp is not None:
-            mismatch = abs(nl.eta - float(eta_comp[j]))
-            if mismatch > worst_fp:
-                worst_fp = mismatch
-                fp_at = f"declared eta vs computed ({eta_comp[j]:.6g}, nonlin {j + 1})"
-                note2b = "declared eta disagrees with the kernel eigenvector"
-            cover = getattr(nl, "u_max", None)
-            if cover is not None and float(eta_comp[j]) > float(cover):
-                worst_fp = max(worst_fp, float(eta_comp[j]) - float(cover))
-                fp_at = f"u=eta computed ({eta_comp[j]:.6g}, nonlin {j + 1})"
-                note2b = "table does not cover the computed eta"
-                continue
-            gap_comp = abs(float(g_eval(nl, eta_comp[j])) - float(eta_comp[j]))
-            if gap_comp > worst_fp:
-                worst_fp, fp_at = gap_comp, f"u=eta computed ({eta_comp[j]:.6g}, nonlin {j + 1})"
+        mismatch = abs(nl.eta - float(eta[j]))
+        if mismatch > worst_fp:
+            worst_fp = mismatch
+            fp_at = f"declared eta vs computed ({eta[j]:.6g}, nonlin {j + 1})"
+            note2b = "declared eta disagrees with the kernel eigenvector"
+        cover = getattr(nl, "u_max", None)
+        if cover is not None and float(eta[j]) > float(cover):
+            worst_fp = max(worst_fp, float(eta[j]) - float(cover))
+            fp_at = f"u=eta computed ({eta[j]:.6g}, nonlin {j + 1})"
+            note2b = "table does not cover the computed eta"
+            continue
+        gap_comp = abs(float(g_eval(nl, eta[j])) - float(eta[j]))
+        if gap_comp > worst_fp:
+            worst_fp, fp_at = gap_comp, f"u=eta computed ({eta[j]:.6g}, nonlin {j + 1})"
     okII = worst_fp <= tol
     report.checks.append(ConditionCheck(
         "II", okII, fp_at, worst_fp, tol, note2b if not okII else ""))
@@ -289,7 +311,7 @@ def validate_problem(spec: ProblemSpec, samples: int = 64,
     # condition IV: scaling inequality on [0,1] x [eta_j, xi_j]
     worst_iv, iv_at = np.inf, ""
     for j, nl in enumerate(spec.nonlins):
-        lo = float(eta_ref[j])
+        lo = float(eta[j])
         hi = max(float(xi_ref[j]), lo * (1.0 + 1e-9))
         if hi <= lo * (1.0 + 1e-12):
             hi = 2.0 * lo

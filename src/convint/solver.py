@@ -20,9 +20,9 @@ the step tolerance, or at the iteration cap, reported distinctly; the
 pessimistic iteration count derived from (sigma, k) is reported alongside.
 The final gap is reported as probe_deviation.
 
-run_instance assembles the paper's stage chain for one problem once:
-majorant xi and (sigma, k), truncation and grid, operator plan, quadrature
-error budget, two-sided monotone solve.
+run_instance assembles the paper's stage chain for one validated problem
+once: (sigma, k) from the validated eta and xi, truncation and grid,
+operator plan, quadrature error budget, two-sided monotone solve.
 """
 
 from __future__ import annotations
@@ -32,15 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (SpectralData, a_priori_iterations, contraction_params,
-                      solve_xi)
+from .algebra import SpectralData, a_priori_iterations, contraction_params
 from .discretization import (FieldVector, Grid, OperatorPlan, QuadratureError,
                              apply_operator, build_grid, build_plan,
                              choose_truncation, constant_field,
                              estimate_quadrature_error)
-from .errors import ConfigError, MajorantError, SolveError
+from .errors import ConfigError, SolveError
 from .nonlinearities import g_eval
-from .weights import ExcessIntegrals, build_b_matrix
+from .problem import ValidationReport
 
 __all__ = [
     "Numerics",
@@ -290,11 +289,10 @@ class Numerics:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Every stage run_instance computed for one problem."""
+    """Every stage run_instance computed, with the report it was handed."""
 
-    spec: object
+    validation: ValidationReport
     spectral: SpectralData
-    excess: ExcessIntegrals
     grid: Grid
     plan: OperatorPlan
     quad: QuadratureError
@@ -310,30 +308,27 @@ def _n_cells_for(num: Numerics, r: float) -> int:
     raise ConfigError("set numerics.n_cells or numerics.h_target")
 
 
-def run_instance(spec, scalars, eta, numerics: Numerics, grid: Grid = None) -> RunResult:
-    """Run the paper's stages once each on a validated problem.
+def run_instance(validation: ValidationReport, numerics: Numerics,
+                 grid: Grid = None) -> RunResult:
+    """Run the paper's stages once each on the problem validation checked,
+    in the slab [eta, xi] its condition IV certified: (sigma, k); truncation
+    radius and grid, unless grid is given (a sweep shares one grid across
+    its entries); operator plan; quadrature error budget; two-sided
+    monotone solve.
 
-    spec must carry the normalized kernel, scalars its kernel scalars and
-    eta the eigenvector of scalars.a. The stages run in order: majorant xi
-    and (sigma, k); truncation radius and grid, unless grid is given (a
-    sweep shares one grid across its entries); operator plan; quadrature
-    error budget; two-sided monotone solve.
-
-    Raises MajorantError when no majorant exists, SolveError when a solve
-    guard trips or the iteration cap is reached before the step and the
-    enclosure gap drop to the step tolerance,
-    and ConfigError when a grid is needed and neither numerics.n_cells nor
-    numerics.h_target is set.
+    Raises ValidationFailure when a condition failed, the report's
+    MajorantError when no majorant exists, SolveError when a solve guard
+    trips or the iteration cap is reached before the step and the enclosure
+    gap drop to the step tolerance, and ConfigError when a grid is needed
+    and neither numerics.n_cells nor numerics.h_target is set.
     """
-    num = numerics
-    excess = build_b_matrix(spec.weights, scalars)
-    try:
-        xi = solve_xi(scalars.a, excess.b, spec.nonlins, eta, num.tol_alg)
-    except ValueError as exc:
-        raise MajorantError(str(exc)) from exc
+    validation.require_passed()
+    if validation.xi is None:
+        raise validation.majorant_error
+    num, spec, eta, xi = numerics, validation.spec, validation.eta, validation.xi
     sigma, k = contraction_params(eta, xi, spec.phi)
-    spectral = SpectralData(a=scalars.a, eta=eta, b=excess.b, xi=xi,
-                            sigma=sigma, k=k)
+    spectral = SpectralData(a=validation.scalars.a, eta=eta, b=validation.excess.b,
+                            xi=xi, sigma=sigma, k=k)
 
     if grid is None:
         # largest nonlinearity value the solve can reach
@@ -342,7 +337,7 @@ def run_instance(spec, scalars, eta, numerics: Numerics, grid: Grid = None) -> R
         grid = build_grid(r, _n_cells_for(num, r))
 
     plan = build_plan(spec, grid)
-    quad = estimate_quadrature_error(spec, plan, eta, xi, scalars)
+    quad = estimate_quadrature_error(spec, plan, eta, xi, validation.scalars)
     mono_slack = num.mono_slack if num.mono_slack is not None else 10.0 * quad.total
     opts = SolveOptions(tol_stop=num.tol_stop, max_iters=num.max_iters,
                         mono_slack=mono_slack)
@@ -352,5 +347,5 @@ def run_instance(spec, scalars, eta, numerics: Numerics, grid: Grid = None) -> R
             f"iteration cap {num.max_iters} reached before the step tolerance "
             f"{num.tol_stop:g} (last step {sol.trace.d[-1]:.3e}, "
             f"enclosure gap {sol.trace.gap[-1]:.3e})")
-    return RunResult(spec=spec, spectral=spectral, excess=excess, grid=grid,
+    return RunResult(validation=validation, spectral=spectral, grid=grid,
                      plan=plan, quad=quad, opts=opts, sol=sol)

@@ -33,17 +33,16 @@ from convint import (
 def build_pipeline(kernel, weights, make_nonlins, phi, tol_trunc, n_cells,
                    tol_stop, grid=None):
     """Normalize and validate one instance, then run every stage through
-    run_instance and hand back its RunResult."""
+    run_instance, which refuses a failed report, and hand back its
+    RunResult."""
     rho = spectral_radius(kernel_scalars(kernel).a)
     kern = kernel.rescaled(1.0 / rho)
     scalars = kernel_scalars(kern)
     eta = perron_vector(scalars.a)
     spec = ProblemSpec(n=len(weights), kernel=kern, weights=tuple(weights),
                        nonlins=tuple(make_nonlins(eta)), phi=phi)
-    validation = validate_problem(spec)
-    assert validation.passed, validation.failing_ids
     numerics = Numerics(tol_trunc=tol_trunc, n_cells=n_cells, tol_stop=tol_stop)
-    return run_instance(spec, scalars, eta, numerics, grid)
+    return run_instance(validate_problem(spec, scalars, eta), numerics, grid)
 
 
 def doctored_spectral(spectral, **overrides):

@@ -118,7 +118,7 @@ def _replay_monotone(pipe):
     f_prev = constant_field(pipe.grid, spectral.xi, boundary=spectral.eta)
     assert np.all(f_prev.values <= xi + slack)
     for n in range(1, opts.max_iters + 1):
-        f_next = apply_operator(pipe.plan, f_prev, pipe.spec.nonlins)
+        f_next = apply_operator(pipe.plan, f_prev, pipe.validation.spec.nonlins)
         assert np.all(f_next.values <= f_prev.values + slack)
         assert np.all(f_next.values >= eta - slack)
         assert np.all(f_next.values <= xi + slack)
@@ -224,9 +224,9 @@ def test_criterion_08_uniqueness_probe(flagship_hires, coupled):
         # a restart from 2 xi, with (sigma, k) of the wider slab so the step
         # envelope holds, lands on the same field
         xi2 = 2.0 * pipe.spectral.xi
-        sigma2, k2 = contraction_params(pipe.spectral.eta, xi2, pipe.spec.phi)
+        sigma2, k2 = contraction_params(pipe.spectral.eta, xi2, pipe.validation.spec.phi)
         wide = doctored_spectral(pipe.spectral, xi=xi2, sigma=sigma2, k=k2)
-        again = solve(pipe.spec, wide, pipe.plan, opts)
+        again = solve(pipe.validation.spec, wide, pipe.plan, opts)
         moved = float(np.max(np.abs(again.field.values - pipe.sol.field.values)))
         assert moved <= dev + opts.tol_stop + opts.mono_slack
         devs[name], restarts[name] = dev, moved

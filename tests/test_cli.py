@@ -252,6 +252,14 @@ class TestValidateMode:
         out = capsys.readouterr().out
         assert "condition(s) III" in out
 
+    def test_linear_map_config_names_the_majorant_failure(self, tmp_path):
+        assert cli.main(["--config", str(DEMO_CONFIGS / "linear_map.json"),
+                         "--out-dir", str(tmp_path), "--quiet"]) == 2
+        doc = json.loads((tmp_path / "report.json").read_text())
+        check = {c["condition"]: c for c in doc["validation"]["checks"]}["IV"]
+        assert check["note"] == ("majorant solve failed (u beyond tabulated "
+                                 "range [0, 3.0]); using 4 eta")
+
     def test_mismatched_scaling_fails_condition_iv(self, tmp_path, capsys):
         path = write_config(tmp_path / "v.json",
                             scalar_config(mode="validate", alpha=0.9, p=0.01))
@@ -321,7 +329,9 @@ class TestFailureExitCodes:
         path = write_config(tmp_path / "m.json",
                             scalar_config(eps=10.0, alpha=0.99, p=0.99, n_cells=512))
         assert cli.main(["--config", path, "--out-dir", str(tmp_path)]) == 4
-        assert "majorant stage failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "majorant stage failed" in err
+        assert "no supersolution found by doubling" in err
 
     def test_iteration_cap_exits_5(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json",

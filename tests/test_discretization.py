@@ -158,7 +158,7 @@ class TestApplyOperator:
         out = apply_operator(
             flagship.plan,
             constant_field(flagship.grid, flagship.spectral.eta),
-            flagship.spec.nonlins,
+            flagship.validation.spec.nonlins,
             include_singular=False,
         )
         gap = np.max(np.abs(out.values - flagship.spectral.eta[:, None]))
@@ -169,8 +169,8 @@ class TestApplyOperator:
         eta = flagship.spectral.eta
         values = eta[:, None] * (1.0 + 0.3 * np.exp(-(x**2)))[None, :]
         f = FieldVector(grid=flagship.grid, values=values, boundary=eta.copy())
-        fast = apply_operator(flagship.plan, f, flagship.spec.nonlins)
-        slow = direct_apply(flagship.spec, flagship.plan, f)
+        fast = apply_operator(flagship.plan, f, flagship.validation.spec.nonlins)
+        slow = direct_apply(flagship.validation.spec, flagship.plan, f)
         assert np.max(np.abs(mirror(fast.values) - slow)) <= 1e-12
 
     @pytest.mark.parametrize("n_cells", [64, 98])
@@ -194,12 +194,12 @@ class TestApplyOperator:
         lo = apply_operator(
             flagship.plan,
             constant_field(flagship.grid, flagship.spectral.eta),
-            flagship.spec.nonlins,
+            flagship.validation.spec.nonlins,
         )
         hi = apply_operator(
             flagship.plan,
             constant_field(flagship.grid, flagship.spectral.xi, boundary=flagship.spectral.eta),
-            flagship.spec.nonlins,
+            flagship.validation.spec.nonlins,
         )
         assert np.all(hi.values - lo.values >= -1e-15)
 

@@ -1,4 +1,4 @@
-"""The library examples run to their last line: demos 01 and 02 and the
+"""The library examples run to their last line: demos 01 to 03 and the
 README quickstart; the README's numerics table matches convint.Numerics."""
 
 import contextlib
@@ -28,6 +28,13 @@ def test_demo_completes(script):
         lambda: runpy.run_path(str(ROOT / "demos" / script), run_name="__main__"))
     assert lines[-1].startswith("the iterates from xi and from eta enclose the discrete "
                                 "solution within")
+
+
+def test_grid_refinement_demo_completes():
+    lines = run_captured(lambda: runpy.run_path(
+        str(ROOT / "demos" / "03_grid_refinement.py"), run_name="__main__"))
+    assert lines[-1] == ("  (same h; the band [R/2, R] moves outward and its "
+                         "mass drops)")
 
 
 def test_readme_quickstart_completes():

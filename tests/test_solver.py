@@ -68,8 +68,13 @@ class TestReferenceRun:
         assert np.array_equal(sol.alpha_plus, sol.field.values[:, -1])
         assert np.array_equal(sol.alpha_minus, sol.field.values[:, -1])
 
+    def test_solves_in_the_validated_slab(self, flagship):
+        # the solve's xi is the one condition IV was checked on, bit for bit
+        assert flagship.validation.xi.tobytes() == flagship.spectral.xi.tobytes()
+        assert flagship.validation.eta.tobytes() == flagship.spectral.eta.tobytes()
+
     def test_residual_recomputes(self, flagship):
-        again = residual(flagship.plan, flagship.sol.field, flagship.spec.nonlins)
+        again = residual(flagship.plan, flagship.sol.field, flagship.validation.spec.nonlins)
         assert again == pytest.approx(flagship.sol.residual_sup, rel=1e-12)
 
     def test_enclosure_gap_closes_to_the_reported_width(self, flagship):
@@ -94,7 +99,7 @@ class TestStoppingRules:
     def test_iteration_cap_reported_not_raised(self, coarse):
         opts = SolveOptions(tol_stop=coarse.opts.tol_stop, max_iters=3,
                             mono_slack=coarse.opts.mono_slack)
-        sol = solve(coarse.spec, coarse.spectral, coarse.plan, opts)
+        sol = solve(coarse.validation.spec, coarse.spectral, coarse.plan, opts)
         assert sol.termination == "iteration_cap"
         assert sol.iterations == 3
         assert len(sol.trace.d) == 3
@@ -119,22 +124,22 @@ class TestGuards:
     def test_non_supersolution_start_raises(self, coarse):
         # an upper level below the true majorant makes the first application
         # rise, which the monotonicity guard must catch
-        fake = slab(coarse.spectral, coarse.spec.phi, xi=1.05 * coarse.spectral.eta)
+        fake = slab(coarse.spectral, coarse.validation.spec.phi, xi=1.05 * coarse.spectral.eta)
         with pytest.raises(SolveError, match="monotonicity violated"):
-            solve(coarse.spec, fake, coarse.plan, coarse.opts)
+            solve(coarse.validation.spec, fake, coarse.plan, coarse.opts)
 
     def test_lower_start_above_the_solution_raises(self, coarse):
         # the solution settles to eta at the edges, so a lower start pinned
         # above eta falls there on the first application
-        fake = slab(coarse.spectral, coarse.spec.phi, eta=1.02 * coarse.spectral.eta)
+        fake = slab(coarse.spectral, coarse.validation.spec.phi, eta=1.02 * coarse.spectral.eta)
         with pytest.raises(SolveError, match="lower sequence: monotonicity violated"):
-            solve(coarse.spec, fake, coarse.plan, coarse.opts)
+            solve(coarse.validation.spec, fake, coarse.plan, coarse.opts)
 
     def test_step_beyond_geometric_envelope_raises(self, coarse):
         # a scaling map far stronger than the true one gives a contraction
         # ratio (0.09 here, about 0.6 for the true map) that shrinks the
         # envelope faster than the steps can follow
-        spec = dataclasses.replace(coarse.spec, phi=PowerPhi(0.06))
+        spec = dataclasses.replace(coarse.validation.spec, phi=PowerPhi(0.06))
         fake = slab(coarse.spectral, spec.phi)
         assert fake.k < 0.1
         with pytest.raises(SolveError, match="exceeds the geometric bound"):
@@ -146,7 +151,7 @@ class TestGuards:
         pipe = flagship_hires
         fake = doctored_spectral(pipe.spectral, xi=2.0 * pipe.spectral.xi)
         with pytest.raises(ValueError, match=r"sigma = .*, k = .*"):
-            solve(pipe.spec, fake, pipe.plan, pipe.opts)
+            solve(pipe.validation.spec, fake, pipe.plan, pipe.opts)
 
 
 class TestAsymptotics:
