@@ -39,7 +39,7 @@ def main():
     print("== quadrature error budget vs grid size (R = 32) ==")
     for n_cells in (1024, 2048, 4096, 8192):
         grid = build_grid(r, n_cells)
-        plan = build_plan(spec, grid)
+        plan = build_plan(spec, grid, report.eta)
         quad = estimate_quadrature_error(spec, plan, report.eta, report.xi,
                                          report.scalars)
         print(f"  {n_cells:>5} cells: regular {quad.regular:.2e}  "
@@ -49,9 +49,9 @@ def main():
     outputs = []
     for n_cells in (1024, 2048, 4096):
         grid = build_grid(r, n_cells)
-        plan = build_plan(spec, grid)
+        plan = build_plan(spec, grid, report.eta)
         values = (1.0 + 0.4 * np.exp(-grid.half_nodes**2 / 4.0))[None, :]
-        f = FieldVector(grid=grid, values=values, boundary=np.array([1.0]))
+        f = FieldVector(grid=grid, values=values)
         outputs.append(apply_operator(plan, f, spec.nonlins).values[0])
     coarse, mid, fine = outputs
     d1 = float(np.max(np.abs(coarse - mid[::2])))

@@ -9,17 +9,19 @@ at x by construction. The operator plan keeps the same half of every table.
 One application of the integral operator splits into three parts:
 
   regular     trapezoid product weights, end-corrected to third order,
-              against the kernel lag table; an even row convolved with the
-              even lag table is a symmetric convolution, so the plan stores
-              the table's DCT-I and an application is N forward DCT-Is, one
-              contraction over j per frequency, and N inverse DCT-Is (the
-              tests hold it to direct summation at 1e-12);
+              against the kernel lag table. The even sum at a node x >= 0
+              splits into a Toeplitz part over t = 0..m (lags -m..m) and a
+              Hankel part over t = 1..m (lags 1..2m), m = n_cells // 2;
+              both are exact circular sums of length p >= 2m, so the plan
+              stores their spectra and an application is N real FFTs of
+              length p, one real contraction over j per frequency, and N
+              inverse FFTs (the tests hold it to direct summation at 1e-12);
   singular    the excess (mu - 1) is integrated exactly per cell (moments
               m0, m1) against a linear model of the smooth cofactor
               K(x - t) G(f(t)), which lands nonnegative per-node weights
               omega that simply add to the trapezoid weights;
   tail        analytic kernel tail masses beyond [-R, R] multiply the
-              continuation values G_j(eta_j).
+              continuation values G_j(eta_j); the plan holds their sum.
 
 All quadrature weights are nonnegative by construction and asserted; that is
 what lets the solver's monotone-iteration arguments survive discretization.
@@ -30,7 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct, idct, next_fast_len
+# numpy.fft runs the same pocketfft transforms as scipy.fft (bitwise equal
+# here) and left the lower peak resident memory in paired whole-solve runs
+from numpy.fft import irfft, rfft
+from scipy.fft import next_fast_len
 
 from .errors import SolveError
 from .kernels import kernel_eval, kernel_tail_mass, kernel_tail_one_sided
@@ -82,23 +87,20 @@ def build_grid(r: float, n_cells: int) -> Grid:
 
 @dataclass
 class FieldVector:
-    """N even components on a grid plus the constant continuation vector.
+    """N even components on a grid.
 
     values holds each component at the x >= 0 nodes, grid.half_nodes; the
-    value at -x is the value at x.
+    value at -x is the value at x. The continuation beyond the grid belongs
+    to the operator plan, not to the field.
     """
 
     grid: Grid
     values: np.ndarray
-    boundary: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        self.boundary = np.asarray(self.boundary, dtype=float)
         if self.values.ndim != 2 or self.values.shape[1] != self.grid.half_nodes.size:
             raise ValueError("values must be N x (n_cells // 2 + 1), the nodes x >= 0")
-        if self.boundary.shape != (self.values.shape[0],):
-            raise ValueError("boundary must have one entry per component")
         if not np.all(np.isfinite(self.values)) or np.any(self.values < 0.0):
             raise ValueError("field values must be finite and nonnegative")
 
@@ -107,11 +109,9 @@ class FieldVector:
         return self.values.shape[0]
 
 
-def constant_field(grid: Grid, levels, boundary=None) -> FieldVector:
+def constant_field(grid: Grid, levels) -> FieldVector:
     levels = np.asarray(levels, dtype=float)
-    values = np.repeat(levels[:, None], grid.half_nodes.size, axis=1)
-    bv = levels if boundary is None else np.asarray(boundary, dtype=float)
-    return FieldVector(grid=grid, values=values, boundary=bv.copy())
+    return FieldVector(grid=grid, values=np.repeat(levels[:, None], grid.half_nodes.size, axis=1))
 
 
 def choose_truncation(kernel, weights, eta, tol_trunc: float, g_sup: float,
@@ -148,24 +148,35 @@ def choose_truncation(kernel, weights, eta, tol_trunc: float, g_sup: float,
 class OperatorPlan:
     """Precomputed tables for one grid, kept on its x >= 0 half.
 
-    Every per-node table holds the n_cells // 2 + 1 columns of the nodes
-    x >= 0; the x < 0 columns are their mirror image. kernel_hat is the DCT-I
-    of the one-sided kernel lag table at the n_cells + 1 lags 0..2R,
-    zero-padded to p + 1 entries with p >= n_cells and 2p a fast FFT length.
-    Its inverse pair is a circular convolution of length 2p of the even
-    extensions, and p >= n_cells keeps the wrap-around off the lags
-    -R..2R that the x >= 0 nodes read.
+    Every per-node table holds the m + 1 columns of the nodes x >= 0,
+    m = n_cells // 2; the x < 0 columns are their mirror image. With the
+    weighted row v halved at x = 0 and padded to fft_len = p >= 2m, the
+    regular sum at node x is the circular Toeplitz sum of v against the lag
+    table at the residues of lags -m..m plus the circular Hankel sum
+    against it at the residues of lags 1..2m. Both are exact: at p = 2m the
+    lags +-m share a residue and the value K(m), and lag 2m wraps to
+    residue 0, which no other Hankel lag reaches. With T the (real)
+    Toeplitz spectrum and c + i d the Hankel one, a row spectrum a + i b
+    maps to (T + c) a + d b + i ((T - c) b + d a); the plan stores
+    T + c - d, T - c - d and d, so that three real contractions give it as
+    kernel_re a + w + i (kernel_im b + w) with w = kernel_cross (a + b).
+    center_fix restores, at x = 0, K(0) in place of the Hankel value at
+    residue 0 that the halved v_0 picked up.
     """
 
     grid: Grid
-    kernel_hat: np.ndarray     # (N, N, p + 1) DCT-I of the one-sided lag table
-    trapw: np.ndarray          # (n_cells // 2 + 1,) end-corrected trapezoid weights
-    omega: np.ndarray          # (N, n_cells // 2 + 1) singular product weights
-    tail_coeff: np.ndarray     # (N, N, n_cells // 2 + 1) kernel mass beyond the grid
+    fft_len: int               # p = next_fast_len(n_cells, real=True) >= 2m
+    kernel_re: np.ndarray      # (N, N, p // 2 + 1) T + c - d
+    kernel_im: np.ndarray      # (N, N, p // 2 + 1) T - c - d
+    kernel_cross: np.ndarray   # (N, N, p // 2 + 1) d
+    center_fix: np.ndarray     # (N, N) K(0) minus the Hankel table at residue 0
+    trapw: np.ndarray          # (m + 1,) end-corrected trapezoid weights
+    omega: np.ndarray          # (N, m + 1) singular product weights
+    tail: np.ndarray           # (N, m + 1) kernel mass beyond the grid times G(boundary)
 
     @property
     def n(self) -> int:
-        return self.kernel_hat.shape[0]
+        return self.kernel_re.shape[0]
 
 
 def _regular_node_weights(h: float, n_cells: int) -> np.ndarray:
@@ -188,25 +199,47 @@ def _regular_node_weights(h: float, n_cells: int) -> np.ndarray:
     return w
 
 
-def build_plan(spec, grid: Grid) -> OperatorPlan:
+def _kernel_spectra(kernel, n: int, grid: Grid):
+    """fft_len and the OperatorPlan spectra of the lag table at lags 0..2R,
+    built one (i, j) row at a time."""
+    half = grid.n_cells // 2
+    lags = np.linspace(0.0, 2.0 * grid.r, grid.n_cells + 1)
+    p = next_fast_len(grid.n_cells, real=True)
+    top = min(p, lags.size)
+    kernel_re, kernel_im, kernel_cross = (np.empty((n, n, p // 2 + 1)) for _ in range(3))
+    center_fix = np.empty((n, n))
+    toeplitz, hankel = np.zeros(p), np.zeros(p)
+    for i in range(n):
+        for j in range(n):
+            row = kernel_eval(kernel, i, j, lags)
+            toeplitz[:half + 1] = row[:half + 1]
+            toeplitz[p - half:] = row[half:0:-1]
+            hankel[1:top] = row[1:top]
+            # lag p, where the table reaches it (p = 2m), wraps to residue 0
+            hankel[0] = row[p] if p < row.size else 0.0
+            t_hat = rfft(toeplitz).real
+            h_hat = rfft(hankel)
+            kernel_re[i, j] = t_hat + h_hat.real - h_hat.imag
+            kernel_im[i, j] = t_hat - h_hat.real - h_hat.imag
+            kernel_cross[i, j] = h_hat.imag
+            center_fix[i, j] = row[0] - hankel[0]
+    return p, kernel_re, kernel_im, kernel_cross, center_fix
+
+
+def build_plan(spec, grid: Grid, boundary) -> OperatorPlan:
     """Tables for apply_operator; every weight it produces is nonnegative.
 
-    The continuation values enter at application time through the field's
-    boundary vector.
+    boundary holds the continuation values (the run's eta) that the field
+    takes beyond [-R, R]; the tail table folds G_j(boundary_j) in.
     """
     n = spec.n
     half = grid.n_cells // 2
     nodes = grid.half_nodes
+    boundary = np.asarray(boundary, dtype=float)
+    if boundary.shape != (n,):
+        raise ValueError("boundary must have one entry per component")
 
-    lags = np.linspace(0.0, 2.0 * grid.r, grid.n_cells + 1)
-    table = np.empty((n, n, grid.n_cells + 1))
-    for i in range(n):
-        for j in range(n):
-            table[i, j] = kernel_eval(spec.kernel, i, j, lags)
-    # even 5-smooth lengths are twice the 5-smooth ones
-    p = next_fast_len(grid.n_cells, real=True)
-    kernel_hat = dct(table, type=1, n=p + 1, axis=-1)
-
+    p, kernel_re, kernel_im, kernel_cross, center_fix = _kernel_spectra(spec.kernel, n, grid)
     trapw = _regular_node_weights(grid.h, grid.n_cells)
 
     # exact excess cell moments folded into per-node weights: a linear model
@@ -228,17 +261,21 @@ def build_plan(spec, grid: Grid) -> OperatorPlan:
                          "excess cell moments are inconsistent")
     np.clip(omega, 0.0, None, out=omega)
 
-    # kernel mass beyond -R and beyond R, at distances R - x and R + x
-    tail_coeff = np.empty((n, n, half + 1))
+    # kernel mass beyond -R and beyond R, at distances R - x and R + x,
+    # times the continuation values
+    g_bound = [float(g_eval(nl, b)) for nl, b in zip(spec.nonlins, boundary)]
+    tail = np.zeros((n, half + 1))
     for i in range(n):
         for j in range(n):
-            tail_coeff[i, j] = kernel_tail_one_sided(spec.kernel, i, j, grid.r - nodes)
-            tail_coeff[i, j] += kernel_tail_one_sided(spec.kernel, i, j, grid.r + nodes)
-    if np.min(tail_coeff) < 0.0:
-        raise SolveError("negative tail correction")
+            coeff = kernel_tail_one_sided(spec.kernel, i, j, grid.r - nodes)
+            coeff += kernel_tail_one_sided(spec.kernel, i, j, grid.r + nodes)
+            if np.min(coeff) < 0.0:
+                raise SolveError("negative tail correction")
+            tail[i] += g_bound[j] * coeff
 
-    return OperatorPlan(grid=grid, kernel_hat=kernel_hat, trapw=trapw,
-                        omega=omega, tail_coeff=tail_coeff)
+    return OperatorPlan(grid=grid, fft_len=p, kernel_re=kernel_re, kernel_im=kernel_im,
+                        kernel_cross=kernel_cross, center_fix=center_fix, trapw=trapw,
+                        omega=omega, tail=tail)
 
 
 def apply_operator(plan: OperatorPlan, f: FieldVector, nonlins,
@@ -246,27 +283,29 @@ def apply_operator(plan: OperatorPlan, f: FieldVector, nonlins,
     """One application of the discrete integral operator to the even field f.
 
     Regular and singular parts share the kernel lag convolution (their node
-    weights just add). For an even weighted row v_j the sum
-    sum_l v_j[l] kappa_ij(x - t_l) over the full grid is the symmetric
-    convolution of the x >= 0 half of v_j with the one-sided lag table; the
-    DCT-I pair evaluates it, and its first n_cells // 2 + 1 entries are the
-    x >= 0 nodes. The tail adds the analytic correction for the constant
-    continuation.
+    weights just add). The weighted rows, halved at x = 0, go through one
+    real FFT of length plan.fft_len; the contraction over j with the
+    Toeplitz and Hankel spectra and one inverse FFT give the sum over the
+    full grid at the x >= 0 nodes. The plan's tail adds the analytic
+    correction for the constant continuation.
     """
     if f.grid is not plan.grid and not np.array_equal(f.grid.nodes, plan.grid.nodes):
         raise ValueError("field grid does not match the plan grid")
     if f.n != plan.n:
         raise ValueError("field component count does not match the plan")
-    # the continuation value rides as one more column: one g_eval per row
-    u = np.column_stack([f.values, f.boundary])
-    g = np.vstack([g_eval(nl, row) for nl, row in zip(nonlins, u)])
-    g_nodes, g_bound = g[:, :-1], g[:, -1]
-
-    node_w = plan.trapw[None, :] + (plan.omega if include_singular else 0.0)
-    v_hat = dct(g_nodes * node_w, type=1, n=plan.kernel_hat.shape[-1], axis=-1)
-    conv = idct(np.einsum("ijk,jk->ik", plan.kernel_hat, v_hat), type=1, axis=-1)
-    out = conv[:, :plan.trapw.size] + np.einsum("j,ijk->ik", g_bound, plan.tail_coeff)
-    return FieldVector(grid=f.grid, values=out, boundary=f.boundary.copy())
+    v = np.vstack([g_eval(nl, row) for nl, row in zip(nonlins, f.values)])
+    v *= (plan.trapw + plan.omega) if include_singular else plan.trapw
+    v[:, 0] *= 0.5
+    v_hat = rfft(v, n=plan.fft_len, axis=-1)
+    a, b = v_hat.real, v_hat.imag
+    w = np.einsum("ijk,jk->ik", plan.kernel_cross, a + b)
+    re = np.einsum("ijk,jk->ik", plan.kernel_re, a)
+    re += w
+    w += np.einsum("ijk,jk->ik", plan.kernel_im, b)
+    v_hat.real, v_hat.imag = re, w
+    out = irfft(v_hat, n=plan.fft_len, axis=-1)[:, :plan.trapw.size] + plan.tail
+    out[:, 0] += plan.center_fix @ v[:, 0]
+    return FieldVector(grid=f.grid, values=out)
 
 
 @dataclass(frozen=True)

@@ -158,7 +158,7 @@ def _iterate(problem, plan, spectral, opts: SolveOptions, trace: IterationTrace)
     grid = plan.grid
     eta = np.asarray(spectral.eta, dtype=float)[:, None]
     xi = np.asarray(spectral.xi, dtype=float)[:, None]
-    up = constant_field(grid, spectral.xi, boundary=spectral.eta)
+    up = constant_field(grid, spectral.xi)
     lo = constant_field(grid, spectral.eta)
     sig, k = spectral.sigma, spectral.k
     xi_max = float(np.max(xi))
@@ -336,7 +336,7 @@ def run_instance(validation: ValidationReport, numerics: Numerics,
         r = choose_truncation(spec.kernel, spec.weights, eta, num.tol_trunc, g_sup)
         grid = build_grid(r, _n_cells_for(num, r))
 
-    plan = build_plan(spec, grid)
+    plan = build_plan(spec, grid, eta)
     quad = estimate_quadrature_error(spec, plan, eta, xi, validation.scalars)
     mono_slack = num.mono_slack if num.mono_slack is not None else 10.0 * quad.total
     opts = SolveOptions(tol_stop=num.tol_stop, max_iters=num.max_iters,

@@ -115,7 +115,7 @@ def _replay_monotone(pipe):
     slack = opts.mono_slack
     eta = spectral.eta[:, None]
     xi = spectral.xi[:, None]
-    f_prev = constant_field(pipe.grid, spectral.xi, boundary=spectral.eta)
+    f_prev = constant_field(pipe.grid, spectral.xi)
     assert np.all(f_prev.values <= xi + slack)
     for n in range(1, opts.max_iters + 1):
         f_next = apply_operator(pipe.plan, f_prev, pipe.validation.spec.nonlins)
@@ -183,7 +183,7 @@ def test_criterion_06_residual_and_unit_weight_variant(flagship):
     sigma, k = contraction_params(eta, upper, spec.phi)
     spectral = SpectralData(a=scalars.a, eta=eta, b=excess.b, xi=upper,
                             sigma=sigma, k=k)
-    plan = build_plan(spec, grid)
+    plan = build_plan(spec, grid, eta)
     quad = estimate_quadrature_error(spec, plan, eta, xi, scalars)
     opts = SolveOptions(tol_stop=1e-12, mono_slack=10.0 * quad.total)
     sol = solve(spec, spectral, plan, opts)
@@ -244,9 +244,9 @@ def test_criterion_09_discretization_order():
     outputs = []
     for n_cells in (1024, 2048, 4096):
         grid = build_grid(r, n_cells)
-        plan = build_plan(spec, grid)
+        plan = build_plan(spec, grid, [1.0])
         values = (1.0 + 0.4 * np.exp(-grid.half_nodes**2 / 4.0))[None, :]
-        f = FieldVector(grid=grid, values=values, boundary=np.array([1.0]))
+        f = FieldVector(grid=grid, values=values)
         out = apply_operator(plan, f, spec.nonlins)
         outputs.append(out.values[0])
     coarse, mid, fine = outputs

@@ -172,8 +172,7 @@ class TestProfileWriter:
         x = grid.half_nodes
         values = np.vstack([1.0 + 0.1 * (i + 1) * np.exp(-(i + 1) * (x / grid.r) ** 2)
                             for i in range(n)])
-        return SimpleNamespace(field=FieldVector(grid=grid, values=values,
-                                                 boundary=np.ones(n)))
+        return SimpleNamespace(field=FieldVector(grid=grid, values=values))
 
     # more than one block, the last one partial; two components; nodes so
     # close to 0 that '%.17g' prints them in exponent form

@@ -8,7 +8,7 @@ expressions to compare the precomputed tables against.
 import numpy as np
 import pytest
 from conftest import coupled_models
-from scipy.fft import idct
+from scipy.fft import irfft
 from scipy.special import erfc, gamma, gammainc
 
 from convint.discretization import (
@@ -21,7 +21,7 @@ from convint.discretization import (
     estimate_quadrature_error,
 )
 from convint.errors import SolveError
-from convint.kernels import GaussianKernel, kernel_eval
+from convint.kernels import GaussianKernel, kernel_eval, kernel_tail_one_sided
 from convint.nonlinearities import PowerNonlin, PowerPhi, g_eval
 from convint.problem import ProblemSpec
 from convint.weights import ExpSqrtWeight, excess_integral, excess_tail_mass
@@ -42,21 +42,34 @@ def mirror(half):
     return np.concatenate([half[..., :0:-1], half], axis=-1)
 
 
-def direct_apply(spec, plan, f):
+def direct_apply(spec, plan, f, boundary):
     """Reference operator on the full grid by direct summation over the
-    kernel lag table."""
-    n_cells = plan.grid.n_cells
-    lags = plan.grid.h * np.arange(-n_cells, n_cells + 1)
+    kernel lag table, with the tail from the kernel's own one-sided tails
+    at the continuation values boundary."""
+    grid = plan.grid
+    n_cells = grid.n_cells
+    lags = grid.h * np.arange(-n_cells, n_cells + 1)
     v = np.vstack([g_eval(nl, row) for nl, row in zip(spec.nonlins, mirror(f.values))])
     v = v * mirror(plan.trapw + plan.omega)
-    g_bound = [float(g_eval(nl, b)) for nl, b in zip(spec.nonlins, f.boundary)]
+    g_bound = [float(g_eval(nl, b)) for nl, b in zip(spec.nonlins, boundary)]
     out = np.zeros_like(v)
     for i in range(spec.n):
         for j in range(spec.n):
             row = kernel_eval(spec.kernel, i, j, lags)
             out[i] += np.convolve(v[j], row)[n_cells : 2 * n_cells + 1]
-            out[i] += g_bound[j] * mirror(plan.tail_coeff[i, j])
+            tail = (kernel_tail_one_sided(spec.kernel, i, j, grid.r - grid.nodes)
+                    + kernel_tail_one_sided(spec.kernel, i, j, grid.r + grid.nodes))
+            out[i] += g_bound[j] * tail
     return out
+
+
+def bumpy_field(grid, n):
+    """Rows with distinct off-center bumps, so mixed-up components or a
+    shifted window show."""
+    x = grid.half_nodes
+    rows = [1.0 + 0.3 * np.exp(-((x - 1.0) ** 2)),
+            0.8 + 0.5 * np.exp(-((x - 2.0) ** 2) / 2.0)]
+    return FieldVector(grid=grid, values=np.vstack(rows[:n]))
 
 
 class TestGrid:
@@ -88,7 +101,7 @@ class TestGrid:
 class TestNodeWeights:
     def test_end_corrected_trapezoid(self):
         grid = build_grid(8.0, 64)
-        plan = build_plan(scalar_spec(), grid)
+        plan = build_plan(scalar_spec(), grid, [1.0])
         assert plan.trapw.shape == (grid.n_cells // 2 + 1,)
         trapw = mirror(plan.trapw)
         h = grid.h
@@ -99,13 +112,13 @@ class TestNodeWeights:
 
     def test_positive_and_mass_preserving(self):
         grid = build_grid(8.0, 64)
-        plan = build_plan(scalar_spec(), grid)
+        plan = build_plan(scalar_spec(), grid, [1.0])
         assert np.all(plan.trapw > 0.0)
         assert mirror(plan.trapw).sum() == pytest.approx(2.0 * grid.r, rel=1e-14)
 
     def test_short_grid_falls_back_to_plain_trapezoid(self):
         grid = build_grid(1.0, 4)
-        plan = build_plan(scalar_spec(), grid)
+        plan = build_plan(scalar_spec(), grid, [1.0])
         h = grid.h
         assert np.allclose(mirror(plan.trapw), [h / 2, h, h, h, h / 2], rtol=1e-15)
         assert mirror(plan.trapw).sum() == pytest.approx(2.0, rel=1e-15)
@@ -115,19 +128,37 @@ class TestNodeWeights:
 def small():
     spec = scalar_spec()
     grid = build_grid(8.0, 64)
-    return spec, grid, build_plan(spec, grid)
+    return spec, grid, build_plan(spec, grid, [1.3])
 
 
 class TestPlanTables:
-    def test_kernel_lag_table_even_and_exact(self, small):
-        spec, grid, plan = small
-        # 64 cells: 2 * 64 is a fast length, so the one-sided table of lags
-        # 0..2R is not padded
-        assert plan.kernel_hat.shape == (1, 1, grid.n_cells + 1)
-        row = idct(plan.kernel_hat[0, 0], type=1)
-        lags = grid.h * np.arange(grid.n_cells + 1)
-        expect = np.exp(-(lags**2)) / np.sqrt(np.pi)
-        assert np.max(np.abs(row - expect)) <= 1e-15
+    @pytest.mark.parametrize("n_cells, fft_len", [(14, 15), (22, 24), (64, 64)])
+    def test_spectra_recover_kernel_lag_table(self, n_cells, fft_len):
+        # the Toeplitz spectrum T and the Hankel spectrum c + i d, undone from
+        # the stored T + c - d, T - c - d and d, give back lags 0..2R: T at
+        # the residues of lags -m..m, the Hankel row at those of lags 1..2m
+        # (R = 1 keeps the kernel at lag 2R, 0.01, well above roundoff)
+        grid = build_grid(1.0, n_cells)
+        plan = build_plan(scalar_spec(), grid, [1.0])
+        assert plan.fft_len == fft_len
+        m, p = n_cells // 2, fft_len
+        re, im, d = plan.kernel_re[0, 0], plan.kernel_im[0, 0], plan.kernel_cross[0, 0]
+        toeplitz = irfft((re + im) / 2.0 + d, p)
+        hankel = irfft((re - im) / 2.0 + 1j * d, p)
+        expect = np.exp(-((grid.h * np.arange(n_cells + 1)) ** 2)) / np.sqrt(np.pi)
+        residues = np.arange(n_cells + 1) % p
+        assert np.max(np.abs(toeplitz[residues[:m + 1]] - expect[:m + 1])) <= 1e-15
+        assert np.max(np.abs(toeplitz[-residues[:m + 1]] - expect[:m + 1])) <= 1e-15
+        assert np.max(np.abs(hankel[residues[1:]] - expect[1:])) <= 1e-15
+        # every other residue is zero padding; at p = 2m lag 2m holds residue 0
+        free = np.ones(p, dtype=bool)
+        free[residues[:m + 1]] = free[-residues[:m + 1]] = False
+        assert np.max(np.abs(toeplitz[free]), initial=0.0) <= 1e-15
+        free = np.ones(p, dtype=bool)
+        free[residues[1:]] = False
+        assert np.max(np.abs(hankel[free]), initial=0.0) <= 1e-15
+        wrapped = expect[-1] if p == n_cells else 0.0
+        assert plan.center_fix[0, 0] == pytest.approx(expect[0] - wrapped, abs=1e-15)
 
     def test_singular_weights_nonnegative_and_mass_exact(self, small):
         spec, grid, plan = small
@@ -146,11 +177,12 @@ class TestPlanTables:
         assert plan.omega[0] @ grid.half_nodes == pytest.approx(expect, rel=1e-12)
 
     def test_tail_correction_matches_closed_form(self, small):
+        # the plan folds in G(1.3) = 1.3^(1/2) of the continuation value 1.3
         spec, grid, plan = small
-        coeff = plan.tail_coeff[0, 0]
         x = grid.half_nodes
-        expect = 0.5 * (erfc(grid.r - x) + erfc(grid.r + x))
-        assert np.allclose(coeff, expect, rtol=1e-13, atol=1e-300)
+        expect = np.sqrt(1.3) * 0.5 * (erfc(grid.r - x) + erfc(grid.r + x))
+        assert plan.tail.shape == (1, x.size)
+        assert np.allclose(plan.tail[0], expect, rtol=1e-13, atol=1e-300)
 
 
 class TestApplyOperator:
@@ -168,27 +200,38 @@ class TestApplyOperator:
         x = flagship.grid.half_nodes
         eta = flagship.spectral.eta
         values = eta[:, None] * (1.0 + 0.3 * np.exp(-(x**2)))[None, :]
-        f = FieldVector(grid=flagship.grid, values=values, boundary=eta.copy())
+        f = FieldVector(grid=flagship.grid, values=values)
         fast = apply_operator(flagship.plan, f, flagship.validation.spec.nonlins)
-        slow = direct_apply(flagship.validation.spec, flagship.plan, f)
+        slow = direct_apply(flagship.validation.spec, flagship.plan, f, eta)
         assert np.max(np.abs(mirror(fast.values) - slow)) <= 1e-12
 
-    @pytest.mark.parametrize("n_cells", [64, 98])
+    # fft_len 15 (odd, above n_cells), 24 (even, above n_cells), 64 and 100
+    # (equal to n_cells: lag 2m wraps to residue 0 and x = 0 takes the fix);
+    # at R = 1.5 the kernel at lag 2R is 7e-5, so every lag and the tail show
+    @pytest.mark.parametrize("n_cells", [14, 22, 64, 100])
+    def test_scalar_matches_direct_sum(self, n_cells):
+        spec = scalar_spec()
+        grid = build_grid(1.5, n_cells)
+        plan = build_plan(spec, grid, [1.3])
+        f = bumpy_field(grid, 1)
+        fast = apply_operator(plan, f, spec.nonlins)
+        slow = direct_apply(spec, plan, f, [1.3])
+        assert np.max(np.abs(mirror(fast.values) - slow)) <= 1e-12
+
+    @pytest.mark.parametrize("n_cells", [14, 22, 64, 98])
     def test_coupled_pair_matches_direct_sum(self, n_cells):
-        # distinct kernel coefficients, weights, maps and field rows with
-        # off-center bumps, so mixed-up components or a shifted window show;
-        # at 98 cells the transforms run zero-padded to 2 * 100
+        # distinct kernel coefficients, weights, maps and field rows; at 14
+        # and 22 cells the transforms run zero-padded to 15 and 24, at 98 to
+        # 100, and at 64 cells lag 2m wraps to residue 0
         models = coupled_models()
         spec = ProblemSpec(n=2, kernel=models["kernel"], weights=models["weights"],
                            nonlins=models["make_nonlins"]([1.0, 0.8]), phi=models["phi"])
-        grid = build_grid(8.0, n_cells)
-        plan = build_plan(spec, grid)
-        x = grid.half_nodes
-        values = np.vstack([1.0 + 0.3 * np.exp(-((x - 1.0) ** 2)),
-                            0.8 + 0.5 * np.exp(-((x - 2.0) ** 2) / 2.0)])
-        f = FieldVector(grid=grid, values=values, boundary=np.array([1.0, 0.8]))
+        grid = build_grid(1.5, n_cells)
+        plan = build_plan(spec, grid, [1.0, 0.8])
+        f = bumpy_field(grid, 2)
         fast = apply_operator(plan, f, spec.nonlins)
-        assert np.max(np.abs(mirror(fast.values) - direct_apply(spec, plan, f))) <= 1e-12
+        slow = direct_apply(spec, plan, f, [1.0, 0.8])
+        assert np.max(np.abs(mirror(fast.values) - slow)) <= 1e-12
 
     def test_operator_is_monotone_between_constant_fields(self, flagship):
         lo = apply_operator(
@@ -198,7 +241,7 @@ class TestApplyOperator:
         )
         hi = apply_operator(
             flagship.plan,
-            constant_field(flagship.grid, flagship.spectral.xi, boundary=flagship.spectral.eta),
+            constant_field(flagship.grid, flagship.spectral.xi),
             flagship.validation.spec.nonlins,
         )
         assert np.all(hi.values - lo.values >= -1e-15)
@@ -206,16 +249,18 @@ class TestApplyOperator:
     def test_mismatched_inputs_rejected(self):
         spec = scalar_spec()
         grid = build_grid(8.0, 64)
-        plan = build_plan(spec, grid)
+        plan = build_plan(spec, grid, [1.0])
         other = build_grid(8.0, 32)
         with pytest.raises(ValueError, match="grid"):
             apply_operator(plan, constant_field(other, [1.0]), spec.nonlins)
-        two = FieldVector(grid=grid, values=np.ones((2, 33)), boundary=np.ones(2))
+        two = FieldVector(grid=grid, values=np.ones((2, 33)))
         with pytest.raises(ValueError, match="component count"):
             apply_operator(plan, two, spec.nonlins * 2)
         # a field stores the x >= 0 nodes only, not the full grid
         with pytest.raises(ValueError, match="x >= 0"):
-            FieldVector(grid=grid, values=np.ones((1, 65)), boundary=np.ones(1))
+            FieldVector(grid=grid, values=np.ones((1, 65)))
+        with pytest.raises(ValueError, match="boundary"):
+            build_plan(spec, grid, [1.0, 1.0])
 
 
 class TestTruncation:

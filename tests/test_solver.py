@@ -157,7 +157,7 @@ class TestGuards:
 class TestAsymptotics:
     def make_field(self, grid, gap_fn):
         values = (1.0 + gap_fn(grid.half_nodes))[None, :]
-        return FieldVector(grid=grid, values=values, boundary=np.array([1.0]))
+        return FieldVector(grid=grid, values=values)
 
     def test_settling_field_has_small_edge_and_decaying_tail(self):
         grid = build_grid(8.0, 256)
