@@ -132,6 +132,24 @@ def small():
 
 
 class TestPlanTables:
+    def test_kernel_lag_table_even_and_exact(self, small):
+        spec, grid, plan = small
+        # 64 cells is a fast length, so the transforms are not padded; the
+        # Toeplitz row undone from the spectra is even about residue 0 and
+        # the Hankel row wraps lag 2R to residue 0, so together they give the
+        # one-sided table of lags 0..2R
+        p = grid.n_cells
+        assert plan.fft_len == p
+        assert plan.kernel_re.shape == (1, 1, p // 2 + 1)
+        re, im, d = plan.kernel_re[0, 0], plan.kernel_im[0, 0], plan.kernel_cross[0, 0]
+        toeplitz = irfft((re + im) / 2.0 + d, p)
+        hankel = irfft((re - im) / 2.0 + 1j * d, p)
+        assert np.max(np.abs(toeplitz[1:] - toeplitz[:0:-1])) <= 1e-15
+        row = np.concatenate([toeplitz[:p // 2 + 1], hankel[p // 2 + 1:], hankel[:1]])
+        lags = grid.h * np.arange(grid.n_cells + 1)
+        expect = np.exp(-(lags**2)) / np.sqrt(np.pi)
+        assert np.max(np.abs(row - expect)) <= 1e-15
+
     @pytest.mark.parametrize("n_cells, fft_len", [(14, 15), (22, 24), (64, 64)])
     def test_spectra_recover_kernel_lag_table(self, n_cells, fft_len):
         # the Toeplitz spectrum T and the Hankel spectrum c + i d, undone from
