@@ -201,7 +201,8 @@ def _regular_node_weights(h: float, n_cells: int) -> np.ndarray:
 
 def _kernel_spectra(kernel, n: int, grid: Grid):
     """fft_len and the OperatorPlan spectra of the lag table at lags 0..2R,
-    built one (i, j) row at a time."""
+    built one (i, j) row at a time. Row (j, i), j > i, copies the spectra
+    of row (i, j) when its lag table is bitwise the same."""
     half = grid.n_cells // 2
     lags = np.linspace(0.0, 2.0 * grid.r, grid.n_cells + 1)
     p = next_fast_len(grid.n_cells, real=True)
@@ -209,20 +210,32 @@ def _kernel_spectra(kernel, n: int, grid: Grid):
     kernel_re, kernel_im, kernel_cross = (np.empty((n, n, p // 2 + 1)) for _ in range(3))
     center_fix = np.empty((n, n))
     toeplitz, hankel = np.zeros(p), np.zeros(p)
+
+    def fill(i, j, row):
+        toeplitz[:half + 1] = row[:half + 1]
+        toeplitz[p - half:] = row[half:0:-1]
+        hankel[1:top] = row[1:top]
+        # lag p, where the table reaches it (p = 2m), wraps to residue 0
+        hankel[0] = row[p] if p < row.size else 0.0
+        t_hat = rfft(toeplitz).real
+        h_hat = rfft(hankel)
+        kernel_re[i, j] = t_hat + h_hat.real - h_hat.imag
+        kernel_im[i, j] = t_hat - h_hat.real - h_hat.imag
+        kernel_cross[i, j] = h_hat.imag
+        center_fix[i, j] = row[0] - hankel[0]
+
     for i in range(n):
-        for j in range(n):
+        for j in range(i, n):
             row = kernel_eval(kernel, i, j, lags)
-            toeplitz[:half + 1] = row[:half + 1]
-            toeplitz[p - half:] = row[half:0:-1]
-            hankel[1:top] = row[1:top]
-            # lag p, where the table reaches it (p = 2m), wraps to residue 0
-            hankel[0] = row[p] if p < row.size else 0.0
-            t_hat = rfft(toeplitz).real
-            h_hat = rfft(hankel)
-            kernel_re[i, j] = t_hat + h_hat.real - h_hat.imag
-            kernel_im[i, j] = t_hat - h_hat.real - h_hat.imag
-            kernel_cross[i, j] = h_hat.imag
-            center_fix[i, j] = row[0] - hankel[0]
+            fill(i, j, row)
+            if j == i:
+                continue
+            mirror = kernel_eval(kernel, j, i, lags)
+            if np.array_equal(mirror, row):
+                for table in (kernel_re, kernel_im, kernel_cross, center_fix):
+                    table[j, i] = table[i, j]
+            else:
+                fill(j, i, mirror)
     return p, kernel_re, kernel_im, kernel_cross, center_fix
 
 

@@ -175,9 +175,9 @@ class PowerPhi:
 
 
 def g_eval(model, u):
-    """G(u) for u >= 0; rejects negative arguments, G(0) = 0 exactly."""
+    """G(u) for u >= 0; rejects negative, NaN or infinite u, G(0) = 0 exactly."""
     arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+    if not ((arr >= 0.0) & (arr < np.inf)).all():
         raise ValueError("u must be finite and nonnegative")
     return model.g(u)
 
@@ -193,29 +193,28 @@ def phi_eval(model, sigma):
 def check_condition_iv(nl, phi, eta_j, xi_j, samples: int = 64, tol: float = 1e-12):
     """Sampled test of G(sigma u) >= phi(sigma) G(u) on [0,1] x [eta_j, xi_j].
 
-    Returns (passed, worst_margin) where the margin is the minimum of
-    G(sigma u) - phi(sigma) G(u) over the sample rectangle.
+    Returns (passed, worst_margin): the minimum of G(sigma u) - phi(sigma) G(u)
+    over the samples x samples array sigma u, which G evaluates in one call.
     """
     if not (xi_j > eta_j > 0.0):
         raise ValueError("need xi_j > eta_j > 0")
     sig = np.linspace(0.0, 1.0, samples)
     u = np.linspace(eta_j, xi_j, samples)
-    gu = g_eval(nl, u)
-    margin = np.inf
-    for s, ps in zip(sig, phi_eval(phi, sig)):
-        margin = min(margin, float(np.min(g_eval(nl, s * u) - ps * gu)))
+    gap = g_eval(nl, sig[:, None] * u) - phi_eval(phi, sig)[:, None] * g_eval(nl, u)
+    margin = float(np.min(gap))
     return margin >= -tol, margin
 
 
-def chord_slope_gap(model, u_lo: float, u_hi: float) -> float:
+def chord_slope_gap(model, u_lo, u_hi: float):
     """G(u_lo)/u_lo minus the chord slope over [u_lo, u_hi].
 
-    Strict concavity with G(0) = 0 makes this strictly positive; a linear G
-    yields exactly zero, which is how the concavity check fails it.
+    An array u_lo gives the gaps elementwise from one G call, a scalar a
+    float. Strict concavity with G(0) = 0 makes each gap strictly positive;
+    a linear G yields exactly zero, which is how the concavity check fails it.
     """
-    if not (0.0 < u_lo < u_hi):
+    if not np.all((0.0 < u_lo) & (u_lo < u_hi)):
         raise ValueError("need 0 < u_lo < u_hi")
-    g_lo = float(g_eval(model, u_lo))
+    g_lo = g_eval(model, u_lo)
     g_hi = float(g_eval(model, u_hi))
     return g_lo / u_lo - (g_hi - g_lo) / (u_hi - u_lo)
 

@@ -300,10 +300,11 @@ def validate_problem(spec: ProblemSpec, scalars, eta, samples: int = 64,
         top_j = sample_top(nl)
         lo_grid = np.linspace(top_j / samples, top_j * (1.0 - 1.0 / samples),
                               samples - 1)
-        for u_lo in lo_grid:
-            g = chord_slope_gap(nl, float(u_lo), top_j)
-            if g < worst_gap:
-                worst_gap, gap_at = g, f"u_lo={u_lo:.6g}, u_hi={top_j:.6g} (nonlin {j + 1})"
+        gaps = chord_slope_gap(nl, lo_grid, top_j)
+        m = int(np.argmin(gaps))
+        if gaps[m] < worst_gap:
+            worst_gap = float(gaps[m])
+            gap_at = f"u_lo={lo_grid[m]:.6g}, u_hi={top_j:.6g} (nonlin {j + 1})"
     report.checks.append(ConditionCheck(
         "III", worst_gap > tol, gap_at, worst_gap, tol,
         "smallest chord-slope gap" if worst_gap > tol else "concavity not strict"))

@@ -1,5 +1,6 @@
-"""Adaptive-quadrature references the library's closed forms and fixed rules
-are checked against. Only the tests import this module, so scipy.integrate
+"""References the library is checked against: adaptive quadrature for its
+closed forms and fixed rules, and a row-by-row scan for its array-evaluated
+condition IV check. Only the tests import this module, so scipy.integrate
 stays off the library's import path.
 """
 
@@ -10,7 +11,7 @@ import math
 import numpy as np
 from scipy import integrate
 
-from convint import ExpSqrtWeight, KernelScalars, RationalWeight
+from convint import ExpSqrtWeight, KernelScalars, RationalWeight, g_eval, phi_eval
 
 
 def excess_integral_quadrature(model) -> float:
@@ -95,3 +96,15 @@ def kernel_scalars_quadrature(model) -> KernelScalars:
             sup[i, j] = float(np.max(model.eval(i, j, grid)))
             mom[i, j] = mi
     return KernelScalars(a=a, sup=sup, first_moment=mom)
+
+
+def condition_iv_margin_rows(nl, phi, eta_j, xi_j, samples: int = 64) -> float:
+    """min of G(sigma u) - phi(sigma) G(u) over the sample rectangle of
+    check_condition_iv, one G call per sigma row."""
+    sig = np.linspace(0.0, 1.0, samples)
+    u = np.linspace(eta_j, xi_j, samples)
+    gu = g_eval(nl, u)
+    margin = np.inf
+    for s, ps in zip(sig, phi_eval(phi, sig)):
+        margin = min(margin, float(np.min(g_eval(nl, s * u) - ps * gu)))
+    return margin

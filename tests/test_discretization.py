@@ -281,6 +281,53 @@ class TestApplyOperator:
             build_plan(spec, grid, [1.0, 1.0])
 
 
+class NearlySymmetricGaussian(GaussianKernel):
+    """The coupled pair's kernel with coefficient (1, 0) one ulp above
+    (0, 1): not index-symmetric, so the plan may not share their rows."""
+
+    def _c(self, i, j):
+        c = super()._c(i, j)
+        return float(np.nextafter(c, np.inf)) if (i, j) == (1, 0) else c
+
+
+class TestPlanSpectra:
+    @staticmethod
+    def coupled_plan(kernel, n_cells):
+        models = coupled_models()
+        spec = ProblemSpec(n=2, kernel=kernel, weights=models["weights"],
+                           nonlins=models["make_nonlins"]([1.0, 0.8]), phi=models["phi"])
+        grid = build_grid(1.5, n_cells)
+        return spec, build_plan(spec, grid, [1.0, 0.8])
+
+    @pytest.mark.parametrize("n_cells", [22, 64])
+    def test_last_bit_asymmetry_gets_its_own_rows(self, n_cells):
+        base = coupled_models()["kernel"]
+        near = NearlySymmetricGaussian(base.coeffs)
+        up = base.coeffs.copy()
+        up[0, 1] = up[1, 0] = np.nextafter(up[1, 0], np.inf)
+        lags = np.linspace(0.0, 3.0, n_cells + 1)
+        assert not np.array_equal(kernel_eval(near, 1, 0, lags), kernel_eval(near, 0, 1, lags))
+
+        _, plan = self.coupled_plan(near, n_cells)
+        _, plan_base = self.coupled_plan(base, n_cells)
+        _, plan_up = self.coupled_plan(GaussianKernel(up), n_cells)
+        # row (0, 1) is the base kernel's, row (1, 0) the raised kernel's
+        for name in ("kernel_re", "kernel_im", "kernel_cross", "center_fix"):
+            table = getattr(plan, name)
+            np.testing.assert_array_equal(table[0, 1], getattr(plan_base, name)[0, 1])
+            np.testing.assert_array_equal(table[1, 0], getattr(plan_up, name)[1, 0])
+        assert not np.array_equal(plan.kernel_re[1, 0], plan.kernel_re[0, 1])
+
+    @pytest.mark.parametrize("n_cells", [22, 64])
+    def test_last_bit_asymmetry_matches_direct_sum(self, n_cells):
+        spec, plan = self.coupled_plan(NearlySymmetricGaussian(coupled_models()["kernel"].coeffs),
+                                       n_cells)
+        f = bumpy_field(plan.grid, 2)
+        fast = apply_operator(plan, f, spec.nonlins)
+        slow = direct_apply(spec, plan, f, [1.0, 0.8])
+        assert np.max(np.abs(mirror(fast.values) - slow)) <= 1e-12
+
+
 class TestTruncation:
     def test_reference_instance_radius(self):
         spec = scalar_spec()

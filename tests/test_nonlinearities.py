@@ -21,6 +21,7 @@ from convint import (
     phi_eval,
 )
 from conftest import write_linear_nonlin_table, write_nonlin_table
+from oracles import condition_iv_margin_rows
 
 FAMILIES = [
     PowerNonlin(alpha=0.5, eta=1.0),
@@ -110,10 +111,14 @@ class TestPhi:
 
 
 def test_g_eval_rejects_negative():
-    with pytest.raises(ValueError):
-        g_eval(PowerNonlin(0.5, 1.0), -0.5)
-    with pytest.raises(ValueError):
-        g_eval(PowerNonlin(0.5, 1.0), float("inf"))
+    nl = PowerNonlin(0.5, 1.0)
+    for bad in (-0.5, float("inf"), float("nan"), -float("inf"),
+                np.array([0.5, 1.0, -1e-300, 2.0]), np.array([[1.0], [np.nan]])):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            g_eval(nl, bad)
+    # negative zero is zero
+    assert float(g_eval(nl, -0.0)) == 0.0
+    np.testing.assert_array_equal(g_eval(nl, np.array([-0.0, 1.0])), [0.0, 1.0])
 
 
 def test_chord_slope_gap_orientation():
@@ -121,6 +126,45 @@ def test_chord_slope_gap_orientation():
         chord_slope_gap(PowerNonlin(0.5, 1.0), 2.0, 1.0)
     with pytest.raises(ValueError):
         chord_slope_gap(PowerNonlin(0.5, 1.0), 0.0, 1.0)
+
+
+def sqrt_table():
+    u = np.linspace(0.0, 4.0, 81)
+    return TabulatedNonlin(u, np.sqrt(u), eta=1.0)
+
+
+@pytest.mark.parametrize("nl", FAMILIES + [sqrt_table()], ids=lambda nl: type(nl).__name__)
+def test_chord_slope_gap_array_matches_scalar_calls(nl):
+    u_hi = 2.5 * nl.eta
+    u_lo = np.linspace(u_hi / 64, u_hi * (1.0 - 1.0 / 64), 63)
+    gaps = chord_slope_gap(nl, u_lo, u_hi)
+    assert gaps.shape == u_lo.shape
+    one_by_one = [chord_slope_gap(nl, float(x), u_hi) for x in u_lo]
+    assert all(isinstance(g, float) for g in one_by_one)
+    np.testing.assert_array_equal(gaps, one_by_one)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, 2.5, 3.0, np.nan])
+def test_chord_slope_gap_array_domain(bad):
+    u_lo = np.array([0.5, 1.0, bad, 2.0])
+    with pytest.raises(ValueError, match="0 < u_lo < u_hi"):
+        chord_slope_gap(PowerNonlin(0.5, 1.0), u_lo, 2.5)
+
+
+@pytest.mark.parametrize("nl", [FAMILIES[0], FAMILIES[2], FAMILIES[4], sqrt_table()],
+                         ids=lambda nl: type(nl).__name__)
+@pytest.mark.parametrize("p", [0.3, 0.6, 1.0])
+def test_condition_iv_matches_row_loop(nl, p):
+    phi = PowerPhi(p)
+    for samples in (2, 7, 64):
+        ok, margin = check_condition_iv(nl, phi, nl.eta, 2.0 * nl.eta,
+                                        samples=samples, tol=0.0)
+        assert margin == condition_iv_margin_rows(nl, phi, nl.eta, 2.0 * nl.eta, samples)
+        assert ok == (margin >= 0.0)
+        # p = 0.3 is below every model's exponent: the failing side is
+        # compared too, wherever a sample sigma lies strictly inside (0, 1)
+        if p == 0.3 and samples > 2:
+            assert margin < 0.0
 
 
 class TestTabulated:
