@@ -18,9 +18,9 @@ from .discretization import (FieldVector, Grid, OperatorPlan, QuadratureError,
 from .errors import (ConfigError, ConvintError, MajorantError, SolveError,
                      SpectralError, ValidationFailure)
 from .kernels import (ExpMixtureKernel, GaussianKernel, KernelScalars,
-                      TabulatedKernel, kernel_eval, kernel_scalars,
-                      kernel_tail_mass, kernel_tail_one_sided,
-                      load_tabulated_kernel)
+                      TabulatedKernel, kernel_eval, kernel_factors,
+                      kernel_scalars, kernel_tail_mass,
+                      kernel_tail_one_sided, load_tabulated_kernel)
 from .nonlinearities import (PowerNonlin, PowerPhi, RootPowerMeanNonlin,
                              SaturatingExpNonlin, TabulatedNonlin,
                              TwoPowerMeanNonlin, check_condition_iv,
@@ -45,7 +45,7 @@ __all__ = [
     "MajorantError", "SolveError",
     # kernels
     "GaussianKernel", "ExpMixtureKernel", "TabulatedKernel", "KernelScalars",
-    "kernel_eval", "kernel_scalars", "kernel_tail_mass",
+    "kernel_eval", "kernel_factors", "kernel_scalars", "kernel_tail_mass",
     "kernel_tail_one_sided", "load_tabulated_kernel",
     # weights
     "ExpSqrtWeight", "RationalWeight", "TabulatedExcessWeight",

@@ -14,8 +14,13 @@ One application of the integral operator splits into three parts:
               Hankel part over t = 1..m (lags 1..2m), m = n_cells // 2;
               both are exact circular sums of length p >= 2m, so the plan
               stores their spectra and an application is N real FFTs of
-              length p, one real contraction over j per frequency, and N
-              inverse FFTs (the tests hold it to direct summation at 1e-12);
+              length p, products with the spectra per frequency, and N
+              inverse FFTs (the tests hold it to direct summation at 1e-12).
+              A kernel that factors as K_ij = mix_ij k (kernels.
+              kernel_factors) needs the spectra of the one profile k: the
+              rows are mixed, u = mix v, before the transform. Only a
+              kernel without a shared profile (a multi-component tabulated
+              one) keeps per-entry spectra and contracts over j;
   singular    the excess (mu - 1) is integrated exactly per cell (moments
               m0, m1) against a linear model of the smooth cofactor
               K(x - t) G(f(t)), which lands nonnegative per-node weights
@@ -38,7 +43,8 @@ from numpy.fft import irfft, rfft
 from scipy.fft import next_fast_len
 
 from .errors import SolveError
-from .kernels import kernel_eval, kernel_tail_mass, kernel_tail_one_sided
+from .kernels import (kernel_eval, kernel_factors, kernel_tail_mass,
+                      kernel_tail_one_sided)
 from .nonlinearities import g_eval
 from .weights import excess_tail_mass, excess_weighted_integral
 
@@ -158,25 +164,32 @@ class OperatorPlan:
     residue 0, which no other Hankel lag reaches. With T the (real)
     Toeplitz spectrum and c + i d the Hankel one, a row spectrum a + i b
     maps to (T + c) a + d b + i ((T - c) b + d a); the plan stores
-    T + c - d, T - c - d and d, so that three real contractions give it as
+    T + c - d, T - c - d and d, so that three real products give it as
     kernel_re a + w + i (kernel_im b + w) with w = kernel_cross (a + b).
     center_fix restores, at x = 0, K(0) in place of the Hankel value at
     residue 0 that the halved v_0 picked up.
+
+    Factored plan (mix set): K_ij = mix_ij k, the spectra and center_fix
+    are those of the one profile k, shapes (p // 2 + 1,) and (), and an
+    application transforms the mixed rows mix v. Per-entry plan (mix None,
+    for a kernel without a shared profile): shapes (N, N, p // 2 + 1) and
+    (N, N), one lag table per entry, contracted over j per frequency.
     """
 
     grid: Grid
     fft_len: int               # p = next_fast_len(n_cells, real=True) >= 2m
-    kernel_re: np.ndarray      # (N, N, p // 2 + 1) T + c - d
-    kernel_im: np.ndarray      # (N, N, p // 2 + 1) T - c - d
-    kernel_cross: np.ndarray   # (N, N, p // 2 + 1) d
-    center_fix: np.ndarray     # (N, N) K(0) minus the Hankel table at residue 0
+    mix: np.ndarray            # (N, N) coefficients of the profile, or None
+    kernel_re: np.ndarray      # T + c - d
+    kernel_im: np.ndarray      # T - c - d
+    kernel_cross: np.ndarray   # d
+    center_fix: np.ndarray     # K(0) minus the Hankel table at residue 0
     trapw: np.ndarray          # (m + 1,) end-corrected trapezoid weights
     omega: np.ndarray          # (N, m + 1) singular product weights
     tail: np.ndarray           # (N, m + 1) kernel mass beyond the grid times G(boundary)
 
     @property
     def n(self) -> int:
-        return self.kernel_re.shape[0]
+        return self.omega.shape[0]
 
 
 def _regular_node_weights(h: float, n_cells: int) -> np.ndarray:
@@ -199,44 +212,39 @@ def _regular_node_weights(h: float, n_cells: int) -> np.ndarray:
     return w
 
 
-def _kernel_spectra(kernel, n: int, grid: Grid):
-    """fft_len and the OperatorPlan spectra of the lag table at lags 0..2R,
-    built one (i, j) row at a time. Row (j, i), j > i, copies the spectra
-    of row (i, j) when its lag table is bitwise the same."""
+def _lag_spectra(row, grid: Grid, p: int):
+    """(kernel_re, kernel_im, kernel_cross, center_fix) of one lag table
+    row at lags 0..2R, for the OperatorPlan layout at fft length p."""
     half = grid.n_cells // 2
-    lags = np.linspace(0.0, 2.0 * grid.r, grid.n_cells + 1)
-    p = next_fast_len(grid.n_cells, real=True)
-    top = min(p, lags.size)
-    kernel_re, kernel_im, kernel_cross = (np.empty((n, n, p // 2 + 1)) for _ in range(3))
-    center_fix = np.empty((n, n))
+    top = min(p, row.size)
     toeplitz, hankel = np.zeros(p), np.zeros(p)
+    toeplitz[:half + 1] = row[:half + 1]
+    toeplitz[p - half:] = row[half:0:-1]
+    hankel[1:top] = row[1:top]
+    # lag p, where the table reaches it (p = 2m), wraps to residue 0
+    hankel[0] = row[p] if p < row.size else 0.0
+    t_hat = rfft(toeplitz).real
+    h_hat = rfft(hankel)
+    return (t_hat + h_hat.real - h_hat.imag, t_hat - h_hat.real - h_hat.imag,
+            h_hat.imag, row[0] - hankel[0])
 
-    def fill(i, j, row):
-        toeplitz[:half + 1] = row[:half + 1]
-        toeplitz[p - half:] = row[half:0:-1]
-        hankel[1:top] = row[1:top]
-        # lag p, where the table reaches it (p = 2m), wraps to residue 0
-        hankel[0] = row[p] if p < row.size else 0.0
-        t_hat = rfft(toeplitz).real
-        h_hat = rfft(hankel)
-        kernel_re[i, j] = t_hat + h_hat.real - h_hat.imag
-        kernel_im[i, j] = t_hat - h_hat.real - h_hat.imag
-        kernel_cross[i, j] = h_hat.imag
-        center_fix[i, j] = row[0] - hankel[0]
 
+def _entry_spectra(kernel, n: int, grid: Grid, lags, p: int):
+    """Per-entry plan spectra, one (i, j) row at a time. Row (j, i), j > i,
+    copies the spectra of row (i, j) when its lag table is bitwise the
+    same."""
+    tables = [np.empty((n, n, p // 2 + 1)) for _ in range(3)] + [np.empty((n, n))]
     for i in range(n):
         for j in range(i, n):
             row = kernel_eval(kernel, i, j, lags)
-            fill(i, j, row)
-            if j == i:
-                continue
-            mirror = kernel_eval(kernel, j, i, lags)
-            if np.array_equal(mirror, row):
-                for table in (kernel_re, kernel_im, kernel_cross, center_fix):
-                    table[j, i] = table[i, j]
-            else:
-                fill(j, i, mirror)
-    return p, kernel_re, kernel_im, kernel_cross, center_fix
+            spectra = mirrored = _lag_spectra(row, grid, p)
+            if j > i:
+                mirror = kernel_eval(kernel, j, i, lags)
+                if not np.array_equal(mirror, row):
+                    mirrored = _lag_spectra(mirror, grid, p)
+            for table, a, b in zip(tables, spectra, mirrored):
+                table[i, j], table[j, i] = a, b
+    return tables
 
 
 def build_plan(spec, grid: Grid, boundary) -> OperatorPlan:
@@ -252,7 +260,15 @@ def build_plan(spec, grid: Grid, boundary) -> OperatorPlan:
     if boundary.shape != (n,):
         raise ValueError("boundary must have one entry per component")
 
-    p, kernel_re, kernel_im, kernel_cross, center_fix = _kernel_spectra(spec.kernel, n, grid)
+    lags = np.linspace(0.0, 2.0 * grid.r, grid.n_cells + 1)
+    p = next_fast_len(grid.n_cells, real=True)
+    factors = kernel_factors(spec.kernel)
+    if factors is None:
+        mix = None
+        spectra = _entry_spectra(spec.kernel, n, grid, lags, p)
+    else:
+        mix, unit = factors
+        spectra = _lag_spectra(kernel_eval(unit, 0, 0, lags), grid, p)
     trapw = _regular_node_weights(grid.h, grid.n_cells)
 
     # exact excess cell moments folded into per-node weights: a linear model
@@ -276,19 +292,27 @@ def build_plan(spec, grid: Grid, boundary) -> OperatorPlan:
 
     # kernel mass beyond -R and beyond R, at distances R - x and R + x,
     # times the continuation values
-    g_bound = [float(g_eval(nl, b)) for nl, b in zip(spec.nonlins, boundary)]
-    tail = np.zeros((n, half + 1))
-    for i in range(n):
-        for j in range(n):
-            coeff = kernel_tail_one_sided(spec.kernel, i, j, grid.r - nodes)
-            coeff += kernel_tail_one_sided(spec.kernel, i, j, grid.r + nodes)
-            if np.min(coeff) < 0.0:
-                raise SolveError("negative tail correction")
-            tail[i] += g_bound[j] * coeff
+    g_bound = np.array([float(g_eval(nl, b)) for nl, b in zip(spec.nonlins, boundary)])
 
-    return OperatorPlan(grid=grid, fft_len=p, kernel_re=kernel_re, kernel_im=kernel_im,
-                        kernel_cross=kernel_cross, center_fix=center_fix, trapw=trapw,
-                        omega=omega, tail=tail)
+    def one_sided(model, i, j):
+        coeff = kernel_tail_one_sided(model, i, j, grid.r - nodes)
+        coeff += kernel_tail_one_sided(model, i, j, grid.r + nodes)
+        if np.min(coeff) < 0.0:
+            raise SolveError("negative tail correction")
+        return coeff
+
+    if mix is None:
+        tail = np.zeros((n, half + 1))
+        for i in range(n):
+            for j in range(n):
+                tail[i] += g_bound[j] * one_sided(spec.kernel, i, j)
+    else:
+        tail = (mix @ g_bound)[:, None] * one_sided(unit, 0, 0)
+
+    kernel_re, kernel_im, kernel_cross, center_fix = spectra
+    return OperatorPlan(grid=grid, fft_len=p, mix=mix, kernel_re=kernel_re,
+                        kernel_im=kernel_im, kernel_cross=kernel_cross,
+                        center_fix=center_fix, trapw=trapw, omega=omega, tail=tail)
 
 
 def apply_operator(plan: OperatorPlan, f: FieldVector, nonlins,
@@ -296,11 +320,11 @@ def apply_operator(plan: OperatorPlan, f: FieldVector, nonlins,
     """One application of the discrete integral operator to the even field f.
 
     Regular and singular parts share the kernel lag convolution (their node
-    weights just add). The weighted rows, halved at x = 0, go through one
-    real FFT of length plan.fft_len; the contraction over j with the
-    Toeplitz and Hankel spectra and one inverse FFT give the sum over the
-    full grid at the x >= 0 nodes. The plan's tail adds the analytic
-    correction for the constant continuation.
+    weights just add). The weighted rows, halved at x = 0 and mixed by
+    plan.mix when the kernel factors, go through one real FFT of length
+    plan.fft_len; the products with the Toeplitz and Hankel spectra and one
+    inverse FFT give the sum over the full grid at the x >= 0 nodes. The
+    plan's tail adds the analytic correction for the constant continuation.
     """
     if f.grid is not plan.grid and not np.array_equal(f.grid.nodes, plan.grid.nodes):
         raise ValueError("field grid does not match the plan grid")
@@ -309,15 +333,21 @@ def apply_operator(plan: OperatorPlan, f: FieldVector, nonlins,
     v = np.vstack([g_eval(nl, row) for nl, row in zip(nonlins, f.values)])
     v *= (plan.trapw + plan.omega) if include_singular else plan.trapw
     v[:, 0] *= 0.5
+    if plan.mix is None:
+        def contract(table, x):
+            return np.einsum("ijk,jk->ik", table, x)
+    else:
+        v = plan.mix @ v
+        contract = np.multiply
     v_hat = rfft(v, n=plan.fft_len, axis=-1)
     a, b = v_hat.real, v_hat.imag
-    w = np.einsum("ijk,jk->ik", plan.kernel_cross, a + b)
-    re = np.einsum("ijk,jk->ik", plan.kernel_re, a)
+    w = contract(plan.kernel_cross, a + b)
+    re = contract(plan.kernel_re, a)
     re += w
-    w += np.einsum("ijk,jk->ik", plan.kernel_im, b)
+    w += contract(plan.kernel_im, b)
     v_hat.real, v_hat.imag = re, w
     out = irfft(v_hat, n=plan.fft_len, axis=-1)[:, :plan.trapw.size] + plan.tail
-    out[:, 0] += plan.center_fix @ v[:, 0]
+    out[:, 0] += np.dot(plan.center_fix, v[:, 0])
     return FieldVector(grid=f.grid, values=out)
 
 
@@ -355,18 +385,23 @@ def estimate_quadrature_error(spec, plan: OperatorPlan, eta, xi, scalars) -> Qua
     w_eta = apply_operator(plan, f_eta, spec.nonlins, include_singular=False)
     e_reg = float(np.max(np.abs(w_eta.values - eta[:, None])))
 
+    # (model, its entry (a, b), weight j, scale): a factored kernel needs
+    # one reference integral per weight, for its profile, which entry
+    # (i, j) scales by |mix_ij|
+    factors = kernel_factors(spec.kernel)
+    if factors is None:
+        terms = [(spec.kernel, i, j, j, 1.0) for i in range(spec.n) for j in range(spec.n)]
+    else:
+        terms = [(factors[1], 0, 0, j, np.abs(factors[0][:, j])) for j in range(spec.n)]
     e_sing = 0.0
-    for i in range(spec.n):
-        for j in range(spec.n):
-            ref = 2.0 * eta[j] * excess_weighted_integral(
-                spec.weights[j],
-                lambda t, i=i, j=j: kernel_eval(spec.kernel, i, j, t),
-                grid.r)
-            # both sides of the even sum, with x = 0 counted once
-            k = np.asarray(kernel_eval(spec.kernel, i, j, grid.half_nodes), dtype=float)
-            omega = plan.omega[j]
-            disc = eta[j] * (2.0 * float(omega @ k) - omega[0] * k[0])
-            e_sing = max(e_sing, abs(ref - disc))
+    for model, a, b, j, scale in terms:
+        ref = 2.0 * eta[j] * excess_weighted_integral(
+            spec.weights[j], lambda t: kernel_eval(model, a, b, t), grid.r)
+        # both sides of the even sum, with x = 0 counted once
+        k = np.asarray(kernel_eval(model, a, b, grid.half_nodes), dtype=float)
+        omega = plan.omega[j]
+        disc = eta[j] * (2.0 * float(omega @ k) - omega[0] * k[0])
+        e_sing = max(e_sing, float(np.max(scale * abs(ref - disc))))
 
     g_xi = np.array([float(g_eval(nl, x)) for nl, x in zip(spec.nonlins, xi)])
     dropped = np.array([excess_tail_mass(w, grid.r) for w in spec.weights])

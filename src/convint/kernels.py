@@ -22,6 +22,15 @@ Built-in shapes:
   * TabulatedKernel:   per-entry samples on tau >= 0, extended evenly,
     interpolated linearly, zero beyond the table. Scalars are exact
     integrals of the interpolant.
+
+Factors. The Gaussian and exp-mixture shapes are a coefficient matrix times
+one shared profile, K_ij(tau) = c_ij k(tau). kernel_factors returns that
+split as (mix, unit): mix the (N, N) matrix c_ij, read through the
+coefficient accessor _c that eval uses, and unit = model.profile(), a
+1 x 1 kernel of the same shape whose only entry is k. A 1 x 1 kernel is its
+own profile, with mix = [[1]]. A multi-component TabulatedKernel samples
+each entry independently and has no profile; kernel_factors returns None
+for it.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ __all__ = [
     "ExpMixtureKernel",
     "TabulatedKernel",
     "kernel_eval",
+    "kernel_factors",
     "kernel_scalars",
     "kernel_tail_mass",
     "kernel_tail_one_sided",
@@ -104,6 +114,9 @@ class GaussianKernel:
     def rescaled(self, factor: float) -> "GaussianKernel":
         return GaussianKernel(self.coeffs * factor)
 
+    def profile(self) -> "GaussianKernel":
+        return GaussianKernel([[1.0]])
+
     def sample_span(self) -> float:
         """Horizon beyond which the kernel is numerically negligible."""
         return 8.0
@@ -160,10 +173,13 @@ class ExpMixtureKernel:
     def n(self) -> int:
         return self.coeffs.shape[0]
 
+    def _c(self, i: int, j: int) -> float:
+        return float(self.coeffs[i, j])
+
     def eval(self, i, j, tau):
         tau = np.asarray(tau, dtype=float)
         core = np.exp(-np.abs(tau)[..., None] * self._s) @ (self._w * self._dens)
-        out = float(self.coeffs[i, j]) * core
+        out = self._c(i, j) * core
         return out if out.ndim else float(out)
 
     def scalars(self) -> KernelScalars:
@@ -176,15 +192,21 @@ class ExpMixtureKernel:
     def one_sided_tail(self, i, j, y):
         y = np.asarray(y, dtype=float)
         core = np.exp(-y[..., None] * self._s) @ (self._w * self._dens / self._s)
-        out = float(self.coeffs[i, j]) * core
+        out = self._c(i, j) * core
         return out if out.ndim else float(out)
 
-    def rescaled(self, factor: float) -> "ExpMixtureKernel":
+    def _with_coeffs(self, coeffs) -> "ExpMixtureKernel":
         out = ExpMixtureKernel.__new__(ExpMixtureKernel)
-        out.coeffs = self.coeffs * factor
+        out.coeffs = coeffs
         for name in ("s_lo", "s_hi", "power", "decay", "tail_tol", "_s", "_w", "_dens"):
             setattr(out, name, getattr(self, name))
         return out
+
+    def rescaled(self, factor: float) -> "ExpMixtureKernel":
+        return self._with_coeffs(self.coeffs * factor)
+
+    def profile(self) -> "ExpMixtureKernel":
+        return self._with_coeffs(np.ones((1, 1)))
 
     def sample_span(self) -> float:
         # exp(-s_lo * tau) below ~1e-14 at this distance
@@ -270,6 +292,20 @@ def kernel_eval(model, i: int, j: int, tau):
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"kernel index ({i}, {j}) out of range for n = {n}")
     return model.eval(i, j, tau)
+
+
+def kernel_factors(model):
+    """(mix, unit) with K_ij(tau) = mix[i, j] * unit(tau), unit a 1 x 1
+    kernel; a 1 x 1 model is ([[1.0]], model) itself. None when the model
+    has no shared profile (a multi-component TabulatedKernel)."""
+    n = model.n
+    if n == 1:
+        return np.ones((1, 1)), model
+    if not hasattr(model, "profile"):
+        return None
+    # read through the accessor eval uses, so mix is exactly what eval scales by
+    mix = np.array([[model._c(i, j) for j in range(n)] for i in range(n)])
+    return mix, model.profile()
 
 
 def kernel_scalars(model) -> KernelScalars:

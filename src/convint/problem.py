@@ -146,6 +146,13 @@ def _weight_sample_grid(model, samples):
     return np.clip(np.logspace(np.log10(lo), np.log10(hi), samples), lo, hi)
 
 
+def _worse(x, worst) -> bool:
+    """Whether sample x replaces the running worst (smallest) value: when it
+    is smaller or NaN. A NaN, once recorded, stays the worst, so the
+    condition fails on it."""
+    return not (x >= worst) and worst == worst
+
+
 def validate_problem(spec: ProblemSpec, scalars, eta, samples: int = 64,
                      tol: float = 1e-8, tol_alg: float = 1e-13) -> ValidationReport:
     """Check all eight admission conditions of spec, given its kernel
@@ -212,7 +219,7 @@ def validate_problem(spec: ProblemSpec, scalars, eta, samples: int = 64,
         for sgn in (1.0, -1.0):
             vals = np.asarray(w.excess(sgn * grid), dtype=float)
             m = int(np.argmin(vals))
-            if vals[m] < worst_exc:
+            if _worse(vals[m], worst_exc):
                 worst_exc = float(vals[m])
                 worst_at = f"t={sgn * grid[m]:.6g} (weight {j + 1})"
     report.checks.append(ConditionCheck(
@@ -260,7 +267,7 @@ def validate_problem(spec: ProblemSpec, scalars, eta, samples: int = 64,
         u_grid = np.linspace(0.0, sample_top(nl), samples)
         diffs = np.diff(np.asarray(g_eval(nl, u_grid), dtype=float))
         m = int(np.argmin(diffs))
-        if diffs[m] < worst_inc:
+        if _worse(diffs[m], worst_inc):
             worst_inc = float(diffs[m])
             inc_at = f"u in [{u_grid[m]:.6g}, {u_grid[m + 1]:.6g}] (nonlin {j + 1})"
     report.checks.append(ConditionCheck(
@@ -302,7 +309,7 @@ def validate_problem(spec: ProblemSpec, scalars, eta, samples: int = 64,
                               samples - 1)
         gaps = chord_slope_gap(nl, lo_grid, top_j)
         m = int(np.argmin(gaps))
-        if gaps[m] < worst_gap:
+        if _worse(gaps[m], worst_gap):
             worst_gap = float(gaps[m])
             gap_at = f"u_lo={lo_grid[m]:.6g}, u_hi={top_j:.6g} (nonlin {j + 1})"
     report.checks.append(ConditionCheck(
@@ -324,7 +331,7 @@ def validate_problem(spec: ProblemSpec, scalars, eta, samples: int = 64,
             if hi <= lo:
                 lo = hi / 2.0
         _, margin = check_condition_iv(nl, spec.phi, lo, hi, samples=samples, tol=tol)
-        if margin < worst_iv:
+        if _worse(margin, worst_iv):
             worst_iv, iv_at = margin, f"nonlin {j + 1} on [{lo:.6g}, {hi:.6g}]"
     report.checks.append(ConditionCheck(
         "IV", worst_iv >= -tol, iv_at, worst_iv, tol, xi_note))

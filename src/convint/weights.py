@@ -90,17 +90,21 @@ class ExpSqrtWeight:
     def excess_tail(self, t_from: float) -> float:
         return 2.0 * self.eps * SQRT_PI * float(special.gammaincc(0.5, t_from))
 
-    def _mass_diff(self, lo, hi, shape):
-        # int_lo^hi e^-t t^(shape-1) dt in units of Gamma(shape), with the
-        # complementary form for large lo to keep relative precision
-        scale = self.eps * float(special.gamma(shape))
-        p = special.gammainc(shape, hi) - special.gammainc(shape, lo)
-        q = special.gammaincc(shape, lo) - special.gammaincc(shape, hi)
-        return scale * np.where(lo >= 1.0, q, p)
+    def _mass_diff(self, edges, k, shape):
+        # int e^-t t^(shape-1) dt over each cell in units of Gamma(shape):
+        # differences of P at the edges of the first k cells (lo < 1), of
+        # the complementary Q beyond, which keeps relative precision there
+        p = special.gammainc(shape, edges[:k + 1])
+        q = special.gammaincc(shape, edges[k:])
+        out = np.concatenate([p[1:] - p[:-1], q[:-1] - q[1:]])
+        out *= self.eps * float(special.gamma(shape))
+        return out
 
     def cell_moments_batch(self, edges):
-        lo, hi = _cells(edges)
-        return self._mass_diff(lo, hi, 0.5), self._mass_diff(lo, hi, 1.5)
+        edges = np.asarray(edges, dtype=float)
+        lo, _ = _cells(edges)
+        k = int(np.searchsorted(lo, 1.0))       # lo increases
+        return self._mass_diff(edges, k, 0.5), self._mass_diff(edges, k, 1.5)
 
     def weighted_integral(self, fn, hi: float) -> float:
         return _regular_integral(fn, lambda t: self.eps * np.exp(-t), 0.5,

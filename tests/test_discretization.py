@@ -21,7 +21,8 @@ from convint.discretization import (
     estimate_quadrature_error,
 )
 from convint.errors import SolveError
-from convint.kernels import GaussianKernel, kernel_eval, kernel_tail_one_sided
+from convint.kernels import (GaussianKernel, TabulatedKernel, kernel_eval,
+                             kernel_tail_one_sided)
 from convint.nonlinearities import PowerNonlin, PowerPhi, g_eval
 from convint.problem import ProblemSpec
 from convint.weights import ExpSqrtWeight, excess_integral, excess_tail_mass
@@ -138,10 +139,13 @@ class TestPlanTables:
         # Toeplitz row undone from the spectra is even about residue 0 and
         # the Hankel row wraps lag 2R to residue 0, so together they give the
         # one-sided table of lags 0..2R
+        # a 1 x 1 kernel is its own profile: mix is [[1]] and the plan
+        # holds the one spectrum row of the kernel itself
         p = grid.n_cells
         assert plan.fft_len == p
-        assert plan.kernel_re.shape == (1, 1, p // 2 + 1)
-        re, im, d = plan.kernel_re[0, 0], plan.kernel_im[0, 0], plan.kernel_cross[0, 0]
+        np.testing.assert_array_equal(plan.mix, [[1.0]])
+        assert plan.kernel_re.shape == (p // 2 + 1,)
+        re, im, d = plan.kernel_re, plan.kernel_im, plan.kernel_cross
         toeplitz = irfft((re + im) / 2.0 + d, p)
         hankel = irfft((re - im) / 2.0 + 1j * d, p)
         assert np.max(np.abs(toeplitz[1:] - toeplitz[:0:-1])) <= 1e-15
@@ -160,7 +164,8 @@ class TestPlanTables:
         plan = build_plan(scalar_spec(), grid, [1.0])
         assert plan.fft_len == fft_len
         m, p = n_cells // 2, fft_len
-        re, im, d = plan.kernel_re[0, 0], plan.kernel_im[0, 0], plan.kernel_cross[0, 0]
+        assert plan.kernel_re.shape == (p // 2 + 1,) and np.ndim(plan.center_fix) == 0
+        re, im, d = plan.kernel_re, plan.kernel_im, plan.kernel_cross
         toeplitz = irfft((re + im) / 2.0 + d, p)
         hankel = irfft((re - im) / 2.0 + 1j * d, p)
         expect = np.exp(-((grid.h * np.arange(n_cells + 1)) ** 2)) / np.sqrt(np.pi)
@@ -176,7 +181,7 @@ class TestPlanTables:
         free[residues[1:]] = False
         assert np.max(np.abs(hankel[free]), initial=0.0) <= 1e-15
         wrapped = expect[-1] if p == n_cells else 0.0
-        assert plan.center_fix[0, 0] == pytest.approx(expect[0] - wrapped, abs=1e-15)
+        assert plan.center_fix == pytest.approx(expect[0] - wrapped, abs=1e-15)
 
     def test_singular_weights_nonnegative_and_mass_exact(self, small):
         spec, grid, plan = small
@@ -290,6 +295,24 @@ class NearlySymmetricGaussian(GaussianKernel):
         return float(np.nextafter(c, np.inf)) if (i, j) == (1, 0) else c
 
 
+class AsymmetricGaussian(GaussianKernel):
+    """The coupled pair's kernel with coefficient (1, 0) raised by 0.15, so
+    a plan that mixed the rows by mix.T instead of mix would be off by far
+    more than roundoff."""
+
+    def _c(self, i, j):
+        return super()._c(i, j) + (0.15 if (i, j) == (1, 0) else 0.0)
+
+
+def two_tables(tau):
+    """Index-symmetric 2 x 2 tables whose entries are not multiples of one
+    profile: a Gaussian, an exponential and a broad bump."""
+    k00 = np.exp(-tau * tau) / np.sqrt(np.pi)
+    k01 = 0.3 * np.exp(-2.0 * tau)
+    k11 = 0.4 / (1.0 + tau * tau) ** 2
+    return np.array([[k00, k01], [k01, k11]])
+
+
 class TestPlanSpectra:
     @staticmethod
     def coupled_plan(kernel, n_cells):
@@ -311,17 +334,42 @@ class TestPlanSpectra:
         _, plan = self.coupled_plan(near, n_cells)
         _, plan_base = self.coupled_plan(base, n_cells)
         _, plan_up = self.coupled_plan(GaussianKernel(up), n_cells)
-        # row (0, 1) is the base kernel's, row (1, 0) the raised kernel's
+        # entry (0, 1) of the mix is the base kernel's, entry (1, 0) the
+        # raised kernel's; all three share the one profile spectrum
+        assert plan.mix[0, 1] == plan_base.mix[0, 1]
+        assert plan.mix[1, 0] == plan_up.mix[1, 0]
+        assert plan.mix[1, 0] != plan.mix[0, 1]
         for name in ("kernel_re", "kernel_im", "kernel_cross", "center_fix"):
-            table = getattr(plan, name)
-            np.testing.assert_array_equal(table[0, 1], getattr(plan_base, name)[0, 1])
-            np.testing.assert_array_equal(table[1, 0], getattr(plan_up, name)[1, 0])
-        assert not np.array_equal(plan.kernel_re[1, 0], plan.kernel_re[0, 1])
+            np.testing.assert_array_equal(getattr(plan, name), getattr(plan_base, name))
 
     @pytest.mark.parametrize("n_cells", [22, 64])
     def test_last_bit_asymmetry_matches_direct_sum(self, n_cells):
         spec, plan = self.coupled_plan(NearlySymmetricGaussian(coupled_models()["kernel"].coeffs),
                                        n_cells)
+        f = bumpy_field(plan.grid, 2)
+        fast = apply_operator(plan, f, spec.nonlins)
+        slow = direct_apply(spec, plan, f, [1.0, 0.8])
+        assert np.max(np.abs(mirror(fast.values) - slow)) <= 1e-12
+
+    @pytest.mark.parametrize("n_cells", [22, 64])
+    def test_asymmetric_mix_matches_direct_sum(self, n_cells):
+        spec, plan = self.coupled_plan(AsymmetricGaussian(coupled_models()["kernel"].coeffs),
+                                       n_cells)
+        assert plan.mix[1, 0] - plan.mix[0, 1] == pytest.approx(0.15, rel=1e-12)
+        f = bumpy_field(plan.grid, 2)
+        fast = apply_operator(plan, f, spec.nonlins)
+        slow = direct_apply(spec, plan, f, [1.0, 0.8])
+        assert np.max(np.abs(mirror(fast.values) - slow)) <= 1e-12
+
+    @pytest.mark.parametrize("n_cells", [14, 22, 64, 98])
+    def test_tabulated_pair_keeps_per_entry_spectra(self, n_cells):
+        # entries that share no profile: the plan holds one spectrum row per
+        # entry and contracts over j, and still matches direct summation
+        tau = np.linspace(0.0, 4.0, 801)
+        spec, plan = self.coupled_plan(TabulatedKernel(tau, two_tables(tau)), n_cells)
+        assert plan.mix is None
+        assert plan.kernel_re.shape == (2, 2, plan.fft_len // 2 + 1)
+        assert plan.center_fix.shape == (2, 2)
         f = bumpy_field(plan.grid, 2)
         fast = apply_operator(plan, f, spec.nonlins)
         slow = direct_apply(spec, plan, f, [1.0, 0.8])

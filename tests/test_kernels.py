@@ -13,6 +13,7 @@ from convint import (
     GaussianKernel,
     TabulatedKernel,
     kernel_eval,
+    kernel_factors,
     kernel_scalars,
     kernel_tail_mass,
     kernel_tail_one_sided,
@@ -213,3 +214,42 @@ def test_tail_rejects_negative_radius():
         kernel_tail_mass(model, 0, 0, -1.0)
     with pytest.raises(ValueError):
         kernel_tail_one_sided(model, 0, 0, -0.5)
+
+
+class TestFactors:
+    """kernel_factors: K_ij = mix_ij * unit for the shapes with one profile."""
+
+    TAUS = np.array([0.0, 0.3, 1.7, 6.0])
+
+    @pytest.mark.parametrize("model", [
+        GaussianKernel(COEFFS_2X2),
+        ExpMixtureKernel(COEFFS_2X2, s_lo=0.5, s_hi=math.inf, power=1.0, decay=2.0),
+    ])
+    def test_mix_times_unit_is_the_kernel(self, model):
+        mix, unit = kernel_factors(model)
+        np.testing.assert_array_equal(mix, COEFFS_2X2)
+        assert unit.n == 1 and type(unit) is type(model)
+        for i in range(2):
+            for j in range(2):
+                np.testing.assert_allclose(
+                    mix[i, j] * kernel_eval(unit, 0, 0, self.TAUS),
+                    kernel_eval(model, i, j, self.TAUS), rtol=1e-15)
+                assert mix[i, j] * kernel_tail_one_sided(unit, 0, 0, 1.2) == pytest.approx(
+                    kernel_tail_one_sided(model, i, j, 1.2), rel=1e-15)
+
+    def test_mix_is_read_through_the_eval_accessor(self):
+        class Skewed(GaussianKernel):
+            def _c(self, i, j):
+                return super()._c(i, j) + (0.1 if (i, j) == (1, 0) else 0.0)
+
+        mix, _ = kernel_factors(Skewed(COEFFS_2X2))
+        assert mix[1, 0] == COEFFS_2X2[1, 0] + 0.1 and mix[0, 1] == COEFFS_2X2[0, 1]
+
+    def test_one_by_one_kernel_is_its_own_profile(self):
+        for model in (GaussianKernel([[1.3]]), TestTabulated().make()):
+            mix, unit = kernel_factors(model)
+            np.testing.assert_array_equal(mix, [[1.0]])
+            assert unit is model
+
+    def test_multi_component_table_has_no_factors(self):
+        assert kernel_factors(TestTabulated().make(COEFFS_2X2)) is None

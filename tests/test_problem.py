@@ -151,6 +151,37 @@ class TestNegativeCases:
         report = validate(scalar_spec(weights=(HeavyWeight(),)))
         assert "b" in report.failing_ids
 
+    @pytest.mark.parametrize("nan_first", [True, False])
+    def test_nan_response_map_fails_conditions_i_iii_iv(self, nan_first):
+        # a NaN sample must become the worst value and stay it, whichever
+        # component it belongs to
+        class HoleyPower(PowerNonlin):
+            def g(self, u):
+                out = np.asarray(super().g(u), dtype=float)
+                out = np.where((out > 1.05) & (out < 1.1), np.nan, out)
+                return out if out.ndim else float(out)
+
+        maps = [HoleyPower(alpha=0.5, eta=1.0), PowerNonlin(alpha=0.5, eta=1.0)]
+        spec = ProblemSpec(n=2, kernel=GaussianKernel([[0.5, 0.5], [0.5, 0.5]]),
+                           weights=(ExpSqrtWeight(0.1), ExpSqrtWeight(0.1)),
+                           nonlins=maps if nan_first else maps[::-1], phi=PowerPhi(0.5))
+        report = validate(spec)
+        assert report.failing_ids == ["I", "III", "IV"]
+        for check in report.checks:
+            if check.condition in ("I", "III", "IV"):
+                assert np.isnan(check.worst_value)
+
+    def test_nan_excess_fails_condition_a(self):
+        class HoleyWeight(ExpSqrtWeight):
+            def excess(self, t):
+                out = np.asarray(super().excess(t), dtype=float)
+                out = np.where(np.abs(t) > 10.0, np.nan, out)
+                return out if out.ndim else float(out)
+
+        report = validate(scalar_spec(weights=(HoleyWeight(0.1),)))
+        assert report.failing_ids == ["a"]
+        assert np.isnan({c.condition: c for c in report.checks}["a"].worst_value)
+
     def test_declared_eta_disagreement_fails_condition_ii(self):
         report = validate(
             scalar_spec(nonlins=(PowerNonlin(alpha=0.5, eta=1.3),)))
