@@ -40,7 +40,6 @@ import numpy as np
 # numpy.fft runs the same pocketfft transforms as scipy.fft (bitwise equal
 # here) and left the lower peak resident memory in paired whole-solve runs
 from numpy.fft import irfft, rfft
-from scipy.fft import next_fast_len
 
 from .errors import SolveError
 from .kernels import (kernel_eval, kernel_factors, kernel_tail_mass,
@@ -177,7 +176,7 @@ class OperatorPlan:
     """
 
     grid: Grid
-    fft_len: int               # p = next_fast_len(n_cells, real=True) >= 2m
+    fft_len: int               # p = next_fast_len(n_cells) >= 2m, 5-smooth
     mix: np.ndarray            # (N, N) coefficients of the profile, or None
     kernel_re: np.ndarray      # T + c - d
     kernel_im: np.ndarray      # T - c - d
@@ -190,6 +189,21 @@ class OperatorPlan:
     @property
     def n(self) -> int:
         return self.omega.shape[0]
+
+
+def next_fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a length pocketfft transforms fast
+    (what scipy.fft.next_fast_len(n, real=True) returns)."""
+    best = 1 << (n - 1).bit_length()
+    odd = 1
+    while odd < best:
+        factor = odd
+        while factor < best:
+            # factor times the least power of two reaching n
+            best = min(best, factor << (-(-n // factor) - 1).bit_length())
+            factor *= 3
+        odd *= 5
+    return best
 
 
 def _regular_node_weights(h: float, n_cells: int) -> np.ndarray:
@@ -261,7 +275,7 @@ def build_plan(spec, grid: Grid, boundary) -> OperatorPlan:
         raise ValueError("boundary must have one entry per component")
 
     lags = np.linspace(0.0, 2.0 * grid.r, grid.n_cells + 1)
-    p = next_fast_len(grid.n_cells, real=True)
+    p = next_fast_len(grid.n_cells)
     factors = kernel_factors(spec.kernel)
     if factors is None:
         mix = None

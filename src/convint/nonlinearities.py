@@ -12,9 +12,10 @@ built-in power-type families the natural choice is phi(sigma) = sigma^p with
                    c = eta / (1 - exp(-eta))                 p = a
 
 Any larger exponent still in (0, 1] also works, since sigma^p decreases in p
-on [0, 1]. Tabulated nonlinearities are interpolated with a shape-preserving
-monotone cubic and earn acceptance only by passing the sampled property
-checks downstream.
+on [0, 1]. Tabulated nonlinearities are interpolated with the shape-preserving
+monotone cubic of Fritsch and Butland (PCHIP), computed here in numpy with
+the same arithmetic as scipy.interpolate.PchipInterpolator, and earn
+acceptance only by passing the sampled property checks downstream.
 """
 
 from __future__ import annotations
@@ -121,11 +122,76 @@ class SaturatingExpNonlin:
         return out if np.ndim(out) else float(out)
 
 
+class _MonotoneCubic:
+    """PCHIP interpolant of strictly increasing samples (x, y), n >= 3.
+
+    Bitwise equal to scipy's PchipInterpolator(x, y, extrapolate=False) on
+    [x_0, x_n-1]: the knot slopes are the Fritsch-Butland weighted harmonic
+    means with the one-sided three-point estimate at both ends, the cubic
+    on each interval has scipy's coefficients and is evaluated in scipy's
+    order. Points must lie in [x_0, x_n-1]; the caller screens the rest.
+    """
+
+    def __init__(self, x, y):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        d = np.empty_like(y)
+        d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+        d[0] = self._end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = self._end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self.x = x
+        # the position of a point among the knots; the last knot maps to
+        # n - 2 so that it belongs to the last interval
+        self.pos = np.minimum(np.arange(x.size, dtype=float), x.size - 2)
+        # scipy starts its sum from 0.0 + c3, which turns a -0.0 into 0.0
+        self.c = (t / h, (m - d[:-1]) / h - t, d[:-1], 0.0 + y[:-1])
+
+    @staticmethod
+    def _end_slope(h0, h1, m0, m1):
+        # with increasing samples the estimate is kept unless it is not
+        # positive, where shape preservation sets it to zero
+        d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        return d if d > 0.0 else 0.0
+
+    def __call__(self, v):
+        """Values at the 1-D points v."""
+        x, (c0, c1, c2, c3) = self.x, self.c
+        # np.interp searches from the previous point's interval; truncating
+        # its position gives the interval, except where the position rounded
+        # up onto the next knot. The indices are in range, and take with
+        # mode="clip" writes to out directly where "raise" stages a copy.
+        s = np.interp(v, x, self.pos)
+        i = s.astype(np.intp)
+        x.take(i, out=s, mode="clip")
+        back = s > v
+        if back.any():
+            i -= back
+            x.take(i, out=s, mode="clip")
+        np.subtract(v, s, out=s)
+        out = c2.take(i)
+        out *= s
+        term = c3.take(i)
+        out += term
+        power = s * s
+        c1.take(i, out=term, mode="clip")
+        term *= power
+        out += term
+        power *= s
+        c0.take(i, out=term, mode="clip")
+        term *= power
+        out += term
+        return out
+
+
 class TabulatedNonlin:
-    """Monotone cubic interpolant of (u, g) samples starting at (0, 0).
+    """Monotone cubic (PCHIP) interpolant of (u, g) samples starting at (0, 0).
 
     Evaluation beyond the last sample is refused rather than extrapolated;
-    supply a table covering the working range (at least [0, 2 xi]).
+    supply a table covering the working range (at least [0, 2 xi]). A
+    negative or NaN u gives NaN.
     """
 
     variant = "tabulated"
@@ -143,17 +209,21 @@ class TabulatedNonlin:
         if self.eta > u[-1]:
             raise ValueError("table must cover the fixed point eta")
         self.u_max = float(u[-1])
-        # imported here: scipy.interpolate loads scipy's optimize, linalg and
-        # sparse stack, which no other model needs
-        from scipy.interpolate import PchipInterpolator
-        self._interp = PchipInterpolator(u, values, extrapolate=False)
+        self._cubic = _MonotoneCubic(u, values)
         self.phi_exponent = None
 
     def g(self, u):
         u = np.asarray(u, dtype=float)
-        if np.any(u > self.u_max * (1.0 + 1e-12)):
-            raise ValueError(f"u beyond tabulated range [0, {self.u_max}]")
-        out = self._interp(np.minimum(u, self.u_max))
+        flat = u.ravel()
+        if not (flat.min(initial=0.0) >= 0.0 and flat.max(initial=0.0) <= self.u_max):
+            # negative, NaN or beyond the last sample
+            if np.any(flat > self.u_max * (1.0 + 1e-12)):
+                raise ValueError(f"u beyond tabulated range [0, {self.u_max}]")
+            inside = flat >= 0.0
+            flat = np.where(inside, np.minimum(flat, self.u_max), 0.0)
+            out = np.where(inside, self._cubic(flat), np.nan).reshape(u.shape)
+        else:
+            out = self._cubic(flat).reshape(u.shape)
         return out if out.ndim else float(out)
 
 
@@ -177,7 +247,8 @@ class PowerPhi:
 def g_eval(model, u):
     """G(u) for u >= 0; rejects negative, NaN or infinite u, G(0) = 0 exactly."""
     arr = np.asarray(u, dtype=float)
-    if not ((arr >= 0.0) & (arr < np.inf)).all():
+    # two reductions, no masks; a NaN fails both comparisons
+    if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < np.inf):
         raise ValueError("u must be finite and nonnegative")
     return model.g(u)
 

@@ -153,6 +153,12 @@ def _worse(x, worst) -> bool:
     return not (x >= worst) and worst == worst
 
 
+def _larger(x, worst) -> bool:
+    """_worse for a running largest value (a defect): x replaces worst when
+    it is larger or NaN, and a recorded NaN stays."""
+    return not (x <= worst) and worst == worst
+
+
 def validate_problem(spec: ProblemSpec, scalars, eta, samples: int = 64,
                      tol: float = 1e-8, tol_alg: float = 1e-13) -> ValidationReport:
     """Check all eight admission conditions of spec, given its kernel
@@ -175,10 +181,11 @@ def validate_problem(spec: ProblemSpec, scalars, eta, samples: int = 64,
             k_neg = np.asarray(kernel_eval(spec.kernel, i, j, -taus), dtype=float)
             k_ji = np.asarray(kernel_eval(spec.kernel, j, i, taus), dtype=float)
             m = int(np.argmin(k_pos))
-            if k_pos[m] < min_val:
+            if _worse(k_pos[m], min_val):
                 min_val, min_at = float(k_pos[m]), f"K[{i},{j}] at tau={taus[m]:.6g}"
-            asym = max(asym, float(np.max(np.abs(k_pos - k_neg))),
-                       float(np.max(np.abs(k_pos - k_ji))))
+            # np.max, unlike Python's max, keeps a NaN
+            asym = float(np.max([asym, np.max(np.abs(k_pos - k_neg)),
+                                 np.max(np.abs(k_pos - k_ji))]))
     scale = float(np.max(scalars.sup))
     ok_pos = min_val > 0.0
     ok_sym = asym <= tol * scale
@@ -278,13 +285,13 @@ def validate_problem(spec: ProblemSpec, scalars, eta, samples: int = 64,
     worst_fp, fp_at, note2b = 0.0, "u=0", ""
     for j, nl in enumerate(spec.nonlins):
         z = abs(float(g_eval(nl, 0.0)))
-        if z > worst_fp:
+        if _larger(z, worst_fp):
             worst_fp, fp_at = z, f"u=0 (nonlin {j + 1})"
         gap_dec = abs(float(g_eval(nl, nl.eta)) - nl.eta)
-        if gap_dec > worst_fp:
+        if _larger(gap_dec, worst_fp):
             worst_fp, fp_at = gap_dec, f"u=eta declared ({nl.eta:.6g}, nonlin {j + 1})"
         mismatch = abs(nl.eta - float(eta[j]))
-        if mismatch > worst_fp:
+        if _larger(mismatch, worst_fp):
             worst_fp = mismatch
             fp_at = f"declared eta vs computed ({eta[j]:.6g}, nonlin {j + 1})"
             note2b = "declared eta disagrees with the kernel eigenvector"
@@ -295,7 +302,7 @@ def validate_problem(spec: ProblemSpec, scalars, eta, samples: int = 64,
             note2b = "table does not cover the computed eta"
             continue
         gap_comp = abs(float(g_eval(nl, eta[j])) - float(eta[j]))
-        if gap_comp > worst_fp:
+        if _larger(gap_comp, worst_fp):
             worst_fp, fp_at = gap_comp, f"u=eta computed ({eta[j]:.6g}, nonlin {j + 1})"
     okII = worst_fp <= tol
     report.checks.append(ConditionCheck(

@@ -456,8 +456,8 @@ class TestConsoleScript:
         assert "--config" in proc.stdout
 
     @pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate",
-                                        "scipy.interpolate"])
-    def test_import_leaves_scipy_signal_unloaded(self, tmp_path, module):
+                                        "scipy.interpolate", "scipy.fft"])
+    def test_import_leaves_heavy_scipy_unloaded(self, tmp_path, module):
         # each costs a cold start a large share of a second
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -466,3 +466,21 @@ class TestConsoleScript:
                               text=True, cwd=tmp_path, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_tabulated_runs_leave_heavy_scipy_unloaded(self, tmp_path):
+        # a tabulated map interpolates without scipy.interpolate, and the
+        # transform length needs no scipy.fft; solve and a refused validate
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        code = ("import sys\n"
+                "from convint import cli\n"
+                "for name, code in (('tabulated', 0), ('linear_map', 2)):\n"
+                "    argv = ['--config', f'{sys.argv[1]}/{name}.json',\n"
+                "            '--out-dir', name, '--quiet']\n"
+                "    assert cli.main(argv) == code, name\n"
+                "    print(name, sorted(m for m in ('scipy.interpolate', 'scipy.fft')\n"
+                "                       if m in sys.modules))\n")
+        proc = subprocess.run([sys.executable, "-c", code, str(DEMO_CONFIGS)],
+                              capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["tabulated []", "linear_map []"]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import coupled_models
 from scipy.fft import irfft
+from scipy.fft import next_fast_len as scipy_next_fast_len
 from scipy.special import erfc, gamma, gammainc
 
 from convint.discretization import (
@@ -19,6 +20,7 @@ from convint.discretization import (
     choose_truncation,
     constant_field,
     estimate_quadrature_error,
+    next_fast_len,
 )
 from convint.errors import SolveError
 from convint.kernels import (GaussianKernel, TabulatedKernel, kernel_eval,
@@ -417,3 +419,8 @@ class TestQuadratureBudget:
         assert q.regular <= 1e-9
         assert q.singular <= 5e-6
         assert q.dropped_tail <= 1e-8
+
+
+def test_next_fast_len_matches_scipy():
+    assert all(next_fast_len(n) == scipy_next_fast_len(n, real=True)
+               for n in range(1, 20001))

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from convint import (
     PowerNonlin,
@@ -205,3 +207,83 @@ class TestTabulated:
             load_tabulated_nonlin(p)
         nl = load_tabulated_nonlin(p, eta=1.0)
         assert nl.eta == 1.0
+
+
+def _read_table(path):
+    rows = [line.split(",") for line in Path(path).read_text().splitlines()
+            if line.strip() and not line.startswith("#")][1:]
+    data = np.array(rows, dtype=float)
+    return data[:, 0], data[:, 1]
+
+
+def _oracle_tables():
+    data = Path(__file__).resolve().parents[1] / "demos" / "data"
+    yield "linear_map", _read_table(data / "linear_map.csv")
+    yield "sqrt_map", _read_table(data / "sqrt_map.csv")
+    # dense geometric knots with u = 1 among them, as the benchmark's map
+    u = np.array(sorted({0.0, 1.0, *np.geomspace(1e-8, 8.0, 241)}))
+    yield "geometric_243", (u, u ** 0.5)
+    rng = np.random.default_rng(20240)
+    for k in range(4):
+        n = int(rng.integers(3, 300))
+        spread = 10.0 ** rng.uniform(-6.0, 2.0, size=2)
+        u = np.concatenate([[0.0], np.cumsum(rng.exponential(spread[0], n - 1))])
+        g = np.concatenate([[0.0], np.cumsum(rng.exponential(spread[1], n - 1))])
+        yield f"random_{k}", (u, g)
+
+
+@pytest.mark.parametrize("table", list(_oracle_tables()), ids=lambda t: t[0])
+class TestMonotoneCubicOracle:
+    """The in-house monotone cubic against scipy's PchipInterpolator. The
+    two share their arithmetic; 2 ulp leaves room for a scipy release that
+    reorders it."""
+
+    @staticmethod
+    def _pair(table):
+        u, g = table[1]
+        return (TabulatedNonlin(u, g, eta=float(u[-1]) / 2.0),
+                PchipInterpolator(u, g, extrapolate=False))
+
+    def test_coefficients(self, table):
+        nl, ref = self._pair(table)
+        for mine, theirs in zip(nl._cubic.c, ref.c):
+            np.testing.assert_array_max_ulp(mine, theirs, maxulp=2)
+
+    def test_values_at_and_beside_every_knot(self, table):
+        nl, ref = self._pair(table)
+        knots = ref.x
+        u = np.concatenate([knots, np.nextafter(knots, np.inf),
+                            np.nextafter(knots[1:], -np.inf)])
+        expected = ref(np.minimum(u, nl.u_max))
+        assert not np.isnan(expected).any()
+        np.testing.assert_array_max_ulp(nl.g(u), expected, maxulp=2)
+        # a 2-D array, as condition IV passes it
+        np.testing.assert_array_max_ulp(nl.g(u[:48].reshape(6, 8)),
+                                        expected[:48].reshape(6, 8), maxulp=2)
+
+    def test_ends_as_scalars_and_arrays(self, table):
+        nl, ref = self._pair(table)
+        for end in (0.0, nl.u_max):
+            value = nl.g(end)
+            assert isinstance(value, float)
+            np.testing.assert_array_max_ulp(value, float(ref(end)), maxulp=2)
+            np.testing.assert_array_max_ulp(nl.g(np.array([end])), ref([end]),
+                                            maxulp=2)
+        assert nl.g(0.0) == 0.0
+
+    def test_below_zero_is_nan(self, table):
+        nl, ref = self._pair(table)
+        below = -np.nextafter(0.0, 1.0)
+        assert math.isnan(nl.g(below)) and math.isnan(float(ref(below)))
+        assert math.isnan(nl.g(-1.0)) and math.isnan(nl.g(math.nan))
+        out = nl.g(np.array([-1.0, math.nan, 0.0, nl.u_max]))
+        np.testing.assert_array_equal(np.isnan(out), [True, True, False, False])
+        np.testing.assert_array_max_ulp(out[2:], ref([0.0, nl.u_max]), maxulp=2)
+
+
+def test_negative_zero_sample_evaluates_as_scipy():
+    # a table on which the sum would otherwise end at -0.0
+    u, g = np.array([0.0, 2.25, 3.5]), np.array([-0.0, 1.0, 1.5])
+    value = TabulatedNonlin(u, g, eta=1.0).g(-0.0)
+    expected = float(PchipInterpolator(u, g, extrapolate=False)(-0.0))
+    assert (value, math.copysign(1.0, value)) == (expected, math.copysign(1.0, expected))

@@ -182,6 +182,35 @@ class TestNegativeCases:
         assert report.failing_ids == ["a"]
         assert np.isnan({c.condition: c for c in report.checks}["a"].worst_value)
 
+    def test_nan_kernel_fails_condition_1(self):
+        # the scalars come from the unit-radius kernel itself; only its
+        # sampled values carry the NaN
+        unit = GaussianKernel([[1.0]])
+        unit = unit.rescaled(1.0 / spectral_radius(kernel_scalars(unit).a))
+
+        class HoleyKernel(GaussianKernel):
+            def eval(self, i, j, tau):
+                out = np.asarray(super().eval(i, j, tau), dtype=float)
+                out = np.where(out < 0.3, np.nan, out)
+                return out if out.ndim else float(out)
+
+        report = validate(scalar_spec(kernel=HoleyKernel(unit.coeffs)), normalize=False)
+        assert report.failing_ids == ["1"]
+        assert np.isnan({c.condition: c for c in report.checks}["1"].worst_value)
+
+    def test_nan_at_zero_fails_conditions_i_ii_iv(self):
+        class NanAtZero(PowerNonlin):
+            def g(self, u):
+                out = np.asarray(super().g(u), dtype=float)
+                out = np.where(np.asarray(u) == 0.0, np.nan, out)
+                return out if out.ndim else float(out)
+
+        report = validate(scalar_spec(nonlins=(NanAtZero(alpha=0.5, eta=1.0),)))
+        assert report.failing_ids == ["I", "II", "IV"]
+        for check in report.checks:
+            if not check.passed:
+                assert np.isnan(check.worst_value)
+
     def test_declared_eta_disagreement_fails_condition_ii(self):
         report = validate(
             scalar_spec(nonlins=(PowerNonlin(alpha=0.5, eta=1.3),)))
