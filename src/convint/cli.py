@@ -346,6 +346,11 @@ def _say_stages(say, res: RunResult):
         f"residual {sol.residual_sup:.3e}, enclosure width {sol.probe_deviation:.3e}")
 
 
+def _say_operator(say, plan):
+    say(f"operator: transform length {plan.fft_len} (kernel reaches {plan.reach} "
+        f"of {plan.grid.n_cells // 2} half-grid cells)")
+
+
 def _truncation_block(grid) -> dict:
     return {"r": grid.r, "n_cells": grid.n_cells, "h": grid.h}
 
@@ -379,6 +384,7 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
             res = run_instance(validation, num)
             say(f"truncation R = {res.grid.r:g}, n_cells = {res.grid.n_cells}, "
                 f"h = {res.grid.h:g}")
+            _say_operator(say, res.plan)
             _say_stages(say, res)
             doc["truncation"] = _truncation_block(res.grid)
             doc.update(_stage_blocks(res))
@@ -389,22 +395,32 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
 
         # sweep: the configured instance must pass too. The largest eps runs
         # first and sizes the grid that every other entry shares; each
-        # entry's plan is dropped once its profile is written
+        # entry's plan is dropped once its profile is written. An entry
+        # whose eps every configured weight already has reuses the
+        # configured validation instead of running it again
         validation.require_passed()
         sweeps = sorted(config.sweep_eps)
+
+        def validate_entry(eps):
+            if all(getattr(w, "eps", None) == eps for w in weights):
+                return validation
+            w_eps = [_swept(w, eps, j) for j, w in enumerate(weights)]
+            spec_eps = dataclasses.replace(validation.spec, weights=w_eps)
+            return _validate(spec_eps, validation.scalars, validation.eta, num)
 
         def solve_entry(idx, grid=None):
             eps = sweeps[idx]
             say(f"-- sweep entry {idx}: eps = {eps:g}")
-            w_eps = [_swept(w, eps, j) for j, w in enumerate(weights)]
-            spec_eps = dataclasses.replace(validation.spec, weights=w_eps)
             try:
-                res = run_instance(_validate(spec_eps, validation.scalars,
-                                             validation.eta, num), num, grid)
+                res = run_instance(validate_entry(eps), num, grid)
             except ValidationFailure as exc:
                 raise ValidationFailure(f"sweep eps = {eps:g}: {exc}",
                                         report=exc.report) from None
             _say_stages(say, res)
+            if grid is None:
+                say(f"sweep grid: R = {res.grid.r:g}, n_cells = {res.grid.n_cells} "
+                    f"(sized for eps = {eps:g})")
+                _say_operator(say, res.plan)
             name = f"profile_{idx:03d}.csv"
             emit_profile(res.sol, res.spectral.eta, out / name)
             return res.grid, {"eps": eps, "profile": name,
@@ -412,8 +428,6 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
                               **_stage_blocks(res)}
 
         grid, top = solve_entry(len(sweeps) - 1)
-        say(f"sweep grid: R = {grid.r:g}, n_cells = {grid.n_cells} "
-            f"(sized for eps = {sweeps[-1]:g})")
         entries = [solve_entry(idx, grid)[1] for idx in range(len(sweeps) - 1)]
         entries.append(top)
         doc["truncation"] = _truncation_block(grid)

@@ -9,13 +9,21 @@ at x by construction. The operator plan keeps the same half of every table.
 One application of the integral operator splits into three parts:
 
   regular     trapezoid product weights, end-corrected to third order,
-              against the kernel lag table. The even sum at a node x >= 0
-              splits into a Toeplitz part over t = 0..m (lags -m..m) and a
-              Hankel part over t = 1..m (lags 1..2m), m = n_cells // 2;
-              both are exact circular sums of length p >= 2m, so the plan
-              stores their spectra and an application is N real FFTs of
-              length p, products with the spectra per frequency, and N
-              inverse FFTs (the tests hold it to direct summation at 1e-12).
+              against the kernel lag table. With m = n_cells // 2 and the
+              kernel's reach L (the last lag-table index that holds a
+              nonzero value), the plan uses one of two exact layouts:
+              folded: the even sum at a node x >= 0 splits into a Toeplitz
+              part over t = 0..m (lags -m..m) and a Hankel part over
+              t = 1..m (lags 1..2m), both exact circular sums of length
+              p >= 2m; compact: each row is preceded by its first L cells
+              in mirrored order, so the sum over t = -L..m is one Toeplitz
+              sum against lags -L..L, exact at p >= m + 2L + 1. The plan
+              takes the compact layout when next_fast_len(m + 2L + 1) is
+              shorter than next_fast_len(n_cells), so p follows the
+              kernel's reach, and stores the spectra of its layout; an
+              application is N real FFTs of length p, products with the
+              spectra per frequency, and N inverse FFTs (the tests hold
+              both layouts to direct summation at 1e-12).
               A kernel that factors as K_ij = mix_ij k (kernels.
               kernel_factors) needs the spectra of the one profile k: the
               rows are mixed, u = mix v, before the transform. Only a
@@ -154,11 +162,17 @@ class OperatorPlan:
     """Precomputed tables for one grid, kept on its x >= 0 half.
 
     Every per-node table holds the m + 1 columns of the nodes x >= 0,
-    m = n_cells // 2; the x < 0 columns are their mirror image. With the
-    weighted row v halved at x = 0 and padded to fft_len = p >= 2m, the
-    regular sum at node x is the circular Toeplitz sum of v against the lag
-    table at the residues of lags -m..m plus the circular Hankel sum
-    against it at the residues of lags 1..2m. Both are exact: at p = 2m the
+    m = n_cells // 2; the x < 0 columns are their mirror image. reach is
+    L, the last index of the lag table (lags 0..2R) that holds a nonzero
+    value; only exact zeros count. Of the two layouts below the plan takes
+    the compact one when next_fast_len(m + 2L + 1) < next_fast_len(n_cells),
+    and the folded one otherwise.
+
+    Folded layout (kernel_im set): with the weighted row v halved at
+    x = 0 and padded to fft_len = p >= 2m, the regular sum at node x is the
+    circular Toeplitz sum of v against the lag table at the residues of
+    lags -m..m plus the circular Hankel sum against it at the residues of
+    lags 1..2m. Both are exact: at p = 2m the
     lags +-m share a residue and the value K(m), and lag 2m wraps to
     residue 0, which no other Hankel lag reaches. With T the (real)
     Toeplitz spectrum and c + i d the Hankel one, a row spectrum a + i b
@@ -168,20 +182,31 @@ class OperatorPlan:
     center_fix restores, at x = 0, K(0) in place of the Hankel value at
     residue 0 that the halved v_0 picked up.
 
+    Compact layout (kernel_im, kernel_cross and center_fix None): the row
+    v over cells 0..m is preceded by its cells L..1, so it runs over
+    t = -L..m, and the sum at x = 0..m is the plain Toeplitz sum against
+    lags -L..L, read at positions L..L + m of the circular sum. The offsets
+    x - t run over [-m, m + L], and once p >= m + 2L + 1 none outside
+    -L..L shares a residue with a lag inside it, so the sum is exact with
+    no Hankel table, center fix or halving. kernel_re holds the one real
+    spectrum T.
+
     Factored plan (mix set): K_ij = mix_ij k, the spectra and center_fix
     are those of the one profile k, shapes (p // 2 + 1,) and (), and an
     application transforms the mixed rows mix v. Per-entry plan (mix None,
     for a kernel without a shared profile): shapes (N, N, p // 2 + 1) and
-    (N, N), one lag table per entry, contracted over j per frequency.
+    (N, N), one lag table per entry, contracted over j per frequency; L is
+    the largest reach over the entries.
     """
 
     grid: Grid
-    fft_len: int               # p = next_fast_len(n_cells) >= 2m, 5-smooth
+    fft_len: int               # p, 5-smooth: >= 2m folded, >= m + 2L + 1 compact
+    reach: int                 # L, in cells
     mix: np.ndarray            # (N, N) coefficients of the profile, or None
-    kernel_re: np.ndarray      # T + c - d
-    kernel_im: np.ndarray      # T - c - d
-    kernel_cross: np.ndarray   # d
-    center_fix: np.ndarray     # K(0) minus the Hankel table at residue 0
+    kernel_re: np.ndarray      # T + c - d (folded) or T (compact)
+    kernel_im: np.ndarray      # T - c - d, or None
+    kernel_cross: np.ndarray   # d, or None
+    center_fix: np.ndarray     # K(0) minus the Hankel table at residue 0, or None
     trapw: np.ndarray          # (m + 1,) end-corrected trapezoid weights
     omega: np.ndarray          # (N, m + 1) singular product weights
     tail: np.ndarray           # (N, m + 1) kernel mass beyond the grid times G(boundary)
@@ -189,6 +214,10 @@ class OperatorPlan:
     @property
     def n(self) -> int:
         return self.omega.shape[0]
+
+    @property
+    def compact(self) -> bool:
+        return self.kernel_im is None
 
 
 def next_fast_len(n: int) -> int:
@@ -226,9 +255,15 @@ def _regular_node_weights(h: float, n_cells: int) -> np.ndarray:
     return w
 
 
+def _reach(row) -> int:
+    """Last index of the lag table row that holds a nonzero value."""
+    nonzero = np.flatnonzero(row)
+    return int(nonzero[-1]) if nonzero.size else 0
+
+
 def _lag_spectra(row, grid: Grid, p: int):
     """(kernel_re, kernel_im, kernel_cross, center_fix) of one lag table
-    row at lags 0..2R, for the OperatorPlan layout at fft length p."""
+    row at lags 0..2R, for the folded OperatorPlan layout at fft length p."""
     half = grid.n_cells // 2
     top = min(p, row.size)
     toeplitz, hankel = np.zeros(p), np.zeros(p)
@@ -243,22 +278,57 @@ def _lag_spectra(row, grid: Grid, p: int):
             h_hat.imag, row[0] - hankel[0])
 
 
-def _entry_spectra(kernel, n: int, grid: Grid, lags, p: int):
-    """Per-entry plan spectra, one (i, j) row at a time. Row (j, i), j > i,
-    copies the spectra of row (i, j) when its lag table is bitwise the
-    same."""
-    tables = [np.empty((n, n, p // 2 + 1)) for _ in range(3)] + [np.empty((n, n))]
+def _compact_spectra(row, reach: int, p: int):
+    """(kernel_re,): the real spectrum of one lag table row at lags
+    -L..L, L = reach, for the compact OperatorPlan layout at fft length p.
+    The spectrum is allocated before the transform's temporaries, so that
+    freeing them leaves no gap below it in the heap."""
+    spectrum = np.empty(p // 2 + 1)
+    toeplitz = np.zeros(p)
+    toeplitz[:reach + 1] = row[:reach + 1]
+    toeplitz[p - reach:] = row[reach:0:-1]
+    spectrum[:] = rfft(toeplitz).real
+    return (spectrum,)
+
+
+def _entry_spectra(rows, n: int, spectra_of):
+    """Per-entry plan spectra, stacked to (N, N, ...) tables. Row (j, i),
+    j > i, reuses the spectra of row (i, j) when its lag table is bitwise
+    the same."""
+    spectra = {}
     for i in range(n):
         for j in range(i, n):
-            row = kernel_eval(kernel, i, j, lags)
-            spectra = mirrored = _lag_spectra(row, grid, p)
-            if j > i:
-                mirror = kernel_eval(kernel, j, i, lags)
-                if not np.array_equal(mirror, row):
-                    mirrored = _lag_spectra(mirror, grid, p)
-            for table, a, b in zip(tables, spectra, mirrored):
-                table[i, j], table[j, i] = a, b
-    return tables
+            spectra[i, j] = spectra[j, i] = spectra_of(rows[i, j])
+            if j > i and not np.array_equal(rows[j, i], rows[i, j]):
+                spectra[j, i] = spectra_of(rows[j, i])
+    return [np.array([[spectra[i, j][t] for j in range(n)] for i in range(n)])
+            for t in range(len(spectra[0, 0]))]
+
+
+def _kernel_spectra(kernel, factors, grid: Grid):
+    """(fft_len, reach, spectra) of the plan's kernel: the spectra of the
+    profile when factors = kernel_factors(kernel) is set, of every entry
+    otherwise, in the layout with the shorter transform."""
+    n = kernel.n
+    lags = np.linspace(0.0, 2.0 * grid.r, grid.n_cells + 1)
+    if factors is None:
+        rows = {(i, j): kernel_eval(kernel, i, j, lags) for i in range(n) for j in range(n)}
+    else:
+        rows = {(0, 0): kernel_eval(factors[1], 0, 0, lags)}
+    reach = max(_reach(row) for row in rows.values())
+    p = next_fast_len(grid.n_cells)
+    compact_len = next_fast_len(grid.n_cells // 2 + 2 * reach + 1)
+    if compact_len < p:
+        p = compact_len
+
+        def spectra_of(row):
+            return _compact_spectra(row, reach, p)
+    else:
+        def spectra_of(row):
+            return _lag_spectra(row, grid, p)
+    if factors is not None:
+        return p, reach, spectra_of(rows[0, 0])
+    return p, reach, _entry_spectra(rows, n, spectra_of)
 
 
 def build_plan(spec, grid: Grid, boundary) -> OperatorPlan:
@@ -274,15 +344,9 @@ def build_plan(spec, grid: Grid, boundary) -> OperatorPlan:
     if boundary.shape != (n,):
         raise ValueError("boundary must have one entry per component")
 
-    lags = np.linspace(0.0, 2.0 * grid.r, grid.n_cells + 1)
-    p = next_fast_len(grid.n_cells)
     factors = kernel_factors(spec.kernel)
-    if factors is None:
-        mix = None
-        spectra = _entry_spectra(spec.kernel, n, grid, lags, p)
-    else:
-        mix, unit = factors
-        spectra = _lag_spectra(kernel_eval(unit, 0, 0, lags), grid, p)
+    mix, unit = (None, None) if factors is None else factors
+    p, reach, spectra = _kernel_spectra(spec.kernel, factors, grid)
     trapw = _regular_node_weights(grid.h, grid.n_cells)
 
     # exact excess cell moments folded into per-node weights: a linear model
@@ -323,29 +387,15 @@ def build_plan(spec, grid: Grid, boundary) -> OperatorPlan:
     else:
         tail = (mix @ g_bound)[:, None] * one_sided(unit, 0, 0)
 
-    kernel_re, kernel_im, kernel_cross, center_fix = spectra
-    return OperatorPlan(grid=grid, fft_len=p, mix=mix, kernel_re=kernel_re,
-                        kernel_im=kernel_im, kernel_cross=kernel_cross,
-                        center_fix=center_fix, trapw=trapw, omega=omega, tail=tail)
+    tables = dict.fromkeys(("kernel_re", "kernel_im", "kernel_cross", "center_fix"))
+    tables.update(zip(tables, spectra))
+    return OperatorPlan(grid=grid, fft_len=p, reach=reach, mix=mix, trapw=trapw,
+                        omega=omega, tail=tail, **tables)
 
 
-def apply_operator(plan: OperatorPlan, f: FieldVector, nonlins,
-                   include_singular: bool = True) -> FieldVector:
-    """One application of the discrete integral operator to the even field f.
-
-    Regular and singular parts share the kernel lag convolution (their node
-    weights just add). The weighted rows, halved at x = 0 and mixed by
-    plan.mix when the kernel factors, go through one real FFT of length
-    plan.fft_len; the products with the Toeplitz and Hankel spectra and one
-    inverse FFT give the sum over the full grid at the x >= 0 nodes. The
-    plan's tail adds the analytic correction for the constant continuation.
-    """
-    if f.grid is not plan.grid and not np.array_equal(f.grid.nodes, plan.grid.nodes):
-        raise ValueError("field grid does not match the plan grid")
-    if f.n != plan.n:
-        raise ValueError("field component count does not match the plan")
-    v = np.vstack([g_eval(nl, row) for nl, row in zip(nonlins, f.values)])
-    v *= (plan.trapw + plan.omega) if include_singular else plan.trapw
+def _folded_sums(plan: OperatorPlan, v):
+    """Regular-plus-singular sums at the x >= 0 nodes, tail included, of
+    the weighted rows v in the folded layout."""
     v[:, 0] *= 0.5
     if plan.mix is None:
         def contract(table, x):
@@ -362,7 +412,46 @@ def apply_operator(plan: OperatorPlan, f: FieldVector, nonlins,
     v_hat.real, v_hat.imag = re, w
     out = irfft(v_hat, n=plan.fft_len, axis=-1)[:, :plan.trapw.size] + plan.tail
     out[:, 0] += np.dot(plan.center_fix, v[:, 0])
-    return FieldVector(grid=f.grid, values=out)
+    return out
+
+
+def _compact_sums(plan: OperatorPlan, v):
+    """The same sums in the compact layout: each row runs over t = -L..m,
+    its cells L..1 mirrored ahead of cells 0..m."""
+    reach = plan.reach
+    if plan.mix is not None:
+        v = plan.mix @ v
+    v_hat = rfft(np.concatenate([v[:, reach:0:-1], v], axis=1), n=plan.fft_len, axis=-1)
+    if plan.mix is None:
+        v_hat = np.einsum("ijk,jk->ik", plan.kernel_re, v_hat)
+    else:
+        v_hat *= plan.kernel_re
+    out = irfft(v_hat, n=plan.fft_len, axis=-1)
+    return out[:, reach:reach + plan.trapw.size] + plan.tail
+
+
+def apply_operator(plan: OperatorPlan, f: FieldVector, nonlins,
+                   include_singular: bool = True) -> FieldVector:
+    """One application of the discrete integral operator to the even field f.
+
+    Regular and singular parts share the kernel lag convolution (their node
+    weights just add). The weighted rows, mixed by plan.mix when the kernel
+    factors, go through one real FFT of length plan.fft_len, products with
+    the plan's spectra and one inverse FFT, which give the sum over the
+    full grid at the x >= 0 nodes. In the folded layout the rows are halved
+    at x = 0 and the products take the Toeplitz and Hankel spectra; in the
+    compact one each row is preceded by its mirrored cells L..1 and the
+    product takes the one Toeplitz spectrum. The plan's tail adds the
+    analytic correction for the constant continuation.
+    """
+    if f.grid is not plan.grid and not np.array_equal(f.grid.nodes, plan.grid.nodes):
+        raise ValueError("field grid does not match the plan grid")
+    if f.n != plan.n:
+        raise ValueError("field component count does not match the plan")
+    v = np.vstack([g_eval(nl, row) for nl, row in zip(nonlins, f.values)])
+    v *= (plan.trapw + plan.omega) if include_singular else plan.trapw
+    sums = _compact_sums if plan.compact else _folded_sums
+    return FieldVector(grid=f.grid, values=sums(plan, v))
 
 
 @dataclass(frozen=True)

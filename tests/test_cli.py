@@ -14,6 +14,7 @@ from conftest import write_excess_table, write_kernel_table, write_linear_nonlin
 from convint import cli
 from convint.discretization import FieldVector, build_grid
 from convint.errors import ConfigError
+from convint.problem import validate_problem
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
@@ -321,6 +322,65 @@ class TestSweepMode:
         path = write_config(tmp_path / "run.json", doc)
         assert cli.main(["--config", path, "--out-dir", str(tmp_path)]) == 1
         assert "no eps parameter" in capsys.readouterr().err
+
+    def test_configured_eps_is_validated_once(self, tmp_path, monkeypatch):
+        # the entry whose eps the configured weights already have reuses the
+        # configured validation; a configured eps outside sweep_eps costs one
+        # validation more. The entries come out the same either way
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].weights[0].eps)
+            return validate_problem(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "validate_problem", counting)
+
+        def sweep(configured):
+            calls.clear()
+            doc = scalar_config(mode="sweep", eps=configured, n_cells=512)
+            doc["sweep_eps"] = [0.05, 0.1]
+            path = write_config(tmp_path / f"{configured}.json", doc)
+            out = tmp_path / str(configured)
+            assert cli.main(["--config", path, "--out-dir", str(out), "--quiet"]) == 0
+            return list(calls), json.loads((out / "report.json").read_text())
+
+        inside, doc_inside = sweep(0.1)
+        outside, doc_outside = sweep(0.08)
+        assert inside == [0.1, 0.05]
+        assert outside == [0.08, 0.1, 0.05]
+        assert doc_inside["entries"] == doc_outside["entries"]
+        assert doc_inside["entries"][1]["validation"] == doc_inside["validation"]
+
+
+class TestProgressLines:
+    # eps = 0.1 keeps R = 32, where the Gaussian reaches too far for the
+    # compact layout to be shorter (folded); eps = 0.2 takes R = 64, where
+    # it reaches 436 cells and the compact layout runs
+    @pytest.mark.parametrize("eps, line", [
+        (0.1, "operator: transform length 2048 (kernel reaches 873 of 1024 half-grid cells)"),
+        (0.2, "operator: transform length 1920 (kernel reaches 436 of 1024 half-grid cells)"),
+    ])
+    def test_solve_names_the_transform(self, tmp_path, capsys, eps, line):
+        path = write_config(tmp_path / "run.json", scalar_config(eps=eps, n_cells=2048))
+        assert cli.main(["--config", path, "--out-dir", str(tmp_path / "out")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[lines.index(line) - 1].startswith("truncation R = ")
+        assert cli.main(["--config", path, "--out-dir", str(tmp_path / "quiet"),
+                         "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "out" / "report.json").read_bytes() == \
+            (tmp_path / "quiet" / "report.json").read_bytes()
+
+    def test_sweep_names_the_transform(self, tmp_path, capsys):
+        doc = scalar_config(mode="sweep", n_cells=2048)
+        doc["sweep_eps"] = [0.05, 0.2]
+        path = write_config(tmp_path / "run.json", doc)
+        assert cli.main(["--config", path, "--out-dir", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        grid = lines.index("sweep grid: R = 64, n_cells = 2048 (sized for eps = 0.2)")
+        assert lines[grid + 1] == \
+            "operator: transform length 1920 (kernel reaches 436 of 1024 half-grid cells)"
+        assert sum(line.startswith("operator: ") for line in lines) == 1
 
 
 class TestFailureExitCodes:

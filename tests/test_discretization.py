@@ -5,6 +5,8 @@ kernel lag values, tail corrections, and excess masses all have elementary
 expressions to compare the precomputed tables against.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import coupled_models
@@ -210,6 +212,11 @@ class TestPlanTables:
         assert np.allclose(plan.tail[0], expect, rtol=1e-13, atol=1e-300)
 
 
+# (R, n_cells) grids on which the Gaussian's lag table ends inside the grid
+WIDE_GRIDS = [pytest.param(64.0, 256, id="r64-256"), pytest.param(64.0, 130, id="r64-130")]
+WIDE_AND_NARROW_GRIDS = [pytest.param(1.5, n, id=str(n)) for n in (14, 22, 64, 100)] + WIDE_GRIDS
+
+
 class TestApplyOperator:
     def test_constant_eigen_field_is_near_fixed(self, flagship):
         out = apply_operator(
@@ -232,27 +239,34 @@ class TestApplyOperator:
 
     # fft_len 15 (odd, above n_cells), 24 (even, above n_cells), 64 and 100
     # (equal to n_cells: lag 2m wraps to residue 0 and x = 0 takes the fix);
-    # at R = 1.5 the kernel at lag 2R is 7e-5, so every lag and the tail show
-    @pytest.mark.parametrize("n_cells", [14, 22, 64, 100])
-    def test_scalar_matches_direct_sum(self, n_cells):
+    # at R = 1.5 the kernel at lag 2R is 7e-5, so every lag and the tail show.
+    # At R = 64 the kernel ends inside the grid and the compact layout runs,
+    # at 256 cells zero-padded (m + 2L + 1 = 237, fft_len 240) and at 130
+    # cells unpadded (m + 2L + 1 = fft_len = 120)
+    @pytest.mark.parametrize("r, n_cells", WIDE_AND_NARROW_GRIDS)
+    def test_scalar_matches_direct_sum(self, r, n_cells):
         spec = scalar_spec()
-        grid = build_grid(1.5, n_cells)
+        grid = build_grid(r, n_cells)
         plan = build_plan(spec, grid, [1.3])
+        assert plan.compact == (r == 64.0)
         f = bumpy_field(grid, 1)
         fast = apply_operator(plan, f, spec.nonlins)
         slow = direct_apply(spec, plan, f, [1.3])
         assert np.max(np.abs(mirror(fast.values) - slow)) <= 1e-12
 
-    @pytest.mark.parametrize("n_cells", [14, 22, 64, 98])
-    def test_coupled_pair_matches_direct_sum(self, n_cells):
+    @pytest.mark.parametrize("r, n_cells", [
+        pytest.param(1.5, n, id=str(n)) for n in (14, 22, 64, 98)] + WIDE_GRIDS)
+    def test_coupled_pair_matches_direct_sum(self, r, n_cells):
         # distinct kernel coefficients, weights, maps and field rows; at 14
         # and 22 cells the transforms run zero-padded to 15 and 24, at 98 to
-        # 100, and at 64 cells lag 2m wraps to residue 0
+        # 100, and at 64 cells lag 2m wraps to residue 0; at R = 64 the
+        # compact layout runs, as for the scalar kernel
         models = coupled_models()
         spec = ProblemSpec(n=2, kernel=models["kernel"], weights=models["weights"],
                            nonlins=models["make_nonlins"]([1.0, 0.8]), phi=models["phi"])
-        grid = build_grid(1.5, n_cells)
+        grid = build_grid(r, n_cells)
         plan = build_plan(spec, grid, [1.0, 0.8])
+        assert plan.compact == (r == 64.0)
         f = bumpy_field(grid, 2)
         fast = apply_operator(plan, f, spec.nonlins)
         slow = direct_apply(spec, plan, f, [1.0, 0.8])
@@ -315,13 +329,23 @@ def two_tables(tau):
     return np.array([[k00, k01], [k01, k11]])
 
 
+def pair_spec(kernel):
+    """The coupled pair's weights, maps and scaling with the given kernel."""
+    models = coupled_models()
+    return ProblemSpec(n=2, kernel=kernel, weights=models["weights"],
+                       nonlins=models["make_nonlins"]([1.0, 0.8]), phi=models["phi"])
+
+
+def tabulated_pair():
+    tau = np.linspace(0.0, 4.0, 801)
+    return TabulatedKernel(tau, two_tables(tau))
+
+
 class TestPlanSpectra:
     @staticmethod
-    def coupled_plan(kernel, n_cells):
-        models = coupled_models()
-        spec = ProblemSpec(n=2, kernel=kernel, weights=models["weights"],
-                           nonlins=models["make_nonlins"]([1.0, 0.8]), phi=models["phi"])
-        grid = build_grid(1.5, n_cells)
+    def coupled_plan(kernel, n_cells, r=1.5):
+        spec = pair_spec(kernel)
+        grid = build_grid(r, n_cells)
         return spec, build_plan(spec, grid, [1.0, 0.8])
 
     @pytest.mark.parametrize("n_cells", [22, 64])
@@ -363,18 +387,102 @@ class TestPlanSpectra:
         slow = direct_apply(spec, plan, f, [1.0, 0.8])
         assert np.max(np.abs(mirror(fast.values) - slow)) <= 1e-12
 
-    @pytest.mark.parametrize("n_cells", [14, 22, 64, 98])
-    def test_tabulated_pair_keeps_per_entry_spectra(self, n_cells):
+    @pytest.mark.parametrize("r, n_cells", [
+        pytest.param(1.5, n, id=str(n)) for n in (14, 22, 64, 98)] + [
+        pytest.param(16.0, n, id=f"r16-{n}") for n in (250, 256)])
+    def test_tabulated_pair_keeps_per_entry_spectra(self, r, n_cells):
         # entries that share no profile: the plan holds one spectrum row per
-        # entry and contracts over j, and still matches direct summation
-        tau = np.linspace(0.0, 4.0, 801)
-        spec, plan = self.coupled_plan(TabulatedKernel(tau, two_tables(tau)), n_cells)
+        # entry and contracts over j, and still matches direct summation; at
+        # R = 16 the tables (tau <= 4) end inside the grid, so the compact
+        # layout runs with L the largest reach over the entries
+        spec, plan = self.coupled_plan(tabulated_pair(), n_cells, r)
         assert plan.mix is None
         assert plan.kernel_re.shape == (2, 2, plan.fft_len // 2 + 1)
-        assert plan.center_fix.shape == (2, 2)
+        assert plan.compact == (r == 16.0)
+        if not plan.compact:
+            assert plan.center_fix.shape == (2, 2)
         f = bumpy_field(plan.grid, 2)
         fast = apply_operator(plan, f, spec.nonlins)
         slow = direct_apply(spec, plan, f, [1.0, 0.8])
+        assert np.max(np.abs(mirror(fast.values) - slow)) <= 1e-12
+
+
+def ramp_spec():
+    """A kernel that ends inside the grid well above roundoff: the 1 x 1
+    table falls linearly from 1 at tau = 0 to 0.2 at tau = 3 and is zero
+    beyond."""
+    return dataclasses.replace(
+        scalar_spec(), kernel=TabulatedKernel([0.0, 3.0], [[[1.0, 0.2]]]))
+
+
+def lag_table_reach(spec, grid):
+    """Largest index over the entries' lag tables (lags 0..2R) that holds a
+    nonzero value."""
+    lags = grid.h * np.arange(grid.n_cells + 1)
+    return max(int(np.flatnonzero(kernel_eval(spec.kernel, i, j, lags))[-1])
+               for i in range(spec.n) for j in range(spec.n))
+
+
+class TestCompactLayout:
+    # (spec, R, n_cells, fft_len, compact): the compact layout where
+    # next_fast_len(m + 2L + 1) is the shorter length, the folded one
+    # (next_fast_len(n_cells)) where it is not
+    @pytest.mark.parametrize("spec, r, n_cells, fft_len, compact", [
+        pytest.param(scalar_spec(), 64.0, 256, 240, True, id="gauss-r64-256"),
+        pytest.param(scalar_spec(), 64.0, 130, 120, True, id="gauss-r64-130"),
+        pytest.param(scalar_spec(), 8.0, 64, 64, False, id="gauss-r8-64"),
+        pytest.param(scalar_spec(), 1.0, 22, 24, False, id="gauss-r1-22"),
+        pytest.param(ramp_spec(), 8.0, 22, 20, True, id="ramp-r8-22"),
+        pytest.param(ramp_spec(), 8.0, 32, 30, True, id="ramp-r8-32"),
+        pytest.param(ramp_spec(), 2.0, 32, 32, False, id="ramp-r2-32"),
+        pytest.param(pair_spec(tabulated_pair()), 16.0, 256, 200, True, id="pair-r16-256"),
+    ])
+    def test_fft_len_follows_the_kernel_reach(self, spec, r, n_cells, fft_len, compact):
+        grid = build_grid(r, n_cells)
+        plan = build_plan(spec, grid, [1.0] * spec.n)
+        reach = lag_table_reach(spec, grid)
+        assert plan.reach == reach
+        folded, tight = next_fast_len(n_cells), next_fast_len(n_cells // 2 + 2 * reach + 1)
+        assert plan.fft_len == fft_len == (tight if tight < folded else folded)
+        assert plan.compact == compact == (tight < folded)
+        assert (plan.kernel_cross is None) == (plan.center_fix is None) == compact
+
+    def test_small_and_flagship_keep_the_folded_layout(self, small, flagship):
+        assert small[2].fft_len == 64 and not small[2].compact
+        assert flagship.plan.fft_len == 8192 and not flagship.plan.compact
+
+    @pytest.mark.parametrize("spec, r, n_cells", [
+        pytest.param(scalar_spec(), 64.0, 256, id="gauss-r64-256"),
+        pytest.param(ramp_spec(), 8.0, 22, id="ramp-r8-22"),
+        pytest.param(ramp_spec(), 8.0, 32, id="ramp-r8-32"),
+    ])
+    def test_spectrum_recovers_kernel_lag_table(self, spec, r, n_cells):
+        # the one real spectrum undone gives lags 0..L at residues 0..L and
+        # their mirrors at p - L..p - 1; every other residue is zero padding
+        grid = build_grid(r, n_cells)
+        plan = build_plan(spec, grid, [1.0])
+        p, reach = plan.fft_len, plan.reach
+        assert plan.compact and plan.kernel_re.shape == (p // 2 + 1,)
+        table = irfft(plan.kernel_re, p)
+        expect = kernel_eval(spec.kernel, 0, 0, grid.h * np.arange(reach + 1))
+        assert expect[-1] > 0.0
+        assert np.max(np.abs(table[:reach + 1] - expect)) <= 1e-15
+        assert np.max(np.abs(table[p - reach:] - expect[:0:-1]), initial=0.0) <= 1e-15
+        assert np.max(np.abs(table[reach + 1:p - reach])) <= 1e-15
+
+    # the ramp ends at 0.2 or more, so a prefix one cell short or a circle
+    # one cell short (p = m + 2L) moves the sums far above roundoff; at 22
+    # cells fft_len is m + 2L + 1 itself, at 32 cells it is padded
+    @pytest.mark.parametrize("n_cells", [22, 32, 128])
+    def test_ramp_kernel_matches_direct_sum(self, n_cells):
+        spec = ramp_spec()
+        grid = build_grid(8.0, n_cells)
+        plan = build_plan(spec, grid, [1.3])
+        assert plan.compact
+        assert kernel_eval(spec.kernel, 0, 0, grid.h * plan.reach) >= 0.2
+        f = bumpy_field(grid, 1)
+        fast = apply_operator(plan, f, spec.nonlins)
+        slow = direct_apply(spec, plan, f, [1.3])
         assert np.max(np.abs(mirror(fast.values) - slow)) <= 1e-12
 
 
