@@ -168,7 +168,7 @@ class OperatorPlan:
     the compact one when next_fast_len(m + 2L + 1) < next_fast_len(n_cells),
     and the folded one otherwise.
 
-    Folded layout (kernel_im set): with the weighted row v halved at
+    Folded layout (compact False): with the weighted row v halved at
     x = 0 and padded to fft_len = p >= 2m, the regular sum at node x is the
     circular Toeplitz sum of v against the lag table at the residues of
     lags -m..m plus the circular Hankel sum against it at the residues of
@@ -182,14 +182,14 @@ class OperatorPlan:
     center_fix restores, at x = 0, K(0) in place of the Hankel value at
     residue 0 that the halved v_0 picked up.
 
-    Compact layout (kernel_im, kernel_cross and center_fix None): the row
-    v over cells 0..m is preceded by its cells L..1, so it runs over
-    t = -L..m, and the sum at x = 0..m is the plain Toeplitz sum against
-    lags -L..L, read at positions L..L + m of the circular sum. The offsets
-    x - t run over [-m, m + L], and once p >= m + 2L + 1 none outside
-    -L..L shares a residue with a lag inside it, so the sum is exact with
-    no Hankel table, center fix or halving. kernel_re holds the one real
-    spectrum T.
+    Compact layout (compact True; kernel_im, kernel_cross and center_fix
+    stay None): the row v over cells 0..m is preceded by its cells L..1,
+    so it runs over t = -L..m, and the sum at x = 0..m is the plain
+    Toeplitz sum against lags -L..L, read at positions L..L + m of the
+    circular sum. The offsets x - t run over [-m, m + L], and once
+    p >= m + 2L + 1 none outside -L..L shares a residue with a lag inside
+    it, so the sum is exact with no Hankel table, center fix or halving.
+    kernel_re holds the one real spectrum T.
 
     Factored plan (mix set): K_ij = mix_ij k, the spectra and center_fix
     are those of the one profile k, shapes (p // 2 + 1,) and (), and an
@@ -202,22 +202,19 @@ class OperatorPlan:
     grid: Grid
     fft_len: int               # p, 5-smooth: >= 2m folded, >= m + 2L + 1 compact
     reach: int                 # L, in cells
+    compact: bool              # the layout: compact, or folded
     mix: np.ndarray            # (N, N) coefficients of the profile, or None
-    kernel_re: np.ndarray      # T + c - d (folded) or T (compact)
-    kernel_im: np.ndarray      # T - c - d, or None
-    kernel_cross: np.ndarray   # d, or None
-    center_fix: np.ndarray     # K(0) minus the Hankel table at residue 0, or None
     trapw: np.ndarray          # (m + 1,) end-corrected trapezoid weights
     omega: np.ndarray          # (N, m + 1) singular product weights
     tail: np.ndarray           # (N, m + 1) kernel mass beyond the grid times G(boundary)
+    kernel_re: np.ndarray      # T + c - d (folded) or T (compact)
+    kernel_im: np.ndarray = None      # T - c - d (folded only)
+    kernel_cross: np.ndarray = None   # d (folded only)
+    center_fix: np.ndarray = None     # K(0) minus the Hankel table at residue 0 (folded only)
 
     @property
     def n(self) -> int:
         return self.omega.shape[0]
-
-    @property
-    def compact(self) -> bool:
-        return self.kernel_im is None
 
 
 def next_fast_len(n: int) -> int:
@@ -280,55 +277,60 @@ def _lag_spectra(row, grid: Grid, p: int):
 
 def _compact_spectra(row, reach: int, p: int):
     """(kernel_re,): the real spectrum of one lag table row at lags
-    -L..L, L = reach, for the compact OperatorPlan layout at fft length p.
-    The spectrum is allocated before the transform's temporaries, so that
-    freeing them leaves no gap below it in the heap."""
-    spectrum = np.empty(p // 2 + 1)
+    -L..L, L = reach, for the compact OperatorPlan layout at fft length p."""
     toeplitz = np.zeros(p)
     toeplitz[:reach + 1] = row[:reach + 1]
     toeplitz[p - reach:] = row[reach:0:-1]
-    spectrum[:] = rfft(toeplitz).real
-    return (spectrum,)
-
-
-def _entry_spectra(rows, n: int, spectra_of):
-    """Per-entry plan spectra, stacked to (N, N, ...) tables. Row (j, i),
-    j > i, reuses the spectra of row (i, j) when its lag table is bitwise
-    the same."""
-    spectra = {}
-    for i in range(n):
-        for j in range(i, n):
-            spectra[i, j] = spectra[j, i] = spectra_of(rows[i, j])
-            if j > i and not np.array_equal(rows[j, i], rows[i, j]):
-                spectra[j, i] = spectra_of(rows[j, i])
-    return [np.array([[spectra[i, j][t] for j in range(n)] for i in range(n)])
-            for t in range(len(spectra[0, 0]))]
+    return (rfft(toeplitz).real,)
 
 
 def _kernel_spectra(kernel, factors, grid: Grid):
-    """(fft_len, reach, spectra) of the plan's kernel: the spectra of the
-    profile when factors = kernel_factors(kernel) is set, of every entry
-    otherwise, in the layout with the shorter transform."""
-    n = kernel.n
+    """(fft_len, reach, compact, tables) of the plan's kernel, in the layout
+    with the shorter transform; tables maps OperatorPlan field names to the
+    spectra of the profile when factors = kernel_factors(kernel) is set, of
+    every entry otherwise, stacked to (N, N, ...).
+
+    In paired runs with each layout forced, the shorter transform also gave
+    the faster application and solve on either side of the rule. Row
+    (j, i), j > i, reuses the spectra of row (i, j) when its lag table is
+    bitwise the same.
+    """
+    model, n = (kernel, kernel.n) if factors is None else (factors[1], 1)
     lags = np.linspace(0.0, 2.0 * grid.r, grid.n_cells + 1)
-    if factors is None:
-        rows = {(i, j): kernel_eval(kernel, i, j, lags) for i in range(n) for j in range(n)}
-    else:
-        rows = {(0, 0): kernel_eval(factors[1], 0, 0, lags)}
-    reach = max(_reach(row) for row in rows.values())
+
+    def row(i, j):
+        return kernel_eval(model, i, j, lags)
+
+    reach = max(_reach(row(i, j)) for i in range(n) for j in range(n))
     p = next_fast_len(grid.n_cells)
     compact_len = next_fast_len(grid.n_cells // 2 + 2 * reach + 1)
-    if compact_len < p:
+    compact = compact_len < p
+    if compact:
         p = compact_len
+        sizes = {"kernel_re": (p // 2 + 1,)}
 
-        def spectra_of(row):
-            return _compact_spectra(row, reach, p)
+        def spectra_of(lag_row):
+            return _compact_spectra(lag_row, reach, p)
     else:
-        def spectra_of(row):
-            return _lag_spectra(row, grid, p)
+        sizes = {"kernel_re": (p // 2 + 1,), "kernel_im": (p // 2 + 1,),
+                 "kernel_cross": (p // 2 + 1,), "center_fix": ()}
+
+        def spectra_of(lag_row):
+            return _lag_spectra(lag_row, grid, p)
+    tables = {name: np.empty((n, n) + size) for name, size in sizes.items()}
+    for i in range(n):
+        for j in range(i, n):
+            lag_row = row(i, j)
+            spectra = mirrored = spectra_of(lag_row)
+            if j > i:
+                mirror = row(j, i)
+                if not np.array_equal(mirror, lag_row):
+                    mirrored = spectra_of(mirror)
+            for table, a, b in zip(tables.values(), spectra, mirrored):
+                table[i, j], table[j, i] = a, b
     if factors is not None:
-        return p, reach, spectra_of(rows[0, 0])
-    return p, reach, _entry_spectra(rows, n, spectra_of)
+        tables = {name: table[0, 0] for name, table in tables.items()}
+    return p, reach, compact, tables
 
 
 def build_plan(spec, grid: Grid, boundary) -> OperatorPlan:
@@ -346,7 +348,7 @@ def build_plan(spec, grid: Grid, boundary) -> OperatorPlan:
 
     factors = kernel_factors(spec.kernel)
     mix, unit = (None, None) if factors is None else factors
-    p, reach, spectra = _kernel_spectra(spec.kernel, factors, grid)
+    p, reach, compact, tables = _kernel_spectra(spec.kernel, factors, grid)
     trapw = _regular_node_weights(grid.h, grid.n_cells)
 
     # exact excess cell moments folded into per-node weights: a linear model
@@ -387,10 +389,8 @@ def build_plan(spec, grid: Grid, boundary) -> OperatorPlan:
     else:
         tail = (mix @ g_bound)[:, None] * one_sided(unit, 0, 0)
 
-    tables = dict.fromkeys(("kernel_re", "kernel_im", "kernel_cross", "center_fix"))
-    tables.update(zip(tables, spectra))
-    return OperatorPlan(grid=grid, fft_len=p, reach=reach, mix=mix, trapw=trapw,
-                        omega=omega, tail=tail, **tables)
+    return OperatorPlan(grid=grid, fft_len=p, reach=reach, compact=compact, mix=mix,
+                        trapw=trapw, omega=omega, tail=tail, **tables)
 
 
 def _folded_sums(plan: OperatorPlan, v):
