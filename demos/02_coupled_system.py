@@ -72,7 +72,7 @@ def main():
         print(f"component {j + 1}: edge deviation "
               f"{float(asym.edge_deviation[j]):.2e}, half-tail ratio "
               f"{float(asym.half_tail_ratio[j]):.4f}")
-    print(f"the iterates from xi and from eta enclose the discrete solution "
+    print(f"the upper iterates enclose the discrete solution "
           f"within {sol.probe_deviation:.3e}")
 
 

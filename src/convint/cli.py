@@ -7,7 +7,7 @@ The pipeline executes in dependency order
   kernel scalars -> spectral normalization -> eigenvector eta ->
   nonlinearities (eta filled in where not declared) -> excess masses ->
   majorant xi -> condition checks -> (sigma, k) -> truncation R -> grid ->
-  operator plan -> quadrature error budget -> two-sided monotone solve ->
+  operator plan -> quadrature error budget -> certified monotone solve ->
   emission
 
 This module runs the stages up to the eigenvector and the emission. The
@@ -51,7 +51,7 @@ from .weights import ExpSqrtWeight, RationalWeight, load_tabulated_excess
 __all__ = ["RunConfig", "load_config", "run", "emit_profile", "emit_report",
            "main"]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 # profile values formatted per call: bounds the writer's temporaries whatever
 # the component count (8192 rows at one component, 1890 at six)
@@ -328,7 +328,7 @@ def _stage_blocks(res: RunResult) -> dict:
                              "mono_slack": res.opts.mono_slack},
         "solve": {"iterations": sol.iterations, "termination": sol.termination,
                   "a_priori_n": sol.a_priori_n, "residual_sup": sol.residual_sup,
-                  "alpha_plus": sol.alpha_plus, "alpha_minus": sol.alpha_minus,
+                  "alpha_plus": sol.alpha_plus,
                   "asymptotics": sol.asymptotics.as_dict(),
                   "trace": sol.trace.as_dict(),
                   "probe_deviation": sol.probe_deviation},

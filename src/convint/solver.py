@@ -1,28 +1,30 @@
-"""Two-sided monotone successive approximations for the discretized system.
+"""Monotone successive approximations for the discretized system,
+certified from the upper sequence alone.
 
-Two sequences run in lock-step: the upper one starts at the constant
-majorant field (each component pinned at xi_i) and the lower one at the
-constant eigenvector field eta; each step applies the discrete operator
-once to each. Theory guarantees that
+The sequence starts at the constant majorant field (each component pinned
+at xi_i) and applies the discrete operator once per step. Theory
+guarantees that the iterates decrease pointwise, stay inside the slab
+[eta, xi], and that the sup-norm step d_n obeys a geometric envelope with
+ratio k. Each guard is enforced per step up to a measured quadrature
+slack; violations beyond it indicate a too-coarse grid or a real defect
+and abort the run, naming the offending node.
 
-  * the upper iterates decrease and the lower ones increase pointwise,
-  * every iterate stays inside the slab [eta, xi],
-  * the upper sup-norm step d_n obeys a geometric envelope with ratio k.
-
-Each guard is enforced per step up to a measured quadrature slack;
-violations beyond it indicate a too-coarse grid or a real defect and abort
-the run, naming the sequence and the offending node. Because the operator
-is monotone, every discrete fixed point in the slab lies between the two
-sequences, so the gap sup(upper - lower) bounds the distance from the
-upper iterate to the discrete solution (and shows the solution unique in
-the slab once it closes). The run stops when both d_n and the gap drop to
-the step tolerance, or at the iteration cap, reported distinctly; the
-pessimistic iteration count derived from (sigma, k) is reported alongside.
-The final gap is reported as probe_deviation.
+Condition IV with phi(s) = s^p, p < 1, gives T(s u) >= s^p T(u) for the
+discrete operator T, whose weights and tail term are nonnegative. So T
+contracts Thompson's part metric d(u, v) = max|log(u / v)| by the factor p
+(A. C. Thompson, 1963) and has one positive fixed point f_h. Summing the
+contraction over the remaining steps bounds d(up_n, f_h) by
+s_n = p d(up_n, up_(n-1)) / (1 - p): exp(-s_n) up_n <= f_h <= exp(s_n) up_n,
+so the width expm1(s_n) max(up_n) bounds sup|up_n - f_h|. Solve checks
+condition IV again on any strip below eta the iterates reached; validation
+sampled it on [eta, xi]. The run stops when both d_n and the width drop
+to the step tolerance, or at the iteration cap, reported distinctly, with
+the pessimistic count from (sigma, k) alongside; the final width is
+reported as probe_deviation.
 
 run_instance assembles the paper's stage chain for one validated problem
 once: (sigma, k) from the validated eta and xi, truncation and grid,
-operator plan, quadrature error budget, two-sided monotone solve.
+operator plan, quadrature error budget, certified monotone solve.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .discretization import (FieldVector, Grid, OperatorPlan, QuadratureError,
                              choose_truncation, constant_field,
                              estimate_quadrature_error)
 from .errors import ConfigError, SolveError
-from .nonlinearities import g_eval
+from .nonlinearities import check_condition_iv, g_eval
 from .problem import ValidationReport
 
 __all__ = [
@@ -74,31 +76,20 @@ class SolveOptions:
 
 @dataclass
 class IterationTrace:
-    """Per-step diagnostics: d[n-1] is the upper sup step at iteration n,
-    gap[n-1] the enclosure width sup(upper - lower) after it, e[n-1] the
-    distance-to-limit envelope k^n (1-sigma)/(1-k), step_bound[n-1] the
-    geometric step bound k^(n-1) (1-sigma) max(xi). mono_violation and
-    slab_excursion hold the upper sequence's worst rise and slab overshoot
-    per step; lower_mono_violation and lower_slab_excursion hold the lower
-    sequence's worst fall and slab overshoot over the whole run, as scalars,
-    so a sweep report does not carry two more lists per entry."""
+    """Per-step diagnostics: d[n-1] is the sup step at iteration n,
+    width[n-1] the enclosure width after it, mono_violation and
+    slab_excursion the worst rise and slab overshoot. The envelopes
+    k^(n-1) (1-sigma) max(xi) and k^n (1-sigma)/(1-k) follow from sigma, k
+    and xi, so the trace does not repeat them."""
 
     d: list = field(default_factory=list)
-    gap: list = field(default_factory=list)
-    e: list = field(default_factory=list)
-    step_bound: list = field(default_factory=list)
+    width: list = field(default_factory=list)
     mono_violation: list = field(default_factory=list)
     slab_excursion: list = field(default_factory=list)
-    lower_mono_violation: float = 0.0
-    lower_slab_excursion: float = 0.0
 
     def as_dict(self):
-        doc = {name: [float(v) for v in getattr(self, name)]
-               for name in ("d", "gap", "e", "step_bound", "mono_violation",
-                            "slab_excursion")}
-        doc["lower_mono_violation"] = float(self.lower_mono_violation)
-        doc["lower_slab_excursion"] = float(self.lower_slab_excursion)
-        return doc
+        return {name: [float(v) for v in getattr(self, name)]
+                for name in ("d", "width", "mono_violation", "slab_excursion")}
 
 
 @dataclass(frozen=True)
@@ -122,7 +113,6 @@ class SolutionReport:
     termination: str
     residual_sup: float
     alpha_plus: np.ndarray
-    alpha_minus: np.ndarray
     asymptotics: AsymptoticsReport
     trace: IterationTrace
     a_priori_n: int
@@ -134,45 +124,42 @@ def _worst_node(delta, grid):
     return f"component {i + 1}, node x = {grid.half_nodes[m]:.6g}"
 
 
-def _guard(name, wrong_way, values, eta, xi, slack, grid):
-    """Check one sequence's step; wrong_way is positive where it moved
-    against its direction. Returns the worst wrong-way step and the worst
-    slab overshoot, raising SolveError when either exceeds slack."""
+def _guard(wrong_way, values, eta, xi, slack, grid):
+    """Check one step of the upper sequence; wrong_way is positive where it
+    rose. Returns the worst rise and the worst slab overshoot, raising
+    SolveError when either exceeds slack."""
     worst = float(np.max(wrong_way))
     if worst > slack:
         raise SolveError(
-            f"{name} sequence: monotonicity violated by {worst:.3e} "
+            f"upper sequence: monotonicity violated by {worst:.3e} "
             f"(slack {slack:.3e}) at {_worst_node(wrong_way, grid)}; "
             "grid likely too coarse")
     below, above = eta - values, values - xi
     out = max(float(np.max(below)), float(np.max(above)))
     if out > slack:
         where = _worst_node(below if np.max(below) >= np.max(above) else above, grid)
-        raise SolveError(f"{name} sequence left the bounding slab by {out:.3e} "
+        raise SolveError(f"upper sequence left the bounding slab by {out:.3e} "
                          f"(slack {slack:.3e}) at {where}")
     return worst, out
 
 
 def _iterate(problem, plan, spectral, opts: SolveOptions, trace: IterationTrace):
-    """Two-sided monotone loop; returns (upper field, iterations, termination)."""
+    """Upper sequence from xi; returns (field, iterations, termination,
+    each component's minimum over the iterates)."""
     grid = plan.grid
     eta = np.asarray(spectral.eta, dtype=float)[:, None]
     xi = np.asarray(spectral.xi, dtype=float)[:, None]
     up = constant_field(grid, spectral.xi)
-    lo = constant_field(grid, spectral.eta)
-    sig, k = spectral.sigma, spectral.k
+    floor = xi[:, 0].copy()
+    sig, k, p = spectral.sigma, spectral.k, problem.phi.p
     xi_max = float(np.max(xi))
     slack = opts.mono_slack
-    termination = "iteration_cap"
-    n_done = opts.max_iters
+    termination, n_done = "iteration_cap", opts.max_iters
 
     for n in range(1, opts.max_iters + 1):
         up_next = apply_operator(plan, up, problem.nonlins)
-        lo_next = apply_operator(plan, lo, problem.nonlins)
         step = up_next.values - up.values
-        worst_rise, worst_out = _guard("upper", step, up_next.values, eta, xi, slack, grid)
-        worst_fall, lower_out = _guard("lower", lo.values - lo_next.values,
-                                       lo_next.values, eta, xi, slack, grid)
+        worst_rise, worst_out = _guard(step, up_next.values, eta, xi, slack, grid)
 
         d_n = float(np.max(np.abs(step)))
         bound = k ** (n - 1) * (1.0 - sig) * xi_max
@@ -180,30 +167,32 @@ def _iterate(problem, plan, spectral, opts: SolveOptions, trace: IterationTrace)
             raise SolveError(
                 f"upper sequence: step {d_n:.3e} at iteration {n} exceeds the "
                 f"geometric bound {bound:.3e} (slack {slack:.3e})")
-        gap = float(np.max(up_next.values - lo_next.values))
+        # part-metric step eps_n = max|log(up_n / up_(n-1))|; log1p is
+        # increasing, so the extreme ratios give it
+        rel = step / up.values
+        eps_n = max(math.log1p(float(np.max(rel))), -math.log1p(float(np.min(rel))))
+        width = math.expm1(p * eps_n / (1.0 - p)) * float(np.max(up_next.values))
         trace.d.append(d_n)
-        trace.gap.append(gap)
-        trace.e.append(k ** n * (1.0 - sig) / (1.0 - k))
-        trace.step_bound.append(bound)
+        trace.width.append(width)
         trace.mono_violation.append(max(worst_rise, 0.0))
         trace.slab_excursion.append(max(worst_out, 0.0))
-        trace.lower_mono_violation = max(trace.lower_mono_violation, worst_fall)
-        trace.lower_slab_excursion = max(trace.lower_slab_excursion, lower_out)
+        np.minimum(floor, np.min(up_next.values, axis=1), out=floor)
 
-        up, lo = up_next, lo_next
-        if d_n <= opts.tol_stop and gap <= opts.tol_stop:
+        up = up_next
+        if d_n <= opts.tol_stop and width <= opts.tol_stop:
             termination, n_done = "step_below_tol", n
             break
 
-    return up, n_done, termination
+    return up, n_done, termination, floor
 
 
 def solve(problem, spectral, plan, opts: SolveOptions) -> SolutionReport:
-    """Run the two-sided iteration from xi down and from eta up on plan.grid.
+    """Run the upper sequence from xi down on plan.grid, enclosing f_h.
 
     Raises ValueError unless spectral's (sigma, k) are those
     contraction_params gives for its eta, xi and problem.phi: the step
-    envelope is built from them.
+    envelope is built from them. Raises SolveError when a guard trips or
+    condition IV fails on a strip below eta that the iterates reached.
     """
     sigma_k = contraction_params(spectral.eta, spectral.xi, problem.phi)
     if (spectral.sigma, spectral.k) != sigma_k:
@@ -212,7 +201,17 @@ def solve(problem, spectral, plan, opts: SolveOptions) -> SolutionReport:
             f"belong to its eta and xi, which give sigma = {sigma_k[0]:.17g}, "
             f"k = {sigma_k[1]:.17g}")
     trace = IterationTrace()
-    f, iters, termination = _iterate(problem, plan, spectral, opts, trace)
+    f, iters, termination, floor = _iterate(problem, plan, spectral, opts, trace)
+    # the enclosure rests on condition IV at every value the iterates took;
+    # validation sampled it on [eta, xi] only
+    for j, (nl, lo, top) in enumerate(zip(problem.nonlins, floor, spectral.eta)):
+        if lo < top:
+            passed, margin = check_condition_iv(nl, problem.phi, lo, top)
+            if not passed:
+                raise SolveError(
+                    f"condition IV fails below eta, where the iterates reached: "
+                    f"margin {margin:.3e} on the strip [{lo:.9g}, {top:.9g}] "
+                    f"(nonlin {j + 1}); the enclosure does not hold")
 
     res = residual(plan, f, problem.nonlins)
     asym = asymptotics_report(f, spectral.eta)
@@ -223,11 +222,10 @@ def solve(problem, spectral, plan, opts: SolveOptions) -> SolutionReport:
         termination=termination,
         residual_sup=res,
         alpha_plus=f.values[:, -1].copy(),
-        alpha_minus=f.values[:, -1].copy(),
         asymptotics=asym,
         trace=trace,
         a_priori_n=a_priori_iterations(spectral.sigma, spectral.k, opts.tol_stop),
-        probe_deviation=trace.gap[-1],
+        probe_deviation=trace.width[-1],
     )
 
 
@@ -313,13 +311,13 @@ def run_instance(validation: ValidationReport, numerics: Numerics,
     """Run the paper's stages once each on the problem validation checked,
     in the slab [eta, xi] its condition IV certified: (sigma, k); truncation
     radius and grid, unless grid is given (a sweep shares one grid across
-    its entries); operator plan; quadrature error budget; two-sided
-    monotone solve.
+    its entries); operator plan; quadrature error budget; monotone solve
+    certified by its part-metric enclosure.
 
     Raises ValidationFailure when a condition failed, the report's
     MajorantError when no majorant exists, SolveError when a solve guard
     trips or the iteration cap is reached before the step and the enclosure
-    gap drop to the step tolerance, and ConfigError when a grid is needed
+    width drop to the step tolerance, and ConfigError when a grid is needed
     and neither numerics.n_cells nor numerics.h_target is set.
     """
     validation.require_passed()
@@ -346,6 +344,6 @@ def run_instance(validation: ValidationReport, numerics: Numerics,
         raise SolveError(
             f"iteration cap {num.max_iters} reached before the step tolerance "
             f"{num.tol_stop:g} (last step {sol.trace.d[-1]:.3e}, "
-            f"enclosure gap {sol.trace.gap[-1]:.3e})")
+            f"enclosure width {sol.trace.width[-1]:.3e})")
     return RunResult(validation=validation, spectral=spectral, grid=grid,
                      plan=plan, quad=quad, opts=opts, sol=sol)

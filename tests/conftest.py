@@ -53,6 +53,16 @@ def doctored_spectral(spectral, **overrides):
     return SpectralData(**fields)
 
 
+def step_envelopes(spectral, n):
+    """The paper's envelopes for iterations 1..n, rebuilt from sigma, k and
+    xi: the step bound k^(m-1) (1-sigma) max(xi) and the distance-to-limit
+    bound k^m (1-sigma)/(1-k)."""
+    k, sigma = spectral.k, spectral.sigma
+    m = np.arange(1, n + 1)
+    step = k ** (m - 1) * (1.0 - sigma) * float(np.max(spectral.xi))
+    return step, k ** m * (1.0 - sigma) / (1.0 - k)
+
+
 def flagship_models():
     """Scalar instance: unit gaussian kernel, inverse-sqrt weight, square root."""
     return dict(kernel=GaussianKernel(coeffs=[[1.0]]),

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 from conftest import (build_pipeline, doctored_spectral, flagship_models,
-                      write_linear_nonlin_table)
+                      step_envelopes, write_linear_nonlin_table)
 from oracles import excess_integral_quadrature
 
 from convint import cli
@@ -144,7 +144,7 @@ def test_criterion_05_geometric_rate_and_a_priori_count(flagship):
     tr = flagship.sol.trace
     slack = flagship.opts.mono_slack
     d = np.asarray(tr.d)
-    bound = np.asarray(tr.step_bound)
+    bound, _ = step_envelopes(flagship.spectral, len(d))
     assert np.all(d <= bound + slack)
     n_cert = a_priori_iterations(flagship.spectral.sigma, flagship.spectral.k,
                                  1e-8)
@@ -230,7 +230,7 @@ def test_criterion_08_uniqueness_probe(flagship_hires, coupled):
         moved = float(np.max(np.abs(again.field.values - pipe.sol.field.values)))
         assert moved <= dev + opts.tol_stop + opts.mono_slack
         devs[name], restarts[name] = dev, moved
-    print(f"[criterion 08] PASS: two-sided enclosure width {devs['scalar']:.2e} "
+    print(f"[criterion 08] PASS: part-metric enclosure width {devs['scalar']:.2e} "
           f"(scalar) and {devs['coupled']:.2e} (coupled); restart from 2 xi "
           f"returns within {restarts['scalar']:.2e} and {restarts['coupled']:.2e}")
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from conftest import write_excess_table, write_kernel_table, write_linear_nonlin_table, write_nonlin_table
 
-from convint import cli
+from convint import Numerics, cli
 from convint.discretization import FieldVector, build_grid
 from convint.errors import ConfigError
 from convint.problem import validate_problem
@@ -108,7 +108,7 @@ class TestSolveMode:
 
     def test_report_schema(self, solve_outcome):
         doc = json.loads((solve_outcome[1] / "report.json").read_text())
-        assert doc["schema_version"] == 3
+        assert doc["schema_version"] == 4
         assert doc["mode"] == "solve"
         assert doc["validation"]["passed"] is True
         assert len(doc["validation"]["checks"]) == 8
@@ -210,16 +210,17 @@ class TestDemoConfigs:
         assert np.array_equal(data[:, 0], -data[::-1, 0])
         assert np.array_equal(data[:, 1:], data[::-1, 1:])
 
-    def test_lower_sequence_guard_figures_recorded(self, demo_solve):
-        # the lower sequence falls a little near the edges (the regular
-        # quadrature defect), within the slack the guard allows
+    def test_enclosure_width_recorded(self, demo_solve):
+        # one width per iteration; the last is the reported probe_deviation
+        # and closed below the step tolerance
         code, out = demo_solve
         doc = json.loads((out / "report.json").read_text())
-        trace = doc["solve"]["trace"]
-        slack = doc["quadrature_error"]["mono_slack"]
-        for key in ("lower_mono_violation", "lower_slab_excursion"):
-            assert 0.0 <= trace[key] <= slack
-        assert trace["lower_mono_violation"] > 0.0
+        solve = doc["solve"]
+        width = solve["trace"]["width"]
+        assert len(width) == solve["iterations"]
+        assert solve["termination"] == "step_below_tol"
+        assert width[-1] <= doc["config"]["numerics"].get("tol_stop", Numerics.tol_stop)
+        assert width[-1] == solve["probe_deviation"]
 
 
 class TestValidateMode:

@@ -26,8 +26,7 @@ def run_captured(fn) -> list:
 def test_demo_completes(script):
     lines = run_captured(
         lambda: runpy.run_path(str(ROOT / "demos" / script), run_name="__main__"))
-    assert lines[-1].startswith("the iterates from xi and from eta enclose the discrete "
-                                "solution within")
+    assert lines[-1].startswith("the upper iterates enclose the discrete solution within")
 
 
 def test_grid_refinement_demo_completes():

@@ -1,21 +1,29 @@
-"""Monotone iteration, stopping rules, guards, and post-solve diagnostics."""
+"""Monotone iteration, its enclosure, stopping rules, guards, and
+post-solve diagnostics."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import build_pipeline, doctored_spectral, flagship_models
+from conftest import build_pipeline, doctored_spectral, flagship_models, step_envelopes
 
+from convint import cli, solver
 from convint.algebra import contraction_params
-from convint.discretization import FieldVector, build_grid, constant_field
+from convint.discretization import FieldVector, apply_operator, build_grid, constant_field
 from convint.errors import SolveError
-from convint.nonlinearities import PowerPhi
+from convint.nonlinearities import PowerPhi, check_condition_iv
 from convint.solver import (
+    Numerics,
     SolveOptions,
     asymptotics_report,
     residual,
+    run_instance,
     solve,
 )
+
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +46,7 @@ class TestReferenceRun:
     def test_trace_shape_and_guards_quiet(self, flagship):
         tr = flagship.sol.trace
         n = flagship.sol.iterations
-        assert len(tr.d) == len(tr.e) == len(tr.step_bound) == n
+        assert len(tr.d) == len(tr.width) == n
         assert len(tr.mono_violation) == len(tr.slab_excursion) == n
         assert max(tr.mono_violation) == 0.0
         assert max(tr.slab_excursion) <= flagship.opts.mono_slack
@@ -48,8 +56,8 @@ class TestReferenceRun:
         d = np.asarray(tr.d)
         assert np.all(np.diff(d) < 0.0)
         slack = flagship.opts.mono_slack
-        assert np.all(d <= np.asarray(tr.step_bound) + slack)
-        e = np.asarray(tr.e)
+        step_bound, e = step_envelopes(flagship.spectral, len(d))
+        assert np.all(d <= step_bound + slack)
         assert np.all(e > 0.0) and np.all(np.diff(e) < 0.0)
 
     def test_field_stays_in_slab_and_is_even(self, flagship):
@@ -66,7 +74,6 @@ class TestReferenceRun:
         # values[:, 0] is x = 0; both edges x = -R and x = R are values[:, -1]
         sol = flagship.sol
         assert np.array_equal(sol.alpha_plus, sol.field.values[:, -1])
-        assert np.array_equal(sol.alpha_minus, sol.field.values[:, -1])
 
     def test_solves_in_the_validated_slab(self, flagship):
         # the solve's xi is the one condition IV was checked on, bit for bit
@@ -79,20 +86,116 @@ class TestReferenceRun:
 
     def test_enclosure_gap_closes_to_the_reported_width(self, flagship):
         sol = flagship.sol
-        gap = np.asarray(sol.trace.gap)
-        assert len(gap) == sol.iterations
-        assert np.all(np.diff(gap) <= flagship.opts.mono_slack)
-        assert gap[-1] == sol.probe_deviation
+        width = np.asarray(sol.trace.width)
+        assert len(width) == sol.iterations
+        assert np.all(np.diff(width) <= flagship.opts.mono_slack)
+        assert width[-1] == sol.probe_deviation
         assert sol.probe_deviation <= flagship.opts.tol_stop
 
     def test_trace_serializes(self, flagship):
         doc = flagship.sol.trace.as_dict()
-        assert set(doc) == {"d", "gap", "e", "step_bound", "mono_violation",
-                            "slab_excursion", "lower_mono_violation",
-                            "lower_slab_excursion"}
-        assert all(isinstance(v, float) for v in doc["d"] + doc["gap"])
+        assert set(doc) == {"d", "width", "mono_violation", "slab_excursion"}
+        assert all(isinstance(v, float) for v in doc["d"] + doc["width"])
         asym = flagship.sol.asymptotics.as_dict()
         assert set(asym) == {"edge_deviation", "tail_integral", "half_tail_ratio"}
+
+
+def replay_to_stall(res, cap=200):
+    """The upper iterates up_1, up_2, ... from xi, run until one repeats its
+    predecessor bit for bit or for cap applications; the last one stands in
+    for the discrete fixed point f_h."""
+    up = constant_field(res.grid, res.spectral.xi).values
+    iterates = []
+    for _ in range(cap):
+        nxt = apply_operator(res.plan, FieldVector(grid=res.grid, values=up),
+                             res.validation.spec.nonlins).values
+        iterates.append(nxt)
+        if np.array_equal(nxt, up):
+            break
+        up = nxt
+    return iterates
+
+
+@pytest.fixture(scope="module", params=["flagship", "coupled_pair", "tabulated",
+                                        "eps_sweep"])
+def demo_runs(request, tmp_path_factory):
+    """Every RunResult one CLI run of a bundled config makes (one per sweep
+    entry); coupled_pair on 8192 cells instead of 65536."""
+    path = DEMO_CONFIGS / f"{request.param}.json"
+    if request.param == "coupled_pair":
+        doc = json.loads(path.read_text())
+        doc["numerics"]["n_cells"] = 8192
+        path = tmp_path_factory.mktemp("coarse") / "coupled_pair.json"
+        path.write_text(json.dumps(doc))
+    runs = []
+
+    def recording(*args):
+        runs.append(run_instance(*args))
+        return runs[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "run_instance", recording)
+        code = cli.main(["--config", str(path), "--quiet",
+                         "--out-dir", str(tmp_path_factory.mktemp(request.param))])
+    assert code == 0
+    return runs
+
+
+class TestEnclosure:
+    def test_width_bounds_the_distance_to_the_discrete_fixed_point(self, demo_runs):
+        for res in demo_runs:
+            sol = res.sol
+            iterates = replay_to_stall(res)
+            # the replay is the solve's own sequence
+            assert np.array_equal(iterates[sol.iterations - 1], sol.field.values)
+            f_h = iterates[-1]
+            dist = [float(np.max(np.abs(up - f_h))) for up in iterates[:sol.iterations]]
+            assert np.all(np.asarray(sol.trace.width) >= dist)
+            assert sol.probe_deviation <= res.opts.tol_stop
+
+    def test_one_operator_application_per_iteration(self, coarse, monkeypatch):
+        # the solve applies the operator once per iteration, the residual once
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return apply_operator(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "apply_operator", counting)
+        res = run_instance(coarse.validation,
+                           Numerics(tol_trunc=1e-6, n_cells=512, tol_stop=1e-8))
+        assert res.sol.field.values.tobytes() == coarse.sol.field.values.tobytes()
+        assert len(calls) == res.sol.iterations + 1
+
+
+class FlatBelowEta:
+    """eta^(1/2) u^(1/2), but held at eta on [eta - delta, eta): with p = 1/2
+    it meets condition IV on [eta, xi] and fails it on any strip that
+    reaches into the flat part."""
+
+    def __init__(self, eta, delta):
+        self.eta, self.delta = eta, delta
+
+    def g(self, u):
+        u = np.asarray(u, dtype=float)
+        flat = (u >= self.eta - self.delta) & (u < self.eta)
+        out = np.where(flat, self.eta, np.sqrt(self.eta * u))
+        return out if out.ndim else float(out)
+
+
+class TestConditionIVBelowEta:
+    def test_failure_below_eta_raises(self, coarse):
+        # the coarse solve dips about 3e-6 below eta near the edges
+        spec, spectral = coarse.validation.spec, coarse.spectral
+        eta, xi = float(spectral.eta[0]), float(spectral.xi[0])
+        assert float(np.min(coarse.sol.field.values)) < eta - 1e-6
+        nl = FlatBelowEta(eta, 1e-3)
+        assert check_condition_iv(nl, spec.phi, eta, xi)[0]
+        assert not check_condition_iv(nl, spec.phi, eta - 1e-6, eta)[0]
+        flat = dataclasses.replace(spec, nonlins=(nl,))
+        with pytest.raises(SolveError, match=r"condition IV fails below eta.*"
+                                             r"on the strip \[0\.99999.*, 1\] \(nonlin 1\)"):
+            solve(flat, spectral, coarse.plan, coarse.opts)
 
 
 class TestStoppingRules:
@@ -129,10 +232,11 @@ class TestGuards:
             solve(coarse.validation.spec, fake, coarse.plan, coarse.opts)
 
     def test_lower_start_above_the_solution_raises(self, coarse):
-        # the solution settles to eta at the edges, so a lower start pinned
-        # above eta falls there on the first application
+        # the solution settles to eta at the edges, so the upper sequence
+        # falls below a slab floor (the old lower start) pinned above eta
         fake = slab(coarse.spectral, coarse.validation.spec.phi, eta=1.02 * coarse.spectral.eta)
-        with pytest.raises(SolveError, match="lower sequence: monotonicity violated"):
+        with pytest.raises(SolveError,
+                           match=r"upper sequence left the bounding slab by 5\.226e-03"):
             solve(coarse.validation.spec, fake, coarse.plan, coarse.opts)
 
     def test_step_beyond_geometric_envelope_raises(self, coarse):
