@@ -14,21 +14,16 @@ import numpy as np
 
 from convint import (
     ExpSqrtWeight, GaussianKernel, Numerics, PowerNonlin, PowerPhi,
-    ProblemSpec, a_priori_iterations, kernel_scalars, perron_vector,
-    run_instance, spectral_radius, validate_problem,
+    ProblemSpec, a_priori_iterations, normalize, run_instance,
+    validate_problem,
 )
 
 
 def main():
     print("== 1. kernel normalization ==")
-    kern = GaussianKernel(coeffs=np.array([[1.0]]))
-    rho = spectral_radius(kernel_scalars(kern).a)
-    kern = kern.rescaled(1.0 / rho)
-    scalars = kernel_scalars(kern)
+    kern, scalars, eta, rho = normalize(GaussianKernel(coeffs=np.array([[1.0]])))
     print(f"integral matrix spectral radius {rho:g}; rescaled so a = "
           f"{float(scalars.a[0, 0]):g}, sup K = {float(scalars.sup[0, 0]):.8f}")
-
-    eta = perron_vector(scalars.a)
     print(f"background level eta = {float(eta[0]):g}")
 
     print("\n== 2. admission conditions ==")

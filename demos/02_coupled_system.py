@@ -11,9 +11,8 @@ import numpy as np
 
 from convint import (
     ExpMixtureKernel, ExpSqrtWeight, Numerics, PowerPhi, ProblemSpec,
-    RootPowerMeanNonlin, TwoPowerMeanNonlin, a_priori_iterations,
-    kernel_scalars, perron_vector, run_instance, spectral_radius,
-    validate_problem,
+    RootPowerMeanNonlin, TwoPowerMeanNonlin, a_priori_iterations, normalize,
+    run_instance, validate_problem,
 )
 
 # How far a passing check's worst_value sits from the threshold it must
@@ -31,12 +30,9 @@ def margin(check):
 
 
 def main():
-    kern = ExpMixtureKernel(coeffs=np.array([[0.6, 0.2], [0.2, 0.5]]),
-                            s_lo=1.0, s_hi=2.0)
-    rho = spectral_radius(kernel_scalars(kern).a)
-    kern = kern.rescaled(1.0 / rho)
-    scalars = kernel_scalars(kern)
-    eta = perron_vector(scalars.a)
+    kern, scalars, eta, rho = normalize(
+        ExpMixtureKernel(coeffs=np.array([[0.6, 0.2], [0.2, 0.5]]),
+                         s_lo=1.0, s_hi=2.0))
     print(f"normalized by 1/{rho:.9f}; eta = {np.array2string(eta, precision=8)}")
 
     weights = (ExpSqrtWeight(eps=0.05), ExpSqrtWeight(eps=0.08))

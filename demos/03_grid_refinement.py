@@ -13,17 +13,14 @@ import numpy as np
 from convint import (
     ExpSqrtWeight, FieldVector, GaussianKernel, Numerics, PowerNonlin,
     PowerPhi, ProblemSpec, apply_operator, build_grid, build_plan,
-    estimate_quadrature_error, kernel_scalars, perron_vector, run_instance,
-    validate_problem,
+    estimate_quadrature_error, normalize, run_instance, validate_problem,
 )
 
 
 def build_report():
     """Validation report of the instance; it carries the spec, the kernel
     scalars, eta and the majorant xi."""
-    kern = GaussianKernel(coeffs=np.array([[1.0]]))
-    scalars = kernel_scalars(kern)
-    eta = perron_vector(scalars.a)
+    kern, scalars, eta, _ = normalize(GaussianKernel(coeffs=np.array([[1.0]])))
     spec = ProblemSpec(n=1, kernel=kern,
                        weights=(ExpSqrtWeight(eps=0.1),),
                        nonlins=(PowerNonlin(alpha=0.5, eta=float(eta[0])),),

@@ -27,10 +27,10 @@ from .nonlinearities import (PowerNonlin, PowerPhi, RootPowerMeanNonlin,
                              chord_slope_gap, g_eval, load_tabulated_nonlin,
                              phi_eval)
 from .problem import (ConditionCheck, ProblemSpec, ValidationReport,
-                      validate_problem)
+                      normalize, validate_problem)
 from .solver import (AsymptoticsReport, IterationTrace, Numerics, RunResult,
                      SolutionReport, SolveOptions, asymptotics_report,
-                     residual, run_instance, solve)
+                     residual, run_instance, run_sweep, solve)
 from .weights import (ExcessIntegrals, ExpSqrtWeight, RationalWeight,
                       TabulatedExcessWeight, build_b_matrix,
                       excess_cell_moments, excess_integral, excess_tail_mass,
@@ -60,13 +60,15 @@ __all__ = [
     "SpectralData", "spectral_radius", "perron_vector", "solve_xi",
     "contraction_params", "a_priori_iterations",
     # problem
-    "ProblemSpec", "ConditionCheck", "ValidationReport", "validate_problem",
+    "ProblemSpec", "ConditionCheck", "ValidationReport", "normalize",
+    "validate_problem",
     # discretization
     "Grid", "FieldVector", "OperatorPlan", "QuadratureError", "build_grid",
     "constant_field", "choose_truncation", "build_plan", "apply_operator",
     "estimate_quadrature_error",
     # solver
-    "Numerics", "RunResult", "run_instance", "SolveOptions", "IterationTrace",
+    "Numerics", "RunResult", "run_instance", "run_sweep", "SolveOptions",
+    "IterationTrace",
     "AsymptoticsReport", "SolutionReport", "solve", "residual",
     "asymptotics_report",
 ]

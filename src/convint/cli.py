@@ -1,4 +1,4 @@
-"""Command-line front end: config parsing, problem setup, outputs.
+"""Command-line front end: config parsing, model building, outputs.
 
 One JSON document describes a run: the kernel, weights, nonlinearities and
 scaling map by variant name with a parameters object, plus numeric controls.
@@ -10,11 +10,12 @@ The pipeline executes in dependency order
   operator plan -> quadrature error budget -> certified monotone solve ->
   emission
 
-This module runs the stages up to the eigenvector and the emission. The
-library does the rest: convint.problem.validate_problem computes the excess
-masses and xi and checks the conditions on them, and
-convint.solver.run_instance takes its report and runs the chain from
-(sigma, k) to the solve, for solve mode and for every sweep entry.
+This module parses the config, builds the models and emits the outputs;
+the library runs every stage. convint.problem.normalize takes the kernel
+to unit spectral radius and computes eta, convint.problem.validate_problem
+computes the excess masses and xi and checks the conditions on them,
+convint.solver.run_instance runs the chain from (sigma, k) to the solve on
+its report, and convint.solver.run_sweep runs that chain per sweep entry.
 Every failure maps to a distinct exit code with a message naming the
 stage or condition: 1 config, 2 validation, 3 spectral, 4 majorant,
 5 solve. Outputs are a report JSON (byte-reproducible: sorted keys, no
@@ -33,19 +34,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import perron_vector, spectral_radius
-from .errors import (ConfigError, ConvintError, MajorantError, SolveError,
-                     SpectralError, ValidationFailure)
-from .kernels import (ExpMixtureKernel, GaussianKernel, kernel_scalars,
-                      load_tabulated_kernel)
+from .errors import (ConfigError, MajorantError, SolveError, SpectralError,
+                     ValidationFailure)
+from .kernels import ExpMixtureKernel, GaussianKernel, load_tabulated_kernel
 from .nonlinearities import (PowerNonlin, PowerPhi, RootPowerMeanNonlin,
                              SaturatingExpNonlin, TwoPowerMeanNonlin,
                              load_tabulated_nonlin)
-from .problem import ProblemSpec, validate_problem
+from .problem import ProblemSpec, normalize, validate_problem
 # solve is unused here but stays bound as convint.cli.solve: the benchmark's
 # tracer test (bench/tests) checks that a function bound under two module
 # names is patched under both, using this name
-from .solver import Numerics, RunResult, run_instance, solve  # noqa: F401
+from .solver import Numerics, RunResult, run_instance, run_sweep, solve  # noqa: F401
 from .weights import ExpSqrtWeight, RationalWeight, load_tabulated_excess
 
 __all__ = ["RunConfig", "load_config", "run", "emit_profile", "emit_report",
@@ -86,6 +85,20 @@ def _number(v, what: str, integer: bool = False):
     return int(v) if integer else float(v)
 
 
+# each numerics key: whether it is a whole number, the test its value must
+# pass, and the message when it fails. null stands for the default only
+# where that default is unset
+_NUMERICS_RULES = {
+    **{name: (False, lambda v: v > 0.0, "must be positive")
+       for name in ("tol_eig", "tol_alg", "tol_trunc", "tol_stop", "tol_validate")},
+    "n_cells": (True, lambda n: n >= 2 and n % 2 == 0, "must be even and >= 2"),
+    "h_target": (False, lambda h: h > 0.0, "must be positive"),
+    "max_iters": (True, lambda m: m >= 1, "must be at least 1"),
+    "mono_slack": (False, lambda s: s >= 0.0, "must be nonnegative"),
+    "samples": (True, lambda s: s >= 2, "must be at least 2"),
+}
+
+
 def _parse_numerics(d: dict) -> Numerics:
     _require(isinstance(d, dict), "numerics must be an object")
     known = sorted(f.name for f in dataclasses.fields(Numerics))
@@ -93,31 +106,11 @@ def _parse_numerics(d: dict) -> Numerics:
     _require(not unknown, f"unknown numerics key(s) {', '.join(map(repr, unknown))}; "
                           f"accepted keys: {', '.join(known)}")
     kwargs = {}
-    for name in ("tol_eig", "tol_alg", "tol_trunc", "tol_stop", "tol_validate"):
-        if name in d:
-            v = _number(d[name], f"numerics.{name}")
-            _require(v > 0.0, f"numerics.{name} must be positive")
-            kwargs[name] = v
-    if d.get("n_cells") is not None:
-        n = _number(d["n_cells"], "numerics.n_cells", integer=True)
-        _require(n >= 2 and n % 2 == 0, "numerics.n_cells must be even and >= 2")
-        kwargs["n_cells"] = n
-    if d.get("h_target") is not None:
-        h = _number(d["h_target"], "numerics.h_target")
-        _require(h > 0.0, "numerics.h_target must be positive")
-        kwargs["h_target"] = h
-    if "max_iters" in d:
-        m = _number(d["max_iters"], "numerics.max_iters", integer=True)
-        _require(m >= 1, "numerics.max_iters must be at least 1")
-        kwargs["max_iters"] = m
-    if d.get("mono_slack") is not None:
-        s = _number(d["mono_slack"], "numerics.mono_slack")
-        _require(s >= 0.0, "numerics.mono_slack must be nonnegative")
-        kwargs["mono_slack"] = s
-    if "samples" in d:
-        s = _number(d["samples"], "numerics.samples", integer=True)
-        _require(s >= 2, "numerics.samples must be at least 2")
-        kwargs["samples"] = s
+    for name, (integer, ok, must) in _NUMERICS_RULES.items():
+        if name not in d or (d[name] is None and getattr(Numerics, name) is None):
+            continue
+        kwargs[name] = _number(d[name], f"numerics.{name}", integer=integer)
+        _require(ok(kwargs[name]), f"numerics.{name} {must}")
     return Numerics(**kwargs)
 
 
@@ -146,11 +139,13 @@ def load_config(path) -> RunConfig:
     _require(len(raw["weights"]) == len(raw["nonlins"]),
              "weights and nonlins must have the same length")
 
+    # parsed whenever present: --mode sweep may use it in any config
     sweep_eps = raw.get("sweep_eps", [])
-    if mode == "sweep":
-        _require(isinstance(sweep_eps, list) and sweep_eps,
-                 "sweep mode needs a nonempty sweep_eps list")
-        sweep_eps = [_number(e, "sweep_eps entries") for e in sweep_eps]
+    _require(isinstance(sweep_eps, list), f"sweep_eps must be a list (got {sweep_eps!r})")
+    sweep_eps = [_number(e, "sweep_eps entries") for e in sweep_eps]
+    _require(all(0.0 <= e < math.inf for e in sweep_eps),
+             f"sweep_eps entries must be finite and nonnegative (got {sweep_eps!r})")
+    _require(mode != "sweep" or sweep_eps, "sweep mode needs a nonempty sweep_eps list")
 
     labels = raw.get("labels")
     if labels is not None:
@@ -235,24 +230,10 @@ def _build_phi(cfg: dict):
     raise ConfigError(f"unknown phi variant {cfg['variant']!r}")
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 def emit_report(doc: dict, path):
-    Path(path).write_text(json.dumps(_jsonify(doc), indent=2, sort_keys=True) + "\n")
+    # numpy arrays and scalars are written as the Python values tolist() gives
+    text = json.dumps(doc, indent=2, sort_keys=True, default=lambda v: v.tolist())
+    Path(path).write_text(text + "\n")
 
 
 def emit_profile(report, eta, path):
@@ -282,39 +263,6 @@ def emit_profile(report, eta, path):
             fh.write("-" + "\n-".join(lines[stop:start:-1]) + "\n")
         for start in range(0, half + 1, rows):
             fh.write("\n".join(lines[start:start + rows]) + "\n")
-
-
-def _prepare_spec(config: RunConfig, weights, say):
-    """Normalize the kernel, compute eta, build nonlinearities, validate;
-    returns the normalization factor and the validation report."""
-    kernel_raw = _build_kernel(config.kernel, config.base_dir)
-    try:
-        scalars_raw = kernel_scalars(kernel_raw)
-    except ValueError as exc:
-        raise ConfigError(f"kernel scalars: {exc}") from exc
-    rho = spectral_radius(scalars_raw.a, config.numerics.tol_eig)
-    kernel = kernel_raw.rescaled(1.0 / rho)
-    scalars = kernel_scalars(kernel)
-    say(f"kernel integral matrix normalized by 1/{rho:.12g}")
-
-    eta = perron_vector(scalars.a, config.numerics.tol_eig)
-    say(f"eigenvector eta = {np.array2string(eta, precision=8)}")
-
-    nonlins = [_build_nonlin(cfg, float(eta[j]), config.base_dir, j)
-               for j, cfg in enumerate(config.nonlins)]
-    try:
-        spec = ProblemSpec(n=len(weights), kernel=kernel, weights=weights,
-                           nonlins=nonlins, phi=_build_phi(config.phi),
-                           labels=config.labels)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    return rho, _validate(spec, scalars, eta, config.numerics)
-
-
-def _validate(spec, scalars, eta, num: Numerics):
-    return validate_problem(spec, scalars, eta, samples=num.samples,
-                            tol=num.tol_validate, tol_alg=num.tol_alg)
 
 
 def _stage_blocks(res: RunResult) -> dict:
@@ -355,6 +303,13 @@ def _truncation_block(grid) -> dict:
     return {"r": grid.r, "n_cells": grid.n_cells, "h": grid.h}
 
 
+# exit code and message prefix of each failure stage
+_FAILURES = {ConfigError: (1, "config error"), ValidationFailure: (2, "validation failed"),
+             SpectralError: (3, "spectral stage failed"),
+             MajorantError: (4, "majorant stage failed"),
+             SolveError: (5, "solve stage failed")}
+
+
 def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
     """Execute the configured pipeline; returns the process exit code."""
     say = (lambda *a, **k: None) if quiet else print
@@ -363,7 +318,24 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
         out.mkdir(parents=True, exist_ok=True)
         weights = [_build_weight(cfg, config.base_dir, j)
                    for j, cfg in enumerate(config.weights)]
-        rho, validation = _prepare_spec(config, weights, say)
+        num = config.numerics
+        try:
+            kernel, scalars, eta, rho = normalize(
+                _build_kernel(config.kernel, config.base_dir), num.tol_eig)
+        except ValueError as exc:
+            raise ConfigError(f"kernel scalars: {exc}") from exc
+        say(f"kernel integral matrix normalized by 1/{rho:.12g}")
+        say(f"eigenvector eta = {np.array2string(eta, precision=8)}")
+        nonlins = [_build_nonlin(cfg, float(eta[j]), config.base_dir, j)
+                   for j, cfg in enumerate(config.nonlins)]
+        try:
+            spec = ProblemSpec(n=len(weights), kernel=kernel, weights=weights,
+                               nonlins=nonlins, phi=_build_phi(config.phi),
+                               labels=config.labels)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        validation = validate_problem(spec, scalars, eta, samples=num.samples,
+                                      tol=num.tol_validate, tol_alg=num.tol_alg)
         doc = {"schema_version": SCHEMA_VERSION, "mode": config.mode,
                "config": config.raw, "kernel_scale": rho,
                "validation": validation.as_dict()}
@@ -379,7 +351,6 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
             say("all eight conditions pass")
             return 0
 
-        num = config.numerics
         if config.mode == "solve":
             res = run_instance(validation, num)
             say(f"truncation R = {res.grid.r:g}, n_cells = {res.grid.n_cells}, "
@@ -393,72 +364,37 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
             say(f"wrote {out / 'report.json'} and {out / 'profile.csv'}")
             return 0
 
-        # sweep: the configured instance must pass too. The largest eps runs
-        # first and sizes the grid that every other entry shares; each
-        # entry's plan is dropped once its profile is written. An entry
-        # whose eps every configured weight already has reuses the
-        # configured validation instead of running it again
-        validation.require_passed()
+        # sweep: run_sweep yields the largest eps first, on the grid it sizes
+        # for all, then the rest in increasing eps; each result is dropped
+        # once written, so one entry's plan is alive at a time
         sweeps = sorted(config.sweep_eps)
-
-        def validate_entry(eps):
-            if all(getattr(w, "eps", None) == eps for w in weights):
-                return validation
-            w_eps = [_swept(w, eps, j) for j, w in enumerate(weights)]
-            spec_eps = dataclasses.replace(validation.spec, weights=w_eps)
-            return _validate(spec_eps, validation.scalars, validation.eta, num)
-
-        def solve_entry(idx, grid=None):
+        entries = [None] * len(sweeps)
+        idx = top = len(sweeps) - 1
+        for res in run_sweep(validation, sweeps, num):
             eps = sweeps[idx]
             say(f"-- sweep entry {idx}: eps = {eps:g}")
-            try:
-                res = run_instance(validate_entry(eps), num, grid)
-            except ValidationFailure as exc:
-                raise ValidationFailure(f"sweep eps = {eps:g}: {exc}",
-                                        report=exc.report) from None
             _say_stages(say, res)
-            if grid is None:
+            if idx == top:
                 say(f"sweep grid: R = {res.grid.r:g}, n_cells = {res.grid.n_cells} "
                     f"(sized for eps = {eps:g})")
                 _say_operator(say, res.plan)
+                doc["truncation"] = _truncation_block(res.grid)
             name = f"profile_{idx:03d}.csv"
             emit_profile(res.sol, res.spectral.eta, out / name)
-            return res.grid, {"eps": eps, "profile": name,
-                              "validation": res.validation.as_dict(),
-                              **_stage_blocks(res)}
-
-        grid, top = solve_entry(len(sweeps) - 1)
-        entries = [solve_entry(idx, grid)[1] for idx in range(len(sweeps) - 1)]
-        entries.append(top)
-        doc["truncation"] = _truncation_block(grid)
+            entries[idx] = {"eps": eps, "profile": name,
+                            "validation": res.validation.as_dict(),
+                            **_stage_blocks(res)}
+            del res
+            idx = (idx + 1) % len(sweeps)
         doc["entries"] = entries
         emit_report(doc, out / "report.json")
         say(f"wrote {out / 'report.json'} and {len(entries)} profiles")
         return 0
 
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except ValidationFailure as exc:
-        print(f"validation failed: {exc}", file=sys.stderr)
-        return 2
-    except SpectralError as exc:
-        print(f"spectral stage failed: {exc}", file=sys.stderr)
-        return 3
-    except MajorantError as exc:
-        print(f"majorant stage failed: {exc}", file=sys.stderr)
-        return 4
-    except SolveError as exc:
-        print(f"solve stage failed: {exc}", file=sys.stderr)
-        return 5
-
-
-def _swept(weight, eps: float, idx: int):
-    if not hasattr(weight, "with_eps"):
-        raise ConfigError(
-            f"weight {idx + 1} ({type(weight).__name__}) has no eps parameter; "
-            "sweep mode needs parametric weights")
-    return weight.with_eps(eps)
+    except tuple(_FAILURES) as exc:
+        code, what = next(v for cls, v in _FAILURES.items() if isinstance(exc, cls))
+        print(f"{what}: {exc}", file=sys.stderr)
+        return code
 
 
 def main(argv=None) -> int:
@@ -481,9 +417,6 @@ def main(argv=None) -> int:
             config = dataclasses.replace(config, mode=args.mode)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except ConvintError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
 
     return run(config, out_dir=args.out_dir, quiet=args.quiet)

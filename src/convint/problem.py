@@ -16,9 +16,11 @@ eight admission conditions by sampling and by the models' analytic facilities:
   IV  the scaling inequality G_j(sigma u) >= phi(sigma) G_j(u) on
       [0,1] x [eta_j, xi_j]
 
-The caller supplies the run's kernel scalars and eta (checked, not
-trusted); the excess masses and the majorant xi are computed here, once, so
-the report carries the very slab [eta, xi] that run_instance solves in.
+normalize takes a raw kernel to the run's inputs: the kernel rescaled to
+unit spectral radius, its scalars and the eigenvector eta. validate_problem
+is handed those scalars and eta (checked, not trusted); the excess masses
+and the majorant xi are computed there, once, so the report carries the
+very slab [eta, xi] that run_instance solves in.
 
 Continuous statements are checked on deterministic sample grids: uniform in
 u, logarithmic in |t| so both the singularity and the tail of each weight
@@ -32,14 +34,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import solve_xi, spectral_radius
+from .algebra import perron_vector, solve_xi, spectral_radius
 from .errors import MajorantError, SpectralError, ValidationFailure
-from .kernels import kernel_eval
+from .kernels import kernel_eval, kernel_scalars
 from .nonlinearities import check_condition_iv, chord_slope_gap, g_eval
 from .weights import (ExcessIntegrals, TabulatedExcessWeight, build_b_matrix,
                       excess_tail_mass)
 
-__all__ = ["ProblemSpec", "ConditionCheck", "ValidationReport", "validate_problem"]
+__all__ = ["ProblemSpec", "ConditionCheck", "ValidationReport", "normalize",
+           "validate_problem"]
 
 CONDITION_IDS = ("1", "2", "a", "b", "I", "II", "III", "IV")
 
@@ -130,6 +133,18 @@ class ValidationReport:
             lines.append(f"condition {c.condition:>3}: {status}  "
                          f"worst {c.worst_value:.3e} at {c.worst_point}{note}")
         return "\n".join(lines)
+
+
+def normalize(kernel, tol_eig: float = 1e-12):
+    """(kernel rescaled to unit spectral radius, its scalars, the
+    eigenvector eta of its integral matrix with largest entry one, the
+    factor rho divided out). tol_eig, Numerics.tol_eig by default, holds
+    for both power iterations. Raises kernel_scalars' ValueError and
+    SpectralError when a power iteration does not converge."""
+    rho = spectral_radius(kernel_scalars(kernel).a, tol_eig)
+    kernel = kernel.rescaled(1.0 / rho)
+    scalars = kernel_scalars(kernel)
+    return kernel, scalars, perron_vector(scalars.a, tol_eig), rho
 
 
 def _weight_sample_grid(model, samples):

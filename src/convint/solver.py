@@ -25,12 +25,14 @@ reported as probe_deviation.
 run_instance assembles the paper's stage chain for one validated problem
 once: (sigma, k) from the validated eta and xi, truncation and grid,
 operator plan, quadrature error budget, certified monotone solve.
+run_sweep runs that chain once per excess mass eps of a sweep, on one grid
+sized for the largest, validating each rescaled instance first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,14 +41,15 @@ from .discretization import (FieldVector, Grid, OperatorPlan, QuadratureError,
                              apply_operator, build_grid, build_plan,
                              choose_truncation, constant_field,
                              estimate_quadrature_error)
-from .errors import ConfigError, SolveError
+from .errors import ConfigError, MajorantError, SolveError, ValidationFailure
 from .nonlinearities import check_condition_iv, g_eval
-from .problem import ValidationReport
+from .problem import ValidationReport, validate_problem
 
 __all__ = [
     "Numerics",
     "RunResult",
     "run_instance",
+    "run_sweep",
     "SolveOptions",
     "IterationTrace",
     "AsymptoticsReport",
@@ -124,33 +127,16 @@ def _worst_node(delta, grid):
     return f"component {i + 1}, node x = {grid.half_nodes[m]:.6g}"
 
 
-def _guard(wrong_way, values, eta, xi, slack, grid):
-    """Check one step of the upper sequence; wrong_way is positive where it
-    rose. Returns the worst rise and the worst slab overshoot, raising
-    SolveError when either exceeds slack."""
-    worst = float(np.max(wrong_way))
-    if worst > slack:
-        raise SolveError(
-            f"upper sequence: monotonicity violated by {worst:.3e} "
-            f"(slack {slack:.3e}) at {_worst_node(wrong_way, grid)}; "
-            "grid likely too coarse")
-    below, above = eta - values, values - xi
-    out = max(float(np.max(below)), float(np.max(above)))
-    if out > slack:
-        where = _worst_node(below if np.max(below) >= np.max(above) else above, grid)
-        raise SolveError(f"upper sequence left the bounding slab by {out:.3e} "
-                         f"(slack {slack:.3e}) at {where}")
-    return worst, out
-
-
 def _iterate(problem, plan, spectral, opts: SolveOptions, trace: IterationTrace):
     """Upper sequence from xi; returns (field, iterations, termination,
-    each component's minimum over the iterates)."""
+    each component's minimum over the iterates). Each step's guards read
+    per-component reductions; only a failing guard scans the field again,
+    to name the node."""
     grid = plan.grid
-    eta = np.asarray(spectral.eta, dtype=float)[:, None]
-    xi = np.asarray(spectral.xi, dtype=float)[:, None]
+    eta = np.asarray(spectral.eta, dtype=float)
+    xi = np.asarray(spectral.xi, dtype=float)
     up = constant_field(grid, spectral.xi)
-    floor = xi[:, 0].copy()
+    floor = xi.copy()
     sig, k, p = spectral.sigma, spectral.k, problem.phi.p
     xi_max = float(np.max(xi))
     slack = opts.mono_slack
@@ -158,10 +144,25 @@ def _iterate(problem, plan, spectral, opts: SolveOptions, trace: IterationTrace)
 
     for n in range(1, opts.max_iters + 1):
         up_next = apply_operator(plan, up, problem.nonlins)
-        step = up_next.values - up.values
-        worst_rise, worst_out = _guard(step, up_next.values, eta, xi, slack, grid)
+        values = up_next.values
+        step = values - up.values
+        rise, fall = float(np.max(step)), float(np.min(step))
+        if rise > slack:
+            raise SolveError(
+                f"upper sequence: monotonicity violated by {rise:.3e} "
+                f"(slack {slack:.3e}) at {_worst_node(step, grid)}; "
+                "grid likely too coarse")
+        # rounding is monotone, so max(eta - lo) is max(eta - values) bitwise
+        lo, hi = np.min(values, axis=1), np.max(values, axis=1)
+        below, above = float(np.max(eta - lo)), float(np.max(hi - xi))
+        out = max(below, above)
+        if out > slack:
+            where = _worst_node(eta[:, None] - values if below >= above
+                                else values - xi[:, None], grid)
+            raise SolveError(f"upper sequence left the bounding slab by {out:.3e} "
+                             f"(slack {slack:.3e}) at {where}")
 
-        d_n = float(np.max(np.abs(step)))
+        d_n = max(rise, -fall)
         bound = k ** (n - 1) * (1.0 - sig) * xi_max
         if d_n > bound + slack:
             raise SolveError(
@@ -171,12 +172,12 @@ def _iterate(problem, plan, spectral, opts: SolveOptions, trace: IterationTrace)
         # increasing, so the extreme ratios give it
         rel = step / up.values
         eps_n = max(math.log1p(float(np.max(rel))), -math.log1p(float(np.min(rel))))
-        width = math.expm1(p * eps_n / (1.0 - p)) * float(np.max(up_next.values))
+        width = math.expm1(p * eps_n / (1.0 - p)) * float(np.max(hi))
         trace.d.append(d_n)
         trace.width.append(width)
-        trace.mono_violation.append(max(worst_rise, 0.0))
-        trace.slab_excursion.append(max(worst_out, 0.0))
-        np.minimum(floor, np.min(up_next.values, axis=1), out=floor)
+        trace.mono_violation.append(max(rise, 0.0))
+        trace.slab_excursion.append(max(out, 0.0))
+        np.minimum(floor, lo, out=floor)
 
         up = up_next
         if d_n <= opts.tol_stop and width <= opts.tol_stop:
@@ -347,3 +348,46 @@ def run_instance(validation: ValidationReport, numerics: Numerics,
             f"enclosure width {sol.trace.width[-1]:.3e})")
     return RunResult(validation=validation, spectral=spectral, grid=grid,
                      plan=plan, quad=quad, opts=opts, sol=sol)
+
+
+def run_sweep(validation: ValidationReport, eps_values, numerics: Numerics):
+    """Yield one RunResult per eps in eps_values: validation's instance with
+    every weight moved to that eps. The largest eps runs first and sizes
+    the grid the others, in increasing eps, share. An entry whose eps every
+    weight has reuses validation; any other is validated with numerics.
+    Drop each result before asking for the next: it holds a plan.
+
+    Raises ValidationFailure when validation failed, ConfigError when a
+    weight has no eps parameter, and an entry's ValidationFailure,
+    MajorantError or SolveError with its eps named.
+    """
+    validation.require_passed()
+    ordered = sorted(eps_values)
+    spec, grid = validation.spec, None
+    for eps in ordered[-1:] + ordered[:-1]:
+        entry = validation
+        if not all(getattr(w, "eps", None) == eps for w in spec.weights):
+            weights = [_swept(w, eps, j) for j, w in enumerate(spec.weights)]
+            entry = validate_problem(
+                replace(spec, weights=weights), validation.scalars,
+                validation.eta, samples=numerics.samples,
+                tol=numerics.tol_validate, tol_alg=numerics.tol_alg)
+        try:
+            res = run_instance(entry, numerics, grid)
+        except ValidationFailure as exc:
+            raise ValidationFailure(f"sweep eps = {eps:g}: {exc}",
+                                    report=exc.report) from None
+        except (MajorantError, SolveError) as exc:
+            raise type(exc)(f"sweep eps = {eps:g}: {exc}") from exc
+        grid = res.grid
+        yield res
+        # kept here, the result would hold its plan through the next entry
+        del res
+
+
+def _swept(weight, eps: float, idx: int):
+    if not hasattr(weight, "with_eps"):
+        raise ConfigError(
+            f"weight {idx + 1} ({type(weight).__name__}) has no eps parameter; "
+            "sweep mode needs parametric weights")
+    return weight.with_eps(eps)

@@ -2,11 +2,14 @@
 
 Pipelines are expensive enough (a truncation search, a dense plan, a full
 monotone solve) that each is built once per session. The stages run through
-the same library entry point as the command line tool, so the fixtures
-double as an end-to-end check of the library API.
+the same library entries as the command line tool (normalize,
+validate_problem, run_instance), so the fixtures double as an end-to-end
+check of the library API.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -21,11 +24,8 @@ from convint import (
     RationalWeight,
     RootPowerMeanNonlin,
     SaturatingExpNonlin,
-    SpectralData,
-    kernel_scalars,
-    perron_vector,
+    normalize,
     run_instance,
-    spectral_radius,
     validate_problem,
 )
 
@@ -35,10 +35,7 @@ def build_pipeline(kernel, weights, make_nonlins, phi, tol_trunc, n_cells,
     """Normalize and validate one instance, then run every stage through
     run_instance, which refuses a failed report, and hand back its
     RunResult."""
-    rho = spectral_radius(kernel_scalars(kernel).a)
-    kern = kernel.rescaled(1.0 / rho)
-    scalars = kernel_scalars(kern)
-    eta = perron_vector(scalars.a)
+    kern, scalars, eta, _ = normalize(kernel)
     spec = ProblemSpec(n=len(weights), kernel=kern, weights=tuple(weights),
                        nonlins=tuple(make_nonlins(eta)), phi=phi)
     numerics = Numerics(tol_trunc=tol_trunc, n_cells=n_cells, tol_stop=tol_stop)
@@ -47,10 +44,7 @@ def build_pipeline(kernel, weights, make_nonlins, phi, tol_trunc, n_cells,
 
 def doctored_spectral(spectral, **overrides):
     """A copy of spectral with the given fields replaced."""
-    fields = dict(a=spectral.a, eta=spectral.eta, b=spectral.b,
-                  xi=spectral.xi, sigma=spectral.sigma, k=spectral.k)
-    fields.update(overrides)
-    return SpectralData(**fields)
+    return dataclasses.replace(spectral, **overrides)
 
 
 def step_envelopes(spectral, n):

@@ -33,7 +33,7 @@ from convint.discretization import (
 )
 from convint.kernels import GaussianKernel, kernel_scalars
 from convint.nonlinearities import PowerNonlin, PowerPhi, g_eval
-from convint.problem import ProblemSpec
+from convint.problem import ProblemSpec, normalize
 from convint.solver import SolveOptions, solve
 from convint.weights import (
     ExpSqrtWeight,
@@ -165,10 +165,8 @@ def test_criterion_06_residual_and_unit_weight_variant(flagship):
     # slab has no contraction ratio (sigma = 1), so the solve runs from a
     # constant upper level a hair above eta, with the (sigma, k) of that slab
     models = flagship_models()
-    kernel = models["kernel"]
+    kernel, scalars, eta, _ = normalize(models["kernel"])
     weights = (ExpSqrtWeight(0.0),)
-    scalars = kernel_scalars(kernel)
-    eta = perron_vector(scalars.a)
     nonlins = tuple(models["make_nonlins"](eta))
     spec = ProblemSpec(n=1, kernel=kernel, weights=weights, nonlins=nonlins,
                        phi=models["phi"])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from conftest import write_excess_table, write_kernel_table, write_linear_nonlin_table, write_nonlin_table
 
-from convint import Numerics, cli
+from convint import Numerics, cli, solver
 from convint.discretization import FieldVector, build_grid
 from convint.errors import ConfigError
 from convint.problem import validate_problem
@@ -22,6 +22,13 @@ DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 def write_config(path, doc):
     path.write_text(json.dumps(doc, indent=1) + "\n")
     return str(path)
+
+
+def run_cli(tmp_path, doc, *flags) -> int:
+    """Exit code of the command line on config doc, written to and run in
+    tmp_path with the given extra flags."""
+    path = write_config(tmp_path / "config.json", doc)
+    return cli.main(["--config", path, "--out-dir", str(tmp_path), *flags])
 
 
 def scalar_config(mode="solve", eps=0.1, alpha=0.5, p=0.5, **numerics):
@@ -87,9 +94,7 @@ class TestLoadConfig:
 @pytest.fixture(scope="module")
 def solve_outcome(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("solve")
-    path = write_config(tmp / "run.json", scalar_config(n_cells=2048))
-    code = cli.main(["--config", path, "--out-dir", str(tmp / "out"), "--quiet"])
-    return code, tmp / "out"
+    return run_cli(tmp, scalar_config(n_cells=2048), "--quiet"), tmp
 
 
 @pytest.fixture(scope="module")
@@ -97,9 +102,7 @@ def sweep_outcome(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("sweep")
     doc = scalar_config(mode="sweep", n_cells=2048)
     doc["sweep_eps"] = [0.2, 0.05, 0.1]
-    path = write_config(tmp / "run.json", doc)
-    code = cli.main(["--config", path, "--out-dir", str(tmp / "out"), "--quiet"])
-    return code, tmp / "out"
+    return run_cli(tmp, doc, "--quiet"), tmp
 
 
 class TestSolveMode:
@@ -225,8 +228,7 @@ class TestDemoConfigs:
 
 class TestValidateMode:
     def test_healthy_instance_passes(self, tmp_path, capsys):
-        path = write_config(tmp_path / "v.json", scalar_config(mode="validate"))
-        assert cli.main(["--config", path, "--out-dir", str(tmp_path)]) == 0
+        assert run_cli(tmp_path, scalar_config(mode="validate")) == 0
         out = capsys.readouterr().out
         assert "all eight conditions pass" in out
         doc = json.loads((tmp_path / "report.json").read_text())
@@ -234,9 +236,7 @@ class TestValidateMode:
         assert "solve" not in doc
 
     def test_unit_weight_fails_condition_a(self, tmp_path, capsys):
-        path = write_config(tmp_path / "v.json",
-                            scalar_config(mode="validate", eps=0.0))
-        assert cli.main(["--config", path, "--out-dir", str(tmp_path)]) == 2
+        assert run_cli(tmp_path, scalar_config(mode="validate", eps=0.0)) == 2
         out = capsys.readouterr().out
         assert "validation failed: condition(s) a" in out
         doc = json.loads((tmp_path / "report.json").read_text())
@@ -248,8 +248,7 @@ class TestValidateMode:
         table = write_linear_nonlin_table(tmp_path / "linear_g.csv")
         doc = scalar_config(mode="validate", p=1.0)
         doc["nonlins"] = [{"variant": "tabulated", "path": table.name}]
-        path = write_config(tmp_path / "v.json", doc)
-        assert cli.main(["--config", path, "--out-dir", str(tmp_path)]) == 2
+        assert run_cli(tmp_path, doc) == 2
         out = capsys.readouterr().out
         assert "condition(s) III" in out
 
@@ -262,15 +261,12 @@ class TestValidateMode:
                                  "range [0, 3.0]); using 4 eta")
 
     def test_mismatched_scaling_fails_condition_iv(self, tmp_path, capsys):
-        path = write_config(tmp_path / "v.json",
-                            scalar_config(mode="validate", alpha=0.9, p=0.01))
-        assert cli.main(["--config", path, "--out-dir", str(tmp_path)]) == 2
+        assert run_cli(tmp_path, scalar_config(mode="validate", alpha=0.9, p=0.01)) == 2
         out = capsys.readouterr().out
         assert "condition(s) IV" in out
 
     def test_solve_mode_refuses_invalid_instance(self, tmp_path, capsys):
-        path = write_config(tmp_path / "s.json", scalar_config(eps=0.0, n_cells=512))
-        assert cli.main(["--config", path, "--out-dir", str(tmp_path)]) == 2
+        assert run_cli(tmp_path, scalar_config(eps=0.0, n_cells=512)) == 2
         err = capsys.readouterr().err
         assert "validation failed" in err and "condition(s) a" in err
         # the report still records which condition broke
@@ -301,13 +297,11 @@ class TestSweepMode:
     def test_entry_matches_a_solve_of_the_same_eps(self, tmp_path, sweep_outcome):
         # a sweep entry and a plain solve run the same stage chain; at the
         # largest eps they also pick the same grid
-        path = write_config(tmp_path / "run.json", scalar_config(eps=0.2, n_cells=2048))
-        assert cli.main(["--config", path, "--out-dir", str(tmp_path / "out"),
-                         "--quiet"]) == 0
+        assert run_cli(tmp_path, scalar_config(eps=0.2, n_cells=2048), "--quiet") == 0
         sweep_dir = sweep_outcome[1]
-        assert (tmp_path / "out" / "profile.csv").read_bytes() == \
+        assert (tmp_path / "profile.csv").read_bytes() == \
             (sweep_dir / "profile_002.csv").read_bytes()
-        solo = json.loads((tmp_path / "out" / "report.json").read_text())
+        solo = json.loads((tmp_path / "report.json").read_text())
         swept = json.loads((sweep_dir / "report.json").read_text())
         entry = swept["entries"][2]
         assert entry["eps"] == 0.2
@@ -320,8 +314,7 @@ class TestSweepMode:
         doc = scalar_config(mode="sweep", n_cells=512)
         doc["weights"] = [{"variant": "tabulated_excess", "path": table.name}]
         doc["sweep_eps"] = [0.1, 0.2]
-        path = write_config(tmp_path / "run.json", doc)
-        assert cli.main(["--config", path, "--out-dir", str(tmp_path)]) == 1
+        assert run_cli(tmp_path, doc) == 1
         assert "no eps parameter" in capsys.readouterr().err
 
     def test_configured_eps_is_validated_once(self, tmp_path, monkeypatch):
@@ -334,15 +327,18 @@ class TestSweepMode:
             calls.append(args[0].weights[0].eps)
             return validate_problem(*args, **kwargs)
 
+        # the configured instance is validated by the command line, each
+        # other entry by run_sweep
         monkeypatch.setattr(cli, "validate_problem", counting)
+        monkeypatch.setattr(solver, "validate_problem", counting)
 
         def sweep(configured):
             calls.clear()
             doc = scalar_config(mode="sweep", eps=configured, n_cells=512)
             doc["sweep_eps"] = [0.05, 0.1]
-            path = write_config(tmp_path / f"{configured}.json", doc)
             out = tmp_path / str(configured)
-            assert cli.main(["--config", path, "--out-dir", str(out), "--quiet"]) == 0
+            out.mkdir()
+            assert run_cli(out, doc, "--quiet") == 0
             return list(calls), json.loads((out / "report.json").read_text())
 
         inside, doc_inside = sweep(0.1)
@@ -375,48 +371,53 @@ class TestProgressLines:
     def test_sweep_names_the_transform(self, tmp_path, capsys):
         doc = scalar_config(mode="sweep", n_cells=2048)
         doc["sweep_eps"] = [0.05, 0.2]
-        path = write_config(tmp_path / "run.json", doc)
-        assert cli.main(["--config", path, "--out-dir", str(tmp_path)]) == 0
+        assert run_cli(tmp_path, doc) == 0
         lines = capsys.readouterr().out.splitlines()
         grid = lines.index("sweep grid: R = 64, n_cells = 2048 (sized for eps = 0.2)")
         assert lines[grid + 1] == \
             "operator: transform length 1920 (kernel reaches 436 of 1024 half-grid cells)"
         assert sum(line.startswith("operator: ") for line in lines) == 1
 
+    def test_sweep_runs_largest_eps_first_and_quiet_keeps_the_report(self, tmp_path, capsys):
+        doc = dict(scalar_config(mode="sweep", n_cells=512), sweep_eps=[0.1, 0.02, 0.05])
+        assert run_cli(tmp_path, doc) == 0
+        assert [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("-- sweep entry")] == [
+            "-- sweep entry 2: eps = 0.1", "-- sweep entry 0: eps = 0.02",
+            "-- sweep entry 1: eps = 0.05"]
+        (tmp_path / "quiet").mkdir()
+        assert run_cli(tmp_path / "quiet", doc, "--quiet") == 0
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "report.json").read_bytes() == \
+            (tmp_path / "quiet" / "report.json").read_bytes()
+
 
 class TestFailureExitCodes:
     def test_unattainable_majorant_exits_4(self, tmp_path, capsys):
-        path = write_config(tmp_path / "m.json",
-                            scalar_config(eps=10.0, alpha=0.99, p=0.99, n_cells=512))
-        assert cli.main(["--config", path, "--out-dir", str(tmp_path)]) == 4
+        assert run_cli(tmp_path, scalar_config(eps=10.0, alpha=0.99, p=0.99, n_cells=512)) == 4
         err = capsys.readouterr().err
         assert "majorant stage failed" in err
         assert "no supersolution found by doubling" in err
 
     def test_iteration_cap_exits_5(self, tmp_path, capsys):
-        path = write_config(tmp_path / "c.json",
-                            scalar_config(n_cells=512, max_iters=3))
-        assert cli.main(["--config", path, "--out-dir", str(tmp_path)]) == 5
+        assert run_cli(tmp_path, scalar_config(n_cells=512, max_iters=3)) == 5
         err = capsys.readouterr().err
         assert "solve stage failed" in err and "iteration cap 3" in err
 
     def test_config_error_exits_1(self, tmp_path, capsys):
-        path = write_config(tmp_path / "b.json", {"mode": "solve"})
-        assert cli.main(["--config", path, "--out-dir", str(tmp_path)]) == 1
+        assert run_cli(tmp_path, {"mode": "solve"}) == 1
         assert "config error" in capsys.readouterr().err
 
     def test_unknown_variant_exits_1(self, tmp_path, capsys):
         doc = scalar_config(n_cells=512)
         doc["kernel"] = {"variant": "fourier"}
-        path = write_config(tmp_path / "b.json", doc)
-        assert cli.main(["--config", path, "--out-dir", str(tmp_path)]) == 1
+        assert run_cli(tmp_path, doc) == 1
         assert "unknown kernel variant" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["tol_stp", "conv_method"])
     def test_unknown_numerics_key_exits_1(self, tmp_path, capsys, key):
         doc = scalar_config(n_cells=512, **{key: 1e-12})
-        path = write_config(tmp_path / "k.json", doc)
-        assert cli.main(["--config", path, "--out-dir", str(tmp_path)]) == 1
+        assert run_cli(tmp_path, doc) == 1
         err = capsys.readouterr().err
         assert f"unknown numerics key(s) '{key}'" in err
         assert "tol_stop" in err
@@ -429,18 +430,23 @@ class TestFailureExitCodes:
         ("max_iters", lambda d: d["numerics"].update(max_iters=None)),
         ("run_probe", lambda d: d["numerics"].update(run_probe="false")),
         ("sweep_eps", lambda d: d.update(mode="sweep", sweep_eps=["x"])),
+        ("sweep_eps", lambda d: d.update(mode="sweep", sweep_eps=[-0.1, 0.1])),
+        ("sweep_eps", lambda d: d.update(mode="sweep", sweep_eps=[float("nan"), 0.1])),
+        ("sweep_eps", lambda d: d.update(mode="sweep", sweep_eps=[float("inf")])),
         ("eta", lambda d: d["nonlins"][0].update(eta="x")),
         ("weight 1", lambda d: d["weights"][0].update(eps=None)),
         ("nonlin 1", lambda d: d["nonlins"][0].update(alpha=None)),
         ("phi", lambda d: d["phi"].update(p=[1])),
+        # the first half-moment of this coefficient underflows to zero
+        ("kernel scalars", lambda d: d["kernel"].update(coeffs=[[5e-324]])),
     ], ids=["tol_stop-str", "n_cells-str", "n_cells-frac", "max_iters-null",
-            "run_probe-str", "sweep_eps-str", "eta-str", "weight-eps-null",
-            "nonlin-alpha-null", "phi-p-list"])
+            "run_probe-str", "sweep_eps-str", "sweep_eps-negative",
+            "sweep_eps-nan", "sweep_eps-inf", "eta-str", "weight-eps-null",
+            "nonlin-alpha-null", "phi-p-list", "kernel-scalars-zero"])
     def test_malformed_value_exits_1(self, tmp_path, capsys, key, edit):
         doc = scalar_config(n_cells=512)
         edit(doc)
-        path = write_config(tmp_path / "v.json", doc)
-        assert cli.main(["--config", path, "--out-dir", str(tmp_path)]) == 1
+        assert run_cli(tmp_path, doc) == 1
         err = capsys.readouterr().err
         assert "config error:" in err and key in err
         assert "Traceback" not in err
@@ -449,17 +455,19 @@ class TestFailureExitCodes:
 
 class TestModeOverride:
     def test_validate_config_can_be_solved(self, tmp_path):
-        path = write_config(tmp_path / "v.json",
-                            scalar_config(mode="validate", n_cells=512))
-        assert cli.main(["--config", path, "--mode", "solve",
-                         "--out-dir", str(tmp_path), "--quiet"]) == 0
+        doc = scalar_config(mode="validate", n_cells=512)
+        assert run_cli(tmp_path, doc, "--mode", "solve", "--quiet") == 0
         assert (tmp_path / "profile.csv").exists()
 
     def test_sweep_override_needs_eps(self, tmp_path, capsys):
-        path = write_config(tmp_path / "v.json", scalar_config(n_cells=512))
-        assert cli.main(["--config", path, "--mode", "sweep",
-                         "--out-dir", str(tmp_path)]) == 1
-        assert "sweep_eps" in capsys.readouterr().err
+        # a solve config's sweep_eps is parsed too, so --mode sweep can use it
+        for extra in ({}, {"sweep_eps": ["x", 0.1]}, {"sweep_eps": 0.1}):
+            doc = {**scalar_config(n_cells=512), **extra}
+            assert run_cli(tmp_path, doc, "--mode", "sweep") == 1, extra
+            err = capsys.readouterr().err
+            assert "config error:" in err and "sweep_eps" in err, extra
+            assert "Traceback" not in err
+            assert not (tmp_path / "report.json").exists()
 
 
 class TestTabulatedPipeline:
@@ -476,11 +484,8 @@ class TestTabulatedPipeline:
             "numerics": {"n_cells": 2048, "tol_trunc": 1e-6,
                          "tol_validate": 1e-5},
         }
-        path = write_config(tmp_path / "run.json", doc)
-        code = cli.main(["--config", path, "--out-dir", str(tmp_path / "out"),
-                         "--quiet"])
-        assert code == 0
-        rep = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert run_cli(tmp_path, doc, "--quiet") == 0
+        rep = json.loads((tmp_path / "report.json").read_text())
         assert rep["validation"]["passed"] is True
         assert rep["solve"]["termination"] == "step_below_tol"
         # tabulated tables reproduce the closed-form instance to fidelity

@@ -4,6 +4,7 @@ and the report's handoff to run_instance."""
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -20,9 +21,8 @@ from convint import (
     kernel_scalars,
     load_tabulated_excess,
     load_tabulated_nonlin,
-    perron_vector,
+    problem,
     run_instance,
-    spectral_radius,
     validate_problem,
 )
 from convint.problem import CONDITION_IDS
@@ -34,15 +34,15 @@ ETA_GAP_NOTE = "table does not cover the computed eta"
 
 def validate(spec, normalize=True, eta_scale=1.0, **kwargs):
     """validate_problem on spec with the run's inputs: the kernel rescaled to
-    a unit-radius integral matrix (kept as is when normalize is False), its
-    kernel scalars, and eta_scale times the matrix's eigenvector."""
-    scalars = kernel_scalars(spec.kernel)
-    rho = spectral_radius(scalars.a)
-    if normalize:
-        spec = dataclasses.replace(spec, kernel=spec.kernel.rescaled(1.0 / rho))
-        scalars, rho = kernel_scalars(spec.kernel), 1.0
-    eta = eta_scale * perron_vector(scalars.a / rho)
-    return validate_problem(spec, scalars, eta, **kwargs)
+    a unit-radius integral matrix, its kernel scalars, and eta_scale times
+    the matrix's eigenvector. When normalize is False the kernel is kept as
+    is and eta is one: every such case here is scalar."""
+    if not normalize:
+        return validate_problem(spec, kernel_scalars(spec.kernel),
+                                eta_scale * np.ones(spec.n), **kwargs)
+    kernel, scalars, eta, _ = problem.normalize(spec.kernel)
+    return validate_problem(dataclasses.replace(spec, kernel=kernel), scalars,
+                            eta_scale * eta, **kwargs)
 
 
 def scalar_spec(weights=None, nonlins=None, phi=None, kernel=None):
@@ -185,8 +185,7 @@ class TestNegativeCases:
     def test_nan_kernel_fails_condition_1(self):
         # the scalars come from the unit-radius kernel itself; only its
         # sampled values carry the NaN
-        unit = GaussianKernel([[1.0]])
-        unit = unit.rescaled(1.0 / spectral_radius(kernel_scalars(unit).a))
+        unit = problem.normalize(GaussianKernel([[1.0]]))[0]
 
         class HoleyKernel(GaussianKernel):
             def eval(self, i, j, tau):
@@ -288,3 +287,15 @@ def test_labels_normalized_to_strings():
                        nonlins=(PowerNonlin(0.5, 1.0),),
                        phi=PowerPhi(0.5), labels=[7])
     assert spec.labels == ("7",)
+
+
+def test_normalize_gives_unit_radius_and_its_eigenvector():
+    kernel, scalars, eta, rho = problem.normalize(GaussianKernel([[0.5, 0.3], [0.3, 0.7]]))
+    # a Gaussian kernel's integral matrix is its coefficient matrix
+    assert rho == pytest.approx(0.6 + np.sqrt(0.1), rel=1e-12)
+    assert np.array_equal(scalars.a, kernel_scalars(kernel).a)
+    tol = Numerics.tol_eig
+    assert inspect.signature(problem.normalize).parameters["tol_eig"].default == tol
+    assert abs(float(np.max(np.linalg.eigvalsh(scalars.a))) - 1.0) <= tol
+    assert float(np.max(np.abs(scalars.a @ eta - eta))) <= tol
+    assert np.max(eta) == 1.0

@@ -134,10 +134,14 @@ def demo_runs(request, tmp_path_factory):
         return runs[-1]
 
     with pytest.MonkeyPatch.context() as mp:
+        # solve mode calls it from the command line, sweep mode from run_sweep
         mp.setattr(cli, "run_instance", recording)
+        mp.setattr(solver, "run_instance", recording)
         code = cli.main(["--config", str(path), "--quiet",
                          "--out-dir", str(tmp_path_factory.mktemp(request.param))])
     assert code == 0
+    doc = json.loads(path.read_text())
+    assert len(runs) == (len(doc["sweep_eps"]) if doc.get("mode") == "sweep" else 1)
     return runs
 
 
