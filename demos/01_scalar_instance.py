@@ -72,7 +72,7 @@ def main():
 
     print("\n== 6. shape of the solution ==")
     # the field stores the nodes x >= 0, so column 0 is x = 0
-    f0 = float(sol.field.values[0, 0])
+    f0 = float(sol.field[0, 0])
     print(f"center value f(0) = {f0:.12f}; edges sit on eta = 1")
     asym = sol.asymptotics
     print(f"edge deviation {float(asym.edge_deviation[0]):.3e}, "

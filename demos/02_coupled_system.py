@@ -61,7 +61,7 @@ def main():
     print(f"{sol.iterations} iterations ({sol.termination}), "
           f"residual {sol.residual_sup:.3e}")
 
-    center = sol.field.values[:, 0]     # column 0 of the x >= 0 nodes
+    center = sol.field[:, 0]     # column 0 of the x >= 0 nodes
     print(f"center values f(0) = {np.array2string(center, precision=10)}")
     asym = sol.asymptotics
     for j in range(2):

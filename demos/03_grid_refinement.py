@@ -11,7 +11,7 @@ Three experiments on the scalar reference instance:
 import numpy as np
 
 from convint import (
-    ExpSqrtWeight, FieldVector, GaussianKernel, Numerics, PowerNonlin,
+    ExpSqrtWeight, GaussianKernel, Numerics, PowerNonlin,
     PowerPhi, ProblemSpec, apply_operator, build_grid, build_plan,
     estimate_quadrature_error, normalize, run_instance, validate_problem,
 )
@@ -47,9 +47,8 @@ def main():
     for n_cells in (1024, 2048, 4096):
         grid = build_grid(r, n_cells)
         plan = build_plan(spec, grid, report.eta)
-        values = (1.0 + 0.4 * np.exp(-grid.half_nodes**2 / 4.0))[None, :]
-        f = FieldVector(grid=grid, values=values)
-        outputs.append(apply_operator(plan, f, spec.nonlins).values[0])
+        f = (1.0 + 0.4 * np.exp(-grid.half_nodes**2 / 4.0))[None, :]
+        outputs.append(apply_operator(plan, f, spec.nonlins)[0])
     coarse, mid, fine = outputs
     d1 = float(np.max(np.abs(coarse - mid[::2])))
     d2 = float(np.max(np.abs(mid[::2] - fine[::4])))

@@ -11,10 +11,9 @@ with every step of the theory checked numerically along the way.
 
 from .algebra import (SpectralData, a_priori_iterations, contraction_params,
                       perron_vector, solve_xi, spectral_radius)
-from .discretization import (FieldVector, Grid, OperatorPlan, QuadratureError,
+from .discretization import (Grid, OperatorPlan, QuadratureError,
                              apply_operator, build_grid, build_plan,
-                             choose_truncation, constant_field,
-                             estimate_quadrature_error)
+                             choose_truncation, estimate_quadrature_error)
 from .errors import (ConfigError, ConvintError, MajorantError, SolveError,
                      SpectralError, ValidationFailure)
 from .kernels import (ExpMixtureKernel, GaussianKernel, KernelScalars,
@@ -32,9 +31,9 @@ from .solver import (AsymptoticsReport, IterationTrace, Numerics, RunResult,
                      SolutionReport, SolveOptions, asymptotics_report,
                      residual, run_instance, run_sweep, solve)
 from .weights import (ExcessIntegrals, ExpSqrtWeight, RationalWeight,
-                      TabulatedExcessWeight, build_b_matrix,
-                      excess_cell_moments, excess_integral, excess_tail_mass,
-                      excess_weighted_integral, load_tabulated_excess)
+                      TabulatedExcessWeight, build_b_matrix, excess_integral,
+                      excess_tail_mass, excess_weighted_integral,
+                      load_tabulated_excess)
 
 __version__ = "0.1.0"
 
@@ -50,7 +49,7 @@ __all__ = [
     # weights
     "ExpSqrtWeight", "RationalWeight", "TabulatedExcessWeight",
     "ExcessIntegrals", "excess_integral", "excess_tail_mass",
-    "excess_cell_moments", "excess_weighted_integral", "build_b_matrix",
+    "excess_weighted_integral", "build_b_matrix",
     "load_tabulated_excess",
     # nonlinearities
     "PowerNonlin", "RootPowerMeanNonlin", "TwoPowerMeanNonlin",
@@ -63,8 +62,8 @@ __all__ = [
     "ProblemSpec", "ConditionCheck", "ValidationReport", "normalize",
     "validate_problem",
     # discretization
-    "Grid", "FieldVector", "OperatorPlan", "QuadratureError", "build_grid",
-    "constant_field", "choose_truncation", "build_plan", "apply_operator",
+    "Grid", "OperatorPlan", "QuadratureError", "build_grid",
+    "choose_truncation", "build_plan", "apply_operator",
     "estimate_quadrature_error",
     # solver
     "Numerics", "RunResult", "run_instance", "run_sweep", "SolveOptions",

@@ -244,18 +244,18 @@ def emit_profile(report, eta, path):
     nodes: their rows are formatted once, in blocks, and each x < 0 row is
     written from its mirror's text with a '-' before x.
     """
-    f = report.field
+    f, grid = report.field, report.grid
     eta = np.asarray(eta, dtype=float)
-    half = f.grid.n_cells // 2
-    table = np.column_stack([f.grid.half_nodes, f.values.T, (f.values - eta[:, None]).T])
+    half = grid.n_cells // 2
+    table = np.column_stack([grid.half_nodes, f.T, (f - eta[:, None]).T])
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     rows = max(1, _PROFILE_BLOCK_VALUES // table.shape[1])
     lines = []
     for start in range(0, half + 1, rows):
         block = table[start:start + rows]
         lines += (row * len(block) % tuple(block.ravel().tolist())).splitlines()
-    header = ",".join(["x"] + [f"f_{i + 1}" for i in range(f.n)]
-                      + [f"eta_gap_{i + 1}" for i in range(f.n)])
+    header = ",".join(["x"] + [f"f_{i + 1}" for i in range(len(f))]
+                      + [f"eta_gap_{i + 1}" for i in range(len(f))])
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for stop in range(half, 0, -rows):

@@ -4,9 +4,10 @@ The field lives on a uniform symmetric grid over [-R, R] and is continued by
 the constant vector eta beyond it (the solution tends to eta at infinity, so
 constant continuation is the right closure; zero would inject O(1) error).
 Kernel, weights and maps all depend on |x|, so the solution is even: a
-FieldVector stores only the x >= 0 nodes, and its value at -x is its value
-at x by construction. The operator plan keeps the same half of every table.
-One application of the integral operator splits into three parts:
+field is the (N, m + 1) array of its values at the x >= 0 nodes,
+grid.half_nodes, and its value at -x is its value at x by construction.
+The operator plan keeps the same half of every table. One application of
+the integral operator splits into three parts:
 
   regular     trapezoid product weights, end-corrected to third order,
               against the kernel lag table. With m = n_cells // 2 and the
@@ -57,11 +58,9 @@ from .weights import excess_tail_mass, excess_weighted_integral
 
 __all__ = [
     "Grid",
-    "FieldVector",
     "OperatorPlan",
     "QuadratureError",
     "build_grid",
-    "constant_field",
     "choose_truncation",
     "build_plan",
     "apply_operator",
@@ -96,35 +95,6 @@ def build_grid(r: float, n_cells: int) -> Grid:
     nodes = np.concatenate([-half[::-1][:-1], half])
     nodes.setflags(write=False)
     return Grid(r=r, n_cells=n_cells, h=2.0 * r / n_cells, nodes=nodes)
-
-
-@dataclass
-class FieldVector:
-    """N even components on a grid.
-
-    values holds each component at the x >= 0 nodes, grid.half_nodes; the
-    value at -x is the value at x. The continuation beyond the grid belongs
-    to the operator plan, not to the field.
-    """
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2 or self.values.shape[1] != self.grid.half_nodes.size:
-            raise ValueError("values must be N x (n_cells // 2 + 1), the nodes x >= 0")
-        if not np.all(np.isfinite(self.values)) or np.any(self.values < 0.0):
-            raise ValueError("field values must be finite and nonnegative")
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
-def constant_field(grid: Grid, levels) -> FieldVector:
-    levels = np.asarray(levels, dtype=float)
-    return FieldVector(grid=grid, values=np.repeat(levels[:, None], grid.half_nodes.size, axis=1))
 
 
 def choose_truncation(kernel, weights, eta, tol_trunc: float, g_sup: float,
@@ -211,10 +181,6 @@ class OperatorPlan:
     kernel_im: np.ndarray = None      # T - c - d (folded only)
     kernel_cross: np.ndarray = None   # d (folded only)
     center_fix: np.ndarray = None     # K(0) minus the Hankel table at residue 0 (folded only)
-
-    @property
-    def n(self) -> int:
-        return self.omega.shape[0]
 
 
 def next_fast_len(n: int) -> int:
@@ -364,8 +330,9 @@ def build_plan(spec, grid: Grid, boundary) -> OperatorPlan:
         omega[j, 1:] += (m1 - t_lo * m0) / grid.h
     omega[:, 0] *= 2.0
 
+    # both guards are written to fail on NaN
     floor = -1e-14 * max(float(np.max(omega)), 1.0)
-    if np.min(omega) < floor:
+    if not (np.min(omega) >= floor):
         raise SolveError("negative singular quadrature weight; "
                          "excess cell moments are inconsistent")
     np.clip(omega, 0.0, None, out=omega)
@@ -377,7 +344,7 @@ def build_plan(spec, grid: Grid, boundary) -> OperatorPlan:
     def one_sided(model, i, j):
         coeff = kernel_tail_one_sided(model, i, j, grid.r - nodes)
         coeff += kernel_tail_one_sided(model, i, j, grid.r + nodes)
-        if np.min(coeff) < 0.0:
+        if not (np.min(coeff) >= 0.0):
             raise SolveError("negative tail correction")
         return coeff
 
@@ -430,9 +397,12 @@ def _compact_sums(plan: OperatorPlan, v):
     return out[:, reach:reach + plan.trapw.size] + plan.tail
 
 
-def apply_operator(plan: OperatorPlan, f: FieldVector, nonlins,
-                   include_singular: bool = True) -> FieldVector:
-    """One application of the discrete integral operator to the even field f.
+def apply_operator(plan: OperatorPlan, values, nonlins,
+                   include_singular: bool = True) -> np.ndarray:
+    """One application of the discrete integral operator to the even field
+    values, the (N, m + 1) array at plan.grid.half_nodes; returns the image
+    as an array of the same shape. g_eval rejects a negative or non-finite
+    input value.
 
     Regular and singular parts share the kernel lag convolution (their node
     weights just add). The weighted rows, mixed by plan.mix when the kernel
@@ -444,14 +414,12 @@ def apply_operator(plan: OperatorPlan, f: FieldVector, nonlins,
     product takes the one Toeplitz spectrum. The plan's tail adds the
     analytic correction for the constant continuation.
     """
-    if f.grid is not plan.grid and not np.array_equal(f.grid.nodes, plan.grid.nodes):
-        raise ValueError("field grid does not match the plan grid")
-    if f.n != plan.n:
-        raise ValueError("field component count does not match the plan")
-    v = np.vstack([g_eval(nl, row) for nl, row in zip(nonlins, f.values)])
+    if np.shape(values) != plan.omega.shape:
+        raise ValueError(f"field shape {np.shape(values)} is not the plan's "
+                         f"{plan.omega.shape}, N x (n_cells // 2 + 1)")
+    v = np.vstack([g_eval(nl, row) for nl, row in zip(nonlins, values)])
     v *= (plan.trapw + plan.omega) if include_singular else plan.trapw
-    sums = _compact_sums if plan.compact else _folded_sums
-    return FieldVector(grid=f.grid, values=sums(plan, v))
+    return (_compact_sums if plan.compact else _folded_sums)(plan, v)
 
 
 @dataclass(frozen=True)
@@ -484,9 +452,9 @@ def estimate_quadrature_error(spec, plan: OperatorPlan, eta, xi, scalars) -> Qua
     eta = np.asarray(eta, dtype=float)
     xi = np.asarray(xi, dtype=float)
 
-    f_eta = constant_field(grid, eta)
+    f_eta = np.repeat(eta[:, None], grid.half_nodes.size, axis=1)
     w_eta = apply_operator(plan, f_eta, spec.nonlins, include_singular=False)
-    e_reg = float(np.max(np.abs(w_eta.values - eta[:, None])))
+    e_reg = float(np.max(np.abs(w_eta - eta[:, None])))
 
     # (model, its entry (a, b), weight j, scale): a factored kernel needs
     # one reference integral per weight, for its profile, which entry

@@ -7,7 +7,8 @@ guarantees that the iterates decrease pointwise, stay inside the slab
 [eta, xi], and that the sup-norm step d_n obeys a geometric envelope with
 ratio k. Each guard is enforced per step up to a measured quadrature
 slack; violations beyond it indicate a too-coarse grid or a real defect
-and abort the run, naming the offending node.
+and abort the run, naming the offending node. An iterate that is not
+finite aborts it too, named by its iteration.
 
 Condition IV with phi(s) = s^p, p < 1, gives T(s u) >= s^p T(u) for the
 discrete operator T, whose weights and tail term are nonnegative. So T
@@ -37,10 +38,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .algebra import SpectralData, a_priori_iterations, contraction_params
-from .discretization import (FieldVector, Grid, OperatorPlan, QuadratureError,
+from .discretization import (Grid, OperatorPlan, QuadratureError,
                              apply_operator, build_grid, build_plan,
-                             choose_truncation, constant_field,
-                             estimate_quadrature_error)
+                             choose_truncation, estimate_quadrature_error)
 from .errors import ConfigError, MajorantError, SolveError, ValidationFailure
 from .nonlinearities import check_condition_iv, g_eval
 from .problem import ValidationReport, validate_problem
@@ -73,7 +73,7 @@ class SolveOptions:
             raise ValueError("tol_stop must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.mono_slack < 0.0:
+        if not (self.mono_slack >= 0.0):
             raise ValueError("mono_slack must be nonnegative")
 
 
@@ -111,7 +111,10 @@ class AsymptoticsReport:
 
 @dataclass
 class SolutionReport:
-    field: FieldVector
+    """field is the (N, m + 1) array of the last iterate at grid.half_nodes."""
+
+    grid: Grid
+    field: np.ndarray
     iterations: int
     termination: str
     residual_sup: float
@@ -135,7 +138,7 @@ def _iterate(problem, plan, spectral, opts: SolveOptions, trace: IterationTrace)
     grid = plan.grid
     eta = np.asarray(spectral.eta, dtype=float)
     xi = np.asarray(spectral.xi, dtype=float)
-    up = constant_field(grid, spectral.xi)
+    up = np.repeat(xi[:, None], grid.half_nodes.size, axis=1)
     floor = xi.copy()
     sig, k, p = spectral.sigma, spectral.k, problem.phi.p
     xi_max = float(np.max(xi))
@@ -143,10 +146,12 @@ def _iterate(problem, plan, spectral, opts: SolveOptions, trace: IterationTrace)
     termination, n_done = "iteration_cap", opts.max_iters
 
     for n in range(1, opts.max_iters + 1):
-        up_next = apply_operator(plan, up, problem.nonlins)
-        values = up_next.values
-        step = values - up.values
+        values = apply_operator(plan, up, problem.nonlins)
+        step = values - up
         rise, fall = float(np.max(step)), float(np.min(step))
+        # both extremes are finite exactly when every value of the iterate is
+        if not (math.isfinite(rise) and math.isfinite(fall)):
+            raise SolveError(f"upper sequence: iterate {n} is not finite")
         if rise > slack:
             raise SolveError(
                 f"upper sequence: monotonicity violated by {rise:.3e} "
@@ -170,7 +175,7 @@ def _iterate(problem, plan, spectral, opts: SolveOptions, trace: IterationTrace)
                 f"geometric bound {bound:.3e} (slack {slack:.3e})")
         # part-metric step eps_n = max|log(up_n / up_(n-1))|; log1p is
         # increasing, so the extreme ratios give it
-        rel = step / up.values
+        rel = step / up
         eps_n = max(math.log1p(float(np.max(rel))), -math.log1p(float(np.min(rel))))
         width = math.expm1(p * eps_n / (1.0 - p)) * float(np.max(hi))
         trace.d.append(d_n)
@@ -179,7 +184,7 @@ def _iterate(problem, plan, spectral, opts: SolveOptions, trace: IterationTrace)
         trace.slab_excursion.append(max(out, 0.0))
         np.minimum(floor, lo, out=floor)
 
-        up = up_next
+        up = values
         if d_n <= opts.tol_stop and width <= opts.tol_stop:
             termination, n_done = "step_below_tol", n
             break
@@ -188,12 +193,15 @@ def _iterate(problem, plan, spectral, opts: SolveOptions, trace: IterationTrace)
 
 
 def solve(problem, spectral, plan, opts: SolveOptions) -> SolutionReport:
-    """Run the upper sequence from xi down on plan.grid, enclosing f_h.
+    """Run the upper sequence from xi down on plan.grid, enclosing f_h; the
+    report's field is the last iterate, the (N, m + 1) array at
+    plan.grid.half_nodes.
 
     Raises ValueError unless spectral's (sigma, k) are those
     contraction_params gives for its eta, xi and problem.phi: the step
-    envelope is built from them. Raises SolveError when a guard trips or
-    condition IV fails on a strip below eta that the iterates reached.
+    envelope is built from them. Raises SolveError when an iterate is not
+    finite, when a guard trips, or when condition IV fails on a strip below
+    eta that the iterates reached.
     """
     sigma_k = contraction_params(spectral.eta, spectral.xi, problem.phi)
     if (spectral.sigma, spectral.k) != sigma_k:
@@ -215,14 +223,15 @@ def solve(problem, spectral, plan, opts: SolveOptions) -> SolutionReport:
                     f"(nonlin {j + 1}); the enclosure does not hold")
 
     res = residual(plan, f, problem.nonlins)
-    asym = asymptotics_report(f, spectral.eta)
+    asym = asymptotics_report(plan.grid, f, spectral.eta)
     # the field is even: both edges x = -R and x = R hold its last column
     return SolutionReport(
+        grid=plan.grid,
         field=f,
         iterations=iters,
         termination=termination,
         residual_sup=res,
-        alpha_plus=f.values[:, -1].copy(),
+        alpha_plus=f[:, -1].copy(),
         asymptotics=asym,
         trace=trace,
         a_priori_n=a_priori_iterations(spectral.sigma, spectral.k, opts.tol_stop),
@@ -230,13 +239,13 @@ def solve(problem, spectral, plan, opts: SolveOptions) -> SolutionReport:
     )
 
 
-def residual(plan, f: FieldVector, nonlins) -> float:
-    """Sup-norm defect of the fixed-point identity at f."""
-    wf = apply_operator(plan, f, nonlins)
-    return float(np.max(np.abs(f.values - wf.values)))
+def residual(plan, f, nonlins) -> float:
+    """Sup-norm defect of the fixed-point identity at the field f, the
+    (N, m + 1) array at plan.grid.half_nodes."""
+    return float(np.max(np.abs(f - apply_operator(plan, f, nonlins))))
 
 
-def asymptotics_report(f: FieldVector, eta) -> AsymptoticsReport:
+def asymptotics_report(grid: Grid, f, eta) -> AsymptoticsReport:
     """Edge deviation at x = R, outer-band tail mass, and its decay ratio.
 
     The tail integral is of |f - eta| over R/2 < |x| < R, twice the mass of
@@ -244,12 +253,12 @@ def asymptotics_report(f: FieldVector, eta) -> AsymptoticsReport:
     (3R/4..R) against the inner quarter (R/2..3R/4) of that band. It is a
     diagnostic, not a pass condition: once the field has settled to eta
     both band masses sit at the regular-quadrature noise floor, and the
-    ratio of two noise-level masses can read above one.
+    ratio of two noise-level masses can read above one. f is the
+    (N, m + 1) array of the field at grid.half_nodes.
     """
     eta = np.asarray(eta, dtype=float)
-    grid = f.grid
     x = grid.half_nodes
-    gap = np.abs(f.values - eta[:, None])
+    gap = np.abs(f - eta[:, None])
 
     def band_mass(lo, hi):
         band = (x >= lo - 1e-12) & (x <= hi + 1e-12)

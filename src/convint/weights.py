@@ -49,7 +49,6 @@ __all__ = [
     "TabulatedExcessWeight",
     "excess_integral",
     "excess_tail_mass",
-    "excess_cell_moments",
     "excess_weighted_integral",
     "build_b_matrix",
     "load_tabulated_excess",
@@ -339,12 +338,6 @@ def excess_tail_mass(model, t_from: float) -> float:
     if t_from < 0.0:
         raise ValueError("t_from must be nonnegative")
     return float(model.excess_tail(t_from))
-
-
-def excess_cell_moments(model, t0: float, t1: float):
-    """(m0, m1) of the excess over one cell [t0, t1], 0 <= t0 < t1."""
-    m0, m1 = model.cell_moments_batch(np.array([t0, t1], dtype=float))
-    return float(m0[0]), float(m1[0])
 
 
 def excess_weighted_integral(model, fn, hi: float) -> float:

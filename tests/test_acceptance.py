@@ -23,12 +23,10 @@ from convint.algebra import (
     spectral_radius,
 )
 from convint.discretization import (
-    FieldVector,
     apply_operator,
     build_grid,
     build_plan,
     choose_truncation,
-    constant_field,
     estimate_quadrature_error,
 )
 from convint.kernels import GaussianKernel, kernel_scalars
@@ -115,14 +113,14 @@ def _replay_monotone(pipe):
     slack = opts.mono_slack
     eta = spectral.eta[:, None]
     xi = spectral.xi[:, None]
-    f_prev = constant_field(pipe.grid, spectral.xi)
-    assert np.all(f_prev.values <= xi + slack)
+    f_prev = np.repeat(xi, pipe.grid.half_nodes.size, axis=1)
+    assert np.all(f_prev <= xi + slack)
     for n in range(1, opts.max_iters + 1):
         f_next = apply_operator(pipe.plan, f_prev, pipe.validation.spec.nonlins)
-        assert np.all(f_next.values <= f_prev.values + slack)
-        assert np.all(f_next.values >= eta - slack)
-        assert np.all(f_next.values <= xi + slack)
-        d = float(np.max(np.abs(f_next.values - f_prev.values)))
+        assert np.all(f_next <= f_prev + slack)
+        assert np.all(f_next >= eta - slack)
+        assert np.all(f_next <= xi + slack)
+        d = float(np.max(np.abs(f_next - f_prev)))
         f_prev = f_next
         if d <= opts.tol_stop:
             return n
@@ -187,7 +185,7 @@ def test_criterion_06_residual_and_unit_weight_variant(flagship):
     sol = solve(spec, spectral, plan, opts)
     assert sol.termination == "step_below_tol"
 
-    flat = float(np.max(np.abs(sol.field.values - eta[:, None])))
+    flat = float(np.max(np.abs(sol.field - eta[:, None])))
     assert flat <= opts.mono_slack
     assert sol.residual_sup <= quad.total
     print(f"[criterion 06] PASS: residual {flagship.sol.residual_sup:.2e} <= "
@@ -225,7 +223,7 @@ def test_criterion_08_uniqueness_probe(flagship_hires, coupled):
         sigma2, k2 = contraction_params(pipe.spectral.eta, xi2, pipe.validation.spec.phi)
         wide = doctored_spectral(pipe.spectral, xi=xi2, sigma=sigma2, k=k2)
         again = solve(pipe.validation.spec, wide, pipe.plan, opts)
-        moved = float(np.max(np.abs(again.field.values - pipe.sol.field.values)))
+        moved = float(np.max(np.abs(again.field - pipe.sol.field)))
         assert moved <= dev + opts.tol_stop + opts.mono_slack
         devs[name], restarts[name] = dev, moved
     print(f"[criterion 08] PASS: part-metric enclosure width {devs['scalar']:.2e} "
@@ -243,10 +241,8 @@ def test_criterion_09_discretization_order():
     for n_cells in (1024, 2048, 4096):
         grid = build_grid(r, n_cells)
         plan = build_plan(spec, grid, [1.0])
-        values = (1.0 + 0.4 * np.exp(-grid.half_nodes**2 / 4.0))[None, :]
-        f = FieldVector(grid=grid, values=values)
-        out = apply_operator(plan, f, spec.nonlins)
-        outputs.append(out.values[0])
+        f = (1.0 + 0.4 * np.exp(-grid.half_nodes**2 / 4.0))[None, :]
+        outputs.append(apply_operator(plan, f, spec.nonlins)[0])
     coarse, mid, fine = outputs
     d1 = float(np.max(np.abs(coarse - mid[::2])))
     d2 = float(np.max(np.abs(mid[::2] - fine[::4])))

@@ -12,7 +12,7 @@ import pytest
 from conftest import write_excess_table, write_kernel_table, write_linear_nonlin_table, write_nonlin_table
 
 from convint import Numerics, cli, solver
-from convint.discretization import FieldVector, build_grid
+from convint.discretization import build_grid
 from convint.errors import ConfigError
 from convint.problem import validate_problem
 
@@ -176,7 +176,7 @@ class TestProfileWriter:
         x = grid.half_nodes
         values = np.vstack([1.0 + 0.1 * (i + 1) * np.exp(-(i + 1) * (x / grid.r) ** 2)
                             for i in range(n)])
-        return SimpleNamespace(field=FieldVector(grid=grid, values=values))
+        return SimpleNamespace(grid=grid, field=values)
 
     # more than one block, the last one partial; two components; nodes so
     # close to 0 that '%.17g' prints them in exponent form
@@ -189,8 +189,8 @@ class TestProfileWriter:
         f = rep.field
         header = ",".join(["x"] + [f"f_{i + 1}" for i in range(n)]
                           + [f"eta_gap_{i + 1}" for i in range(n)])
-        full = np.concatenate([f.values[:, :0:-1], f.values], axis=1)
-        table = np.column_stack([f.grid.nodes, full.T, (full - eta[:, None]).T])
+        full = np.concatenate([f[:, :0:-1], f], axis=1)
+        table = np.column_stack([rep.grid.nodes, full.T, (full - eta[:, None]).T])
         np.savetxt(tmp_path / "reference.csv", table, fmt="%.17g", delimiter=",",
                    header=header, comments="")
         assert (tmp_path / "profile.csv").read_bytes() == \

@@ -15,12 +15,10 @@ from scipy.fft import next_fast_len as scipy_next_fast_len
 from scipy.special import erfc, gamma, gammainc
 
 from convint.discretization import (
-    FieldVector,
     apply_operator,
     build_grid,
     build_plan,
     choose_truncation,
-    constant_field,
     estimate_quadrature_error,
     next_fast_len,
 )
@@ -47,6 +45,11 @@ def mirror(half):
     return np.concatenate([half[..., :0:-1], half], axis=-1)
 
 
+def constant(grid, levels):
+    """The field that holds each component at its level."""
+    return np.repeat(np.asarray(levels, dtype=float)[:, None], grid.half_nodes.size, axis=1)
+
+
 def direct_apply(spec, plan, f, boundary):
     """Reference operator on the full grid by direct summation over the
     kernel lag table, with the tail from the kernel's own one-sided tails
@@ -54,7 +57,7 @@ def direct_apply(spec, plan, f, boundary):
     grid = plan.grid
     n_cells = grid.n_cells
     lags = grid.h * np.arange(-n_cells, n_cells + 1)
-    v = np.vstack([g_eval(nl, row) for nl, row in zip(spec.nonlins, mirror(f.values))])
+    v = np.vstack([g_eval(nl, row) for nl, row in zip(spec.nonlins, mirror(f))])
     v = v * mirror(plan.trapw + plan.omega)
     g_bound = [float(g_eval(nl, b)) for nl, b in zip(spec.nonlins, boundary)]
     out = np.zeros_like(v)
@@ -74,7 +77,7 @@ def bumpy_field(grid, n):
     x = grid.half_nodes
     rows = [1.0 + 0.3 * np.exp(-((x - 1.0) ** 2)),
             0.8 + 0.5 * np.exp(-((x - 2.0) ** 2) / 2.0)]
-    return FieldVector(grid=grid, values=np.vstack(rows[:n]))
+    return np.vstack(rows[:n])
 
 
 class TestGrid:
@@ -203,6 +206,27 @@ class TestPlanTables:
         expect = eps * gamma(1.5) * gammainc(1.5, grid.r)
         assert plan.omega[0] @ grid.half_nodes == pytest.approx(expect, rel=1e-12)
 
+    def test_nan_tables_are_rejected(self):
+        # a NaN fails every comparison, so a guard written as min < bound
+        # would pass one cell moment's or tail mass's NaN into the plan
+        class NanMomentWeight(ExpSqrtWeight):
+            def cell_moments_batch(self, edges):
+                m0, m1 = super().cell_moments_batch(edges)
+                m0[3] = np.nan
+                return m0, m1
+
+        class NanTailGaussian(GaussianKernel):
+            def one_sided_tail(self, i, j, y):
+                out = super().one_sided_tail(i, j, y)
+                out[3] = np.nan
+                return out
+
+        grid = build_grid(8.0, 64)
+        for change, what in (({"weights": (NanMomentWeight(0.1),)}, "singular quadrature weight"),
+                             ({"kernel": NanTailGaussian([[1.0]])}, "tail correction")):
+            with pytest.raises(SolveError, match=f"negative {what}"):
+                build_plan(dataclasses.replace(scalar_spec(), **change), grid, [1.0])
+
     def test_tail_correction_matches_closed_form(self, small):
         # the plan folds in G(1.3) = 1.3^(1/2) of the continuation value 1.3
         spec, grid, plan = small
@@ -221,21 +245,20 @@ class TestApplyOperator:
     def test_constant_eigen_field_is_near_fixed(self, flagship):
         out = apply_operator(
             flagship.plan,
-            constant_field(flagship.grid, flagship.spectral.eta),
+            constant(flagship.grid, flagship.spectral.eta),
             flagship.validation.spec.nonlins,
             include_singular=False,
         )
-        gap = np.max(np.abs(out.values - flagship.spectral.eta[:, None]))
+        gap = np.max(np.abs(out - flagship.spectral.eta[:, None]))
         assert gap <= 1e-8
 
     def test_fft_and_direct_agree(self, flagship):
         x = flagship.grid.half_nodes
         eta = flagship.spectral.eta
-        values = eta[:, None] * (1.0 + 0.3 * np.exp(-(x**2)))[None, :]
-        f = FieldVector(grid=flagship.grid, values=values)
+        f = eta[:, None] * (1.0 + 0.3 * np.exp(-(x**2)))[None, :]
         fast = apply_operator(flagship.plan, f, flagship.validation.spec.nonlins)
         slow = direct_apply(flagship.validation.spec, flagship.plan, f, eta)
-        assert np.max(np.abs(mirror(fast.values) - slow)) <= 1e-12
+        assert np.max(np.abs(mirror(fast) - slow)) <= 1e-12
 
     # fft_len 15 (odd, above n_cells), 24 (even, above n_cells), 64 and 100
     # (equal to n_cells: lag 2m wraps to residue 0 and x = 0 takes the fix);
@@ -252,7 +275,7 @@ class TestApplyOperator:
         f = bumpy_field(grid, 1)
         fast = apply_operator(plan, f, spec.nonlins)
         slow = direct_apply(spec, plan, f, [1.3])
-        assert np.max(np.abs(mirror(fast.values) - slow)) <= 1e-12
+        assert np.max(np.abs(mirror(fast) - slow)) <= 1e-12
 
     @pytest.mark.parametrize("r, n_cells", [
         pytest.param(1.5, n, id=str(n)) for n in (14, 22, 64, 98)] + WIDE_GRIDS)
@@ -270,34 +293,30 @@ class TestApplyOperator:
         f = bumpy_field(grid, 2)
         fast = apply_operator(plan, f, spec.nonlins)
         slow = direct_apply(spec, plan, f, [1.0, 0.8])
-        assert np.max(np.abs(mirror(fast.values) - slow)) <= 1e-12
+        assert np.max(np.abs(mirror(fast) - slow)) <= 1e-12
 
     def test_operator_is_monotone_between_constant_fields(self, flagship):
         lo = apply_operator(
             flagship.plan,
-            constant_field(flagship.grid, flagship.spectral.eta),
+            constant(flagship.grid, flagship.spectral.eta),
             flagship.validation.spec.nonlins,
         )
         hi = apply_operator(
             flagship.plan,
-            constant_field(flagship.grid, flagship.spectral.xi),
+            constant(flagship.grid, flagship.spectral.xi),
             flagship.validation.spec.nonlins,
         )
-        assert np.all(hi.values - lo.values >= -1e-15)
+        assert np.all(hi - lo >= -1e-15)
 
     def test_mismatched_inputs_rejected(self):
         spec = scalar_spec()
         grid = build_grid(8.0, 64)
         plan = build_plan(spec, grid, [1.0])
-        other = build_grid(8.0, 32)
-        with pytest.raises(ValueError, match="grid"):
-            apply_operator(plan, constant_field(other, [1.0]), spec.nonlins)
-        two = FieldVector(grid=grid, values=np.ones((2, 33)))
-        with pytest.raises(ValueError, match="component count"):
-            apply_operator(plan, two, spec.nonlins * 2)
-        # a field stores the x >= 0 nodes only, not the full grid
-        with pytest.raises(ValueError, match="x >= 0"):
-            FieldVector(grid=grid, values=np.ones((1, 65)))
+        # a field on another grid, with another component count, on the
+        # full grid instead of the x >= 0 nodes only, or not a 2-d array
+        for shape in ((1, 17), (2, 33), (1, 65), (33,)):
+            with pytest.raises(ValueError, match=r"shape .* is not the plan's \(1, 33\)"):
+                apply_operator(plan, np.ones(shape), spec.nonlins * 2)
         with pytest.raises(ValueError, match="boundary"):
             build_plan(spec, grid, [1.0, 1.0])
 
@@ -375,7 +394,7 @@ class TestPlanSpectra:
         f = bumpy_field(plan.grid, 2)
         fast = apply_operator(plan, f, spec.nonlins)
         slow = direct_apply(spec, plan, f, [1.0, 0.8])
-        assert np.max(np.abs(mirror(fast.values) - slow)) <= 1e-12
+        assert np.max(np.abs(mirror(fast) - slow)) <= 1e-12
 
     @pytest.mark.parametrize("n_cells", [22, 64])
     def test_asymmetric_mix_matches_direct_sum(self, n_cells):
@@ -385,7 +404,7 @@ class TestPlanSpectra:
         f = bumpy_field(plan.grid, 2)
         fast = apply_operator(plan, f, spec.nonlins)
         slow = direct_apply(spec, plan, f, [1.0, 0.8])
-        assert np.max(np.abs(mirror(fast.values) - slow)) <= 1e-12
+        assert np.max(np.abs(mirror(fast) - slow)) <= 1e-12
 
     @pytest.mark.parametrize("r, n_cells", [
         pytest.param(1.5, n, id=str(n)) for n in (14, 22, 64, 98)] + [
@@ -404,7 +423,7 @@ class TestPlanSpectra:
         f = bumpy_field(plan.grid, 2)
         fast = apply_operator(plan, f, spec.nonlins)
         slow = direct_apply(spec, plan, f, [1.0, 0.8])
-        assert np.max(np.abs(mirror(fast.values) - slow)) <= 1e-12
+        assert np.max(np.abs(mirror(fast) - slow)) <= 1e-12
 
 
 def ramp_spec():
@@ -483,7 +502,7 @@ class TestCompactLayout:
         f = bumpy_field(grid, 1)
         fast = apply_operator(plan, f, spec.nonlins)
         slow = direct_apply(spec, plan, f, [1.3])
-        assert np.max(np.abs(mirror(fast.values) - slow)) <= 1e-12
+        assert np.max(np.abs(mirror(fast) - slow)) <= 1e-12
 
 
 class TestTruncation:

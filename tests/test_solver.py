@@ -4,6 +4,7 @@ post-solve diagnostics."""
 import dataclasses
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from conftest import build_pipeline, doctored_spectral, flagship_models, step_en
 
 from convint import cli, solver
 from convint.algebra import contraction_params
-from convint.discretization import FieldVector, apply_operator, build_grid, constant_field
+from convint.discretization import apply_operator, build_grid
 from convint.errors import SolveError
 from convint.nonlinearities import PowerPhi, check_condition_iv
 from convint.solver import (
@@ -61,7 +62,7 @@ class TestReferenceRun:
         assert np.all(e > 0.0) and np.all(np.diff(e) < 0.0)
 
     def test_field_stays_in_slab_and_is_even(self, flagship):
-        vals = flagship.sol.field.values
+        vals = flagship.sol.field
         eta = flagship.spectral.eta[:, None]
         xi = flagship.spectral.xi[:, None]
         slack = flagship.opts.mono_slack
@@ -71,9 +72,9 @@ class TestReferenceRun:
         assert vals.shape == (1, flagship.grid.n_cells // 2 + 1)
 
     def test_edge_values_recorded(self, flagship):
-        # values[:, 0] is x = 0; both edges x = -R and x = R are values[:, -1]
+        # field[:, 0] is x = 0; both edges x = -R and x = R are field[:, -1]
         sol = flagship.sol
-        assert np.array_equal(sol.alpha_plus, sol.field.values[:, -1])
+        assert np.array_equal(sol.alpha_plus, sol.field[:, -1])
 
     def test_solves_in_the_validated_slab(self, flagship):
         # the solve's xi is the one condition IV was checked on, bit for bit
@@ -104,11 +105,10 @@ def replay_to_stall(res, cap=200):
     """The upper iterates up_1, up_2, ... from xi, run until one repeats its
     predecessor bit for bit or for cap applications; the last one stands in
     for the discrete fixed point f_h."""
-    up = constant_field(res.grid, res.spectral.xi).values
+    up = np.repeat(res.spectral.xi[:, None], res.grid.half_nodes.size, axis=1)
     iterates = []
     for _ in range(cap):
-        nxt = apply_operator(res.plan, FieldVector(grid=res.grid, values=up),
-                             res.validation.spec.nonlins).values
+        nxt = apply_operator(res.plan, up, res.validation.spec.nonlins)
         iterates.append(nxt)
         if np.array_equal(nxt, up):
             break
@@ -151,7 +151,7 @@ class TestEnclosure:
             sol = res.sol
             iterates = replay_to_stall(res)
             # the replay is the solve's own sequence
-            assert np.array_equal(iterates[sol.iterations - 1], sol.field.values)
+            assert np.array_equal(iterates[sol.iterations - 1], sol.field)
             f_h = iterates[-1]
             dist = [float(np.max(np.abs(up - f_h))) for up in iterates[:sol.iterations]]
             assert np.all(np.asarray(sol.trace.width) >= dist)
@@ -168,7 +168,7 @@ class TestEnclosure:
         monkeypatch.setattr(solver, "apply_operator", counting)
         res = run_instance(coarse.validation,
                            Numerics(tol_trunc=1e-6, n_cells=512, tol_stop=1e-8))
-        assert res.sol.field.values.tobytes() == coarse.sol.field.values.tobytes()
+        assert res.sol.field.tobytes() == coarse.sol.field.tobytes()
         assert len(calls) == res.sol.iterations + 1
 
 
@@ -192,7 +192,7 @@ class TestConditionIVBelowEta:
         # the coarse solve dips about 3e-6 below eta near the edges
         spec, spectral = coarse.validation.spec, coarse.spectral
         eta, xi = float(spectral.eta[0]), float(spectral.xi[0])
-        assert float(np.min(coarse.sol.field.values)) < eta - 1e-6
+        assert float(np.min(coarse.sol.field)) < eta - 1e-6
         nl = FlatBelowEta(eta, 1e-3)
         assert check_condition_iv(nl, spec.phi, eta, xi)[0]
         assert not check_condition_iv(nl, spec.phi, eta - 1e-6, eta)[0]
@@ -218,6 +218,9 @@ class TestStoppingRules:
             SolveOptions(max_iters=0)
         with pytest.raises(ValueError):
             SolveOptions(mono_slack=-1.0)
+        # a NaN slack would pass every guard, since no comparison holds
+        with pytest.raises(ValueError):
+            SolveOptions(mono_slack=float("nan"))
 
 
 def slab(spectral, phi, **overrides):
@@ -253,6 +256,16 @@ class TestGuards:
         with pytest.raises(SolveError, match="exceeds the geometric bound"):
             solve(spec, fake, coarse.plan, coarse.opts)
 
+    def test_non_finite_iterate_raises(self, coarse):
+        # a map that gives NaN strictly inside the slab: T(xi), the first
+        # iterate, lies there, so the second application makes NaN
+        spec, spectral = coarse.validation.spec, coarse.spectral
+        nl, eta, xi = spec.nonlins[0], spectral.eta[0], spectral.xi[0]
+        nan_inside = SimpleNamespace(g=lambda u: np.where((u > eta) & (u < xi), np.nan, nl.g(u)))
+        spec = dataclasses.replace(spec, nonlins=(nan_inside,))
+        with pytest.raises(SolveError, match=r"upper sequence: iterate 2 is not finite"):
+            solve(spec, spectral, coarse.plan, coarse.opts)
+
     def test_spectral_of_another_slab_rejected(self, flagship_hires):
         # 2 xi is a valid upper start, but (sigma, k) belong to xi; the step
         # envelope would be built from the wrong slab
@@ -264,21 +277,20 @@ class TestGuards:
 
 class TestAsymptotics:
     def make_field(self, grid, gap_fn):
-        values = (1.0 + gap_fn(grid.half_nodes))[None, :]
-        return FieldVector(grid=grid, values=values)
+        return (1.0 + gap_fn(grid.half_nodes))[None, :]
 
     def test_settling_field_has_small_edge_and_decaying_tail(self):
         grid = build_grid(8.0, 256)
         f = self.make_field(grid, lambda x: 0.4 * np.exp(-(x**2)))
-        rep = asymptotics_report(f, [1.0])
+        rep = asymptotics_report(grid, f, [1.0])
         assert rep.edge_deviation[0] <= 1e-20
         assert rep.tail_integral[0] > 0.0
         assert rep.half_tail_ratio[0] < 1.0
 
     def test_exact_constant_reports_zeros(self):
         grid = build_grid(8.0, 256)
-        f = constant_field(grid, [1.0])
-        rep = asymptotics_report(f, [1.0])
+        f = np.ones((1, grid.half_nodes.size))
+        rep = asymptotics_report(grid, f, [1.0])
         assert rep.edge_deviation[0] == 0.0
         assert rep.tail_integral[0] == 0.0
         assert rep.half_tail_ratio[0] == 0.0
@@ -286,5 +298,5 @@ class TestAsymptotics:
     def test_outer_bump_gives_infinite_ratio(self):
         grid = build_grid(8.0, 256)
         f = self.make_field(grid, lambda x: np.where(np.abs(x) >= 6.5, 0.2, 0.0))
-        rep = asymptotics_report(f, [1.0])
+        rep = asymptotics_report(grid, f, [1.0])
         assert np.isinf(rep.half_tail_ratio[0])

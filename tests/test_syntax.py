@@ -1,7 +1,7 @@
 """Every source file parses under the oldest supported Python's grammar.
 
-CI runs the suite on Python 3.10 as well; this catches newer syntax (such as
-except* or type-parameter lists) on any interpreter.
+CI runs the suite and the benchmark on Python 3.10 as well; this catches
+newer syntax (such as except* or type-parameter lists) on any interpreter.
 """
 
 import ast
@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
+SOURCES = sorted(p for d in ("src", "tests", "demos", "bench")
+                 for p in (ROOT / d).rglob("*.py"))
 
 
 def test_sources_found():
