@@ -42,16 +42,18 @@ def main():
     # run_instance refuses a report with a failed condition
     res = run_instance(report,
                        Numerics(tol_trunc=1e-8, n_cells=8192, tol_stop=1e-10))
-    spectral, grid, quad, sol = res.spectral, res.grid, res.quad, res.sol
+    # the report carries the slab [eta, xi] and its contraction (sigma, k)
+    grid, quad, sol = res.plan.grid, res.quad, res.sol
+    xi, (sigma, k) = res.validation.xi, res.validation.contraction
 
     print("\n== 3. closed-form majorant ==")
     excess = res.validation.excess
     b = float(excess.b[0, 0])
     print(f"excess mass w = {float(excess.w[0]):.12f}, b = {b:.12f}")
-    print(f"upper slab level xi = {float(spectral.xi[0]):.12f} "
+    print(f"upper slab level xi = {float(xi[0]):.12f} "
           f"(= (1 + b)^2 for the square-root map)")
-    print(f"contraction constants sigma = {spectral.sigma:.9f}, k = {spectral.k:.9f}")
-    n_cert = a_priori_iterations(spectral.sigma, spectral.k, 1e-8)
+    print(f"contraction constants sigma = {sigma:.9f}, k = {k:.9f}")
+    n_cert = a_priori_iterations(sigma, k, 1e-8)
     print(f"certified iteration count for tol 1e-8: {n_cert}")
 
     print("\n== 4. discretization ==")
@@ -64,10 +66,10 @@ def main():
     print(f"{sol.iterations} iterations ({sol.termination}), "
           f"residual {sol.residual_sup:.3e}")
     tr = sol.trace
-    xi_max = float(np.max(spectral.xi))
+    xi_max = float(np.max(xi))
     print("step sizes d_n vs geometric bound k^(n-1) (1 - sigma) max(xi) (first 6):")
     for n in range(6):
-        bound = spectral.k ** n * (1.0 - spectral.sigma) * xi_max
+        bound = k ** n * (1.0 - sigma) * xi_max
         print(f"  n={n + 1}: d = {tr.d[n]:.3e}  bound = {bound:.3e}")
 
     print("\n== 6. shape of the solution ==")

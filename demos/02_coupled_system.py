@@ -51,11 +51,12 @@ def main():
         print(f"  condition {check.condition:>3}: margin {margin(check):+.3e} "
               f"(value {check.worst_value:+.3e} at {check.worst_point})")
 
-    spectral, grid, sol = res.spectral, res.grid, res.sol
-    print(f"xi = {np.array2string(spectral.xi, precision=8)}; "
-          f"sigma = {spectral.sigma:.8f}, k = {spectral.k:.8f}")
+    grid, sol = res.plan.grid, res.sol
+    sigma, k = res.validation.contraction
+    print(f"xi = {np.array2string(res.validation.xi, precision=8)}; "
+          f"sigma = {sigma:.8f}, k = {k:.8f}")
     print(f"certified iteration count for tol 1e-9: "
-          f"{a_priori_iterations(spectral.sigma, spectral.k, 1e-9)}")
+          f"{a_priori_iterations(sigma, k, 1e-9)}")
     print(f"R = {grid.r:g} ({grid.n_cells} cells, h = {grid.h:g}); "
           f"quadrature error {res.quad.total:.3e}")
     print(f"{sol.iterations} iterations ({sol.termination}), "

@@ -9,8 +9,8 @@ solution itself by monotone successive approximations on a truncated grid,
 with every step of the theory checked numerically along the way.
 """
 
-from .algebra import (SpectralData, a_priori_iterations, contraction_params,
-                      perron_vector, solve_xi, spectral_radius)
+from .algebra import (a_priori_iterations, contraction_params, perron_vector,
+                      solve_xi, spectral_radius)
 from .discretization import (Grid, OperatorPlan, QuadratureError,
                              apply_operator, build_grid, build_plan,
                              choose_truncation, estimate_quadrature_error)
@@ -28,8 +28,8 @@ from .nonlinearities import (PowerNonlin, PowerPhi, RootPowerMeanNonlin,
 from .problem import (ConditionCheck, ProblemSpec, ValidationReport,
                       normalize, validate_problem)
 from .solver import (AsymptoticsReport, IterationTrace, Numerics, RunResult,
-                     SolutionReport, SolveOptions, asymptotics_report,
-                     residual, run_instance, run_sweep, solve)
+                     SolutionReport, asymptotics_report, residual,
+                     run_instance, run_sweep, solve)
 from .weights import (ExcessIntegrals, ExpSqrtWeight, RationalWeight,
                       TabulatedExcessWeight, build_b_matrix, excess_integral,
                       excess_tail_mass, excess_weighted_integral,
@@ -56,7 +56,7 @@ __all__ = [
     "SaturatingExpNonlin", "TabulatedNonlin", "PowerPhi", "g_eval", "phi_eval",
     "check_condition_iv", "chord_slope_gap", "load_tabulated_nonlin",
     # algebra
-    "SpectralData", "spectral_radius", "perron_vector", "solve_xi",
+    "spectral_radius", "perron_vector", "solve_xi",
     "contraction_params", "a_priori_iterations",
     # problem
     "ProblemSpec", "ConditionCheck", "ValidationReport", "normalize",
@@ -66,8 +66,7 @@ __all__ = [
     "choose_truncation", "build_plan", "apply_operator",
     "estimate_quadrature_error",
     # solver
-    "Numerics", "RunResult", "run_instance", "run_sweep", "SolveOptions",
-    "IterationTrace",
+    "Numerics", "RunResult", "run_instance", "run_sweep", "IterationTrace",
     "AsymptoticsReport", "SolutionReport", "solve", "residual",
     "asymptotics_report",
 ]

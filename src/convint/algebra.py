@@ -20,7 +20,6 @@ Everything here is plain dense linear algebra; no SciPy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,25 +27,12 @@ from .errors import MajorantError, SpectralError
 from .nonlinearities import g_eval, phi_eval
 
 __all__ = [
-    "SpectralData",
     "spectral_radius",
     "perron_vector",
     "solve_xi",
     "contraction_params",
     "a_priori_iterations",
 ]
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Scalar reduction of one problem: matrices, eigenpair, majorant, rates."""
-
-    a: np.ndarray
-    eta: np.ndarray
-    b: np.ndarray
-    xi: np.ndarray
-    sigma: float
-    k: float
 
 
 def _check_positive_symmetric(m):

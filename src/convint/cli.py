@@ -60,15 +60,10 @@ _PROFILE_BLOCK_VALUES = 24576
 @dataclass(frozen=True)
 class RunConfig:
     mode: str
-    kernel: dict
-    weights: list
-    nonlins: list
-    phi: dict
     numerics: Numerics
     sweep_eps: list
-    labels: list
     base_dir: Path
-    raw: dict
+    raw: dict  # the document as read; the model sections are taken from it
 
 
 def _require(cond: bool, msg: str):
@@ -85,33 +80,26 @@ def _number(v, what: str, integer: bool = False):
     return int(v) if integer else float(v)
 
 
-# each numerics key: whether it is a whole number, the test its value must
-# pass, and the message when it fails. null stands for the default only
-# where that default is unset
-_NUMERICS_RULES = {
-    **{name: (False, lambda v: v > 0.0, "must be positive")
-       for name in ("tol_eig", "tol_alg", "tol_trunc", "tol_stop", "tol_validate")},
-    "n_cells": (True, lambda n: n >= 2 and n % 2 == 0, "must be even and >= 2"),
-    "h_target": (False, lambda h: h > 0.0, "must be positive"),
-    "max_iters": (True, lambda m: m >= 1, "must be at least 1"),
-    "mono_slack": (False, lambda s: s >= 0.0, "must be nonnegative"),
-    "samples": (True, lambda s: s >= 2, "must be at least 2"),
-}
-
-
 def _parse_numerics(d: dict) -> Numerics:
+    """Numerics from the JSON block: each key a field, each value a JSON
+    number, a whole one for an int field. null stands for the default only
+    where that default is unset. Numerics checks the values themselves."""
     _require(isinstance(d, dict), "numerics must be an object")
-    known = sorted(f.name for f in dataclasses.fields(Numerics))
+    fields = dataclasses.fields(Numerics)
+    known = sorted(f.name for f in fields)
     unknown = sorted(set(d) - set(known))
     _require(not unknown, f"unknown numerics key(s) {', '.join(map(repr, unknown))}; "
                           f"accepted keys: {', '.join(known)}")
     kwargs = {}
-    for name, (integer, ok, must) in _NUMERICS_RULES.items():
-        if name not in d or (d[name] is None and getattr(Numerics, name) is None):
+    for f in fields:
+        if f.name not in d or (d[f.name] is None and f.default is None):
             continue
-        kwargs[name] = _number(d[name], f"numerics.{name}", integer=integer)
-        _require(ok(kwargs[name]), f"numerics.{name} {must}")
-    return Numerics(**kwargs)
+        # the annotations are strings, postponed by the solver module
+        kwargs[f.name] = _number(d[f.name], f"numerics.{f.name}", integer=f.type == "int")
+    try:
+        return Numerics(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path) -> RunConfig:
@@ -152,11 +140,8 @@ def load_config(path) -> RunConfig:
         _require(isinstance(labels, list) and len(labels) == len(raw["weights"]),
                  "labels must list one name per component")
 
-    return RunConfig(mode=mode, kernel=raw["kernel"], weights=raw["weights"],
-                     nonlins=raw["nonlins"], phi=raw["phi"],
-                     numerics=_parse_numerics(raw.get("numerics", {})),
-                     sweep_eps=sweep_eps, labels=labels,
-                     base_dir=path.parent, raw=raw)
+    return RunConfig(mode=mode, numerics=_parse_numerics(raw.get("numerics", {})),
+                     sweep_eps=sweep_eps, base_dir=path.parent, raw=raw)
 
 
 def _build_kernel(cfg: dict, base_dir: Path):
@@ -267,13 +252,14 @@ def emit_profile(report, eta, path):
 
 def _stage_blocks(res: RunResult) -> dict:
     """Report blocks of one run_instance result."""
-    sp, q, sol = res.spectral, res.quad, res.sol
+    v, q, sol = res.validation, res.quad, res.sol
+    sigma, k = v.contraction
     return {
-        "spectral": {"eta": sp.eta, "xi": sp.xi, "sigma": sp.sigma, "k": sp.k,
-                     "excess_w": res.validation.excess.w, "b": sp.b},
+        "spectral": {"eta": v.eta, "xi": v.xi, "sigma": sigma, "k": k,
+                     "excess_w": v.excess.w, "b": v.excess.b},
         "quadrature_error": {"regular": q.regular, "singular": q.singular,
                              "dropped_tail": q.dropped_tail, "total": q.total,
-                             "mono_slack": res.opts.mono_slack},
+                             "mono_slack": res.numerics.mono_slack},
         "solve": {"iterations": sol.iterations, "termination": sol.termination,
                   "a_priori_n": sol.a_priori_n, "residual_sup": sol.residual_sup,
                   "alpha_plus": sol.alpha_plus,
@@ -284,12 +270,13 @@ def _stage_blocks(res: RunResult) -> dict:
 
 
 def _say_stages(say, res: RunResult):
-    sp, q, sol = res.spectral, res.quad, res.sol
-    say(f"majorant xi = {np.array2string(sp.xi, precision=8)}; "
-        f"sigma = {sp.sigma:.8g}, k = {sp.k:.8g}")
+    q, sol = res.quad, res.sol
+    sigma, k = res.validation.contraction
+    say(f"majorant xi = {np.array2string(res.validation.xi, precision=8)}; "
+        f"sigma = {sigma:.8g}, k = {k:.8g}")
     say(f"quadrature error budget {q.total:.3e} "
         f"(regular {q.regular:.1e}, singular {q.singular:.1e}, "
-        f"dropped tail {q.dropped_tail:.1e}); slack {res.opts.mono_slack:.3e}")
+        f"dropped tail {q.dropped_tail:.1e}); slack {res.numerics.mono_slack:.3e}")
     say(f"solve: {sol.iterations} iterations ({sol.termination}), "
         f"residual {sol.residual_sup:.3e}, enclosure width {sol.probe_deviation:.3e}")
 
@@ -317,21 +304,23 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         weights = [_build_weight(cfg, config.base_dir, j)
-                   for j, cfg in enumerate(config.weights)]
+                   for j, cfg in enumerate(config.raw["weights"])]
         num = config.numerics
         try:
             kernel, scalars, eta, rho = normalize(
-                _build_kernel(config.kernel, config.base_dir), num.tol_eig)
+                _build_kernel(config.raw["kernel"], config.base_dir), num.tol_eig)
         except ValueError as exc:
             raise ConfigError(f"kernel scalars: {exc}") from exc
+        _require(kernel.n == len(weights),
+                 f"kernel is {kernel.n} x {kernel.n} but weights and nonlins "
+                 f"have length {len(weights)}")
         say(f"kernel integral matrix normalized by 1/{rho:.12g}")
         say(f"eigenvector eta = {np.array2string(eta, precision=8)}")
         nonlins = [_build_nonlin(cfg, float(eta[j]), config.base_dir, j)
-                   for j, cfg in enumerate(config.nonlins)]
+                   for j, cfg in enumerate(config.raw["nonlins"])]
         try:
             spec = ProblemSpec(n=len(weights), kernel=kernel, weights=weights,
-                               nonlins=nonlins, phi=_build_phi(config.phi),
-                               labels=config.labels)
+                               nonlins=nonlins, phi=_build_phi(config.raw["phi"]))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         validation = validate_problem(spec, scalars, eta, samples=num.samples,
@@ -353,14 +342,14 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
 
         if config.mode == "solve":
             res = run_instance(validation, num)
-            say(f"truncation R = {res.grid.r:g}, n_cells = {res.grid.n_cells}, "
-                f"h = {res.grid.h:g}")
+            grid = res.plan.grid
+            say(f"truncation R = {grid.r:g}, n_cells = {grid.n_cells}, h = {grid.h:g}")
             _say_operator(say, res.plan)
             _say_stages(say, res)
-            doc["truncation"] = _truncation_block(res.grid)
+            doc["truncation"] = _truncation_block(grid)
             doc.update(_stage_blocks(res))
             emit_report(doc, out / "report.json")
-            emit_profile(res.sol, res.spectral.eta, out / "profile.csv")
+            emit_profile(res.sol, validation.eta, out / "profile.csv")
             say(f"wrote {out / 'report.json'} and {out / 'profile.csv'}")
             return 0
 
@@ -375,12 +364,13 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
             say(f"-- sweep entry {idx}: eps = {eps:g}")
             _say_stages(say, res)
             if idx == top:
-                say(f"sweep grid: R = {res.grid.r:g}, n_cells = {res.grid.n_cells} "
+                grid = res.plan.grid
+                say(f"sweep grid: R = {grid.r:g}, n_cells = {grid.n_cells} "
                     f"(sized for eps = {eps:g})")
                 _say_operator(say, res.plan)
-                doc["truncation"] = _truncation_block(res.grid)
+                doc["truncation"] = _truncation_block(grid)
             name = f"profile_{idx:03d}.csv"
-            emit_profile(res.sol, res.spectral.eta, out / name)
+            emit_profile(res.sol, res.validation.eta, out / name)
             entries[idx] = {"eps": eps, "profile": name,
                             "validation": res.validation.as_dict(),
                             **_stage_blocks(res)}

@@ -20,7 +20,8 @@ normalize takes a raw kernel to the run's inputs: the kernel rescaled to
 unit spectral radius, its scalars and the eigenvector eta. validate_problem
 is handed those scalars and eta (checked, not trusted); the excess masses
 and the majorant xi are computed there, once, so the report carries the
-very slab [eta, xi] that run_instance solves in.
+very slab [eta, xi] that run_instance solves in, and derives that slab's
+contraction constants (sigma, k) from it on first use.
 
 Continuous statements are checked on deterministic sample grids: uniform in
 u, logarithmic in |t| so both the singularity and the tail of each weight
@@ -31,10 +32,11 @@ none; its require_passed raises them as ValidationFailure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .algebra import perron_vector, solve_xi, spectral_radius
+from .algebra import contraction_params, perron_vector, solve_xi, spectral_radius
 from .errors import MajorantError, SpectralError, ValidationFailure
 from .kernels import kernel_eval, kernel_scalars
 from .nonlinearities import check_condition_iv, chord_slope_gap, g_eval
@@ -56,22 +58,18 @@ class ProblemSpec:
     weights: tuple
     nonlins: tuple
     phi: object
-    labels: tuple = None
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be at least 1")
         object.__setattr__(self, "weights", tuple(self.weights))
         object.__setattr__(self, "nonlins", tuple(self.nonlins))
+        if self.kernel.n != self.n:
+            raise ValueError(f"expected a {self.n}-component kernel, got {self.kernel.n}")
         if len(self.weights) != self.n:
             raise ValueError(f"expected {self.n} weights, got {len(self.weights)}")
         if len(self.nonlins) != self.n:
             raise ValueError(f"expected {self.n} nonlinearities, got {len(self.nonlins)}")
-        if self.labels is not None:
-            labels = tuple(str(s) for s in self.labels)
-            if len(labels) != self.n:
-                raise ValueError(f"expected {self.n} labels, got {len(labels)}")
-            object.__setattr__(self, "labels", labels)
 
 
 @dataclass
@@ -114,6 +112,13 @@ class ValidationReport:
     @property
     def failing_ids(self):
         return [c.condition for c in self.checks if not c.passed]
+
+    @cached_property
+    def contraction(self):
+        """(sigma, k) of the slab [eta, xi] and spec.phi, derived on first
+        use; dataclasses.replace gives a report that derives its own. Raises
+        contraction_params' MajorantError when either is outside (0, 1)."""
+        return contraction_params(self.eta, self.xi, self.spec.phi)
 
     def require_passed(self):
         """Raise ValidationFailure, carrying this report, unless every

@@ -24,7 +24,7 @@ the pessimistic count from (sigma, k) alongside; the final width is
 reported as probe_deviation.
 
 run_instance assembles the paper's stage chain for one validated problem
-once: (sigma, k) from the validated eta and xi, truncation and grid,
+once: (sigma, k) of the report's slab [eta, xi], truncation and grid,
 operator plan, quadrature error budget, certified monotone solve.
 run_sweep runs that chain once per excess mass eps of a sweep, on one grid
 sized for the largest, validating each rescaled instance first.
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import SpectralData, a_priori_iterations, contraction_params
+from .algebra import a_priori_iterations
 from .discretization import (Grid, OperatorPlan, QuadratureError,
                              apply_operator, build_grid, build_plan,
                              choose_truncation, estimate_quadrature_error)
@@ -50,7 +50,6 @@ __all__ = [
     "RunResult",
     "run_instance",
     "run_sweep",
-    "SolveOptions",
     "IterationTrace",
     "AsymptoticsReport",
     "SolutionReport",
@@ -60,21 +59,6 @@ __all__ = [
 ]
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    tol_stop: float = 1e-8
-    max_iters: int = 400
-    mono_slack: float = 0.0
-
-    def __post_init__(self):
-        if not (self.tol_stop > 0.0):
-            raise ValueError("tol_stop must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if not (self.mono_slack >= 0.0):
-            raise ValueError("mono_slack must be nonnegative")
 
 
 @dataclass
@@ -130,22 +114,22 @@ def _worst_node(delta, grid):
     return f"component {i + 1}, node x = {grid.half_nodes[m]:.6g}"
 
 
-def _iterate(problem, plan, spectral, opts: SolveOptions, trace: IterationTrace):
+def _iterate(slab, plan, num, trace: IterationTrace):
     """Upper sequence from xi; returns (field, iterations, termination,
     each component's minimum over the iterates). Each step's guards read
     per-component reductions; only a failing guard scans the field again,
     to name the node."""
-    grid = plan.grid
-    eta = np.asarray(spectral.eta, dtype=float)
-    xi = np.asarray(spectral.xi, dtype=float)
+    grid, problem = plan.grid, slab.spec
+    eta = np.asarray(slab.eta, dtype=float)
+    xi = np.asarray(slab.xi, dtype=float)
     up = np.repeat(xi[:, None], grid.half_nodes.size, axis=1)
     floor = xi.copy()
-    sig, k, p = spectral.sigma, spectral.k, problem.phi.p
+    (sig, k), p = slab.contraction, problem.phi.p
     xi_max = float(np.max(xi))
-    slack = opts.mono_slack
-    termination, n_done = "iteration_cap", opts.max_iters
+    slack = num.mono_slack
+    termination, n_done = "iteration_cap", num.max_iters
 
-    for n in range(1, opts.max_iters + 1):
+    for n in range(1, num.max_iters + 1):
         values = apply_operator(plan, up, problem.nonlins)
         step = values - up
         rise, fall = float(np.max(step)), float(np.min(step))
@@ -185,45 +169,42 @@ def _iterate(problem, plan, spectral, opts: SolveOptions, trace: IterationTrace)
         np.minimum(floor, lo, out=floor)
 
         up = values
-        if d_n <= opts.tol_stop and width <= opts.tol_stop:
+        if d_n <= num.tol_stop and width <= num.tol_stop:
             termination, n_done = "step_below_tol", n
             break
 
     return up, n_done, termination, floor
 
 
-def solve(problem, spectral, plan, opts: SolveOptions) -> SolutionReport:
-    """Run the upper sequence from xi down on plan.grid, enclosing f_h; the
-    report's field is the last iterate, the (N, m + 1) array at
+def solve(slab: ValidationReport, plan, numerics) -> SolutionReport:
+    """Run the upper sequence from slab.xi down on plan.grid, enclosing f_h;
+    the report's field is the last iterate, the (N, m + 1) array at
     plan.grid.half_nodes.
 
-    Raises ValueError unless spectral's (sigma, k) are those
-    contraction_params gives for its eta, xi and problem.phi: the step
-    envelope is built from them. Raises SolveError when an iterate is not
-    finite, when a guard trips, or when condition IV fails on a strip below
-    eta that the iterates reached.
+    slab is a validation report: its spec, its slab [eta, xi] and that
+    slab's contraction (sigma, k), from which the step envelope is built.
+    numerics gives tol_stop, max_iters and mono_slack, which must be set.
+    Raises the contraction's MajorantError, and SolveError when an iterate
+    is not finite, when a guard trips, or when condition IV fails on a
+    strip below eta that the iterates reached.
     """
-    sigma_k = contraction_params(spectral.eta, spectral.xi, problem.phi)
-    if (spectral.sigma, spectral.k) != sigma_k:
-        raise ValueError(
-            f"spectral sigma = {spectral.sigma:.17g}, k = {spectral.k:.17g} do not "
-            f"belong to its eta and xi, which give sigma = {sigma_k[0]:.17g}, "
-            f"k = {sigma_k[1]:.17g}")
+    if numerics.mono_slack is None:
+        raise ValueError("solve needs numerics.mono_slack; run_instance sets it")
     trace = IterationTrace()
-    f, iters, termination, floor = _iterate(problem, plan, spectral, opts, trace)
+    f, iters, termination, floor = _iterate(slab, plan, numerics, trace)
     # the enclosure rests on condition IV at every value the iterates took;
     # validation sampled it on [eta, xi] only
-    for j, (nl, lo, top) in enumerate(zip(problem.nonlins, floor, spectral.eta)):
+    for j, (nl, lo, top) in enumerate(zip(slab.spec.nonlins, floor, slab.eta)):
         if lo < top:
-            passed, margin = check_condition_iv(nl, problem.phi, lo, top)
+            passed, margin = check_condition_iv(nl, slab.spec.phi, lo, top)
             if not passed:
                 raise SolveError(
                     f"condition IV fails below eta, where the iterates reached: "
                     f"margin {margin:.3e} on the strip [{lo:.9g}, {top:.9g}] "
                     f"(nonlin {j + 1}); the enclosure does not hold")
 
-    res = residual(plan, f, problem.nonlins)
-    asym = asymptotics_report(plan.grid, f, spectral.eta)
+    res = residual(plan, f, slab.spec.nonlins)
+    asym = asymptotics_report(plan.grid, f, slab.eta)
     # the field is even: both edges x = -R and x = R hold its last column
     return SolutionReport(
         grid=plan.grid,
@@ -234,7 +215,7 @@ def solve(problem, spectral, plan, opts: SolveOptions) -> SolutionReport:
         alpha_plus=f[:, -1].copy(),
         asymptotics=asym,
         trace=trace,
-        a_priori_n=a_priori_iterations(spectral.sigma, spectral.k, opts.tol_stop),
+        a_priori_n=a_priori_iterations(*slab.contraction, numerics.tol_stop),
         probe_deviation=trace.width[-1],
     )
 
@@ -274,13 +255,27 @@ def asymptotics_report(grid: Grid, f, eta) -> AsymptoticsReport:
                              half_tail_ratio=ratio)
 
 
+# each Numerics field: the test its value must pass and the message when it
+# fails. None passes only where it is the default
+_NUMERICS_RULES = {
+    **{name: (lambda v: 0.0 < v < math.inf, "must be finite and positive")
+       for name in ("tol_eig", "tol_alg", "tol_trunc", "tol_stop", "tol_validate",
+                    "h_target")},
+    "n_cells": (lambda n: n >= 2 and n % 2 == 0, "must be even and >= 2"),
+    "max_iters": (lambda m: m >= 1, "must be at least 1"),
+    "mono_slack": (lambda s: 0.0 <= s < math.inf, "must be finite and nonnegative"),
+    "samples": (lambda s: s >= 2, "must be at least 2"),
+}
+
+
 @dataclass(frozen=True)
 class Numerics:
     """Numeric controls of one run; the keys of a config's numerics block.
 
     Solving needs n_cells, or h_target to derive it from the truncation
     radius, unless run_instance is handed a grid. mono_slack defaults to ten
-    times the measured quadrature error budget.
+    times the measured quadrature error budget. Construction raises
+    ValueError("numerics.<key> <must>") for a value its rule refuses.
     """
 
     tol_eig: float = 1e-12
@@ -294,17 +289,22 @@ class Numerics:
     mono_slack: float = None
     samples: int = 64
 
+    def __post_init__(self):
+        for name, (ok, must) in _NUMERICS_RULES.items():
+            value = getattr(self, name)
+            if not (value is None and getattr(Numerics, name) is None or ok(value)):
+                raise ValueError(f"numerics.{name} {must}")
+
 
 @dataclass(frozen=True)
 class RunResult:
-    """Every stage run_instance computed, with the report it was handed."""
+    """Every stage run_instance computed, with the report it was handed;
+    numerics is the one the solve ran with, mono_slack set."""
 
     validation: ValidationReport
-    spectral: SpectralData
-    grid: Grid
     plan: OperatorPlan
     quad: QuadratureError
-    opts: SolveOptions
+    numerics: Numerics
     sol: SolutionReport
 
 
@@ -325,7 +325,8 @@ def run_instance(validation: ValidationReport, numerics: Numerics,
     certified by its part-metric enclosure.
 
     Raises ValidationFailure when a condition failed, the report's
-    MajorantError when no majorant exists, SolveError when a solve guard
+    MajorantError when no majorant exists or its contraction is outside
+    (0, 1), before the grid is sized, SolveError when a solve guard
     trips or the iteration cap is reached before the step and the enclosure
     width drop to the step tolerance, and ConfigError when a grid is needed
     and neither numerics.n_cells nor numerics.h_target is set.
@@ -334,9 +335,8 @@ def run_instance(validation: ValidationReport, numerics: Numerics,
     if validation.xi is None:
         raise validation.majorant_error
     num, spec, eta, xi = numerics, validation.spec, validation.eta, validation.xi
-    sigma, k = contraction_params(eta, xi, spec.phi)
-    spectral = SpectralData(a=validation.scalars.a, eta=eta, b=validation.excess.b,
-                            xi=xi, sigma=sigma, k=k)
+    # a k outside (0, 1) is refused here, before the grid is sized
+    validation.contraction
 
     if grid is None:
         # largest nonlinearity value the solve can reach
@@ -346,17 +346,16 @@ def run_instance(validation: ValidationReport, numerics: Numerics,
 
     plan = build_plan(spec, grid, eta)
     quad = estimate_quadrature_error(spec, plan, eta, xi, validation.scalars)
-    mono_slack = num.mono_slack if num.mono_slack is not None else 10.0 * quad.total
-    opts = SolveOptions(tol_stop=num.tol_stop, max_iters=num.max_iters,
-                        mono_slack=mono_slack)
-    sol = solve(spec, spectral, plan, opts)
+    if num.mono_slack is None:
+        num = replace(num, mono_slack=10.0 * quad.total)
+    sol = solve(validation, plan, num)
     if sol.termination == "iteration_cap":
         raise SolveError(
             f"iteration cap {num.max_iters} reached before the step tolerance "
             f"{num.tol_stop:g} (last step {sol.trace.d[-1]:.3e}, "
             f"enclosure width {sol.trace.width[-1]:.3e})")
-    return RunResult(validation=validation, spectral=spectral, grid=grid,
-                     plan=plan, quad=quad, opts=opts, sol=sol)
+    return RunResult(validation=validation, plan=plan, quad=quad, numerics=num,
+                     sol=sol)
 
 
 def run_sweep(validation: ValidationReport, eps_values, numerics: Numerics):
@@ -388,7 +387,7 @@ def run_sweep(validation: ValidationReport, eps_values, numerics: Numerics):
                                     report=exc.report) from None
         except (MajorantError, SolveError) as exc:
             raise type(exc)(f"sweep eps = {eps:g}: {exc}") from exc
-        grid = res.grid
+        grid = res.plan.grid
         yield res
         # kept here, the result would hold its plan through the next entry
         del res

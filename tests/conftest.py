@@ -9,8 +9,6 @@ check of the library API.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -42,18 +40,14 @@ def build_pipeline(kernel, weights, make_nonlins, phi, tol_trunc, n_cells,
     return run_instance(validate_problem(spec, scalars, eta), numerics, grid)
 
 
-def doctored_spectral(spectral, **overrides):
-    """A copy of spectral with the given fields replaced."""
-    return dataclasses.replace(spectral, **overrides)
-
-
-def step_envelopes(spectral, n):
-    """The paper's envelopes for iterations 1..n, rebuilt from sigma, k and
-    xi: the step bound k^(m-1) (1-sigma) max(xi) and the distance-to-limit
-    bound k^m (1-sigma)/(1-k)."""
-    k, sigma = spectral.k, spectral.sigma
+def step_envelopes(slab, n):
+    """The paper's envelopes for iterations 1..n, rebuilt from the report
+    slab's contraction (sigma, k) and xi: the step bound
+    k^(m-1) (1-sigma) max(xi) and the distance-to-limit bound
+    k^m (1-sigma)/(1-k)."""
+    sigma, k = slab.contraction
     m = np.arange(1, n + 1)
-    step = k ** (m - 1) * (1.0 - sigma) * float(np.max(spectral.xi))
+    step = k ** (m - 1) * (1.0 - sigma) * float(np.max(slab.xi))
     return step, k ** m * (1.0 - sigma) / (1.0 - k)
 
 

@@ -5,19 +5,18 @@ Criteria 4/5/6/7/8/10 run against the two reference instances built in
 conftest; the rest are self-contained closed-form or property checks.
 """
 
+import dataclasses
 import json
 import time
 
 import numpy as np
-from conftest import (build_pipeline, doctored_spectral, flagship_models,
-                      step_envelopes, write_linear_nonlin_table)
+from conftest import (build_pipeline, flagship_models, step_envelopes,
+                      write_linear_nonlin_table)
 from oracles import excess_integral_quadrature
 
 from convint import cli
 from convint.algebra import (
-    SpectralData,
     a_priori_iterations,
-    contraction_params,
     perron_vector,
     solve_xi,
     spectral_radius,
@@ -31,8 +30,8 @@ from convint.discretization import (
 )
 from convint.kernels import GaussianKernel, kernel_scalars
 from convint.nonlinearities import PowerNonlin, PowerPhi, g_eval
-from convint.problem import ProblemSpec, normalize
-from convint.solver import SolveOptions, solve
+from convint.problem import ProblemSpec, ValidationReport, normalize
+from convint.solver import Numerics, solve
 from convint.weights import (
     ExpSqrtWeight,
     RationalWeight,
@@ -109,11 +108,11 @@ def test_criterion_03_eigenvector_identity_random_matrices():
 
 def _replay_monotone(pipe):
     """Re-run the iteration, asserting the slab ordering at every step."""
-    spectral, opts = pipe.spectral, pipe.opts
+    report, opts = pipe.validation, pipe.numerics
     slack = opts.mono_slack
-    eta = spectral.eta[:, None]
-    xi = spectral.xi[:, None]
-    f_prev = np.repeat(xi, pipe.grid.half_nodes.size, axis=1)
+    eta = report.eta[:, None]
+    xi = report.xi[:, None]
+    f_prev = np.repeat(xi, pipe.plan.grid.half_nodes.size, axis=1)
     assert np.all(f_prev <= xi + slack)
     for n in range(1, opts.max_iters + 1):
         f_next = apply_operator(pipe.plan, f_prev, pipe.validation.spec.nonlins)
@@ -140,14 +139,13 @@ def test_criterion_04_monotone_iterates_in_slab(flagship, coupled):
 
 def test_criterion_05_geometric_rate_and_a_priori_count(flagship):
     tr = flagship.sol.trace
-    slack = flagship.opts.mono_slack
+    slack = flagship.numerics.mono_slack
     d = np.asarray(tr.d)
-    bound, _ = step_envelopes(flagship.spectral, len(d))
+    bound, _ = step_envelopes(flagship.validation, len(d))
     assert np.all(d <= bound + slack)
-    n_cert = a_priori_iterations(flagship.spectral.sigma, flagship.spectral.k,
-                                 1e-8)
+    n_cert = a_priori_iterations(*flagship.validation.contraction, 1e-8)
     assert n_cert == 40
-    assert flagship.opts.tol_stop == 1e-8
+    assert flagship.numerics.tol_stop == 1e-8
     assert flagship.sol.iterations <= n_cert
     print(f"[criterion 05] PASS: d_n within the geometric step bound for all "
           f"{len(d)} steps (worst d/bound = {np.max(d / bound):.3f}); "
@@ -155,13 +153,14 @@ def test_criterion_05_geometric_rate_and_a_priori_count(flagship):
 
 
 def test_criterion_06_residual_and_unit_weight_variant(flagship):
-    budget = flagship.opts.tol_stop + flagship.opts.mono_slack
+    budget = flagship.numerics.tol_stop + flagship.numerics.mono_slack
     assert flagship.sol.residual_sup <= budget
 
     # with mu identically 1 the excess vanishes, the majorant collapses to
     # eta, and the constant eta field solves the system exactly. A collapsed
     # slab has no contraction ratio (sigma = 1), so the solve runs from a
-    # constant upper level a hair above eta, with the (sigma, k) of that slab
+    # constant upper level a hair above eta, in a report of that slab, which
+    # derives its (sigma, k)
     models = flagship_models()
     kernel, scalars, eta, _ = normalize(models["kernel"])
     weights = (ExpSqrtWeight(0.0),)
@@ -175,14 +174,12 @@ def test_criterion_06_residual_and_unit_weight_variant(flagship):
     g_sup = max(float(g_eval(nl, x)) for nl, x in zip(nonlins, xi))
     r = choose_truncation(kernel, weights, eta, 1e-8, g_sup)
     grid = build_grid(r, 4096)
-    upper = (1.0 + 1e-6) * eta
-    sigma, k = contraction_params(eta, upper, spec.phi)
-    spectral = SpectralData(a=scalars.a, eta=eta, b=excess.b, xi=upper,
-                            sigma=sigma, k=k)
+    slab = ValidationReport(spec=spec, scalars=scalars, eta=eta, excess=excess,
+                            xi=(1.0 + 1e-6) * eta)
     plan = build_plan(spec, grid, eta)
     quad = estimate_quadrature_error(spec, plan, eta, xi, scalars)
-    opts = SolveOptions(tol_stop=1e-12, mono_slack=10.0 * quad.total)
-    sol = solve(spec, spectral, plan, opts)
+    opts = Numerics(tol_stop=1e-12, mono_slack=10.0 * quad.total)
+    sol = solve(slab, plan, opts)
     assert sol.termination == "step_below_tol"
 
     flat = float(np.max(np.abs(sol.field - eta[:, None])))
@@ -207,22 +204,20 @@ def test_criterion_07_edge_decay_and_tail_shrink(flagship_hires):
     tail_doubled = float(doubled.sol.asymptotics.tail_integral[0])
     assert tail_doubled < tail_base
     print(f"[criterion 07] PASS: edge deviation {edge:.2e} <= 1e-6 at "
-          f"R = {flagship_hires.grid.r:g}; half-tail ratio {ratio:.4f} < 1; "
+          f"R = {flagship_hires.plan.grid.r:g}; half-tail ratio {ratio:.4f} < 1; "
           f"outer-band tail {tail_base:.2e} -> {tail_doubled:.2e} at doubled R")
 
 
 def test_criterion_08_uniqueness_probe(flagship_hires, coupled):
     devs, restarts = {}, {}
     for name, pipe in (("scalar", flagship_hires), ("coupled", coupled)):
-        opts = pipe.opts
+        opts = pipe.numerics
         dev = pipe.sol.probe_deviation
         assert dev <= opts.tol_stop
         # a restart from 2 xi, with (sigma, k) of the wider slab so the step
         # envelope holds, lands on the same field
-        xi2 = 2.0 * pipe.spectral.xi
-        sigma2, k2 = contraction_params(pipe.spectral.eta, xi2, pipe.validation.spec.phi)
-        wide = doctored_spectral(pipe.spectral, xi=xi2, sigma=sigma2, k=k2)
-        again = solve(pipe.validation.spec, wide, pipe.plan, opts)
+        wide = dataclasses.replace(pipe.validation, xi=2.0 * pipe.validation.xi)
+        again = solve(wide, pipe.plan, opts)
         moved = float(np.max(np.abs(again.field - pipe.sol.field)))
         assert moved <= dev + opts.tol_stop + opts.mono_slack
         devs[name], restarts[name] = dev, moved
@@ -254,9 +249,9 @@ def test_criterion_09_discretization_order():
 
 def test_criterion_10_even_solution(flagship, tmp_path):
     path = tmp_path / "profile.csv"
-    cli.emit_profile(flagship.sol, flagship.spectral.eta, path)
+    cli.emit_profile(flagship.sol, flagship.validation.eta, path)
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert rows.shape[0] == flagship.grid.n_cells + 1
+    assert rows.shape[0] == flagship.plan.grid.n_cells + 1
     assert np.array_equal(rows[:, 0], -rows[::-1, 0])
     assert np.array_equal(rows[:, 1:], rows[::-1, 1:])
     print(f"[criterion 10] PASS: profile rows at x and -x bitwise equal over "

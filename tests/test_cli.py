@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from conftest import write_excess_table, write_kernel_table, write_linear_nonlin_table, write_nonlin_table
 
-from convint import Numerics, cli, solver
+from convint import Numerics, cli, problem, solver
+from convint.algebra import contraction_params
 from convint.discretization import build_grid
 from convint.errors import ConfigError
 from convint.problem import validate_problem
@@ -348,6 +349,24 @@ class TestSweepMode:
         assert doc_inside["entries"] == doc_outside["entries"]
         assert doc_inside["entries"][1]["validation"] == doc_inside["validation"]
 
+    def test_contraction_derived_once_per_run(self, tmp_path, monkeypatch):
+        # (sigma, k) is derived once per run_instance, from its report,
+        # however many stages and report lines read it
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return contraction_params(*args)
+
+        monkeypatch.setattr(problem, "contraction_params", counting)
+        assert run_cli(tmp_path, scalar_config(n_cells=512), "--quiet") == 0
+        assert len(calls) == 1
+        calls.clear()
+        doc = scalar_config(mode="sweep", n_cells=512)
+        doc["sweep_eps"] = np.linspace(0.02, 0.2, 16).tolist()
+        assert run_cli(tmp_path, doc, "--quiet") == 0
+        assert len(calls) == 16
+
 
 class TestProgressLines:
     # eps = 0.1 keeps R = 32, where the Gaussian reaches too far for the
@@ -404,6 +423,13 @@ class TestFailureExitCodes:
         err = capsys.readouterr().err
         assert "solve stage failed" in err and "iteration cap 3" in err
 
+    def test_unit_contraction_factor_exits_4_before_grid_sizing(self, tmp_path, capsys):
+        # p = 1 passes condition IV for any concave map but gives k = 1;
+        # that is refused before the grid is sized, which needs n_cells
+        assert run_cli(tmp_path, scalar_config(p=1.0)) == 4
+        err = capsys.readouterr().err
+        assert "majorant stage failed: contraction factor k = 1 outside (0, 1)" in err
+
     def test_config_error_exits_1(self, tmp_path, capsys):
         assert run_cli(tmp_path, {"mode": "solve"}) == 1
         assert "config error" in capsys.readouterr().err
@@ -439,10 +465,22 @@ class TestFailureExitCodes:
         ("phi", lambda d: d["phi"].update(p=[1])),
         # the first half-moment of this coefficient underflows to zero
         ("kernel scalars", lambda d: d["kernel"].update(coeffs=[[5e-324]])),
+        # a kernel whose size differs from the component count, both ways
+        ("kernel is 2 x 2 but weights and nonlins have length 1",
+         lambda d: d["kernel"].update(coeffs=[[0.5, 0.3], [0.3, 0.7]])),
+        ("kernel is 1 x 1 but weights and nonlins have length 2",
+         lambda d: d.update(weights=d["weights"] * 2, nonlins=d["nonlins"] * 2)),
+        ("labels must list one name per component", lambda d: d.update(labels=["a", "b"])),
+        *[(f"numerics.{key} must be finite", lambda d, key=key, v=v: d["numerics"].update({key: v}))
+          for key in ("tol_stop", "tol_trunc", "tol_alg", "h_target", "mono_slack")
+          for v in (float("inf"), float("-inf"))],
     ], ids=["tol_stop-str", "n_cells-str", "n_cells-frac", "max_iters-null",
             "run_probe-str", "sweep_eps-str", "sweep_eps-negative",
             "sweep_eps-nan", "sweep_eps-inf", "eta-str", "weight-eps-null",
-            "nonlin-alpha-null", "phi-p-list", "kernel-scalars-zero"])
+            "nonlin-alpha-null", "phi-p-list", "kernel-scalars-zero",
+            "kernel-2x2-one-weight", "kernel-1x1-two-weights", "labels-count",
+            *[f"{key}-{v}" for key in ("tol_stop", "tol_trunc", "tol_alg", "h_target",
+                                       "mono_slack") for v in ("inf", "-inf")]])
     def test_malformed_value_exits_1(self, tmp_path, capsys, key, edit):
         doc = scalar_config(n_cells=512)
         edit(doc)

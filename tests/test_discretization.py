@@ -245,16 +245,16 @@ class TestApplyOperator:
     def test_constant_eigen_field_is_near_fixed(self, flagship):
         out = apply_operator(
             flagship.plan,
-            constant(flagship.grid, flagship.spectral.eta),
+            constant(flagship.plan.grid, flagship.validation.eta),
             flagship.validation.spec.nonlins,
             include_singular=False,
         )
-        gap = np.max(np.abs(out - flagship.spectral.eta[:, None]))
+        gap = np.max(np.abs(out - flagship.validation.eta[:, None]))
         assert gap <= 1e-8
 
     def test_fft_and_direct_agree(self, flagship):
-        x = flagship.grid.half_nodes
-        eta = flagship.spectral.eta
+        x = flagship.plan.grid.half_nodes
+        eta = flagship.validation.eta
         f = eta[:, None] * (1.0 + 0.3 * np.exp(-(x**2)))[None, :]
         fast = apply_operator(flagship.plan, f, flagship.validation.spec.nonlins)
         slow = direct_apply(flagship.validation.spec, flagship.plan, f, eta)
@@ -298,12 +298,12 @@ class TestApplyOperator:
     def test_operator_is_monotone_between_constant_fields(self, flagship):
         lo = apply_operator(
             flagship.plan,
-            constant(flagship.grid, flagship.spectral.eta),
+            constant(flagship.plan.grid, flagship.validation.eta),
             flagship.validation.spec.nonlins,
         )
         hi = apply_operator(
             flagship.plan,
-            constant(flagship.grid, flagship.spectral.xi),
+            constant(flagship.plan.grid, flagship.validation.xi),
             flagship.validation.spec.nonlins,
         )
         assert np.all(hi - lo >= -1e-15)

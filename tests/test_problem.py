@@ -269,24 +269,22 @@ class TestTabulatedWorkflow:
 
 
 def test_problem_spec_shape_enforced():
-    with pytest.raises(ValueError):
-        ProblemSpec(n=2, kernel=GaussianKernel([[1.0]]),
+    with pytest.raises(ValueError, match="expected 2 weights, got 1"):
+        ProblemSpec(n=2, kernel=GaussianKernel([[0.5, 0.3], [0.3, 0.7]]),
                     weights=(ExpSqrtWeight(0.1),),
                     nonlins=(PowerNonlin(0.5, 1.0), PowerNonlin(0.5, 1.0)),
                     phi=PowerPhi(0.5))
-    with pytest.raises(ValueError):
-        ProblemSpec(n=1, kernel=GaussianKernel([[1.0]]),
+    # a kernel whose size differs from the component count, both ways
+    with pytest.raises(ValueError, match="expected a 1-component kernel, got 2"):
+        ProblemSpec(n=1, kernel=GaussianKernel([[0.5, 0.3], [0.3, 0.7]]),
                     weights=(ExpSqrtWeight(0.1),),
                     nonlins=(PowerNonlin(0.5, 1.0),),
-                    phi=PowerPhi(0.5), labels=("a", "b"))
-
-
-def test_labels_normalized_to_strings():
-    spec = ProblemSpec(n=1, kernel=GaussianKernel([[1.0]]),
-                       weights=(ExpSqrtWeight(0.1),),
-                       nonlins=(PowerNonlin(0.5, 1.0),),
-                       phi=PowerPhi(0.5), labels=[7])
-    assert spec.labels == ("7",)
+                    phi=PowerPhi(0.5))
+    with pytest.raises(ValueError, match="expected a 2-component kernel, got 1"):
+        ProblemSpec(n=2, kernel=GaussianKernel([[1.0]]),
+                    weights=(ExpSqrtWeight(0.1), ExpSqrtWeight(0.1)),
+                    nonlins=(PowerNonlin(0.5, 1.0), PowerNonlin(0.5, 1.0)),
+                    phi=PowerPhi(0.5))
 
 
 def test_normalize_gives_unit_radius_and_its_eigenvector():

@@ -8,21 +8,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import build_pipeline, doctored_spectral, flagship_models, step_envelopes
+from conftest import build_pipeline, flagship_models, step_envelopes
 
 from convint import cli, solver
-from convint.algebra import contraction_params
+from convint.algebra import a_priori_iterations, contraction_params
 from convint.discretization import apply_operator, build_grid
 from convint.errors import SolveError
 from convint.nonlinearities import PowerPhi, check_condition_iv
-from convint.solver import (
-    Numerics,
-    SolveOptions,
-    asymptotics_report,
-    residual,
-    run_instance,
-    solve,
-)
+from convint.solver import Numerics, asymptotics_report, residual, run_instance, solve
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
@@ -42,7 +35,7 @@ class TestReferenceRun:
         assert sol.a_priori_n == 40
 
     def test_residual_within_budget(self, flagship):
-        assert flagship.sol.residual_sup <= flagship.opts.tol_stop + flagship.opts.mono_slack
+        assert flagship.sol.residual_sup <= flagship.numerics.tol_stop + flagship.numerics.mono_slack
 
     def test_trace_shape_and_guards_quiet(self, flagship):
         tr = flagship.sol.trace
@@ -50,26 +43,26 @@ class TestReferenceRun:
         assert len(tr.d) == len(tr.width) == n
         assert len(tr.mono_violation) == len(tr.slab_excursion) == n
         assert max(tr.mono_violation) == 0.0
-        assert max(tr.slab_excursion) <= flagship.opts.mono_slack
+        assert max(tr.slab_excursion) <= flagship.numerics.mono_slack
 
     def test_steps_decay_within_geometric_bound(self, flagship):
         tr = flagship.sol.trace
         d = np.asarray(tr.d)
         assert np.all(np.diff(d) < 0.0)
-        slack = flagship.opts.mono_slack
-        step_bound, e = step_envelopes(flagship.spectral, len(d))
+        slack = flagship.numerics.mono_slack
+        step_bound, e = step_envelopes(flagship.validation, len(d))
         assert np.all(d <= step_bound + slack)
         assert np.all(e > 0.0) and np.all(np.diff(e) < 0.0)
 
     def test_field_stays_in_slab_and_is_even(self, flagship):
         vals = flagship.sol.field
-        eta = flagship.spectral.eta[:, None]
-        xi = flagship.spectral.xi[:, None]
-        slack = flagship.opts.mono_slack
+        eta = flagship.validation.eta[:, None]
+        xi = flagship.validation.xi[:, None]
+        slack = flagship.numerics.mono_slack
         assert np.all(vals >= eta - slack)
         assert np.all(vals <= xi + slack)
         # an even field is stored as its x >= 0 half
-        assert vals.shape == (1, flagship.grid.n_cells // 2 + 1)
+        assert vals.shape == (1, flagship.plan.grid.n_cells // 2 + 1)
 
     def test_edge_values_recorded(self, flagship):
         # field[:, 0] is x = 0; both edges x = -R and x = R are field[:, -1]
@@ -77,9 +70,13 @@ class TestReferenceRun:
         assert np.array_equal(sol.alpha_plus, sol.field[:, -1])
 
     def test_solves_in_the_validated_slab(self, flagship):
-        # the solve's xi is the one condition IV was checked on, bit for bit
-        assert flagship.validation.xi.tobytes() == flagship.spectral.xi.tobytes()
-        assert flagship.validation.eta.tobytes() == flagship.spectral.eta.tobytes()
+        # the solve's xi is the one condition IV was checked on, bit for bit:
+        # replayed from it, the iterates reach the solve's field exactly
+        iterates = replay_to_stall(flagship, cap=flagship.sol.iterations)
+        assert iterates[-1].tobytes() == flagship.sol.field.tobytes()
+        # and its a priori count is the one of that slab's (sigma, k)
+        assert flagship.sol.a_priori_n == a_priori_iterations(
+            *flagship.validation.contraction, flagship.numerics.tol_stop)
 
     def test_residual_recomputes(self, flagship):
         again = residual(flagship.plan, flagship.sol.field, flagship.validation.spec.nonlins)
@@ -89,9 +86,9 @@ class TestReferenceRun:
         sol = flagship.sol
         width = np.asarray(sol.trace.width)
         assert len(width) == sol.iterations
-        assert np.all(np.diff(width) <= flagship.opts.mono_slack)
+        assert np.all(np.diff(width) <= flagship.numerics.mono_slack)
         assert width[-1] == sol.probe_deviation
-        assert sol.probe_deviation <= flagship.opts.tol_stop
+        assert sol.probe_deviation <= flagship.numerics.tol_stop
 
     def test_trace_serializes(self, flagship):
         doc = flagship.sol.trace.as_dict()
@@ -105,7 +102,7 @@ def replay_to_stall(res, cap=200):
     """The upper iterates up_1, up_2, ... from xi, run until one repeats its
     predecessor bit for bit or for cap applications; the last one stands in
     for the discrete fixed point f_h."""
-    up = np.repeat(res.spectral.xi[:, None], res.grid.half_nodes.size, axis=1)
+    up = np.repeat(res.validation.xi[:, None], res.plan.grid.half_nodes.size, axis=1)
     iterates = []
     for _ in range(cap):
         nxt = apply_operator(res.plan, up, res.validation.spec.nonlins)
@@ -155,7 +152,7 @@ class TestEnclosure:
             f_h = iterates[-1]
             dist = [float(np.max(np.abs(up - f_h))) for up in iterates[:sol.iterations]]
             assert np.all(np.asarray(sol.trace.width) >= dist)
-            assert sol.probe_deviation <= res.opts.tol_stop
+            assert sol.probe_deviation <= res.numerics.tol_stop
 
     def test_one_operator_application_per_iteration(self, coarse, monkeypatch):
         # the solve applies the operator once per iteration, the residual once
@@ -190,89 +187,89 @@ class FlatBelowEta:
 class TestConditionIVBelowEta:
     def test_failure_below_eta_raises(self, coarse):
         # the coarse solve dips about 3e-6 below eta near the edges
-        spec, spectral = coarse.validation.spec, coarse.spectral
-        eta, xi = float(spectral.eta[0]), float(spectral.xi[0])
+        report = coarse.validation
+        spec, eta, xi = report.spec, float(report.eta[0]), float(report.xi[0])
         assert float(np.min(coarse.sol.field)) < eta - 1e-6
         nl = FlatBelowEta(eta, 1e-3)
         assert check_condition_iv(nl, spec.phi, eta, xi)[0]
         assert not check_condition_iv(nl, spec.phi, eta - 1e-6, eta)[0]
-        flat = dataclasses.replace(spec, nonlins=(nl,))
+        flat = dataclasses.replace(report, spec=dataclasses.replace(spec, nonlins=(nl,)))
         with pytest.raises(SolveError, match=r"condition IV fails below eta.*"
                                              r"on the strip \[0\.99999.*, 1\] \(nonlin 1\)"):
-            solve(flat, spectral, coarse.plan, coarse.opts)
+            solve(flat, coarse.plan, coarse.numerics)
 
 
 class TestStoppingRules:
     def test_iteration_cap_reported_not_raised(self, coarse):
-        opts = SolveOptions(tol_stop=coarse.opts.tol_stop, max_iters=3,
-                            mono_slack=coarse.opts.mono_slack)
-        sol = solve(coarse.validation.spec, coarse.spectral, coarse.plan, opts)
+        num = dataclasses.replace(coarse.numerics, max_iters=3)
+        sol = solve(coarse.validation, coarse.plan, num)
         assert sol.termination == "iteration_cap"
         assert sol.iterations == 3
         assert len(sol.trace.d) == 3
 
     def test_option_validation(self):
         with pytest.raises(ValueError):
-            SolveOptions(tol_stop=0.0)
+            Numerics(tol_stop=0.0)
         with pytest.raises(ValueError):
-            SolveOptions(max_iters=0)
+            Numerics(max_iters=0)
         with pytest.raises(ValueError):
-            SolveOptions(mono_slack=-1.0)
+            Numerics(mono_slack=-1.0)
         # a NaN slack would pass every guard, since no comparison holds
         with pytest.raises(ValueError):
-            SolveOptions(mono_slack=float("nan"))
-
-
-def slab(spectral, phi, **overrides):
-    """spectral with eta and/or xi replaced and (sigma, k) recomputed for them."""
-    fake = doctored_spectral(spectral, **overrides)
-    sigma, k = contraction_params(fake.eta, fake.xi, phi)
-    return doctored_spectral(fake, sigma=sigma, k=k)
+            Numerics(mono_slack=float("nan"))
+        # an infinite slack makes every guard vacuous, an infinite tolerance
+        # stops or truncates at once, an infinite spacing gives two cells
+        for key in ("tol_stop", "tol_trunc", "tol_alg", "h_target", "mono_slack"):
+            with pytest.raises(ValueError, match=rf"^numerics\.{key} must be finite"):
+                Numerics(**{key: float("inf")})
+        # None stands for an unset default only
+        assert Numerics(n_cells=None, h_target=None, mono_slack=None) == Numerics()
 
 
 class TestGuards:
     def test_non_supersolution_start_raises(self, coarse):
         # an upper level below the true majorant makes the first application
         # rise, which the monotonicity guard must catch
-        fake = slab(coarse.spectral, coarse.validation.spec.phi, xi=1.05 * coarse.spectral.eta)
+        fake = dataclasses.replace(coarse.validation, xi=1.05 * coarse.validation.eta)
         with pytest.raises(SolveError, match="monotonicity violated"):
-            solve(coarse.validation.spec, fake, coarse.plan, coarse.opts)
+            solve(fake, coarse.plan, coarse.numerics)
 
     def test_lower_start_above_the_solution_raises(self, coarse):
         # the solution settles to eta at the edges, so the upper sequence
         # falls below a slab floor (the old lower start) pinned above eta
-        fake = slab(coarse.spectral, coarse.validation.spec.phi, eta=1.02 * coarse.spectral.eta)
+        fake = dataclasses.replace(coarse.validation, eta=1.02 * coarse.validation.eta)
         with pytest.raises(SolveError,
                            match=r"upper sequence left the bounding slab by 5\.226e-03"):
-            solve(coarse.validation.spec, fake, coarse.plan, coarse.opts)
+            solve(fake, coarse.plan, coarse.numerics)
 
     def test_step_beyond_geometric_envelope_raises(self, coarse):
         # a scaling map far stronger than the true one gives a contraction
         # ratio (0.09 here, about 0.6 for the true map) that shrinks the
         # envelope faster than the steps can follow
         spec = dataclasses.replace(coarse.validation.spec, phi=PowerPhi(0.06))
-        fake = slab(coarse.spectral, spec.phi)
-        assert fake.k < 0.1
+        fake = dataclasses.replace(coarse.validation, spec=spec)
+        assert fake.contraction[1] < 0.1
         with pytest.raises(SolveError, match="exceeds the geometric bound"):
-            solve(spec, fake, coarse.plan, coarse.opts)
+            solve(fake, coarse.plan, coarse.numerics)
 
     def test_non_finite_iterate_raises(self, coarse):
         # a map that gives NaN strictly inside the slab: T(xi), the first
         # iterate, lies there, so the second application makes NaN
-        spec, spectral = coarse.validation.spec, coarse.spectral
-        nl, eta, xi = spec.nonlins[0], spectral.eta[0], spectral.xi[0]
+        report = coarse.validation
+        nl, eta, xi = report.spec.nonlins[0], report.eta[0], report.xi[0]
         nan_inside = SimpleNamespace(g=lambda u: np.where((u > eta) & (u < xi), np.nan, nl.g(u)))
-        spec = dataclasses.replace(spec, nonlins=(nan_inside,))
+        spec = dataclasses.replace(report.spec, nonlins=(nan_inside,))
         with pytest.raises(SolveError, match=r"upper sequence: iterate 2 is not finite"):
-            solve(spec, spectral, coarse.plan, coarse.opts)
+            solve(dataclasses.replace(report, spec=spec), coarse.plan, coarse.numerics)
 
-    def test_spectral_of_another_slab_rejected(self, flagship_hires):
-        # 2 xi is a valid upper start, but (sigma, k) belong to xi; the step
-        # envelope would be built from the wrong slab
-        pipe = flagship_hires
-        fake = doctored_spectral(pipe.spectral, xi=2.0 * pipe.spectral.xi)
-        with pytest.raises(ValueError, match=r"sigma = .*, k = .*"):
-            solve(pipe.validation.spec, fake, pipe.plan, pipe.opts)
+    def test_replaced_slab_derives_its_own_contraction(self, flagship_hires):
+        # the step envelope is built from the slab the solve runs in: a
+        # report moved to 2 xi derives (sigma, k) of [eta, 2 xi] afresh
+        report = flagship_hires.validation
+        wide = dataclasses.replace(report, xi=2.0 * report.xi)
+        assert wide.contraction == contraction_params(report.eta, 2.0 * report.xi,
+                                                      report.spec.phi)
+        assert wide.contraction != report.contraction
 
 
 class TestAsymptotics:
