@@ -1,8 +1,9 @@
 """Drive the convint command line over the bundled configs.
 
-Runs a scalar solve, an excess-mass sweep, a fully tabulated instance,
-and the three deliberately inadmissible configs, showing the exit code
-and the named failing condition for each. Every solve, sweep entries
+Runs a scalar solve, an excess-mass sweep, a fully tabulated instance, a
+coupled pair, a radiative-transfer kernel, and the three deliberately
+inadmissible configs, showing the exit code and the named failing
+condition for each. Every solve, sweep entries
 included, must stop on the step tolerance with its enclosure width at or
 below tol_stop. Output directories land under demos/out/.
 """
@@ -66,6 +67,7 @@ def main():
 
     certified(run("tabulated", expect_code=0))
     certified(run("coupled_pair", expect_code=0))
+    certified(run("radiative", expect_code=0))
 
     print("\nInadmissible inputs are refused with the condition named:")
     for name in ("unit_weight", "linear_map", "mismatched_scaling"):

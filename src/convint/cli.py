@@ -144,75 +144,66 @@ def load_config(path) -> RunConfig:
                      sweep_eps=sweep_eps, base_dir=path.parent, raw=raw)
 
 
-def _build_kernel(cfg: dict, base_dir: Path):
-    _require(isinstance(cfg, dict) and "variant" in cfg, "kernel needs a variant")
+# each model section's variants: the constructor or table loader, and the
+# keys besides "variant" a section may hold, each one of its parameters
+_VARIANTS = {
+    "kernel": {
+        "gaussian": (GaussianKernel, ("coeffs",)),
+        "exp_mixture": (ExpMixtureKernel, ("coeffs", "s_lo", "s_hi", "power", "decay")),
+        "tabulated": (load_tabulated_kernel, ("path",)),
+    },
+    "weight": {
+        "exp_sqrt": (ExpSqrtWeight, ("eps",)),
+        "rational": (RationalWeight, ("eps", "alpha")),
+        "tabulated_excess": (load_tabulated_excess, ("path",)),
+    },
+    "nonlin": {
+        "power": (PowerNonlin, ("alpha", "eta")),
+        "root_power_mean": (RootPowerMeanNonlin, ("alpha", "eta")),
+        "two_power_mean": (TwoPowerMeanNonlin, ("alpha", "beta", "eta")),
+        "saturating_exp": (SaturatingExpNonlin, ("alpha", "eta")),
+        "tabulated": (load_tabulated_nonlin, ("path", "eta")),
+    },
+    "phi": {"power": (PowerPhi, ("p",))},
+}
+
+
+def _build(section: str, cfg, where: str, base_dir: Path, **defaults):
+    """The model a config section describes, named `where` in messages: the
+    variant's constructor or table loader called with the section's keys,
+    each a JSON number but a path (resolved against the config's directory),
+    coeffs (rows of numbers) and an s_hi of "inf" or "infinity". A left-out
+    key takes defaults' value (the run's eta for a closed-form map), else
+    the constructor's own; a loader, the variant with a path, reads it from
+    its file. A null stands for a key left out only where defaults names it."""
+    _require(isinstance(cfg, dict) and "variant" in cfg, f"{where} needs a variant")
     v = cfg["variant"]
+    _require(isinstance(v, str) and v in _VARIANTS[section],
+             f"unknown {section} variant {v!r}" + (f" ({where})" if where != section else ""))
+    make, keys = _VARIANTS[section][v]
+    unknown = sorted(set(cfg) - {"variant", *keys})
+    _require(not unknown, f"{where}: unknown key(s) {', '.join(map(repr, unknown))}; "
+                          f"accepted keys: variant, {', '.join(keys)}")
+    args = {} if "path" in keys else dict(defaults)
+    for key in keys:
+        value, what = cfg.get(key), f"{where}: {key}"
+        if value is None and (key not in cfg or key in defaults):
+            continue
+        if key == "path":
+            _require(isinstance(value, str), f"{what} must be a string (got {value!r})")
+            args[key] = base_dir / value
+        elif key == "coeffs":
+            _require(isinstance(value, list) and all(isinstance(row, list) for row in value),
+                     f"{what} must be a list of rows (got {value!r})")
+            args[key] = [[_number(x, what) for x in row] for row in value]
+        elif key == "s_hi" and value in ("inf", "infinity"):
+            args[key] = math.inf
+        else:
+            args[key] = _number(value, what)
     try:
-        if v == "gaussian":
-            return GaussianKernel(cfg["coeffs"])
-        if v == "exp_mixture":
-            s_hi = cfg.get("s_hi", 2.0)
-            if isinstance(s_hi, str):
-                _require(s_hi in ("inf", "infinity"), f"bad s_hi {s_hi!r}")
-                s_hi = math.inf
-            return ExpMixtureKernel(cfg["coeffs"], s_lo=cfg.get("s_lo", 1.0),
-                                    s_hi=s_hi, power=cfg.get("power", 0.0),
-                                    decay=cfg.get("decay", 0.0))
-        if v == "tabulated":
-            return load_tabulated_kernel(base_dir / cfg["path"])
-    except (ValueError, TypeError, KeyError, OSError) as exc:
-        raise ConfigError(f"kernel: {exc}") from exc
-    raise ConfigError(f"unknown kernel variant {v!r}")
-
-
-def _build_weight(cfg: dict, base_dir: Path, idx: int):
-    _require(isinstance(cfg, dict) and "variant" in cfg,
-             f"weight {idx + 1} needs a variant")
-    v = cfg["variant"]
-    try:
-        if v == "exp_sqrt":
-            return ExpSqrtWeight(cfg["eps"])
-        if v == "rational":
-            return RationalWeight(cfg["eps"], cfg["alpha"])
-        if v == "tabulated_excess":
-            return load_tabulated_excess(base_dir / cfg["path"])
-    except (ValueError, TypeError, KeyError, OSError) as exc:
-        raise ConfigError(f"weight {idx + 1}: {exc}") from exc
-    raise ConfigError(f"unknown weight variant {v!r} (weight {idx + 1})")
-
-
-def _build_nonlin(cfg: dict, eta_default: float, base_dir: Path, idx: int):
-    _require(isinstance(cfg, dict) and "variant" in cfg,
-             f"nonlin {idx + 1} needs a variant")
-    v = cfg["variant"]
-    eta_cfg = cfg.get("eta")
-    if eta_cfg is not None:
-        eta_cfg = _number(eta_cfg, f"nonlin {idx + 1} eta")
-    eta = eta_cfg if eta_cfg is not None else float(eta_default)
-    try:
-        if v == "power":
-            return PowerNonlin(cfg["alpha"], eta)
-        if v == "root_power_mean":
-            return RootPowerMeanNonlin(cfg["alpha"], eta)
-        if v == "two_power_mean":
-            return TwoPowerMeanNonlin(cfg["alpha"], cfg["beta"], eta)
-        if v == "saturating_exp":
-            return SaturatingExpNonlin(cfg["alpha"], eta)
-        if v == "tabulated":
-            return load_tabulated_nonlin(base_dir / cfg["path"], eta=eta_cfg)
-    except (ValueError, TypeError, KeyError, OSError) as exc:
-        raise ConfigError(f"nonlin {idx + 1}: {exc}") from exc
-    raise ConfigError(f"unknown nonlin variant {v!r} (nonlin {idx + 1})")
-
-
-def _build_phi(cfg: dict):
-    _require(isinstance(cfg, dict) and "variant" in cfg, "phi needs a variant")
-    if cfg["variant"] == "power":
-        try:
-            return PowerPhi(cfg["p"])
-        except (ValueError, TypeError, KeyError) as exc:
-            raise ConfigError(f"phi: {exc}") from exc
-    raise ConfigError(f"unknown phi variant {cfg['variant']!r}")
+        return make(**args)
+    except (ValueError, TypeError, OSError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def emit_report(doc: dict, path):
@@ -303,12 +294,13 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        weights = [_build_weight(cfg, config.base_dir, j)
+        base = config.base_dir
+        weights = [_build("weight", cfg, f"weight {j + 1}", base)
                    for j, cfg in enumerate(config.raw["weights"])]
         num = config.numerics
         try:
             kernel, scalars, eta, rho = normalize(
-                _build_kernel(config.raw["kernel"], config.base_dir), num.tol_eig)
+                _build("kernel", config.raw["kernel"], "kernel", base), num.tol_eig)
         except ValueError as exc:
             raise ConfigError(f"kernel scalars: {exc}") from exc
         _require(kernel.n == len(weights),
@@ -316,11 +308,11 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
                  f"have length {len(weights)}")
         say(f"kernel integral matrix normalized by 1/{rho:.12g}")
         say(f"eigenvector eta = {np.array2string(eta, precision=8)}")
-        nonlins = [_build_nonlin(cfg, float(eta[j]), config.base_dir, j)
+        nonlins = [_build("nonlin", cfg, f"nonlin {j + 1}", base, eta=float(eta[j]))
                    for j, cfg in enumerate(config.raw["nonlins"])]
         try:
             spec = ProblemSpec(n=len(weights), kernel=kernel, weights=weights,
-                               nonlins=nonlins, phi=_build_phi(config.raw["phi"]))
+                               nonlins=nonlins, phi=_build("phi", config.raw["phi"], "phi", base))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         validation = validate_problem(spec, scalars, eta, samples=num.samples,

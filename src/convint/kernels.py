@@ -85,8 +85,6 @@ def _check_coeffs(c: np.ndarray) -> np.ndarray:
 class GaussianKernel:
     """K_ij(tau) = c_ij * exp(-tau^2) / sqrt(pi)."""
 
-    variant = "gaussian"
-
     def __init__(self, coeffs):
         self.coeffs = _check_coeffs(coeffs)
 
@@ -129,8 +127,6 @@ class ExpMixtureKernel:
     q > 0; the integral is then truncated at the point where the remaining
     mass of L_ij(s)/s falls below `tail_tol` times the smallest coefficient.
     """
-
-    variant = "exp_mixture"
 
     def __init__(self, coeffs, s_lo=1.0, s_hi=2.0, power=0.0, decay=0.0,
                  n_quad=96, tail_tol=1e-14):
@@ -219,8 +215,6 @@ class TabulatedKernel:
     Linear interpolation between samples, zero beyond the last sample. The
     derived scalars integrate the interpolant exactly segment by segment.
     """
-
-    variant = "tabulated"
 
     def __init__(self, tau, tables):
         tau = np.asarray(tau, dtype=float)

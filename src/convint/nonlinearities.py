@@ -57,8 +57,6 @@ def _check_exponent(a, name="alpha"):
 class PowerNonlin:
     """G(u) = eta^(1-alpha) u^alpha."""
 
-    variant = "power"
-
     def __init__(self, alpha, eta):
         self.alpha = _check_exponent(alpha)
         self.eta = _check_eta(eta)
@@ -70,8 +68,6 @@ class PowerNonlin:
 
 class RootPowerMeanNonlin:
     """G(u) = (sqrt(u eta) + eta^(1-alpha) u^alpha) / 2."""
-
-    variant = "root_power_mean"
 
     def __init__(self, alpha, eta):
         self.alpha = _check_exponent(alpha)
@@ -88,8 +84,6 @@ class RootPowerMeanNonlin:
 class TwoPowerMeanNonlin:
     """G(u) = (eta^(1-beta) u^beta + eta^(1-alpha) u^alpha) / 2."""
 
-    variant = "two_power_mean"
-
     def __init__(self, alpha, beta, eta):
         self.alpha = _check_exponent(alpha)
         self.beta = _check_exponent(beta, "beta")
@@ -105,8 +99,6 @@ class TwoPowerMeanNonlin:
 
 class SaturatingExpNonlin:
     """G(u) = c (1 - exp(-eta^(1-alpha) u^alpha)) with c = eta / (1 - exp(-eta))."""
-
-    variant = "saturating_exp"
 
     def __init__(self, alpha, eta):
         self.alpha = _check_exponent(alpha)
@@ -194,8 +186,6 @@ class TabulatedNonlin:
     negative or NaN u gives NaN.
     """
 
-    variant = "tabulated"
-
     def __init__(self, u, values, eta):
         u = np.asarray(u, dtype=float)
         values = np.asarray(values, dtype=float)
@@ -229,8 +219,6 @@ class TabulatedNonlin:
 
 class PowerPhi:
     """phi(sigma) = sigma^p, p in (0, 1]; concave with exact endpoints."""
-
-    variant = "power"
 
     def __init__(self, p):
         p = float(p)

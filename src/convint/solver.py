@@ -33,7 +33,7 @@ sized for the largest, validating each rescaled instance first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -255,8 +255,8 @@ def asymptotics_report(grid: Grid, f, eta) -> AsymptoticsReport:
                              half_tail_ratio=ratio)
 
 
-# each Numerics field: the test its value must pass and the message when it
-# fails. None passes only where it is the default
+# each Numerics field: the test its value must pass, once its type has, and
+# the message when it fails. None passes only where it is the default
 _NUMERICS_RULES = {
     **{name: (lambda v: 0.0 < v < math.inf, "must be finite and positive")
        for name in ("tol_eig", "tol_alg", "tol_trunc", "tol_stop", "tol_validate",
@@ -290,10 +290,19 @@ class Numerics:
     samples: int = 64
 
     def __post_init__(self):
-        for name, (ok, must) in _NUMERICS_RULES.items():
-            value = getattr(self, name)
-            if not (value is None and getattr(Numerics, name) is None or ok(value)):
-                raise ValueError(f"numerics.{name} {must}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
+            # the annotations are strings, postponed by this module; a bool
+            # is an int to Python, but no number in a config
+            integer = f.type == "int"
+            if not isinstance(value, int if integer else (int, float)) or isinstance(value, bool):
+                raise ValueError(f"numerics.{f.name} must be "
+                                 f"{'an integer' if integer else 'a number'} (got {value!r})")
+            ok, must = _NUMERICS_RULES[f.name]
+            if not ok(value):
+                raise ValueError(f"numerics.{f.name} {must}")
 
 
 @dataclass(frozen=True)

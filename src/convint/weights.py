@@ -66,8 +66,6 @@ class ExcessIntegrals:
 class ExpSqrtWeight:
     """mu(t) = 1 + eps * exp(-|t|) / sqrt(|t|); inverse-square-root singularity."""
 
-    variant = "exp_sqrt"
-
     def __init__(self, eps):
         eps = float(eps)
         if not (eps >= 0.0) or not math.isfinite(eps):
@@ -115,8 +113,6 @@ class ExpSqrtWeight:
 
 class RationalWeight:
     """mu(t) = 1 + eps / ((1 + t^2) |t|^alpha), alpha in (0, 1)."""
-
-    variant = "rational"
 
     def __init__(self, eps, alpha):
         eps = float(eps)
@@ -185,8 +181,6 @@ class TabulatedExcessWeight:
     regular factor s(t) = (mu - 1)(t) |t|^gamma is interpolated linearly
     between samples; cells beyond the sampled support contribute nothing.
     """
-
-    variant = "tabulated_excess"
 
     def __init__(self, t, values, gamma):
         t = np.asarray(t, dtype=float)

@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 from conftest import write_excess_table, write_kernel_table, write_linear_nonlin_table, write_nonlin_table
 
-from convint import Numerics, cli, problem, solver
+from convint import (ExpMixtureKernel, ExpSqrtWeight, GaussianKernel, Numerics,
+                     PowerNonlin, PowerPhi, RationalWeight, RootPowerMeanNonlin,
+                     SaturatingExpNonlin, TabulatedExcessWeight, TabulatedKernel,
+                     TabulatedNonlin, TwoPowerMeanNonlin, cli, problem, solver)
 from convint.algebra import contraction_params
 from convint.discretization import build_grid
 from convint.errors import ConfigError
@@ -198,7 +201,7 @@ class TestProfileWriter:
             (tmp_path / "reference.csv").read_bytes()
 
 
-@pytest.fixture(scope="module", params=["coupled_pair", "tabulated"])
+@pytest.fixture(scope="module", params=["coupled_pair", "tabulated", "radiative"])
 def demo_solve(request, tmp_path_factory):
     out = tmp_path_factory.mktemp(request.param)
     code = cli.main(["--config", str(DEMO_CONFIGS / f"{request.param}.json"),
@@ -471,6 +474,16 @@ class TestFailureExitCodes:
         ("kernel is 1 x 1 but weights and nonlins have length 2",
          lambda d: d.update(weights=d["weights"] * 2, nonlins=d["nonlins"] * 2)),
         ("labels must list one name per component", lambda d: d.update(labels=["a", "b"])),
+        # model parameters follow the numerics rules: JSON numbers, known keys
+        ("weight 1: eps must be a number", lambda d: d["weights"][0].update(eps=True)),
+        ("weight 1: eps must be a number", lambda d: d["weights"][0].update(eps="0.1")),
+        ("phi: p must be a number", lambda d: d["phi"].update(p="0.5")),
+        ("kernel: coeffs must be a number", lambda d: d["kernel"].update(coeffs=[[True]])),
+        ("kernel: unknown key(s) 's_low'; accepted keys: variant, coeffs, s_lo",
+         lambda d: d.update(kernel={"variant": "exp_mixture", "coeffs": [[1.0]],
+                                    "s_low": 0.5})),
+        ("nonlin 1: path must be a string",
+         lambda d: d["nonlins"].__setitem__(0, {"variant": "tabulated", "path": 3})),
         *[(f"numerics.{key} must be finite", lambda d, key=key, v=v: d["numerics"].update({key: v}))
           for key in ("tol_stop", "tol_trunc", "tol_alg", "h_target", "mono_slack")
           for v in (float("inf"), float("-inf"))],
@@ -479,6 +492,7 @@ class TestFailureExitCodes:
             "sweep_eps-nan", "sweep_eps-inf", "eta-str", "weight-eps-null",
             "nonlin-alpha-null", "phi-p-list", "kernel-scalars-zero",
             "kernel-2x2-one-weight", "kernel-1x1-two-weights", "labels-count",
+            "eps-bool", "eps-str", "p-str", "coeffs-bool", "s_low-key", "path-number",
             *[f"{key}-{v}" for key in ("tol_stop", "tol_trunc", "tol_alg", "h_target",
                                        "mono_slack") for v in ("inf", "-inf")]])
     def test_malformed_value_exits_1(self, tmp_path, capsys, key, edit):
@@ -488,6 +502,93 @@ class TestFailureExitCodes:
         err = capsys.readouterr().err
         assert "config error:" in err and key in err
         assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
+
+# a minimal section of every variant a model section takes (the tables are
+# written by the test), and the model class it builds
+MINIMAL_SECTIONS = {
+    ("kernel", "gaussian"): ({"coeffs": [[1.0]]}, GaussianKernel),
+    ("kernel", "exp_mixture"): ({"coeffs": [[1.0]]}, ExpMixtureKernel),
+    ("kernel", "tabulated"): ({"path": "kernel.csv"}, TabulatedKernel),
+    ("weight", "exp_sqrt"): ({"eps": 0.1}, ExpSqrtWeight),
+    ("weight", "rational"): ({"eps": 0.08, "alpha": 0.4}, RationalWeight),
+    ("weight", "tabulated_excess"): ({"path": "excess.csv"}, TabulatedExcessWeight),
+    ("nonlin", "power"): ({"alpha": 0.5}, PowerNonlin),
+    ("nonlin", "root_power_mean"): ({"alpha": 0.3}, RootPowerMeanNonlin),
+    ("nonlin", "two_power_mean"): ({"alpha": 0.4, "beta": 0.7}, TwoPowerMeanNonlin),
+    ("nonlin", "saturating_exp"): ({"alpha": 0.6}, SaturatingExpNonlin),
+    ("nonlin", "tabulated"): ({"path": "nonlin.csv"}, TabulatedNonlin),
+    ("phi", "power"): ({"p": 0.5}, PowerPhi),
+}
+
+
+class TestVariantTable:
+    def test_every_variant_has_a_minimal_section(self):
+        assert set(MINIMAL_SECTIONS) == {(section, variant)
+                                         for section, variants in cli._VARIANTS.items()
+                                         for variant in variants}
+
+    @pytest.mark.parametrize("section, variant", list(MINIMAL_SECTIONS),
+                             ids=[f"{s}-{v}" for s, v in MINIMAL_SECTIONS])
+    def test_minimal_section_builds(self, tmp_path, section, variant):
+        write_kernel_table(tmp_path / "kernel.csv")
+        write_excess_table(tmp_path / "excess.csv")
+        write_nonlin_table(tmp_path / "nonlin.csv", eta=1.0)
+        given, cls = MINIMAL_SECTIONS[section, variant]
+        defaults = {"eta": 0.8} if section == "nonlin" else {}
+        model = cli._build(section, {"variant": variant, **given}, section, tmp_path,
+                           **defaults)
+        assert type(model) is cls
+        if section == "nonlin":
+            # a closed form takes the run's eta, a table its file's
+            assert model.eta == (1.0 if variant == "tabulated" else 0.8)
+            declared = cli._build(section, {"variant": variant, **given, "eta": 0.9},
+                                  section, tmp_path, **defaults)
+            assert declared.eta == 0.9
+
+    def test_exp_mixture_defaults_and_unbounded_support(self, tmp_path):
+        # the defaults are the constructor's own
+        kernel = cli._build("kernel", {"variant": "exp_mixture", "coeffs": [[1.0]]},
+                            "kernel", tmp_path)
+        assert (kernel.s_lo, kernel.s_hi, kernel.power, kernel.decay) == (1.0, 2.0, 0.0, 0.0)
+        for s_hi in ("inf", "infinity"):
+            section = {"variant": "exp_mixture", "coeffs": [[1.0]], "s_hi": s_hi, "decay": 2}
+            assert cli._build("kernel", section, "kernel", tmp_path).s_hi == np.inf
+        with pytest.raises(ConfigError, match="^kernel: s_hi must be a number"):
+            cli._build("kernel", {"variant": "exp_mixture", "coeffs": [[1.0]], "s_hi": "big"},
+                       "kernel", tmp_path)
+
+    def test_null_eta_is_left_out_and_other_nulls_are_refused(self, tmp_path):
+        nonlin = cli._build("nonlin", {"variant": "power", "alpha": 0.5, "eta": None},
+                            "nonlin 1", tmp_path, eta=0.8)
+        assert nonlin.eta == 0.8
+        with pytest.raises(ConfigError, match="^kernel: s_lo must be a number"):
+            cli._build("kernel", {"variant": "exp_mixture", "coeffs": [[1.0]], "s_lo": None},
+                       "kernel", tmp_path)
+
+    def test_missing_parameter_is_named(self, tmp_path):
+        with pytest.raises(ConfigError, match="^weight 2: .*'alpha'"):
+            cli._build("weight", {"variant": "rational", "eps": 0.1}, "weight 2", tmp_path)
+
+
+class TestGridSizing:
+    @staticmethod
+    def pair_config(**numerics):
+        doc = scalar_config(**numerics)
+        doc["kernel"]["coeffs"] = [[0.5, 0.3], [0.3, 0.7]]
+        doc.update(weights=doc["weights"] * 2, nonlins=doc["nonlins"] * 2)
+        return doc
+
+    def test_h_target_sizes_the_grid(self, tmp_path):
+        assert run_cli(tmp_path, self.pair_config(h_target=0.25), "--quiet") == 0
+        trunc = json.loads((tmp_path / "report.json").read_text())["truncation"]
+        assert trunc == {"r": 32.0, "n_cells": 256, "h": 0.25}
+
+    def test_solve_needs_n_cells_or_h_target(self, tmp_path, capsys):
+        assert run_cli(tmp_path, self.pair_config()) == 1
+        err = capsys.readouterr().err
+        assert "config error: set numerics.n_cells or numerics.h_target" in err
         assert not (tmp_path / "report.json").exists()
 
 
@@ -528,6 +629,31 @@ class TestTabulatedPipeline:
         assert rep["solve"]["termination"] == "step_below_tol"
         # tabulated tables reproduce the closed-form instance to fidelity
         assert rep["spectral"]["xi"][0] == pytest.approx(1.44, abs=1e-3)
+
+    def test_two_component_table_matches_the_gaussian_kernel(self, tmp_path):
+        # a multi-entry table has no common profile, so the quadrature
+        # budget probes each kernel entry on its own
+        coeffs = [[0.5, 0.3], [0.3, 0.7]]
+        write_kernel_table(tmp_path / "kernel.csv", coeffs=coeffs, n=2001)
+        doc = scalar_config(n_cells=1024)
+        doc["kernel"]["coeffs"] = coeffs
+        doc["weights"] = [{"variant": "exp_sqrt", "eps": 0.12},
+                          {"variant": "exp_sqrt", "eps": 0.08}]
+        doc["nonlins"] = [{"variant": "root_power_mean", "alpha": 0.3},
+                          {"variant": "saturating_exp", "alpha": 0.6}]
+        doc["phi"]["p"] = 0.6
+        reports, profiles = [], []
+        for name, kernel in (("gaussian", doc["kernel"]),
+                             ("table", {"variant": "tabulated", "path": "../kernel.csv"})):
+            (tmp_path / name).mkdir()
+            assert run_cli(tmp_path / name, dict(doc, kernel=kernel), "--quiet") == 0
+            reports.append(json.loads((tmp_path / name / "report.json").read_text()))
+            profiles.append(np.loadtxt(tmp_path / name / "profile.csv", delimiter=",",
+                                       skiprows=1))
+        budget = max(r["quadrature_error"]["total"] for r in reports)
+        assert all(r["solve"]["termination"] == "step_below_tol" for r in reports)
+        assert np.array_equal(profiles[0][:, 0], profiles[1][:, 0])
+        assert np.max(np.abs(profiles[0][:, 1:3] - profiles[1][:, 1:3])) <= budget
 
 
 # What pip's generated console-script wrapper does with a `module:attr` target.

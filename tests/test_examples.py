@@ -1,5 +1,6 @@
 """The library examples run to their last line: demos 01 to 03 and the
-README quickstart; the README's numerics table matches convint.Numerics."""
+README quickstart; the README's numerics table matches convint.Numerics,
+and its variant tables the command line's."""
 
 import contextlib
 import dataclasses
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from convint import Numerics
+from convint import Numerics, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,3 +54,17 @@ def test_readme_numerics_table_lists_every_numerics_field():
     keys = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
     assert len(keys) == len(set(keys))
     assert set(keys) == {f.name for f in dataclasses.fields(Numerics)}
+
+
+@pytest.mark.parametrize("section, heading", [("kernel", "Kernel variants"),
+                                              ("weight", "Weight variants"),
+                                              ("nonlin", "Response map variants")],
+                         ids=["kernel", "weight", "nonlin"])
+def test_readme_variant_tables_list_every_variant_and_key(section, heading):
+    text = (ROOT / "README.md").read_text()
+    table = text[text.index(heading):].split("\n\n")[1]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \|", table, flags=re.M)
+    listed = {variant: sorted(re.findall(r"`(\w+)`", params)) for variant, params in rows}
+    assert len(listed) == len(rows)
+    assert listed == {variant: sorted(keys)
+                      for variant, (_, keys) in cli._VARIANTS[section].items()}

@@ -226,6 +226,31 @@ class TestNegativeCases:
         check = {c.condition: c for c in report.checks}["II"]
         assert not check.passed
         assert check.note == ETA_GAP_NOTE
+        # the coverage gap is reported whole, although the declared eta is
+        # further (0.5) from the computed one
+        assert check.worst_value == pytest.approx(0.3, rel=1e-12)
+        assert check.worst_point == "u=eta computed (1, nonlin 1)"
+
+    def test_reported_defect_keeps_its_own_point_and_note(self):
+        class Raised(PowerNonlin):
+            # G(eta) = 1.01 eta
+            def g(self, u):
+                return 1.01 * super().g(u)
+
+        # nonlin 1 is off by 1e-3 in its declared eta, nonlin 2 by 1e-2 in
+        # G(eta); the larger defect brings its own point and no note
+        spec = ProblemSpec(n=2, kernel=GaussianKernel([[0.6, 0.4], [0.4, 0.6]]),
+                           weights=(ExpSqrtWeight(0.1), ExpSqrtWeight(0.1)),
+                           nonlins=(PowerNonlin(alpha=0.5, eta=1.001),
+                                    Raised(alpha=0.5, eta=1.0)),
+                           phi=PowerPhi(0.5))
+        report = validate(spec)
+        assert report.eta.tolist() == [1.0, 1.0]
+        check = {c.condition: c for c in report.checks}["II"]
+        assert not check.passed
+        assert check.worst_value == pytest.approx(1e-2, rel=1e-12)
+        assert check.worst_point == "u=eta declared (1, nonlin 2)"
+        assert check.note == ""
 
 
 class TestHandoff:

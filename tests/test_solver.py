@@ -224,6 +224,17 @@ class TestStoppingRules:
                 Numerics(**{key: float("inf")})
         # None stands for an unset default only
         assert Numerics(n_cells=None, h_target=None, mono_slack=None) == Numerics()
+        # the type comes first: an int field takes an int, a float field an
+        # int or a float, and a bool is neither
+        for key, value, must in [("n_cells", 512.0, "an integer"),
+                                 ("samples", 2.5, "an integer"),
+                                 ("max_iters", True, "an integer"),
+                                 ("max_iters", None, "an integer"),
+                                 ("tol_stop", "abc", "a number"),
+                                 ("tol_stop", False, "a number")]:
+            with pytest.raises(ValueError, match=rf"^numerics\.{key} must be {must} \(got "):
+                Numerics(**{key: value})
+        assert Numerics(tol_stop=1, n_cells=512).tol_stop == 1
 
 
 class TestGuards:

@@ -108,7 +108,7 @@ class TestRational:
     ids=["exp_sqrt-0.1", "exp_sqrt-0.12", "rational-0.08-0.4", "rational-0.07-0.6"])
 @pytest.mark.parametrize("kernel", [
     GaussianKernel([[1.0]]), ExpMixtureKernel([[1.0]], s_lo=1.0, s_hi=2.0)],
-    ids=lambda k: k.variant)
+    ids=["gaussian", "exp_mixture"])
 @pytest.mark.parametrize("r", [8.0, 32.0, 2048.0])
 def test_weighted_integral_matches_quadrature(w, kernel, r):
     # the singular-budget reference against adaptive quadrature; the
@@ -144,7 +144,7 @@ class TestCellMoments:
     @pytest.mark.parametrize("w", [
         ExpSqrtWeight(0.1), RationalWeight(0.08, 0.4),
         TabulatedExcessWeight([0.5, 1.0, 2.0], [0.3, 0.2, 0.1], 0.5)],
-        ids=lambda w: w.variant)
+        ids=["exp_sqrt", "rational", "tabulated_excess"])
     def test_batch_rejects_straddling_cells(self, w):
         with pytest.raises(ValueError):
             w.cell_moments_batch(np.array([-1.0, 1.0]))
