@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -175,7 +176,8 @@ def _build(section: str, cfg, where: str, base_dir: Path, **defaults):
     coeffs (rows of numbers) and an s_hi of "inf" or "infinity". A left-out
     key takes defaults' value (the run's eta for a closed-form map), else
     the constructor's own; a loader, the variant with a path, reads it from
-    its file. A null stands for a key left out only where defaults names it."""
+    its file. A null stands for a key left out only where defaults names it,
+    and a key the constructor needs that neither gives is a ConfigError."""
     _require(isinstance(cfg, dict) and "variant" in cfg, f"{where} needs a variant")
     v = cfg["variant"]
     _require(isinstance(v, str) and v in _VARIANTS[section],
@@ -200,6 +202,9 @@ def _build(section: str, cfg, where: str, base_dir: Path, **defaults):
             args[key] = math.inf
         else:
             args[key] = _number(value, what)
+    missing = next((name for name, param in inspect.signature(make).parameters.items()
+                    if param.default is param.empty and name not in args), None)
+    _require(missing is None, f"{where}: missing key {missing!r}")
     try:
         return make(**args)
     except (ValueError, TypeError, OSError) as exc:
@@ -250,7 +255,7 @@ def _stage_blocks(res: RunResult) -> dict:
                      "excess_w": v.excess.w, "b": v.excess.b},
         "quadrature_error": {"regular": q.regular, "singular": q.singular,
                              "dropped_tail": q.dropped_tail, "total": q.total,
-                             "mono_slack": res.numerics.mono_slack},
+                             "mono_slack": q.slack},
         "solve": {"iterations": sol.iterations, "termination": sol.termination,
                   "a_priori_n": sol.a_priori_n, "residual_sup": sol.residual_sup,
                   "alpha_plus": sol.alpha_plus,
@@ -267,7 +272,7 @@ def _say_stages(say, res: RunResult):
         f"sigma = {sigma:.8g}, k = {k:.8g}")
     say(f"quadrature error budget {q.total:.3e} "
         f"(regular {q.regular:.1e}, singular {q.singular:.1e}, "
-        f"dropped tail {q.dropped_tail:.1e}); slack {res.numerics.mono_slack:.3e}")
+        f"dropped tail {q.dropped_tail:.1e}); slack {q.slack:.3e}")
     say(f"solve: {sol.iterations} iterations ({sol.termination}), "
         f"residual {sol.residual_sup:.3e}, enclosure width {sol.probe_deviation:.3e}")
 
@@ -297,10 +302,9 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
         base = config.base_dir
         weights = [_build("weight", cfg, f"weight {j + 1}", base)
                    for j, cfg in enumerate(config.raw["weights"])]
-        num = config.numerics
         try:
             kernel, scalars, eta, rho = normalize(
-                _build("kernel", config.raw["kernel"], "kernel", base), num.tol_eig)
+                _build("kernel", config.raw["kernel"], "kernel", base))
         except ValueError as exc:
             raise ConfigError(f"kernel scalars: {exc}") from exc
         _require(kernel.n == len(weights),
@@ -315,8 +319,7 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
                                nonlins=nonlins, phi=_build("phi", config.raw["phi"], "phi", base))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        validation = validate_problem(spec, scalars, eta, samples=num.samples,
-                                      tol=num.tol_validate, tol_alg=num.tol_alg)
+        validation = validate_problem(spec, scalars, eta, tol=config.numerics.tol_validate)
         doc = {"schema_version": SCHEMA_VERSION, "mode": config.mode,
                "config": config.raw, "kernel_scale": rho,
                "validation": validation.as_dict()}
@@ -333,7 +336,7 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
             return 0
 
         if config.mode == "solve":
-            res = run_instance(validation, num)
+            res = run_instance(validation, config.numerics)
             grid = res.plan.grid
             say(f"truncation R = {grid.r:g}, n_cells = {grid.n_cells}, h = {grid.h:g}")
             _say_operator(say, res.plan)
@@ -345,17 +348,16 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
             say(f"wrote {out / 'report.json'} and {out / 'profile.csv'}")
             return 0
 
-        # sweep: run_sweep yields the largest eps first, on the grid it sizes
-        # for all, then the rest in increasing eps; each result is dropped
-        # once written, so one entry's plan is alive at a time
+        # sweep: run_sweep yields each entry with its position in the sorted
+        # eps values, the largest first, on the grid it sizes for all; each
+        # result is dropped once written, so one entry's plan is alive at a time
         sweeps = sorted(config.sweep_eps)
         entries = [None] * len(sweeps)
-        idx = top = len(sweeps) - 1
-        for res in run_sweep(validation, sweeps, num):
+        for idx, res in run_sweep(validation, sweeps, config.numerics):
             eps = sweeps[idx]
             say(f"-- sweep entry {idx}: eps = {eps:g}")
             _say_stages(say, res)
-            if idx == top:
+            if idx == len(sweeps) - 1:
                 grid = res.plan.grid
                 say(f"sweep grid: R = {grid.r:g}, n_cells = {grid.n_cells} "
                     f"(sized for eps = {eps:g})")
@@ -367,7 +369,6 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
                             "validation": res.validation.as_dict(),
                             **_stage_blocks(res)}
             del res
-            idx = (idx + 1) % len(sweeps)
         doc["entries"] = entries
         emit_report(doc, out / "report.json")
         say(f"wrote {out / 'report.json'} and {len(entries)} profiles")

@@ -434,6 +434,7 @@ class QuadratureError:
     where the kernel peak sits on the singularity.
     dropped_tail: bound on the excess mass beyond the grid that the plan
     ignores (only the kernel continuation is corrected analytically).
+    slack: the excursion each solve guard allows, ten times the total.
     """
 
     regular: float
@@ -443,6 +444,10 @@ class QuadratureError:
     @property
     def total(self) -> float:
         return self.regular + self.singular + self.dropped_tail
+
+    @property
+    def slack(self) -> float:
+        return 10.0 * self.total
 
 
 def estimate_quadrature_error(spec, plan: OperatorPlan, eta, xi, scalars) -> QuadratureError:

@@ -123,8 +123,8 @@ class GaussianKernel:
 class ExpMixtureKernel:
     """K_ij(tau) = int_a^b exp(-|tau| s) L_ij(s) ds, L_ij(s) = c_ij s^p e^{-q s}.
 
-    Requires a > 0 (so 1/s stays bounded) and p >= 0. An infinite b requires
-    q > 0; the integral is then truncated at the point where the remaining
+    Requires a > 0 (so 1/s stays bounded), finite p >= 0 and finite q. An
+    infinite b requires q > 0; the integral is then cut where the remaining
     mass of L_ij(s)/s falls below `tail_tol` times the smallest coefficient.
     """
 
@@ -133,8 +133,10 @@ class ExpMixtureKernel:
         self.coeffs = _check_coeffs(coeffs)
         if not (s_lo > 0.0):
             raise ValueError("mixture support must start at s > 0")
-        if power < 0.0:
-            raise ValueError("mixture power must be nonnegative")
+        if not (0.0 <= power < math.inf):
+            raise ValueError("mixture power must be finite and nonnegative")
+        if not math.isfinite(decay):
+            raise ValueError("mixture decay must be finite")
         if not (s_hi > s_lo):
             raise ValueError("mixture support must be a nondegenerate interval")
         self.s_lo = float(s_lo)

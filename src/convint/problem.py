@@ -23,15 +23,15 @@ and the majorant xi are computed there, once, so the report carries the
 very slab [eta, xi] that run_instance solves in, and derives that slab's
 contraction constants (sigma, k) from it on first use.
 
-Continuous statements are checked on deterministic sample grids: uniform in
-u, logarithmic in |t| so both the singularity and the tail of each weight
-are probed. validate_problem collects failures into the report and raises
-none; its require_passed raises them as ValidationFailure.
+Continuous statements are checked on deterministic sample grids of SAMPLES
+points: uniform in u, logarithmic in |t| so both the singularity and the
+tail of each weight are probed. validate_problem collects failures into the
+report and raises none; its require_passed raises them as ValidationFailure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -47,6 +47,9 @@ __all__ = ["ProblemSpec", "ConditionCheck", "ValidationReport", "normalize",
            "validate_problem"]
 
 CONDITION_IDS = ("1", "2", "a", "b", "I", "II", "III", "IV")
+
+# sample count per condition check; condition IV samples SAMPLES x SAMPLES
+SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ class ProblemSpec:
             raise ValueError(f"expected {self.n} nonlinearities, got {len(self.nonlins)}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConditionCheck:
     condition: str
     passed: bool
@@ -92,7 +95,7 @@ class ConditionCheck:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
     """The checks and what they were made on. xi is None when no majorant
     exists; majorant_error then holds the reason, if xi was attempted."""
@@ -103,7 +106,7 @@ class ValidationReport:
     excess: ExcessIntegrals = None
     xi: np.ndarray = None
     majorant_error: MajorantError = None
-    checks: list = field(default_factory=list)
+    checks: tuple = ()
 
     @property
     def passed(self) -> bool:
@@ -140,19 +143,19 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def normalize(kernel, tol_eig: float = 1e-12):
+def normalize(kernel):
     """(kernel rescaled to unit spectral radius, its scalars, the
     eigenvector eta of its integral matrix with largest entry one, the
-    factor rho divided out). tol_eig, Numerics.tol_eig by default, holds
-    for both power iterations. Raises kernel_scalars' ValueError and
+    factor rho divided out). Both power iterations run to 1e-12, below
+    spectral_radius's own default. Raises kernel_scalars' ValueError and
     SpectralError when a power iteration does not converge."""
-    rho = spectral_radius(kernel_scalars(kernel).a, tol_eig)
+    rho = spectral_radius(kernel_scalars(kernel).a, 1e-12)
     kernel = kernel.rescaled(1.0 / rho)
     scalars = kernel_scalars(kernel)
-    return kernel, scalars, perron_vector(scalars.a, tol_eig), rho
+    return kernel, scalars, perron_vector(scalars.a, 1e-12), rho
 
 
-def _weight_sample_grid(model, samples):
+def _weight_sample_grid(model):
     """Log-spaced |t| samples inside the weight's support, singularity first."""
     if isinstance(model, TabulatedExcessWeight):
         lo = max(float(np.min(np.abs(model.t[model.t != 0.0]))), 1e-8)
@@ -163,7 +166,7 @@ def _weight_sample_grid(model, samples):
         hi = lo * 10.0
     # log10/10** round trips can land an endpoint a few ulps outside the
     # support, where a table's excess reads 0
-    return np.clip(np.logspace(np.log10(lo), np.log10(hi), samples), lo, hi)
+    return np.clip(np.logspace(np.log10(lo), np.log10(hi), SAMPLES), lo, hi)
 
 
 def _worse(x, worst) -> bool:
@@ -179,20 +182,18 @@ def _larger(x, worst) -> bool:
     return not (x <= worst) and worst == worst
 
 
-def validate_problem(spec: ProblemSpec, scalars, eta, samples: int = 64,
-                     tol: float = 1e-8, tol_alg: float = 1e-13) -> ValidationReport:
+def validate_problem(spec: ProblemSpec, scalars, eta,
+                     tol: float = 1e-8) -> ValidationReport:
     """Check all eight admission conditions of spec, given its kernel
-    scalars and eigenvector eta; xi is solved to tol_alg. Returns a report,
-    raises nothing for condition failures (structural defects still raise
+    scalars and eigenvector eta, at tolerance tol. Returns a report, raises
+    nothing for condition failures (structural defects still raise
     ValueError)."""
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
     eta = np.asarray(eta, dtype=float)
-    report = ValidationReport(spec=spec, scalars=scalars, eta=eta)
+    checks, excess, xi, majorant_error = [], None, None, None
 
     # condition 1: evenness, index symmetry, strict positivity of the kernel
     span = spec.kernel.sample_span()
-    taus = np.linspace(0.0, span, samples)
+    taus = np.linspace(0.0, span, SAMPLES)
     min_val, min_at = np.inf, ""
     asym = 0.0
     for i in range(spec.n):
@@ -215,14 +216,14 @@ def validate_problem(spec: ProblemSpec, scalars, eta, samples: int = 64,
         worst1, note1 = asym, "kernel not even or not index-symmetric"
     else:
         worst1, note1 = min_val, "smallest sampled kernel value"
-    report.checks.append(ConditionCheck("1", ok_pos and ok_sym, min_at, worst1, tol, note1))
+    checks.append(ConditionCheck("1", ok_pos and ok_sym, min_at, worst1, tol, note1))
 
     # condition 2: unit spectral radius, eta its eigenvector with max entry
     # 1 (as perron_vector returns it), finite first moments
     try:
         gap = abs(spectral_radius(scalars.a) - 1.0)
     except SpectralError as exc:
-        report.checks.append(ConditionCheck(
+        checks.append(ConditionCheck(
             "2", False, "power iteration", float("nan"), tol, str(exc)))
     else:
         eta_gap = max(float(np.max(np.abs(scalars.a @ eta - eta))),
@@ -237,46 +238,45 @@ def validate_problem(spec: ProblemSpec, scalars, eta, samples: int = 64,
             note2 = "eta is not the eigenvector of A with largest entry one"
         elif not moments_ok:
             note2 = "first moments not finite positive"
-        report.checks.append(ConditionCheck("2", not note2, at2, worst2, tol, note2))
+        checks.append(ConditionCheck("2", not note2, at2, worst2, tol, note2))
 
     # condition a: mu > 1, i.e. strictly positive excess at every sample
     worst_exc, worst_at = np.inf, ""
     for j, w in enumerate(spec.weights):
-        grid = _weight_sample_grid(w, samples)
+        grid = _weight_sample_grid(w)
         for sgn in (1.0, -1.0):
             vals = np.asarray(w.excess(sgn * grid), dtype=float)
             m = int(np.argmin(vals))
             if _worse(vals[m], worst_exc):
                 worst_exc = float(vals[m])
                 worst_at = f"t={sgn * grid[m]:.6g} (weight {j + 1})"
-    report.checks.append(ConditionCheck(
+    checks.append(ConditionCheck(
         "a", worst_exc > 0.0, worst_at, worst_exc, 0.0,
         "" if worst_exc > 0.0 else "weight does not exceed one"))
 
     # condition b: finite excess mass with a vanishing tail
     try:
-        excess = report.excess = build_b_matrix(spec.weights, scalars)
+        excess = build_b_matrix(spec.weights, scalars)
         tails = np.array([excess_tail_mass(w, 1e6 if not isinstance(w, TabulatedExcessWeight)
                                            else float(np.max(np.abs(w.t))))
                           for w in spec.weights])
         okb = bool(np.all(np.isfinite(excess.w)) and np.all(tails <= max(tol, 1e-6)))
         jmax = int(np.argmax(excess.w))
-        report.checks.append(ConditionCheck(
+        checks.append(ConditionCheck(
             "b", okb, f"weight {jmax + 1}", float(excess.w[jmax]), tol,
             "largest excess mass" if okb else "excess mass not summable"))
     except ValueError as exc:
-        report.checks.append(ConditionCheck(
+        checks.append(ConditionCheck(
             "b", False, "excess integral", float("nan"), tol, str(exc)))
 
     # the run's majorant; the nonlinearity conditions sample up to 2 xi
     xi_ref, xi_note = None, ""
-    if report.excess is not None:
+    if excess is not None:
         try:
-            xi_ref = report.xi = solve_xi(scalars.a, report.excess.b,
-                                          spec.nonlins, eta, tol_alg)
+            xi_ref = xi = solve_xi(scalars.a, excess.b, spec.nonlins, eta)
         except (MajorantError, ValueError) as exc:
-            report.majorant_error = (exc if isinstance(exc, MajorantError)
-                                     else MajorantError(str(exc)))
+            majorant_error = (exc if isinstance(exc, MajorantError)
+                              else MajorantError(str(exc)))
             xi_note = f"majorant solve failed ({exc}); using 4 eta"
     if xi_ref is None:
         xi_ref = 4.0 * eta
@@ -291,13 +291,13 @@ def validate_problem(spec: ProblemSpec, scalars, eta, samples: int = 64,
     # condition I: strictly increasing on [0, 2 xi]
     worst_inc, inc_at = np.inf, ""
     for j, nl in enumerate(spec.nonlins):
-        u_grid = np.linspace(0.0, sample_top(nl), samples)
+        u_grid = np.linspace(0.0, sample_top(nl), SAMPLES)
         diffs = np.diff(np.asarray(g_eval(nl, u_grid), dtype=float))
         m = int(np.argmin(diffs))
         if _worse(diffs[m], worst_inc):
             worst_inc = float(diffs[m])
             inc_at = f"u in [{u_grid[m]:.6g}, {u_grid[m + 1]:.6g}] (nonlin {j + 1})"
-    report.checks.append(ConditionCheck(
+    checks.append(ConditionCheck(
         "I", worst_inc > 0.0, inc_at, worst_inc, 0.0,
         "smallest sampled increment" if worst_inc > 0.0 else "not strictly increasing"))
 
@@ -323,21 +323,21 @@ def validate_problem(spec: ProblemSpec, scalars, eta, samples: int = 64,
         if _larger(defect[0], worst_fp):
             worst_fp, fp_at, note2b = defect
     okII = worst_fp <= tol
-    report.checks.append(ConditionCheck(
+    checks.append(ConditionCheck(
         "II", okII, fp_at, worst_fp, tol, note2b if not okII else ""))
 
     # condition III: strict concavity via the chord-slope gap
     worst_gap, gap_at = np.inf, ""
     for j, nl in enumerate(spec.nonlins):
         top_j = sample_top(nl)
-        lo_grid = np.linspace(top_j / samples, top_j * (1.0 - 1.0 / samples),
-                              samples - 1)
+        lo_grid = np.linspace(top_j / SAMPLES, top_j * (1.0 - 1.0 / SAMPLES),
+                              SAMPLES - 1)
         gaps = chord_slope_gap(nl, lo_grid, top_j)
         m = int(np.argmin(gaps))
         if _worse(gaps[m], worst_gap):
             worst_gap = float(gaps[m])
             gap_at = f"u_lo={lo_grid[m]:.6g}, u_hi={top_j:.6g} (nonlin {j + 1})"
-    report.checks.append(ConditionCheck(
+    checks.append(ConditionCheck(
         "III", worst_gap > tol, gap_at, worst_gap, tol,
         "smallest chord-slope gap" if worst_gap > tol else "concavity not strict"))
 
@@ -355,11 +355,12 @@ def validate_problem(spec: ProblemSpec, scalars, eta, samples: int = 64,
             hi = top
             if hi <= lo:
                 lo = hi / 2.0
-        _, margin = check_condition_iv(nl, spec.phi, lo, hi, samples=samples, tol=tol)
+        _, margin = check_condition_iv(nl, spec.phi, lo, hi, samples=SAMPLES, tol=tol)
         if _worse(margin, worst_iv):
             worst_iv, iv_at = margin, f"nonlin {j + 1} on [{lo:.6g}, {hi:.6g}]"
-    report.checks.append(ConditionCheck(
+    checks.append(ConditionCheck(
         "IV", worst_iv >= -tol, iv_at, worst_iv, tol, xi_note))
 
-    assert [c.condition for c in report.checks] == list(CONDITION_IDS)
-    return report
+    assert [c.condition for c in checks] == list(CONDITION_IDS)
+    return ValidationReport(spec=spec, scalars=scalars, eta=eta, excess=excess, xi=xi,
+                            majorant_error=majorant_error, checks=tuple(checks))

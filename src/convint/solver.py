@@ -19,9 +19,9 @@ s_n = p d(up_n, up_(n-1)) / (1 - p): exp(-s_n) up_n <= f_h <= exp(s_n) up_n,
 so the width expm1(s_n) max(up_n) bounds sup|up_n - f_h|. Solve checks
 condition IV again on any strip below eta the iterates reached; validation
 sampled it on [eta, xi]. The run stops when both d_n and the width drop
-to the step tolerance, or at the iteration cap, reported distinctly, with
-the pessimistic count from (sigma, k) alongside; the final width is
-reported as probe_deviation.
+to the step tolerance, or at the iteration cap MAX_ITERS, reported
+distinctly, with the pessimistic count from (sigma, k) alongside; the
+final width is reported as probe_deviation.
 
 run_instance assembles the paper's stage chain for one validated problem
 once: (sigma, k) of the report's slab [eta, xi], truncation and grid,
@@ -59,6 +59,9 @@ __all__ = [
 ]
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
+
+# iterations of the upper sequence before a solve ends as "iteration_cap"
+MAX_ITERS = 400
 
 
 @dataclass
@@ -114,7 +117,7 @@ def _worst_node(delta, grid):
     return f"component {i + 1}, node x = {grid.half_nodes[m]:.6g}"
 
 
-def _iterate(slab, plan, num, trace: IterationTrace):
+def _iterate(slab, plan, tol_stop, slack, trace: IterationTrace):
     """Upper sequence from xi; returns (field, iterations, termination,
     each component's minimum over the iterates). Each step's guards read
     per-component reductions; only a failing guard scans the field again,
@@ -126,10 +129,9 @@ def _iterate(slab, plan, num, trace: IterationTrace):
     floor = xi.copy()
     (sig, k), p = slab.contraction, problem.phi.p
     xi_max = float(np.max(xi))
-    slack = num.mono_slack
-    termination, n_done = "iteration_cap", num.max_iters
+    termination, n_done = "iteration_cap", MAX_ITERS
 
-    for n in range(1, num.max_iters + 1):
+    for n in range(1, MAX_ITERS + 1):
         values = apply_operator(plan, up, problem.nonlins)
         step = values - up
         rise, fall = float(np.max(step)), float(np.min(step))
@@ -169,29 +171,27 @@ def _iterate(slab, plan, num, trace: IterationTrace):
         np.minimum(floor, lo, out=floor)
 
         up = values
-        if d_n <= num.tol_stop and width <= num.tol_stop:
+        if d_n <= tol_stop and width <= tol_stop:
             termination, n_done = "step_below_tol", n
             break
 
     return up, n_done, termination, floor
 
 
-def solve(slab: ValidationReport, plan, numerics) -> SolutionReport:
+def solve(slab: ValidationReport, plan, tol_stop: float, slack: float) -> SolutionReport:
     """Run the upper sequence from slab.xi down on plan.grid, enclosing f_h;
     the report's field is the last iterate, the (N, m + 1) array at
     plan.grid.half_nodes.
 
     slab is a validation report: its spec, its slab [eta, xi] and that
     slab's contraction (sigma, k), from which the step envelope is built.
-    numerics gives tol_stop, max_iters and mono_slack, which must be set.
+    It stops at tol_stop; each guard allows slack (quad.slack in run_instance).
     Raises the contraction's MajorantError, and SolveError when an iterate
     is not finite, when a guard trips, or when condition IV fails on a
     strip below eta that the iterates reached.
     """
-    if numerics.mono_slack is None:
-        raise ValueError("solve needs numerics.mono_slack; run_instance sets it")
     trace = IterationTrace()
-    f, iters, termination, floor = _iterate(slab, plan, numerics, trace)
+    f, iters, termination, floor = _iterate(slab, plan, tol_stop, slack, trace)
     # the enclosure rests on condition IV at every value the iterates took;
     # validation sampled it on [eta, xi] only
     for j, (nl, lo, top) in enumerate(zip(slab.spec.nonlins, floor, slab.eta)):
@@ -215,7 +215,7 @@ def solve(slab: ValidationReport, plan, numerics) -> SolutionReport:
         alpha_plus=f[:, -1].copy(),
         asymptotics=asym,
         trace=trace,
-        a_priori_n=a_priori_iterations(*slab.contraction, numerics.tol_stop),
+        a_priori_n=a_priori_iterations(*slab.contraction, tol_stop),
         probe_deviation=trace.width[-1],
     )
 
@@ -259,12 +259,8 @@ def asymptotics_report(grid: Grid, f, eta) -> AsymptoticsReport:
 # the message when it fails. None passes only where it is the default
 _NUMERICS_RULES = {
     **{name: (lambda v: 0.0 < v < math.inf, "must be finite and positive")
-       for name in ("tol_eig", "tol_alg", "tol_trunc", "tol_stop", "tol_validate",
-                    "h_target")},
+       for name in ("tol_trunc", "tol_stop", "tol_validate")},
     "n_cells": (lambda n: n >= 2 and n % 2 == 0, "must be even and >= 2"),
-    "max_iters": (lambda m: m >= 1, "must be at least 1"),
-    "mono_slack": (lambda s: 0.0 <= s < math.inf, "must be finite and nonnegative"),
-    "samples": (lambda s: s >= 2, "must be at least 2"),
 }
 
 
@@ -272,22 +268,14 @@ _NUMERICS_RULES = {
 class Numerics:
     """Numeric controls of one run; the keys of a config's numerics block.
 
-    Solving needs n_cells, or h_target to derive it from the truncation
-    radius, unless run_instance is handed a grid. mono_slack defaults to ten
-    times the measured quadrature error budget. Construction raises
-    ValueError("numerics.<key> <must>") for a value its rule refuses.
+    Solving needs n_cells unless run_instance is handed a grid. Construction
+    raises ValueError("numerics.<key> <must>") for a value its rule refuses.
     """
 
-    tol_eig: float = 1e-12
-    tol_alg: float = 1e-13
     tol_trunc: float = 1e-8
     tol_stop: float = 1e-8
     tol_validate: float = 1e-8
     n_cells: int = None
-    h_target: float = None
-    max_iters: int = 400
-    mono_slack: float = None
-    samples: int = 64
 
     def __post_init__(self):
         for f in fields(self):
@@ -307,22 +295,14 @@ class Numerics:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Every stage run_instance computed, with the report it was handed;
-    numerics is the one the solve ran with, mono_slack set."""
+    """Every stage run_instance computed, with the report and the numerics
+    it was handed."""
 
     validation: ValidationReport
     plan: OperatorPlan
     quad: QuadratureError
     numerics: Numerics
     sol: SolutionReport
-
-
-def _n_cells_for(num: Numerics, r: float) -> int:
-    if num.n_cells is not None:
-        return num.n_cells
-    if num.h_target is not None:
-        return 2 * max(1, math.ceil(r / num.h_target))
-    raise ConfigError("set numerics.n_cells or numerics.h_target")
 
 
 def run_instance(validation: ValidationReport, numerics: Numerics,
@@ -338,7 +318,7 @@ def run_instance(validation: ValidationReport, numerics: Numerics,
     (0, 1), before the grid is sized, SolveError when a solve guard
     trips or the iteration cap is reached before the step and the enclosure
     width drop to the step tolerance, and ConfigError when a grid is needed
-    and neither numerics.n_cells nor numerics.h_target is set.
+    and numerics.n_cells is not set.
     """
     validation.require_passed()
     if validation.xi is None:
@@ -348,19 +328,19 @@ def run_instance(validation: ValidationReport, numerics: Numerics,
     validation.contraction
 
     if grid is None:
+        if num.n_cells is None:
+            raise ConfigError("set numerics.n_cells")
         # largest nonlinearity value the solve can reach
         g_sup = max(float(g_eval(nl, x)) for nl, x in zip(spec.nonlins, xi))
         r = choose_truncation(spec.kernel, spec.weights, eta, num.tol_trunc, g_sup)
-        grid = build_grid(r, _n_cells_for(num, r))
+        grid = build_grid(r, num.n_cells)
 
     plan = build_plan(spec, grid, eta)
     quad = estimate_quadrature_error(spec, plan, eta, xi, validation.scalars)
-    if num.mono_slack is None:
-        num = replace(num, mono_slack=10.0 * quad.total)
-    sol = solve(validation, plan, num)
+    sol = solve(validation, plan, num.tol_stop, quad.slack)
     if sol.termination == "iteration_cap":
         raise SolveError(
-            f"iteration cap {num.max_iters} reached before the step tolerance "
+            f"iteration cap {MAX_ITERS} reached before the step tolerance "
             f"{num.tol_stop:g} (last step {sol.trace.d[-1]:.3e}, "
             f"enclosure width {sol.trace.width[-1]:.3e})")
     return RunResult(validation=validation, plan=plan, quad=quad, numerics=num,
@@ -368,11 +348,13 @@ def run_instance(validation: ValidationReport, numerics: Numerics,
 
 
 def run_sweep(validation: ValidationReport, eps_values, numerics: Numerics):
-    """Yield one RunResult per eps in eps_values: validation's instance with
-    every weight moved to that eps. The largest eps runs first and sizes
-    the grid the others, in increasing eps, share. An entry whose eps every
-    weight has reuses validation; any other is validated with numerics.
-    Drop each result before asking for the next: it holds a plan.
+    """Yield (position, RunResult) per eps in eps_values, position being the
+    eps's index in sorted(eps_values), and the result validation's instance
+    with every weight moved to that eps. The largest eps runs first and
+    sizes the grid the others, in increasing eps, share; equal eps values
+    are run once per position. An entry whose eps every weight has reuses
+    validation; any other is validated at numerics.tol_validate. Drop each
+    result before asking for the next: it holds a plan.
 
     Raises ValidationFailure when validation failed, ConfigError when a
     weight has no eps parameter, and an entry's ValidationFailure,
@@ -380,15 +362,14 @@ def run_sweep(validation: ValidationReport, eps_values, numerics: Numerics):
     """
     validation.require_passed()
     ordered = sorted(eps_values)
+    positions = list(range(len(ordered)))
     spec, grid = validation.spec, None
-    for eps in ordered[-1:] + ordered[:-1]:
-        entry = validation
+    for idx in positions[-1:] + positions[:-1]:
+        eps, entry = ordered[idx], validation
         if not all(getattr(w, "eps", None) == eps for w in spec.weights):
             weights = [_swept(w, eps, j) for j, w in enumerate(spec.weights)]
-            entry = validate_problem(
-                replace(spec, weights=weights), validation.scalars,
-                validation.eta, samples=numerics.samples,
-                tol=numerics.tol_validate, tol_alg=numerics.tol_alg)
+            entry = validate_problem(replace(spec, weights=weights), validation.scalars,
+                                     validation.eta, tol=numerics.tol_validate)
         try:
             res = run_instance(entry, numerics, grid)
         except ValidationFailure as exc:
@@ -397,7 +378,7 @@ def run_sweep(validation: ValidationReport, eps_values, numerics: Numerics):
         except (MajorantError, SolveError) as exc:
             raise type(exc)(f"sweep eps = {eps:g}: {exc}") from exc
         grid = res.plan.grid
-        yield res
+        yield idx, res
         # kept here, the result would hold its plan through the next entry
         del res
 

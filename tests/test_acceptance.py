@@ -14,7 +14,7 @@ from conftest import (build_pipeline, flagship_models, step_envelopes,
                       write_linear_nonlin_table)
 from oracles import excess_integral_quadrature
 
-from convint import cli
+from convint import cli, solver
 from convint.algebra import (
     a_priori_iterations,
     perron_vector,
@@ -31,7 +31,7 @@ from convint.discretization import (
 from convint.kernels import GaussianKernel, kernel_scalars
 from convint.nonlinearities import PowerNonlin, PowerPhi, g_eval
 from convint.problem import ProblemSpec, ValidationReport, normalize
-from convint.solver import Numerics, solve
+from convint.solver import solve
 from convint.weights import (
     ExpSqrtWeight,
     RationalWeight,
@@ -109,12 +109,12 @@ def test_criterion_03_eigenvector_identity_random_matrices():
 def _replay_monotone(pipe):
     """Re-run the iteration, asserting the slab ordering at every step."""
     report, opts = pipe.validation, pipe.numerics
-    slack = opts.mono_slack
+    slack = pipe.quad.slack
     eta = report.eta[:, None]
     xi = report.xi[:, None]
     f_prev = np.repeat(xi, pipe.plan.grid.half_nodes.size, axis=1)
     assert np.all(f_prev <= xi + slack)
-    for n in range(1, opts.max_iters + 1):
+    for n in range(1, solver.MAX_ITERS + 1):
         f_next = apply_operator(pipe.plan, f_prev, pipe.validation.spec.nonlins)
         assert np.all(f_next <= f_prev + slack)
         assert np.all(f_next >= eta - slack)
@@ -139,7 +139,7 @@ def test_criterion_04_monotone_iterates_in_slab(flagship, coupled):
 
 def test_criterion_05_geometric_rate_and_a_priori_count(flagship):
     tr = flagship.sol.trace
-    slack = flagship.numerics.mono_slack
+    slack = flagship.quad.slack
     d = np.asarray(tr.d)
     bound, _ = step_envelopes(flagship.validation, len(d))
     assert np.all(d <= bound + slack)
@@ -153,7 +153,7 @@ def test_criterion_05_geometric_rate_and_a_priori_count(flagship):
 
 
 def test_criterion_06_residual_and_unit_weight_variant(flagship):
-    budget = flagship.numerics.tol_stop + flagship.numerics.mono_slack
+    budget = flagship.numerics.tol_stop + flagship.quad.slack
     assert flagship.sol.residual_sup <= budget
 
     # with mu identically 1 the excess vanishes, the majorant collapses to
@@ -178,12 +178,11 @@ def test_criterion_06_residual_and_unit_weight_variant(flagship):
                             xi=(1.0 + 1e-6) * eta)
     plan = build_plan(spec, grid, eta)
     quad = estimate_quadrature_error(spec, plan, eta, xi, scalars)
-    opts = Numerics(tol_stop=1e-12, mono_slack=10.0 * quad.total)
-    sol = solve(slab, plan, opts)
+    sol = solve(slab, plan, 1e-12, quad.slack)
     assert sol.termination == "step_below_tol"
 
     flat = float(np.max(np.abs(sol.field - eta[:, None])))
-    assert flat <= opts.mono_slack
+    assert flat <= quad.slack
     assert sol.residual_sup <= quad.total
     print(f"[criterion 06] PASS: residual {flagship.sol.residual_sup:.2e} <= "
           f"{budget:.2e}; unit-weight variant |f - eta| = {flat:.2e} with "
@@ -217,9 +216,9 @@ def test_criterion_08_uniqueness_probe(flagship_hires, coupled):
         # a restart from 2 xi, with (sigma, k) of the wider slab so the step
         # envelope holds, lands on the same field
         wide = dataclasses.replace(pipe.validation, xi=2.0 * pipe.validation.xi)
-        again = solve(wide, pipe.plan, opts)
+        again = solve(wide, pipe.plan, opts.tol_stop, pipe.quad.slack)
         moved = float(np.max(np.abs(again.field - pipe.sol.field)))
-        assert moved <= dev + opts.tol_stop + opts.mono_slack
+        assert moved <= dev + opts.tol_stop + pipe.quad.slack
         devs[name], restarts[name] = dev, moved
     print(f"[criterion 08] PASS: part-metric enclosure width {devs['scalar']:.2e} "
           f"(scalar) and {devs['coupled']:.2e} (coupled); restart from 2 xi "

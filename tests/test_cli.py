@@ -88,11 +88,11 @@ class TestLoadConfig:
         assert cli.load_config(path).mode == "validate"
 
     def test_null_defaults_and_integral_floats(self, tmp_path):
-        doc = scalar_config(n_cells=None, h_target=None, mono_slack=None,
-                            max_iters=50.0)
+        doc = scalar_config(n_cells=None)
+        assert cli.load_config(write_config(tmp_path / "c.json", doc)).numerics.n_cells is None
+        doc = scalar_config(n_cells=512.0)
         num = cli.load_config(write_config(tmp_path / "c.json", doc)).numerics
-        assert (num.n_cells, num.h_target, num.mono_slack) == (None, None, None)
-        assert num.max_iters == 50 and isinstance(num.max_iters, int)
+        assert num.n_cells == 512 and isinstance(num.n_cells, int)
 
 
 @pytest.fixture(scope="module")
@@ -313,6 +313,15 @@ class TestSweepMode:
             assert solo[block] == entry[block], block
         assert solo["truncation"] == swept["truncation"]
 
+    def test_equal_eps_values_write_a_profile_each(self, tmp_path):
+        doc = dict(scalar_config(mode="sweep", n_cells=512), sweep_eps=[0.1, 0.05, 0.1])
+        assert run_cli(tmp_path, doc, "--quiet") == 0
+        entries = json.loads((tmp_path / "report.json").read_text())["entries"]
+        assert [(e["eps"], e["profile"]) for e in entries] == [
+            (0.05, "profile_000.csv"), (0.1, "profile_001.csv"), (0.1, "profile_002.csv")]
+        assert (tmp_path / "profile_001.csv").read_bytes() == \
+            (tmp_path / "profile_002.csv").read_bytes()
+
     def test_sweep_rejects_nonparametric_weight(self, tmp_path, capsys):
         table = write_excess_table(tmp_path / "excess.csv")
         doc = scalar_config(mode="sweep", n_cells=512)
@@ -422,9 +431,10 @@ class TestFailureExitCodes:
         assert "no supersolution found by doubling" in err
 
     def test_iteration_cap_exits_5(self, tmp_path, capsys):
-        assert run_cli(tmp_path, scalar_config(n_cells=512, max_iters=3)) == 5
+        # no step reaches 1e-300, so the cap ends the run
+        assert run_cli(tmp_path, scalar_config(n_cells=512, tol_stop=1e-300)) == 5
         err = capsys.readouterr().err
-        assert "solve stage failed" in err and "iteration cap 3" in err
+        assert "solve stage failed" in err and "iteration cap 400 reached" in err
 
     def test_unit_contraction_factor_exits_4_before_grid_sizing(self, tmp_path, capsys):
         # p = 1 passes condition IV for any concave map but gives k = 1;
@@ -443,13 +453,15 @@ class TestFailureExitCodes:
         assert run_cli(tmp_path, doc) == 1
         assert "unknown kernel variant" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["tol_stp", "conv_method"])
+    # the last six were keys of earlier versions; their values are constants
+    @pytest.mark.parametrize("key", ["tol_stp", "conv_method", "tol_eig", "tol_alg",
+                                     "h_target", "max_iters", "mono_slack", "samples"])
     def test_unknown_numerics_key_exits_1(self, tmp_path, capsys, key):
         doc = scalar_config(n_cells=512, **{key: 1e-12})
         assert run_cli(tmp_path, doc) == 1
         err = capsys.readouterr().err
-        assert f"unknown numerics key(s) '{key}'" in err
-        assert "tol_stop" in err
+        assert f"unknown numerics key(s) '{key}'; " \
+               "accepted keys: n_cells, tol_stop, tol_trunc, tol_validate" in err
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("key, edit", [
@@ -484,7 +496,21 @@ class TestFailureExitCodes:
                                     "s_low": 0.5})),
         ("nonlin 1: path must be a string",
          lambda d: d["nonlins"].__setitem__(0, {"variant": "tabulated", "path": 3})),
-        *[(f"numerics.{key} must be finite", lambda d, key=key, v=v: d["numerics"].update({key: v}))
+        # a mixture power or decay that is not finite, named
+        ("kernel: mixture power must be finite",
+         lambda d: d.update(kernel={"variant": "exp_mixture", "coeffs": [[1.0]],
+                                    "power": float("inf")})),
+        ("kernel: mixture power must be finite",
+         lambda d: d.update(kernel={"variant": "exp_mixture", "coeffs": [[1.0]],
+                                    "power": float("nan")})),
+        ("kernel: mixture decay must be finite",
+         lambda d: d.update(kernel={"variant": "exp_mixture", "coeffs": [[1.0]],
+                                    "s_hi": "inf", "decay": float("inf")})),
+        # an infinite value fails its own rule, or, for a key of earlier
+        # versions, is refused with the key
+        *[(f"numerics.{key} must be finite" if key in ("tol_stop", "tol_trunc")
+           else f"unknown numerics key(s) '{key}'",
+           lambda d, key=key, v=v: d["numerics"].update({key: v}))
           for key in ("tol_stop", "tol_trunc", "tol_alg", "h_target", "mono_slack")
           for v in (float("inf"), float("-inf"))],
     ], ids=["tol_stop-str", "n_cells-str", "n_cells-frac", "max_iters-null",
@@ -493,6 +519,7 @@ class TestFailureExitCodes:
             "nonlin-alpha-null", "phi-p-list", "kernel-scalars-zero",
             "kernel-2x2-one-weight", "kernel-1x1-two-weights", "labels-count",
             "eps-bool", "eps-str", "p-str", "coeffs-bool", "s_low-key", "path-number",
+            "power-inf", "power-nan", "decay-inf",
             *[f"{key}-{v}" for key in ("tol_stop", "tol_trunc", "tol_alg", "h_target",
                                        "mono_slack") for v in ("inf", "-inf")]])
     def test_malformed_value_exits_1(self, tmp_path, capsys, key, edit):
@@ -568,27 +595,17 @@ class TestVariantTable:
                        "kernel", tmp_path)
 
     def test_missing_parameter_is_named(self, tmp_path):
-        with pytest.raises(ConfigError, match="^weight 2: .*'alpha'"):
+        with pytest.raises(ConfigError, match="^weight 2: missing key 'alpha'$"):
             cli._build("weight", {"variant": "rational", "eps": 0.1}, "weight 2", tmp_path)
+        with pytest.raises(ConfigError, match="^kernel: missing key 'path'$"):
+            cli._build("kernel", {"variant": "tabulated"}, "kernel", tmp_path)
 
 
 class TestGridSizing:
-    @staticmethod
-    def pair_config(**numerics):
-        doc = scalar_config(**numerics)
-        doc["kernel"]["coeffs"] = [[0.5, 0.3], [0.3, 0.7]]
-        doc.update(weights=doc["weights"] * 2, nonlins=doc["nonlins"] * 2)
-        return doc
-
-    def test_h_target_sizes_the_grid(self, tmp_path):
-        assert run_cli(tmp_path, self.pair_config(h_target=0.25), "--quiet") == 0
-        trunc = json.loads((tmp_path / "report.json").read_text())["truncation"]
-        assert trunc == {"r": 32.0, "n_cells": 256, "h": 0.25}
-
-    def test_solve_needs_n_cells_or_h_target(self, tmp_path, capsys):
-        assert run_cli(tmp_path, self.pair_config()) == 1
+    def test_solve_needs_n_cells(self, tmp_path, capsys):
+        assert run_cli(tmp_path, scalar_config()) == 1
         err = capsys.readouterr().err
-        assert "config error: set numerics.n_cells or numerics.h_target" in err
+        assert "config error: set numerics.n_cells\n" in err
         assert not (tmp_path / "report.json").exists()
 
 

@@ -4,7 +4,6 @@ and the report's handoff to run_instance."""
 from __future__ import annotations
 
 import dataclasses
-import inspect
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from convint import (
     load_tabulated_nonlin,
     problem,
     run_instance,
+    spectral_radius,
     validate_problem,
 )
 from convint.problem import CONDITION_IDS
@@ -73,9 +73,19 @@ class TestReportShape:
         text = str(report)
         assert text.count("pass") == 8 and "FAIL" not in text
 
-    def test_samples_floor(self):
-        with pytest.raises(ValueError):
-            validate(scalar_spec(), samples=1)
+    def test_report_and_checks_are_frozen(self):
+        # a report derives (sigma, k) from its slab on first use, so a field
+        # assigned afterwards would leave that pair stale
+        report = validate(scalar_spec())
+        report.contraction
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.xi = 2.0 * report.xi
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.checks[0].passed = False
+        assert isinstance(report.checks, tuple)
+        # replace gives a new report, which derives its own pair
+        wide = dataclasses.replace(report, xi=2.0 * report.xi)
+        assert wide.contraction != report.contraction
 
 
 class TestNegativeCases:
@@ -317,8 +327,10 @@ def test_normalize_gives_unit_radius_and_its_eigenvector():
     # a Gaussian kernel's integral matrix is its coefficient matrix
     assert rho == pytest.approx(0.6 + np.sqrt(0.1), rel=1e-12)
     assert np.array_equal(scalars.a, kernel_scalars(kernel).a)
-    tol = Numerics.tol_eig
-    assert inspect.signature(problem.normalize).parameters["tol_eig"].default == tol
+    # both power iterations run to 1e-12; spectral_radius's own default is 1e-13
+    tol = 1e-12
+    raw = kernel_scalars(GaussianKernel([[0.5, 0.3], [0.3, 0.7]])).a
+    assert rho == spectral_radius(raw, tol)
     assert abs(float(np.max(np.linalg.eigvalsh(scalars.a))) - 1.0) <= tol
     assert float(np.max(np.abs(scalars.a @ eta - eta))) <= tol
     assert np.max(eta) == 1.0

@@ -15,7 +15,8 @@ from convint.algebra import a_priori_iterations, contraction_params
 from convint.discretization import apply_operator, build_grid
 from convint.errors import SolveError
 from convint.nonlinearities import PowerPhi, check_condition_iv
-from convint.solver import Numerics, asymptotics_report, residual, run_instance, solve
+from convint.solver import (Numerics, asymptotics_report, residual, run_instance,
+                           run_sweep, solve)
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
@@ -27,6 +28,11 @@ def coarse():
                           tol_stop=1e-8)
 
 
+def solve_like(run, slab):
+    """solve in slab on run's plan, with run's step tolerance and slack."""
+    return solve(slab, run.plan, run.numerics.tol_stop, run.quad.slack)
+
+
 class TestReferenceRun:
     def test_terminates_on_small_step(self, flagship):
         sol = flagship.sol
@@ -35,7 +41,7 @@ class TestReferenceRun:
         assert sol.a_priori_n == 40
 
     def test_residual_within_budget(self, flagship):
-        assert flagship.sol.residual_sup <= flagship.numerics.tol_stop + flagship.numerics.mono_slack
+        assert flagship.sol.residual_sup <= flagship.numerics.tol_stop + flagship.quad.slack
 
     def test_trace_shape_and_guards_quiet(self, flagship):
         tr = flagship.sol.trace
@@ -43,13 +49,13 @@ class TestReferenceRun:
         assert len(tr.d) == len(tr.width) == n
         assert len(tr.mono_violation) == len(tr.slab_excursion) == n
         assert max(tr.mono_violation) == 0.0
-        assert max(tr.slab_excursion) <= flagship.numerics.mono_slack
+        assert max(tr.slab_excursion) <= flagship.quad.slack
 
     def test_steps_decay_within_geometric_bound(self, flagship):
         tr = flagship.sol.trace
         d = np.asarray(tr.d)
         assert np.all(np.diff(d) < 0.0)
-        slack = flagship.numerics.mono_slack
+        slack = flagship.quad.slack
         step_bound, e = step_envelopes(flagship.validation, len(d))
         assert np.all(d <= step_bound + slack)
         assert np.all(e > 0.0) and np.all(np.diff(e) < 0.0)
@@ -58,7 +64,7 @@ class TestReferenceRun:
         vals = flagship.sol.field
         eta = flagship.validation.eta[:, None]
         xi = flagship.validation.xi[:, None]
-        slack = flagship.numerics.mono_slack
+        slack = flagship.quad.slack
         assert np.all(vals >= eta - slack)
         assert np.all(vals <= xi + slack)
         # an even field is stored as its x >= 0 half
@@ -86,7 +92,7 @@ class TestReferenceRun:
         sol = flagship.sol
         width = np.asarray(sol.trace.width)
         assert len(width) == sol.iterations
-        assert np.all(np.diff(width) <= flagship.numerics.mono_slack)
+        assert np.all(np.diff(width) <= flagship.quad.slack)
         assert width[-1] == sol.probe_deviation
         assert sol.probe_deviation <= flagship.numerics.tol_stop
 
@@ -196,13 +202,13 @@ class TestConditionIVBelowEta:
         flat = dataclasses.replace(report, spec=dataclasses.replace(spec, nonlins=(nl,)))
         with pytest.raises(SolveError, match=r"condition IV fails below eta.*"
                                              r"on the strip \[0\.99999.*, 1\] \(nonlin 1\)"):
-            solve(flat, coarse.plan, coarse.numerics)
+            solve_like(coarse, flat)
 
 
 class TestStoppingRules:
-    def test_iteration_cap_reported_not_raised(self, coarse):
-        num = dataclasses.replace(coarse.numerics, max_iters=3)
-        sol = solve(coarse.validation, coarse.plan, num)
+    def test_iteration_cap_reported_not_raised(self, coarse, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_ITERS", 3)
+        sol = solve_like(coarse, coarse.validation)
         assert sol.termination == "iteration_cap"
         assert sol.iterations == 3
         assert len(sol.trace.d) == 3
@@ -211,30 +217,41 @@ class TestStoppingRules:
         with pytest.raises(ValueError):
             Numerics(tol_stop=0.0)
         with pytest.raises(ValueError):
-            Numerics(max_iters=0)
+            Numerics(n_cells=0)
+        # a NaN tolerance would never stop the run, since no comparison holds
         with pytest.raises(ValueError):
-            Numerics(mono_slack=-1.0)
-        # a NaN slack would pass every guard, since no comparison holds
-        with pytest.raises(ValueError):
-            Numerics(mono_slack=float("nan"))
-        # an infinite slack makes every guard vacuous, an infinite tolerance
-        # stops or truncates at once, an infinite spacing gives two cells
-        for key in ("tol_stop", "tol_trunc", "tol_alg", "h_target", "mono_slack"):
+            Numerics(tol_stop=float("nan"))
+        # an infinite tolerance stops, truncates or passes at once
+        for key in ("tol_stop", "tol_trunc", "tol_validate"):
             with pytest.raises(ValueError, match=rf"^numerics\.{key} must be finite"):
                 Numerics(**{key: float("inf")})
         # None stands for an unset default only
-        assert Numerics(n_cells=None, h_target=None, mono_slack=None) == Numerics()
+        assert Numerics(n_cells=None) == Numerics()
         # the type comes first: an int field takes an int, a float field an
         # int or a float, and a bool is neither
         for key, value, must in [("n_cells", 512.0, "an integer"),
-                                 ("samples", 2.5, "an integer"),
-                                 ("max_iters", True, "an integer"),
-                                 ("max_iters", None, "an integer"),
+                                 ("n_cells", 2.5, "an integer"),
+                                 ("n_cells", True, "an integer"),
+                                 ("tol_validate", None, "a number"),
                                  ("tol_stop", "abc", "a number"),
                                  ("tol_stop", False, "a number")]:
             with pytest.raises(ValueError, match=rf"^numerics\.{key} must be {must} \(got "):
                 Numerics(**{key: value})
         assert Numerics(tol_stop=1, n_cells=512).tol_stop == 1
+
+    def test_numerics_holds_the_four_run_knobs(self):
+        # the iteration cap, the guard slack and the validation sample count
+        # are constants, not keys
+        assert [f.name for f in dataclasses.fields(Numerics)] == [
+            "tol_trunc", "tol_stop", "tol_validate", "n_cells"]
+        assert solver.MAX_ITERS == 400
+
+    def test_sweep_yields_positions_in_sorted_eps(self, coarse):
+        # largest first, then increasing; equal eps values run once each
+        eps = [0.1, 0.05, 0.1]
+        runs = [(idx, res.validation.spec.weights[0].eps, res.plan.grid.n_cells)
+                for idx, res in run_sweep(coarse.validation, eps, coarse.numerics)]
+        assert runs == [(2, 0.1, 512), (0, 0.05, 512), (1, 0.1, 512)]
 
 
 class TestGuards:
@@ -243,7 +260,7 @@ class TestGuards:
         # rise, which the monotonicity guard must catch
         fake = dataclasses.replace(coarse.validation, xi=1.05 * coarse.validation.eta)
         with pytest.raises(SolveError, match="monotonicity violated"):
-            solve(fake, coarse.plan, coarse.numerics)
+            solve_like(coarse, fake)
 
     def test_lower_start_above_the_solution_raises(self, coarse):
         # the solution settles to eta at the edges, so the upper sequence
@@ -251,7 +268,7 @@ class TestGuards:
         fake = dataclasses.replace(coarse.validation, eta=1.02 * coarse.validation.eta)
         with pytest.raises(SolveError,
                            match=r"upper sequence left the bounding slab by 5\.226e-03"):
-            solve(fake, coarse.plan, coarse.numerics)
+            solve_like(coarse, fake)
 
     def test_step_beyond_geometric_envelope_raises(self, coarse):
         # a scaling map far stronger than the true one gives a contraction
@@ -261,7 +278,7 @@ class TestGuards:
         fake = dataclasses.replace(coarse.validation, spec=spec)
         assert fake.contraction[1] < 0.1
         with pytest.raises(SolveError, match="exceeds the geometric bound"):
-            solve(fake, coarse.plan, coarse.numerics)
+            solve_like(coarse, fake)
 
     def test_non_finite_iterate_raises(self, coarse):
         # a map that gives NaN strictly inside the slab: T(xi), the first
@@ -271,7 +288,7 @@ class TestGuards:
         nan_inside = SimpleNamespace(g=lambda u: np.where((u > eta) & (u < xi), np.nan, nl.g(u)))
         spec = dataclasses.replace(report.spec, nonlins=(nan_inside,))
         with pytest.raises(SolveError, match=r"upper sequence: iterate 2 is not finite"):
-            solve(dataclasses.replace(report, spec=spec), coarse.plan, coarse.numerics)
+            solve_like(coarse, dataclasses.replace(report, spec=spec))
 
     def test_replaced_slab_derives_its_own_contraction(self, flagship_hires):
         # the step envelope is built from the slab the solve runs in: a
