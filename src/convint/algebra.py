@@ -34,6 +34,11 @@ __all__ = [
     "a_priori_iterations",
 ]
 
+STEP_CAP = 100_000             # steps of each power and majorant iteration
+EIG_TOL = 1e-12                # residual perron_vector stops at
+XI_TOL = 1e-13                 # step solve_xi stops at
+SUPERSOLUTION_DOUBLINGS = 60   # of solve_xi's start s * eta, at most
+
 
 def _check_positive_symmetric(m):
     m = np.asarray(m, dtype=float)
@@ -46,44 +51,43 @@ def _check_positive_symmetric(m):
     return 0.5 * (m + m.T)
 
 
-def spectral_radius(m, tol: float = 1e-13, max_iters: int = 100_000) -> float:
+def spectral_radius(m, tol: float = 1e-13) -> float:
     """Dominant eigenvalue of a positive symmetric matrix, by power iteration
     from the all-ones vector until ||Mv - lam v||_inf <= tol * lam."""
     m = _check_positive_symmetric(m)
     v = np.ones(m.shape[0])
-    for _ in range(max_iters):
+    for _ in range(STEP_CAP):
         mv = m @ v
         lam = float(v @ mv) / float(v @ v)
         if float(np.max(np.abs(mv - lam * v))) <= tol * lam:
             return lam
         v = mv / np.max(mv)
     raise SpectralError(
-        f"power iteration did not reach residual {tol:g} in {max_iters} steps")
+        f"power iteration did not reach residual {tol:g} in {STEP_CAP} steps")
 
 
-def perron_vector(a, tol: float = 1e-12, max_iters: int = 100_000) -> np.ndarray:
+def perron_vector(a) -> np.ndarray:
     """Positive eigenvector of a unit-radius positive symmetric matrix.
 
     Normalized so that max_i eta_i = 1; the returned vector satisfies
-    ||A eta - eta||_inf <= tol.
+    ||A eta - eta||_inf <= EIG_TOL.
     """
     a = _check_positive_symmetric(a)
     v = np.ones(a.shape[0])
-    for _ in range(max_iters):
+    for _ in range(STEP_CAP):
         av = a @ v
         v_new = av / np.max(av)
         resid = float(np.max(np.abs(a @ v_new - v_new)))
         v = v_new
-        if resid <= tol:
+        if resid <= EIG_TOL:
             return v
     lam = float(v @ (a @ v)) / float(v @ v)
     raise SpectralError(
-        f"eigenvector residual stalled above {tol:g}; "
+        f"eigenvector residual stalled above {EIG_TOL:g}; "
         f"radius estimate {lam:.6g} (expected 1): normalize the matrix first")
 
 
-def solve_xi(a, b, nonlins, eta, tol: float = 1e-13,
-             supersolution_cap: int = 60, max_iters: int = 100_000) -> np.ndarray:
+def solve_xi(a, b, nonlins, eta) -> np.ndarray:
     """Fixed point of tau_i = sum_j (a_ij + b_ij) G_j(tau_j), above eta.
 
     Starts from a supersolution s * eta (s doubled from 2 until the map
@@ -105,7 +109,7 @@ def solve_xi(a, b, nonlins, eta, tol: float = 1e-13,
         return m @ g
 
     s = 2.0
-    for _ in range(supersolution_cap):
+    for _ in range(SUPERSOLUTION_DOUBLINGS):
         tau = s * eta
         if np.all(apply_map(tau) <= tau):
             break
@@ -116,16 +120,16 @@ def solve_xi(a, b, nonlins, eta, tol: float = 1e-13,
             "a nonlinearity may grow superlinearly")
 
     slack = 1e-13 * float(np.max(tau))
-    for _ in range(max_iters):
+    for _ in range(STEP_CAP):
         tau_next = apply_map(tau)
         if np.any(tau_next > tau + slack):
             raise MajorantError("majorant iteration increased; "
                                 "monotonicity of the map is violated")
         step = float(np.max(np.abs(tau_next - tau)))
         tau = tau_next
-        if step <= tol:
+        if step <= XI_TOL:
             return tau
-    raise MajorantError(f"majorant iteration did not settle within {max_iters} steps")
+    raise MajorantError(f"majorant iteration did not settle within {STEP_CAP} steps")
 
 
 def contraction_params(eta, xi, phi):

@@ -72,33 +72,23 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
-def _number(v, what: str, integer: bool = False):
-    """A JSON number as float (or an integral one as int); else a ConfigError."""
-    ok = isinstance(v, (int, float)) and not isinstance(v, bool)
-    if integer:
-        ok = ok and (isinstance(v, int) or v.is_integer())
-    _require(ok, f"{what} must be {'an integer' if integer else 'a number'} (got {v!r})")
-    return int(v) if integer else float(v)
+def _number(v, what: str) -> float:
+    """A JSON number as float; else a ConfigError."""
+    _require(isinstance(v, (int, float)) and not isinstance(v, bool),
+             f"{what} must be a number (got {v!r})")
+    return float(v)
 
 
 def _parse_numerics(d: dict) -> Numerics:
-    """Numerics from the JSON block: each key a field, each value a JSON
-    number, a whole one for an int field. null stands for the default only
-    where that default is unset. Numerics checks the values themselves."""
+    """Numerics from the JSON block, each key a field; Numerics checks and
+    converts the values."""
     _require(isinstance(d, dict), "numerics must be an object")
-    fields = dataclasses.fields(Numerics)
-    known = sorted(f.name for f in fields)
+    known = sorted(f.name for f in dataclasses.fields(Numerics))
     unknown = sorted(set(d) - set(known))
     _require(not unknown, f"unknown numerics key(s) {', '.join(map(repr, unknown))}; "
                           f"accepted keys: {', '.join(known)}")
-    kwargs = {}
-    for f in fields:
-        if f.name not in d or (d[f.name] is None and f.default is None):
-            continue
-        # the annotations are strings, postponed by the solver module
-        kwargs[f.name] = _number(d[f.name], f"numerics.{f.name}", integer=f.type == "int")
     try:
-        return Numerics(**kwargs)
+        return Numerics(**d)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -67,6 +67,8 @@ __all__ = [
     "estimate_quadrature_error",
 ]
 
+R_DOUBLINGS = 40   # of the truncation radius from R = 1, at most
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -97,9 +99,8 @@ def build_grid(r: float, n_cells: int) -> Grid:
     return Grid(r=r, n_cells=n_cells, h=2.0 * r / n_cells, nodes=nodes)
 
 
-def choose_truncation(kernel, weights, eta, tol_trunc: float, g_sup: float,
-                      r_start: float = 1.0, max_doublings: int = 40) -> float:
-    """Smallest doubling R with both truncation criteria met at R/2.
+def choose_truncation(kernel, weights, tol_trunc: float, g_sup: float) -> float:
+    """Smallest R = 1, 2, 4, ... with both truncation criteria met at R/2.
 
     Criteria: the worst kernel tail mass beyond R/2, scaled by the largest
     nonlinearity value g_sup the solve can produce, and each weight's excess
@@ -111,9 +112,9 @@ def choose_truncation(kernel, weights, eta, tol_trunc: float, g_sup: float,
         raise ValueError("tol_trunc must be positive")
     if not (g_sup > 0.0):
         raise ValueError("g_sup must be positive")
-    n = len(eta)
-    r = float(r_start)
-    for _ in range(max_doublings):
+    n = kernel.n
+    r = 1.0
+    for _ in range(R_DOUBLINGS):
         half = r / 2.0
         worst_kernel = max(kernel_tail_mass(kernel, i, j, half)
                            for i in range(n) for j in range(n))

@@ -35,6 +35,7 @@ for it.
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from dataclasses import dataclass
@@ -43,6 +44,8 @@ import numpy as np
 from scipy import special
 
 SQRT_PI = math.sqrt(math.pi)
+MIXTURE_NODES = 96         # of ExpMixtureKernel's Gauss-Legendre rule in s
+MIXTURE_TAIL_CUT = 1e-14   # density mass it leaves beyond an infinite support's cut
 
 __all__ = [
     "KernelScalars",
@@ -123,13 +126,13 @@ class GaussianKernel:
 class ExpMixtureKernel:
     """K_ij(tau) = int_a^b exp(-|tau| s) L_ij(s) ds, L_ij(s) = c_ij s^p e^{-q s}.
 
-    Requires a > 0 (so 1/s stays bounded), finite p >= 0 and finite q. An
-    infinite b requires q > 0; the integral is then cut where the remaining
-    mass of L_ij(s)/s falls below `tail_tol` times the smallest coefficient.
+    Requires a > 0 (so 1/s stays bounded), finite p >= 0 and finite q. The
+    s integral is a 96-point Gauss-Legendre rule. An infinite b requires
+    q > 0; the rule then ends at the first doubling of a beyond which the
+    mass of s^(p-1) e^(-q s) is at most 1e-14.
     """
 
-    def __init__(self, coeffs, s_lo=1.0, s_hi=2.0, power=0.0, decay=0.0,
-                 n_quad=96, tail_tol=1e-14):
+    def __init__(self, coeffs, s_lo=1.0, s_hi=2.0, power=0.0, decay=0.0):
         self.coeffs = _check_coeffs(coeffs)
         if not (s_lo > 0.0):
             raise ValueError("mixture support must start at s > 0")
@@ -143,19 +146,18 @@ class ExpMixtureKernel:
         self.s_hi = float(s_hi)
         self.power = float(power)
         self.decay = float(decay)
-        self.tail_tol = float(tail_tol)
         if math.isinf(self.s_hi):
             if self.decay <= 0.0:
                 raise ValueError("infinite mixture support needs exponential decay > 0")
             cut = self.s_lo
-            while self._density_tail(cut) > tail_tol:
+            while self._density_tail(cut) > MIXTURE_TAIL_CUT:
                 cut *= 2.0
                 if cut > 1e12:
                     raise ValueError("mixture tail does not decay; non-integrable input")
             hi = cut
         else:
             hi = self.s_hi
-        nodes, wts = np.polynomial.legendre.leggauss(int(n_quad))
+        nodes, wts = np.polynomial.legendre.leggauss(MIXTURE_NODES)
         self._s = 0.5 * (hi - self.s_lo) * nodes + 0.5 * (hi + self.s_lo)
         self._w = 0.5 * (hi - self.s_lo) * wts
         self._dens = np.power(self._s, self.power) * np.exp(-self.decay * self._s)
@@ -194,10 +196,8 @@ class ExpMixtureKernel:
         return out if out.ndim else float(out)
 
     def _with_coeffs(self, coeffs) -> "ExpMixtureKernel":
-        out = ExpMixtureKernel.__new__(ExpMixtureKernel)
+        out = copy.copy(self)
         out.coeffs = coeffs
-        for name in ("s_lo", "s_hi", "power", "decay", "tail_tol", "_s", "_w", "_dens"):
-            setattr(out, name, getattr(self, name))
         return out
 
     def rescaled(self, factor: float) -> "ExpMixtureKernel":
@@ -335,11 +335,13 @@ def load_tabulated_kernel(path) -> TabulatedKernel:
     """
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    if not rows:
-        raise ValueError(f"empty kernel table {path}")
+    if len(rows) < 2:
+        raise ValueError(f"{path}: no data rows")
     header = [h.strip() for h in rows[0]]
     if header[0] != "tau":
         raise ValueError("first column must be 'tau'")
+    if len(header) < 2:
+        raise ValueError(f"{path}: no k_i_j column")
     pairs = []
     for name in header[1:]:
         parts = name.split("_")

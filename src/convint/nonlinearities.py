@@ -39,6 +39,8 @@ __all__ = [
     "load_tabulated_nonlin",
 ]
 
+SAMPLES = 64   # per sampled condition check, here and in problem.validate_problem
+
 
 def _check_eta(eta):
     eta = float(eta)
@@ -249,16 +251,16 @@ def phi_eval(model, sigma):
     return model.phi(sigma)
 
 
-def check_condition_iv(nl, phi, eta_j, xi_j, samples: int = 64, tol: float = 1e-12):
+def check_condition_iv(nl, phi, eta_j, xi_j, tol: float = 1e-12):
     """Sampled test of G(sigma u) >= phi(sigma) G(u) on [0,1] x [eta_j, xi_j].
 
     Returns (passed, worst_margin): the minimum of G(sigma u) - phi(sigma) G(u)
-    over the samples x samples array sigma u, which G evaluates in one call.
+    over the SAMPLES x SAMPLES array sigma u, which G evaluates in one call.
     """
     if not (xi_j > eta_j > 0.0):
         raise ValueError("need xi_j > eta_j > 0")
-    sig = np.linspace(0.0, 1.0, samples)
-    u = np.linspace(eta_j, xi_j, samples)
+    sig = np.linspace(0.0, 1.0, SAMPLES)
+    u = np.linspace(eta_j, xi_j, SAMPLES)
     gap = g_eval(nl, sig[:, None] * u) - phi_eval(phi, sig)[:, None] * g_eval(nl, u)
     margin = float(np.min(gap))
     return margin >= -tol, margin
@@ -292,7 +294,7 @@ def load_tabulated_nonlin(path, eta=None) -> TabulatedNonlin:
                 continue
             if stripped:
                 rows.append(next(csv.reader([stripped])))
-    if not rows:
+    if len(rows) < 2:
         raise ValueError(f"{path}: no data rows")
     header = [h.strip() for h in rows[0]]
     if header[:2] != ["u", "g"]:

@@ -36,10 +36,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import contraction_params, perron_vector, solve_xi, spectral_radius
+from .algebra import EIG_TOL, contraction_params, perron_vector, solve_xi, spectral_radius
 from .errors import MajorantError, SpectralError, ValidationFailure
 from .kernels import kernel_eval, kernel_scalars
-from .nonlinearities import check_condition_iv, chord_slope_gap, g_eval
+from .nonlinearities import SAMPLES, check_condition_iv, chord_slope_gap, g_eval
 from .weights import (ExcessIntegrals, TabulatedExcessWeight, build_b_matrix,
                       excess_tail_mass)
 
@@ -47,9 +47,6 @@ __all__ = ["ProblemSpec", "ConditionCheck", "ValidationReport", "normalize",
            "validate_problem"]
 
 CONDITION_IDS = ("1", "2", "a", "b", "I", "II", "III", "IV")
-
-# sample count per condition check; condition IV samples SAMPLES x SAMPLES
-SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -146,13 +143,13 @@ class ValidationReport:
 def normalize(kernel):
     """(kernel rescaled to unit spectral radius, its scalars, the
     eigenvector eta of its integral matrix with largest entry one, the
-    factor rho divided out). Both power iterations run to 1e-12, below
+    factor rho divided out). Both power iterations run to EIG_TOL, below
     spectral_radius's own default. Raises kernel_scalars' ValueError and
     SpectralError when a power iteration does not converge."""
-    rho = spectral_radius(kernel_scalars(kernel).a, 1e-12)
+    rho = spectral_radius(kernel_scalars(kernel).a, EIG_TOL)
     kernel = kernel.rescaled(1.0 / rho)
     scalars = kernel_scalars(kernel)
-    return kernel, scalars, perron_vector(scalars.a, 1e-12), rho
+    return kernel, scalars, perron_vector(scalars.a), rho
 
 
 def _weight_sample_grid(model):
@@ -355,7 +352,7 @@ def validate_problem(spec: ProblemSpec, scalars, eta,
             hi = top
             if hi <= lo:
                 lo = hi / 2.0
-        _, margin = check_condition_iv(nl, spec.phi, lo, hi, samples=SAMPLES, tol=tol)
+        _, margin = check_condition_iv(nl, spec.phi, lo, hi, tol)
         if _worse(margin, worst_iv):
             worst_iv, iv_at = margin, f"nonlin {j + 1} on [{lo:.6g}, {hi:.6g}]"
     checks.append(ConditionCheck(

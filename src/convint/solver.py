@@ -269,6 +269,7 @@ class Numerics:
     """Numeric controls of one run; the keys of a config's numerics block.
 
     Solving needs n_cells unless run_instance is handed a grid. Construction
+    stores a tolerance as a float and an integral n_cells as an int, and
     raises ValueError("numerics.<key> <must>") for a value its rule refuses.
     """
 
@@ -285,12 +286,15 @@ class Numerics:
             # the annotations are strings, postponed by this module; a bool
             # is an int to Python, but no number in a config
             integer = f.type == "int"
-            if not isinstance(value, int if integer else (int, float)) or isinstance(value, bool):
+            if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                    or integer and not (isinstance(value, int) or value.is_integer())):
                 raise ValueError(f"numerics.{f.name} must be "
                                  f"{'an integer' if integer else 'a number'} (got {value!r})")
+            value = int(value) if integer else float(value)
             ok, must = _NUMERICS_RULES[f.name]
             if not ok(value):
                 raise ValueError(f"numerics.{f.name} {must}")
+            object.__setattr__(self, f.name, value)
 
 
 @dataclass(frozen=True)
@@ -332,7 +336,7 @@ def run_instance(validation: ValidationReport, numerics: Numerics,
             raise ConfigError("set numerics.n_cells")
         # largest nonlinearity value the solve can reach
         g_sup = max(float(g_eval(nl, x)) for nl, x in zip(spec.nonlins, xi))
-        r = choose_truncation(spec.kernel, spec.weights, eta, num.tol_trunc, g_sup)
+        r = choose_truncation(spec.kernel, spec.weights, num.tol_trunc, g_sup)
         grid = build_grid(r, num.n_cells)
 
     plan = build_plan(spec, grid, eta)

@@ -374,7 +374,7 @@ def load_tabulated_excess(path) -> TabulatedExcessWeight:
                 rows.append(next(csv.reader([stripped])))
     if gamma is None:
         raise ValueError(f"{path}: missing '# gamma=...' metadata line")
-    if not rows:
+    if len(rows) < 2:
         raise ValueError(f"{path}: no data rows")
     header = [h.strip() for h in rows[0]]
     if header[:2] != ["t", "mu_minus_1"]:

@@ -172,7 +172,7 @@ def test_criterion_06_residual_and_unit_weight_variant(flagship):
     assert float(np.max(np.abs(xi - eta))) <= 1e-12
 
     g_sup = max(float(g_eval(nl, x)) for nl, x in zip(nonlins, xi))
-    r = choose_truncation(kernel, weights, eta, 1e-8, g_sup)
+    r = choose_truncation(kernel, weights, 1e-8, g_sup)
     grid = build_grid(r, 4096)
     slab = ValidationReport(spec=spec, scalars=scalars, eta=eta, excess=excess,
                             xi=(1.0 + 1e-6) * eta)

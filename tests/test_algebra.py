@@ -11,6 +11,7 @@ from convint import (
     PowerPhi,
     SpectralError,
     a_priori_iterations,
+    algebra,
     contraction_params,
     perron_vector,
     solve_xi,
@@ -42,9 +43,10 @@ class TestSpectral:
             assert np.all(eta > 0.0)
             assert float(np.max(np.abs(a @ eta - eta))) <= 1e-10
 
-    def test_perron_rejects_unnormalized(self):
-        with pytest.raises(SpectralError):
-            perron_vector(np.array([[2.0]]), max_iters=50)
+    def test_perron_rejects_unnormalized(self, monkeypatch):
+        monkeypatch.setattr(algebra, "STEP_CAP", 50)
+        with pytest.raises(SpectralError, match="radius estimate 2 "):
+            perron_vector(np.array([[2.0]]))
 
     def test_structural_rejects(self):
         with pytest.raises(ValueError):
@@ -91,8 +93,7 @@ class TestMajorant:
                 return np.square(np.asarray(u, dtype=float)) * 2.0
 
         with pytest.raises(MajorantError):
-            solve_xi(np.array([[1.0]]), np.array([[0.2]]), (Quadratic(),),
-                     np.ones(1), supersolution_cap=8)
+            solve_xi(np.array([[1.0]]), np.array([[0.2]]), (Quadratic(),), np.ones(1))
 
     def test_input_validation(self):
         nl = (PowerNonlin(0.5, 1.0),)

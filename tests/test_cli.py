@@ -627,6 +627,28 @@ class TestModeOverride:
 
 
 class TestTabulatedPipeline:
+    # a table with a header and no data rows, or a kernel table without a
+    # k_i_j column, is refused with the file's name
+    @pytest.mark.parametrize("section, variant, where, text, reason", [
+        ("kernel", "tabulated", "kernel", "tau,k_1_1\n", "no data rows"),
+        ("kernel", "tabulated", "kernel", "tau\n0\n1\n", "no k_i_j column"),
+        ("weights", "tabulated_excess", "weight 1", "# gamma=0.5\nt,mu_minus_1\n",
+         "no data rows"),
+        ("nonlins", "tabulated", "nonlin 1", "# eta=1.0\nu,g\n", "no data rows"),
+    ], ids=["kernel-header-only", "kernel-tau-only", "excess-header-only",
+            "map-header-only"])
+    def test_table_without_data_exits_1(self, tmp_path, capsys, section, variant,
+                                        where, text, reason):
+        table = tmp_path / "table.csv"
+        table.write_text(text)
+        doc = scalar_config(n_cells=512)
+        model = {"variant": variant, "path": table.name}
+        doc[section] = model if section == "kernel" else [model]
+        assert run_cli(tmp_path, doc) == 1
+        # one line, no traceback
+        assert capsys.readouterr().err == f"config error: {where}: {table}: {reason}\n"
+        assert not (tmp_path / "report.json").exists()
+
     def test_fully_tabulated_instance_solves(self, tmp_path):
         kern = write_kernel_table(tmp_path / "kernel.csv", n=2001)
         excess = write_excess_table(tmp_path / "excess.csv")

@@ -508,7 +508,7 @@ class TestCompactLayout:
 class TestTruncation:
     def test_reference_instance_radius(self):
         spec = scalar_spec()
-        r = choose_truncation(spec.kernel, spec.weights, [1.0], 1e-8, g_sup=1.2)
+        r = choose_truncation(spec.kernel, spec.weights, 1e-8, g_sup=1.2)
         assert r == 32.0
         # the weight tail is what forces the last doubling: too heavy at 8,
         # small enough at 16 (criteria are judged at half the candidate R)
@@ -523,16 +523,14 @@ class TestTruncation:
 
         spec = scalar_spec()
         with pytest.raises(SolveError, match="decay too slowly"):
-            choose_truncation(
-                spec.kernel, (StickyWeight(),), [1.0], 1e-8, g_sup=1.0, max_doublings=6
-            )
+            choose_truncation(spec.kernel, (StickyWeight(),), 1e-8, g_sup=1.0)
 
     def test_bad_inputs_rejected(self):
         spec = scalar_spec()
         with pytest.raises(ValueError):
-            choose_truncation(spec.kernel, spec.weights, [1.0], 0.0, g_sup=1.0)
+            choose_truncation(spec.kernel, spec.weights, 0.0, g_sup=1.0)
         with pytest.raises(ValueError):
-            choose_truncation(spec.kernel, spec.weights, [1.0], 1e-8, g_sup=0.0)
+            choose_truncation(spec.kernel, spec.weights, 1e-8, g_sup=0.0)
 
 
 class TestQuadratureBudget:

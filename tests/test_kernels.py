@@ -199,6 +199,15 @@ class TestLoader:
         with pytest.raises(ValueError):
             load_tabulated_kernel(p)
 
+    def test_table_without_data_refused(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        for text, reason in [("tau,k_1_1\n", "no data rows"),
+                             ("# header only\ntau,k_1_1,k_1_2,k_2_2\n\n", "no data rows"),
+                             ("tau\n0\n1\n", "no k_i_j column")]:
+            p.write_text(text)
+            with pytest.raises(ValueError, match=f"bad.csv: {reason}$"):
+                load_tabulated_kernel(p)
+
 
 def test_kernel_eval_index_range():
     model = GaussianKernel([[1.0]])

@@ -20,6 +20,7 @@ from convint import (
     chord_slope_gap,
     g_eval,
     load_tabulated_nonlin,
+    nonlinearities,
     phi_eval,
 )
 from conftest import write_linear_nonlin_table, write_nonlin_table
@@ -156,11 +157,11 @@ def test_chord_slope_gap_array_domain(bad):
 @pytest.mark.parametrize("nl", [FAMILIES[0], FAMILIES[2], FAMILIES[4], sqrt_table()],
                          ids=lambda nl: type(nl).__name__)
 @pytest.mark.parametrize("p", [0.3, 0.6, 1.0])
-def test_condition_iv_matches_row_loop(nl, p):
+def test_condition_iv_matches_row_loop(nl, p, monkeypatch):
     phi = PowerPhi(p)
     for samples in (2, 7, 64):
-        ok, margin = check_condition_iv(nl, phi, nl.eta, 2.0 * nl.eta,
-                                        samples=samples, tol=0.0)
+        monkeypatch.setattr(nonlinearities, "SAMPLES", samples)
+        ok, margin = check_condition_iv(nl, phi, nl.eta, 2.0 * nl.eta, tol=0.0)
         assert margin == condition_iv_margin_rows(nl, phi, nl.eta, 2.0 * nl.eta, samples)
         assert ok == (margin >= 0.0)
         # p = 0.3 is below every model's exponent: the failing side is
@@ -207,6 +208,12 @@ class TestTabulated:
             load_tabulated_nonlin(p)
         nl = load_tabulated_nonlin(p, eta=1.0)
         assert nl.eta == 1.0
+
+    def test_header_only_table_refused(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("# eta=1.0\nu,g\n")
+        with pytest.raises(ValueError, match="bad.csv: no data rows$"):
+            load_tabulated_nonlin(p)
 
 
 def _read_table(path):

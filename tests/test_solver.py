@@ -2,6 +2,7 @@
 post-solve diagnostics."""
 
 import dataclasses
+import inspect
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from conftest import build_pipeline, flagship_models, step_envelopes
 
-from convint import cli, solver
+from convint import algebra, cli, discretization, kernels, nonlinearities, solver
 from convint.algebra import a_priori_iterations, contraction_params
 from convint.discretization import apply_operator, build_grid
 from convint.errors import SolveError
@@ -227,17 +228,19 @@ class TestStoppingRules:
                 Numerics(**{key: float("inf")})
         # None stands for an unset default only
         assert Numerics(n_cells=None) == Numerics()
-        # the type comes first: an int field takes an int, a float field an
-        # int or a float, and a bool is neither
-        for key, value, must in [("n_cells", 512.0, "an integer"),
-                                 ("n_cells", 2.5, "an integer"),
+        # the type comes first: an int field takes an integral number, a
+        # float field any number, and a bool is neither
+        for key, value, must in [("n_cells", 2.5, "an integer"),
                                  ("n_cells", True, "an integer"),
                                  ("tol_validate", None, "a number"),
                                  ("tol_stop", "abc", "a number"),
                                  ("tol_stop", False, "a number")]:
             with pytest.raises(ValueError, match=rf"^numerics\.{key} must be {must} \(got "):
                 Numerics(**{key: value})
-        assert Numerics(tol_stop=1, n_cells=512).tol_stop == 1
+        # stored as the field's type, as a config's numbers are
+        num = Numerics(tol_stop=1, n_cells=512.0)
+        assert num.n_cells == 512 and isinstance(num.n_cells, int)
+        assert num.tol_stop == 1.0 and isinstance(num.tol_stop, float)
 
     def test_numerics_holds_the_four_run_knobs(self):
         # the iteration cap, the guard slack and the validation sample count
@@ -245,6 +248,18 @@ class TestStoppingRules:
         assert [f.name for f in dataclasses.fields(Numerics)] == [
             "tol_trunc", "tol_stop", "tol_validate", "n_cells"]
         assert solver.MAX_ITERS == 400
+
+    def test_fixed_numerics_are_not_parameters(self):
+        # the step and doubling caps, the stopping tolerances, the sample
+        # count and the mixture rule are module constants, not keywords
+        removed = {algebra.spectral_radius: {"max_iters"},
+                   algebra.perron_vector: {"tol", "max_iters"},
+                   algebra.solve_xi: {"tol", "supersolution_cap", "max_iters"},
+                   discretization.choose_truncation: {"eta", "r_start", "max_doublings"},
+                   nonlinearities.check_condition_iv: {"samples"},
+                   kernels.ExpMixtureKernel: {"n_quad", "tail_tol"}}
+        for fn, names in removed.items():
+            assert not names & set(inspect.signature(fn).parameters), fn.__name__
 
     def test_sweep_yields_positions_in_sorted_eps(self, coarse):
         # largest first, then increasing; equal eps values run once each

@@ -276,6 +276,12 @@ class TestLoader:
         with pytest.raises(ValueError):
             load_tabulated_excess(p)
 
+    def test_header_only_table_refused(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("# gamma=0.5\nt,mu_minus_1\n")
+        with pytest.raises(ValueError, match="bad.csv: no data rows$"):
+            load_tabulated_excess(p)
+
 
 def test_excess_tail_mass_negative_start():
     with pytest.raises(ValueError):
