@@ -30,7 +30,7 @@ def main():
     weights = (ExpSqrtWeight(eps=0.1),)
     nonlins = (PowerNonlin(alpha=0.5, eta=float(eta[0])),)
     phi = PowerPhi(p=0.5)
-    spec = ProblemSpec(n=1, kernel=kern, weights=weights, nonlins=nonlins,
+    spec = ProblemSpec(kernel=kern, weights=weights, nonlins=nonlins,
                        phi=phi)
     report = validate_problem(spec, scalars, eta)
     for check in report.checks:

@@ -39,7 +39,7 @@ def main():
     nonlins = (TwoPowerMeanNonlin(alpha=0.4, beta=0.7, eta=float(eta[0])),
                RootPowerMeanNonlin(alpha=0.5, eta=float(eta[1])))
     phi = PowerPhi(p=0.7)
-    spec = ProblemSpec(n=2, kernel=kern, weights=weights, nonlins=nonlins,
+    spec = ProblemSpec(kernel=kern, weights=weights, nonlins=nonlins,
                        phi=phi)
     # run_instance refuses a report with a failed condition
     report = validate_problem(spec, scalars, eta)

@@ -21,7 +21,7 @@ def build_report():
     """Validation report of the instance; it carries the spec, the kernel
     scalars, eta and the majorant xi."""
     kern, scalars, eta, _ = normalize(GaussianKernel(coeffs=np.array([[1.0]])))
-    spec = ProblemSpec(n=1, kernel=kern,
+    spec = ProblemSpec(kernel=kern,
                        weights=(ExpSqrtWeight(eps=0.1),),
                        nonlins=(PowerNonlin(alpha=0.5, eta=float(eta[0])),),
                        phi=PowerPhi(p=0.5))

@@ -305,7 +305,7 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
         nonlins = [_build("nonlin", cfg, f"nonlin {j + 1}", base, eta=float(eta[j]))
                    for j, cfg in enumerate(config.raw["nonlins"])]
         try:
-            spec = ProblemSpec(n=len(weights), kernel=kernel, weights=weights,
+            spec = ProblemSpec(kernel=kernel, weights=weights,
                                nonlins=nonlins, phi=_build("phi", config.raw["phi"], "phi", base))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

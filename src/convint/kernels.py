@@ -36,12 +36,13 @@ for it.
 from __future__ import annotations
 
 import copy
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+
+from ._tables import read_table
 
 SQRT_PI = math.sqrt(math.pi)
 MIXTURE_NODES = 96         # of ExpMixtureKernel's Gauss-Legendre rule in s
@@ -333,32 +334,27 @@ def load_tabulated_kernel(path) -> TabulatedKernel:
 
     Missing lower-triangle columns are filled by symmetry.
     """
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    if len(rows) < 2:
-        raise ValueError(f"{path}: no data rows")
-    header = [h.strip() for h in rows[0]]
-    if header[0] != "tau":
-        raise ValueError("first column must be 'tau'")
-    if len(header) < 2:
-        raise ValueError(f"{path}: no k_i_j column")
-    pairs = []
-    for name in header[1:]:
-        parts = name.split("_")
-        if len(parts) != 3 or parts[0] != "k":
-            raise ValueError(f"bad kernel column name {name!r}; expected k_i_j")
-        i, j = int(parts[1]) - 1, int(parts[2]) - 1
-        if i > j:
-            raise ValueError(f"kernel column {name!r} must have i <= j")
-        pairs.append((i, j))
-    n = max(j for _, j in pairs) + 1
-    need = {(i, j) for i in range(n) for j in range(i, n)}
-    if set(pairs) != need:
-        raise ValueError("kernel table must list every pair i <= j exactly once")
-    data = np.array([[float(x) for x in row] for row in rows[1:]])
-    tau = data[:, 0]
-    tables = np.zeros((n, n, tau.size))
-    for col, (i, j) in enumerate(pairs, start=1):
-        tables[i, j] = data[:, col]
-        tables[j, i] = data[:, col]
-    return TabulatedKernel(tau, tables)
+    with read_table(path) as (header, data, _):
+        if header[0] != "tau":
+            raise ValueError("first column must be 'tau'")
+        if len(header) < 2:
+            raise ValueError("no k_i_j column")
+        pairs = []
+        for name in header[1:]:
+            parts = name.split("_")
+            if len(parts) != 3 or parts[0] != "k" or not all(p.isdecimal() for p in parts[1:]):
+                raise ValueError(f"bad kernel column name {name!r}; expected k_i_j")
+            i, j = int(parts[1]) - 1, int(parts[2]) - 1
+            if i > j:
+                raise ValueError(f"kernel column {name!r} must have i <= j")
+            pairs.append((i, j))
+        n = max(j for _, j in pairs) + 1
+        need = {(i, j) for i in range(n) for j in range(i, n)}
+        if set(pairs) != need:
+            raise ValueError("kernel table must list every pair i <= j exactly once")
+        tau = data[:, 0]
+        tables = np.zeros((n, n, tau.size))
+        for col, (i, j) in enumerate(pairs, start=1):
+            tables[i, j] = data[:, col]
+            tables[j, i] = data[:, col]
+        return TabulatedKernel(tau, tables)

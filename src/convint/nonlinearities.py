@@ -20,10 +20,11 @@ acceptance only by passing the sampled property checks downstream.
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
+
+from ._tables import read_table
 
 __all__ = [
     "PowerNonlin",
@@ -282,26 +283,11 @@ def chord_slope_gap(model, u_lo, u_hi: float):
 
 def load_tabulated_nonlin(path, eta=None) -> TabulatedNonlin:
     """Read a CSV with columns u, g; eta from a '# eta=...' line or the argument."""
-    rows = []
-    file_eta = None
-    with open(path, newline="") as fh:
-        for raw in fh:
-            stripped = raw.strip()
-            if stripped.startswith("#"):
-                body = stripped.lstrip("#").strip()
-                if body.replace(" ", "").startswith("eta="):
-                    file_eta = float(body.split("=", 1)[1])
-                continue
-            if stripped:
-                rows.append(next(csv.reader([stripped])))
-    if len(rows) < 2:
-        raise ValueError(f"{path}: no data rows")
-    header = [h.strip() for h in rows[0]]
-    if header[:2] != ["u", "g"]:
-        raise ValueError(f"{path}: expected columns u, g")
-    if eta is None:
-        eta = file_eta
-    if eta is None:
-        raise ValueError(f"{path}: eta not declared (file metadata or config)")
-    data = np.array([[float(x) for x in row[:2]] for row in rows[1:]])
-    return TabulatedNonlin(data[:, 0], data[:, 1], eta)
+    with read_table(path, "eta") as (header, data, file_eta):
+        if header[:2] != ["u", "g"]:
+            raise ValueError("expected columns u, g")
+        if eta is None:
+            eta = file_eta
+        if eta is None:
+            raise ValueError("eta not declared (file metadata or config)")
+        return TabulatedNonlin(data[:, 0], data[:, 1], eta)

@@ -25,8 +25,12 @@ contraction constants (sigma, k) from it on first use.
 
 Continuous statements are checked on deterministic sample grids of SAMPLES
 points: uniform in u, logarithmic in |t| so both the singularity and the
-tail of each weight are probed. validate_problem collects failures into the
-report and raises none; its require_passed raises them as ValidationFailure.
+tail of each weight are probed. Each sampled condition reports its worst
+sample by one rule: the smallest value, or the largest for a defect; on a
+tie the first component and its first sample; a NaN is worse than any
+number and the first one stays the worst, so the condition fails on it.
+validate_problem collects failures into the report and raises none; its
+require_passed raises them as ValidationFailure.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ CONDITION_IDS = ("1", "2", "a", "b", "I", "II", "III", "IV")
 class ProblemSpec:
     """One complete instance; structural shape is enforced at construction."""
 
-    n: int
     kernel: object
     weights: tuple
     nonlins: tuple
@@ -61,15 +64,17 @@ class ProblemSpec:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("n must be at least 1")
+            raise ValueError("the kernel must have at least one component")
         object.__setattr__(self, "weights", tuple(self.weights))
         object.__setattr__(self, "nonlins", tuple(self.nonlins))
-        if self.kernel.n != self.n:
-            raise ValueError(f"expected a {self.n}-component kernel, got {self.kernel.n}")
         if len(self.weights) != self.n:
             raise ValueError(f"expected {self.n} weights, got {len(self.weights)}")
         if len(self.nonlins) != self.n:
             raise ValueError(f"expected {self.n} nonlinearities, got {len(self.nonlins)}")
+
+    @property
+    def n(self) -> int:
+        return self.kernel.n
 
 
 @dataclass(frozen=True)
@@ -166,17 +171,18 @@ def _weight_sample_grid(model):
     return np.clip(np.logspace(np.log10(lo), np.log10(hi), SAMPLES), lo, hi)
 
 
-def _worse(x, worst) -> bool:
-    """Whether sample x replaces the running worst (smallest) value: when it
-    is smaller or NaN. A NaN, once recorded, stays the worst, so the
-    condition fails on it."""
-    return not (x >= worst) and worst == worst
-
-
-def _larger(x, worst) -> bool:
-    """_worse for a running largest value (a defect): x replaces worst when
-    it is larger or NaN, and a recorded NaN stays."""
-    return not (x <= worst) and worst == worst
+def _worst(samples, largest=False):
+    """(value, k, m) of the worst sample, samples[k][m], by the module's rule;
+    (start, None, None) when none beats the start: +inf, or 0 for a defect."""
+    pick = np.argmax if largest else np.argmin
+    worst, at_k, at_m = (0.0 if largest else np.inf), None, None
+    for k, values in enumerate(samples):
+        m = int(pick(values))
+        x = float(values[m])
+        # argmin and argmax return the first NaN; a recorded NaN stays
+        if worst == worst and (x != x or (x > worst if largest else x < worst)):
+            worst, at_k, at_m = x, k, m
+    return worst, at_k, at_m
 
 
 def validate_problem(spec: ProblemSpec, scalars, eta,
@@ -189,21 +195,18 @@ def validate_problem(spec: ProblemSpec, scalars, eta,
     checks, excess, xi, majorant_error = [], None, None, None
 
     # condition 1: evenness, index symmetry, strict positivity of the kernel
-    span = spec.kernel.sample_span()
-    taus = np.linspace(0.0, span, SAMPLES)
-    min_val, min_at = np.inf, ""
-    asym = 0.0
+    taus = np.linspace(0.0, spec.kernel.sample_span(), SAMPLES)
+    values, asymmetries = [], []
     for i in range(spec.n):
         for j in range(spec.n):
             k_pos = np.asarray(kernel_eval(spec.kernel, i, j, taus), dtype=float)
             k_neg = np.asarray(kernel_eval(spec.kernel, i, j, -taus), dtype=float)
             k_ji = np.asarray(kernel_eval(spec.kernel, j, i, taus), dtype=float)
-            m = int(np.argmin(k_pos))
-            if _worse(k_pos[m], min_val):
-                min_val, min_at = float(k_pos[m]), f"K[{i},{j}] at tau={taus[m]:.6g}"
-            # np.max, unlike Python's max, keeps a NaN
-            asym = float(np.max([asym, np.max(np.abs(k_pos - k_neg)),
-                                 np.max(np.abs(k_pos - k_ji))]))
+            values.append(k_pos)
+            asymmetries += [np.abs(k_pos - k_neg), np.abs(k_pos - k_ji)]
+    min_val, ij, m = _worst(values)
+    min_at = "" if ij is None else f"K[{ij // spec.n},{ij % spec.n}] at tau={taus[m]:.6g}"
+    asym = _worst(asymmetries, largest=True)[0]
     scale = float(np.max(scalars.sup))
     ok_pos = min_val > 0.0
     ok_sym = asym <= tol * scale
@@ -238,15 +241,12 @@ def validate_problem(spec: ProblemSpec, scalars, eta,
         checks.append(ConditionCheck("2", not note2, at2, worst2, tol, note2))
 
     # condition a: mu > 1, i.e. strictly positive excess at every sample
-    worst_exc, worst_at = np.inf, ""
-    for j, w in enumerate(spec.weights):
-        grid = _weight_sample_grid(w)
-        for sgn in (1.0, -1.0):
-            vals = np.asarray(w.excess(sgn * grid), dtype=float)
-            m = int(np.argmin(vals))
-            if _worse(vals[m], worst_exc):
-                worst_exc = float(vals[m])
-                worst_at = f"t={sgn * grid[m]:.6g} (weight {j + 1})"
+    # the samples alternate t > 0 and t < 0, weight by weight
+    grids = [_weight_sample_grid(w) for w in spec.weights]
+    worst_exc, k, m = _worst([np.asarray(w.excess(sgn * grid), dtype=float)
+                              for w, grid in zip(spec.weights, grids) for sgn in (1.0, -1.0)])
+    worst_at = ("" if k is None else
+                f"t={(1.0, -1.0)[k % 2] * grids[k // 2][m]:.6g} (weight {k // 2 + 1})")
     checks.append(ConditionCheck(
         "a", worst_exc > 0.0, worst_at, worst_exc, 0.0,
         "" if worst_exc > 0.0 else "weight does not exceed one"))
@@ -279,21 +279,16 @@ def validate_problem(spec: ProblemSpec, scalars, eta,
         xi_ref = 4.0 * eta
         xi_note = xi_note or "majorant unavailable; using 4 eta"
     u_top = 2.0 * float(np.max(xi_ref))
-
-    def sample_top(nl) -> float:
-        # tabulated models are only defined up to their last sample
-        u_max = getattr(nl, "u_max", None)
-        return u_top if u_max is None else min(u_top, float(u_max))
+    # tabulated models are only defined up to their last sample
+    tops = [u_top if getattr(nl, "u_max", None) is None else min(u_top, float(nl.u_max))
+            for nl in spec.nonlins]
 
     # condition I: strictly increasing on [0, 2 xi]
-    worst_inc, inc_at = np.inf, ""
-    for j, nl in enumerate(spec.nonlins):
-        u_grid = np.linspace(0.0, sample_top(nl), SAMPLES)
-        diffs = np.diff(np.asarray(g_eval(nl, u_grid), dtype=float))
-        m = int(np.argmin(diffs))
-        if _worse(diffs[m], worst_inc):
-            worst_inc = float(diffs[m])
-            inc_at = f"u in [{u_grid[m]:.6g}, {u_grid[m + 1]:.6g}] (nonlin {j + 1})"
+    u_grids = [np.linspace(0.0, top, SAMPLES) for top in tops]
+    worst_inc, j, m = _worst([np.diff(np.asarray(g_eval(nl, u), dtype=float))
+                              for nl, u in zip(spec.nonlins, u_grids)])
+    inc_at = ("" if j is None else
+              f"u in [{u_grids[j][m]:.6g}, {u_grids[j][m + 1]:.6g}] (nonlin {j + 1})")
     checks.append(ConditionCheck(
         "I", worst_inc > 0.0, inc_at, worst_inc, 0.0,
         "smallest sampled increment" if worst_inc > 0.0 else "not strictly increasing"))
@@ -315,46 +310,34 @@ def validate_problem(spec: ProblemSpec, scalars, eta,
             uncovered.append((eta_j - float(cover), at, "table does not cover the computed eta"))
         else:
             defects.append((abs(float(g_eval(nl, eta_j)) - eta_j), at, ""))
-    worst_fp, fp_at, note2b = 0.0, "u=0", ""
-    for defect in uncovered or defects:
-        if _larger(defect[0], worst_fp):
-            worst_fp, fp_at, note2b = defect
+    defects = uncovered or defects
+    worst_fp, _, m = _worst([[d[0] for d in defects]], largest=True)
+    fp_at, note2b = ("u=0", "") if m is None else defects[m][1:]
     okII = worst_fp <= tol
     checks.append(ConditionCheck(
         "II", okII, fp_at, worst_fp, tol, note2b if not okII else ""))
 
     # condition III: strict concavity via the chord-slope gap
-    worst_gap, gap_at = np.inf, ""
-    for j, nl in enumerate(spec.nonlins):
-        top_j = sample_top(nl)
-        lo_grid = np.linspace(top_j / SAMPLES, top_j * (1.0 - 1.0 / SAMPLES),
-                              SAMPLES - 1)
-        gaps = chord_slope_gap(nl, lo_grid, top_j)
-        m = int(np.argmin(gaps))
-        if _worse(gaps[m], worst_gap):
-            worst_gap = float(gaps[m])
-            gap_at = f"u_lo={lo_grid[m]:.6g}, u_hi={top_j:.6g} (nonlin {j + 1})"
+    lo_grids = [np.linspace(top / SAMPLES, top * (1.0 - 1.0 / SAMPLES), SAMPLES - 1)
+                for top in tops]
+    worst_gap, j, m = _worst([chord_slope_gap(nl, lo, top)
+                              for nl, lo, top in zip(spec.nonlins, lo_grids, tops)])
+    gap_at = ("" if j is None else
+              f"u_lo={lo_grids[j][m]:.6g}, u_hi={tops[j]:.6g} (nonlin {j + 1})")
     checks.append(ConditionCheck(
         "III", worst_gap > tol, gap_at, worst_gap, tol,
         "smallest chord-slope gap" if worst_gap > tol else "concavity not strict"))
 
-    # condition IV: scaling inequality on [0,1] x [eta_j, xi_j]
-    worst_iv, iv_at = np.inf, ""
-    for j, nl in enumerate(spec.nonlins):
-        lo = float(eta[j])
-        hi = max(float(xi_ref[j]), lo * (1.0 + 1e-9))
-        if hi <= lo * (1.0 + 1e-12):
-            hi = 2.0 * lo
-        top = sample_top(nl)
-        if top < hi:
-            # the table ends inside the nominal rectangle; probe what it
-            # covers (condition II separately flags the coverage gap)
-            hi = top
-            if hi <= lo:
-                lo = hi / 2.0
-        _, margin = check_condition_iv(nl, spec.phi, lo, hi, tol)
-        if _worse(margin, worst_iv):
-            worst_iv, iv_at = margin, f"nonlin {j + 1} on [{lo:.6g}, {hi:.6g}]"
+    # condition IV: scaling inequality on [0,1] x [eta_j, xi_j]; where a
+    # table ends inside that rectangle, on the part it covers (condition II
+    # separately flags the coverage gap)
+    boxes = []
+    for lo, xi_j, top in zip(eta.tolist(), xi_ref.tolist(), tops):
+        hi = min(max(xi_j, lo * (1.0 + 1e-9)), top)
+        boxes.append((hi / 2.0 if hi <= lo else lo, hi))
+    worst_iv, _, j = _worst([[check_condition_iv(nl, spec.phi, lo, hi, tol)[1]
+                              for nl, (lo, hi) in zip(spec.nonlins, boxes)]])
+    iv_at = "" if j is None else f"nonlin {j + 1} on [{boxes[j][0]:.6g}, {boxes[j][1]:.6g}]"
     checks.append(ConditionCheck(
         "IV", worst_iv >= -tol, iv_at, worst_iv, tol, xi_note))
 

@@ -31,12 +31,13 @@ Built-ins:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+
+from ._tables import read_table
 
 SQRT_PI = math.sqrt(math.pi)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
@@ -360,24 +361,9 @@ def load_tabulated_excess(path) -> TabulatedExcessWeight:
 
     Tables without the declared singularity exponent are refused.
     """
-    gamma = None
-    rows = []
-    with open(path, newline="") as fh:
-        for raw in fh:
-            stripped = raw.strip()
-            if stripped.startswith("#"):
-                body = stripped.lstrip("#").strip()
-                if body.replace(" ", "").startswith("gamma="):
-                    gamma = float(body.split("=", 1)[1])
-                continue
-            if stripped:
-                rows.append(next(csv.reader([stripped])))
-    if gamma is None:
-        raise ValueError(f"{path}: missing '# gamma=...' metadata line")
-    if len(rows) < 2:
-        raise ValueError(f"{path}: no data rows")
-    header = [h.strip() for h in rows[0]]
-    if header[:2] != ["t", "mu_minus_1"]:
-        raise ValueError(f"{path}: expected columns t, mu_minus_1")
-    data = np.array([[float(x) for x in row[:2]] for row in rows[1:]])
-    return TabulatedExcessWeight(data[:, 0], data[:, 1], gamma)
+    with read_table(path, "gamma") as (header, data, gamma):
+        if gamma is None:
+            raise ValueError("missing '# gamma=...' metadata line")
+        if header[:2] != ["t", "mu_minus_1"]:
+            raise ValueError("expected columns t, mu_minus_1")
+        return TabulatedExcessWeight(data[:, 0], data[:, 1], gamma)

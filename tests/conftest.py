@@ -34,7 +34,7 @@ def build_pipeline(kernel, weights, make_nonlins, phi, tol_trunc, n_cells,
     run_instance, which refuses a failed report, and hand back its
     RunResult."""
     kern, scalars, eta, _ = normalize(kernel)
-    spec = ProblemSpec(n=len(weights), kernel=kern, weights=tuple(weights),
+    spec = ProblemSpec(kernel=kern, weights=tuple(weights),
                        nonlins=tuple(make_nonlins(eta)), phi=phi)
     numerics = Numerics(tol_trunc=tol_trunc, n_cells=n_cells, tol_stop=tol_stop)
     return run_instance(validate_problem(spec, scalars, eta), numerics, grid)

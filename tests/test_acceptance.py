@@ -165,7 +165,7 @@ def test_criterion_06_residual_and_unit_weight_variant(flagship):
     kernel, scalars, eta, _ = normalize(models["kernel"])
     weights = (ExpSqrtWeight(0.0),)
     nonlins = tuple(models["make_nonlins"](eta))
-    spec = ProblemSpec(n=1, kernel=kernel, weights=weights, nonlins=nonlins,
+    spec = ProblemSpec(kernel=kernel, weights=weights, nonlins=nonlins,
                        phi=models["phi"])
     excess = build_b_matrix(weights, scalars)
     xi = solve_xi(scalars.a, excess.b, nonlins, eta)
@@ -226,7 +226,7 @@ def test_criterion_08_uniqueness_probe(flagship_hires, coupled):
 
 
 def test_criterion_09_discretization_order():
-    spec = ProblemSpec(n=1, kernel=GaussianKernel([[1.0]]),
+    spec = ProblemSpec(kernel=GaussianKernel([[1.0]]),
                        weights=(ExpSqrtWeight(0.1),),
                        nonlins=(PowerNonlin(0.5, 1.0),),
                        phi=PowerPhi(0.5))

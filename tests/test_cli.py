@@ -627,16 +627,44 @@ class TestModeOverride:
 
 
 class TestTabulatedPipeline:
-    # a table with a header and no data rows, or a kernel table without a
-    # k_i_j column, is refused with the file's name
+    # a malformed table is refused with the file's name, and with the line
+    # when one row is at fault
     @pytest.mark.parametrize("section, variant, where, text, reason", [
         ("kernel", "tabulated", "kernel", "tau,k_1_1\n", "no data rows"),
         ("kernel", "tabulated", "kernel", "tau\n0\n1\n", "no k_i_j column"),
         ("weights", "tabulated_excess", "weight 1", "# gamma=0.5\nt,mu_minus_1\n",
          "no data rows"),
         ("nonlins", "tabulated", "nonlin 1", "# eta=1.0\nu,g\n", "no data rows"),
+        ("nonlins", "tabulated", "nonlin 1", "# eta=1.0\nu,g\n0,0\n1\n2,1.4\n",
+         "line 4: expected 2 numbers, got [1.0]"),
+        ("weights", "tabulated_excess", "weight 1",
+         "# gamma=0.5\nt,mu_minus_1\n0.1,1.0\n0.2\n1.0,0.1\n",
+         "line 4: expected 2 numbers, got [0.2]"),
+        ("kernel", "tabulated", "kernel", "tau,k_1_1\n0,1\n1\n2,0.5\n",
+         "line 3: expected 2 numbers, got [1.0]"),
+        ("kernel", "tabulated", "kernel", "tau,k_1_1\n0,1\n1,\n2,0.5\n",
+         "line 3: expected 2 numbers, got [1.0, '']"),
+        ("kernel", "tabulated", "kernel", "x,k_1_1\n0,1\n1,0.5\n",
+         "first column must be 'tau'"),
+        ("kernel", "tabulated", "kernel", "tau,k_a_1\n0,1\n1,0.5\n",
+         "bad kernel column name 'k_a_1'; expected k_i_j"),
+        ("kernel", "tabulated", "kernel", "tau,k_2_1\n0,1\n1,0.5\n",
+         "kernel column 'k_2_1' must have i <= j"),
+        ("kernel", "tabulated", "kernel", "tau,k_1_1,k_2_2\n0,1,1\n1,0.5,0.5\n",
+         "kernel table must list every pair i <= j exactly once"),
+        ("nonlins", "tabulated", "nonlin 1", "# eta=1.0\nu,g\n0,0\n1,x\n",
+         "line 4: could not convert string to float: 'x'"),
+        ("weights", "tabulated_excess", "weight 1",
+         "# gamma=abc\nt,mu_minus_1\n0.1,1.0\n1.0,0.1\n",
+         "line 1: could not convert string to float: 'abc'"),
+        ("nonlins", "tabulated", "nonlin 1", "# eta=1.0\nu,g\n0,0\n2,1.4\n1,1\n",
+         "u samples must be strictly increasing, at least three"),
     ], ids=["kernel-header-only", "kernel-tau-only", "excess-header-only",
-            "map-header-only"])
+            "map-header-only", "map-short-row", "excess-short-row", "kernel-short-row",
+            "kernel-empty-cell",
+            "kernel-first-column", "kernel-column-name", "kernel-lower-pair",
+            "kernel-missing-pair", "map-non-numeric", "excess-bad-gamma",
+            "map-not-increasing"])
     def test_table_without_data_exits_1(self, tmp_path, capsys, section, variant,
                                         where, text, reason):
         table = tmp_path / "table.csv"

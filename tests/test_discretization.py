@@ -32,7 +32,6 @@ from convint.weights import ExpSqrtWeight, excess_integral, excess_tail_mass
 
 def scalar_spec(eps: float = 0.1) -> ProblemSpec:
     return ProblemSpec(
-        n=1,
         kernel=GaussianKernel([[1.0]]),
         weights=(ExpSqrtWeight(eps),),
         nonlins=(PowerNonlin(0.5, 1.0),),
@@ -285,7 +284,7 @@ class TestApplyOperator:
         # 100, and at 64 cells lag 2m wraps to residue 0; at R = 64 the
         # compact layout runs, as for the scalar kernel
         models = coupled_models()
-        spec = ProblemSpec(n=2, kernel=models["kernel"], weights=models["weights"],
+        spec = ProblemSpec(kernel=models["kernel"], weights=models["weights"],
                            nonlins=models["make_nonlins"]([1.0, 0.8]), phi=models["phi"])
         grid = build_grid(r, n_cells)
         plan = build_plan(spec, grid, [1.0, 0.8])
@@ -351,7 +350,7 @@ def two_tables(tau):
 def pair_spec(kernel):
     """The coupled pair's weights, maps and scaling with the given kernel."""
     models = coupled_models()
-    return ProblemSpec(n=2, kernel=kernel, weights=models["weights"],
+    return ProblemSpec(kernel=kernel, weights=models["weights"],
                        nonlins=models["make_nonlins"]([1.0, 0.8]), phi=models["phi"])
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -186,26 +187,39 @@ class TestLoader:
 
     def test_bad_headers_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
-        p.write_text("x,k_1_1\n0,1\n1,0.5\n")
-        with pytest.raises(ValueError):
-            load_tabulated_kernel(p)
-        p.write_text("tau,q_1_1\n0,1\n1,0.5\n")
-        with pytest.raises(ValueError):
-            load_tabulated_kernel(p)
-        p.write_text("tau,k_2_1\n0,1\n1,0.5\n")
-        with pytest.raises(ValueError):
-            load_tabulated_kernel(p)
-        p.write_text("tau,k_1_1,k_2_2\n0,1,1\n1,0.5,0.5\n")
-        with pytest.raises(ValueError):
-            load_tabulated_kernel(p)
+        for text, reason in [
+                ("x,k_1_1\n0,1\n1,0.5\n", "first column must be 'tau'"),
+                ("tau,q_1_1\n0,1\n1,0.5\n", "bad kernel column name 'q_1_1'; expected k_i_j"),
+                ("tau,k_a_1\n0,1\n1,0.5\n", "bad kernel column name 'k_a_1'; expected k_i_j"),
+                ("tau,k_2_1\n0,1\n1,0.5\n", "kernel column 'k_2_1' must have i <= j"),
+                ("tau,k_1_1,k_2_2\n0,1,1\n1,0.5,0.5\n",
+                 "kernel table must list every pair i <= j exactly once")]:
+            p.write_text(text)
+            with pytest.raises(ValueError) as info:
+                load_tabulated_kernel(p)
+            assert str(info.value) == f"{p}: {reason}"
 
     def test_table_without_data_refused(self, tmp_path):
+        # and a table whose rows are short of the header or not numbers, or
+        # whose values the model refuses: each message names the file
         p = tmp_path / "bad.csv"
         for text, reason in [("tau,k_1_1\n", "no data rows"),
                              ("# header only\ntau,k_1_1,k_1_2,k_2_2\n\n", "no data rows"),
-                             ("tau\n0\n1\n", "no k_i_j column")]:
+                             ("tau\n0\n1\n", "no k_i_j column"),
+                             ("tau,k_1_1\n0,1\n1\n2,0.5\n",
+                              "line 3: expected 2 numbers, got [1.0]"),
+                             ("tau,k_1_1\n0,1\n1,\n", "line 3: expected 2 numbers, got [1.0, '']"),
+                             ("# c\ntau,k_1_1\n\n0,1\n# c\n1,x\n",
+                              "line 6: could not convert string to float: 'x'"),
+                             ("tau,k_1_1\n0," + "1" * 131073 + "\n",
+                              "line 2: field larger than field limit (131072)"),
+                             # a quoted cell is converted once the table is read
+                             ('tau,k_1_1\n0,1\n1,"x"\n', "could not convert string to float: 'x'"),
+                             ('tau,k_1_1\n0,1\n1,0\n',
+                              "tabulated kernel values must be finite and positive "
+                              "on the support")]:
             p.write_text(text)
-            with pytest.raises(ValueError, match=f"bad.csv: {reason}$"):
+            with pytest.raises(ValueError, match=f"bad.csv: {re.escape(reason)}$"):
                 load_tabulated_kernel(p)
 
 

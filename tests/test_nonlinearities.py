@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -210,10 +211,19 @@ class TestTabulated:
         assert nl.eta == 1.0
 
     def test_header_only_table_refused(self, tmp_path):
+        # and a table whose rows are short of the header or not numbers,
+        # or whose eta is not a number
         p = tmp_path / "bad.csv"
-        p.write_text("# eta=1.0\nu,g\n")
-        with pytest.raises(ValueError, match="bad.csv: no data rows$"):
-            load_tabulated_nonlin(p)
+        for text, reason in [("# eta=1.0\nu,g\n", "no data rows"),
+                             ("# eta=1.0\nu,g\n0,0\n1\n2,1.4\n",
+                              "line 4: expected 2 numbers, got [1.0]"),
+                             ("# eta=1.0\nu,g\n0,0\n1,x\n",
+                              "line 4: could not convert string to float: 'x'"),
+                             ("u,g\n0,0\n# eta=x\n1,1\n",
+                              "line 3: could not convert string to float: 'x'")]:
+            p.write_text(text)
+            with pytest.raises(ValueError, match=f"bad.csv: {re.escape(reason)}$"):
+                load_tabulated_nonlin(p)
 
 
 def _read_table(path):

@@ -36,7 +36,8 @@ def validate(spec, normalize=True, eta_scale=1.0, **kwargs):
     """validate_problem on spec with the run's inputs: the kernel rescaled to
     a unit-radius integral matrix, its kernel scalars, and eta_scale times
     the matrix's eigenvector. When normalize is False the kernel is kept as
-    is and eta is one: every such case here is scalar."""
+    is and eta is all ones: every such kernel here has unit radius and that
+    eigenvector."""
     if not normalize:
         return validate_problem(spec, kernel_scalars(spec.kernel),
                                 eta_scale * np.ones(spec.n), **kwargs)
@@ -47,11 +48,20 @@ def validate(spec, normalize=True, eta_scale=1.0, **kwargs):
 
 def scalar_spec(weights=None, nonlins=None, phi=None, kernel=None):
     return ProblemSpec(
-        n=1,
         kernel=kernel or GaussianKernel([[1.0]]),
         weights=weights or (ExpSqrtWeight(0.1),),
         nonlins=nonlins or (PowerNonlin(alpha=0.5, eta=1.0),),
         phi=phi or PowerPhi(0.5),
+    )
+
+
+def pair_spec(weights=None, nonlins=None, kernel=None):
+    """Two components, identical unless told otherwise; eta is (1, 1)."""
+    return ProblemSpec(
+        kernel=kernel or GaussianKernel([[0.5, 0.5], [0.5, 0.5]]),
+        weights=weights or (ExpSqrtWeight(0.1),) * 2,
+        nonlins=nonlins or (PowerNonlin(alpha=0.5, eta=1.0),) * 2,
+        phi=PowerPhi(0.5),
     )
 
 
@@ -161,6 +171,19 @@ class TestNegativeCases:
         report = validate(scalar_spec(weights=(HeavyWeight(),)))
         assert "b" in report.failing_ids
 
+    def test_ties_name_the_first_component(self):
+        # identical components tie at every sample, and each sampled
+        # condition reports component 1; the declared eta, 1e-3 off the
+        # computed one, gives condition II a defect to place
+        report = validate(pair_spec(nonlins=(PowerNonlin(alpha=0.5, eta=1.001),) * 2))
+        points = {c.condition: c.worst_point for c in report.checks}
+        assert points["1"].startswith("K[0,0] ")
+        assert points["a"].endswith("(weight 1)")
+        assert points["II"] == "declared eta vs computed (1, nonlin 1)"
+        for condition in ("I", "III"):
+            assert points[condition].endswith("(nonlin 1)")
+        assert points["IV"].startswith("nonlin 1 ")
+
     @pytest.mark.parametrize("nan_first", [True, False])
     def test_nan_response_map_fails_conditions_i_iii_iv(self, nan_first):
         # a NaN sample must become the worst value and stay it, whichever
@@ -172,14 +195,12 @@ class TestNegativeCases:
                 return out if out.ndim else float(out)
 
         maps = [HoleyPower(alpha=0.5, eta=1.0), PowerNonlin(alpha=0.5, eta=1.0)]
-        spec = ProblemSpec(n=2, kernel=GaussianKernel([[0.5, 0.5], [0.5, 0.5]]),
-                           weights=(ExpSqrtWeight(0.1), ExpSqrtWeight(0.1)),
-                           nonlins=maps if nan_first else maps[::-1], phi=PowerPhi(0.5))
-        report = validate(spec)
+        report = validate(pair_spec(nonlins=maps if nan_first else maps[::-1]))
         assert report.failing_ids == ["I", "III", "IV"]
         for check in report.checks:
             if check.condition in ("I", "III", "IV"):
                 assert np.isnan(check.worst_value)
+                assert f"nonlin {1 if nan_first else 2}" in check.worst_point
 
     def test_nan_excess_fails_condition_a(self):
         class HoleyWeight(ExpSqrtWeight):
@@ -188,24 +209,32 @@ class TestNegativeCases:
                 out = np.where(np.abs(t) > 10.0, np.nan, out)
                 return out if out.ndim else float(out)
 
-        report = validate(scalar_spec(weights=(HoleyWeight(0.1),)))
-        assert report.failing_ids == ["a"]
-        assert np.isnan({c.condition: c for c in report.checks}["a"].worst_value)
+        # the NaN is the worst value whichever component it belongs to
+        for k in (1, 2):
+            weights = (HoleyWeight(0.1), ExpSqrtWeight(0.1))
+            report = validate(pair_spec(weights=weights if k == 1 else weights[::-1]))
+            assert report.failing_ids == ["a"]
+            check = {c.condition: c for c in report.checks}["a"]
+            assert np.isnan(check.worst_value)
+            assert check.worst_point.endswith(f"(weight {k})")
 
     def test_nan_kernel_fails_condition_1(self):
-        # the scalars come from the unit-radius kernel itself; only its
-        # sampled values carry the NaN
-        unit = problem.normalize(GaussianKernel([[1.0]]))[0]
+        # the scalars come from the unit-radius kernel itself; only the
+        # sampled values of one diagonal entry carry the NaN
+        for hole in (0, 1):
+            class HoleyKernel(GaussianKernel):
+                def eval(self, i, j, tau):
+                    out = np.asarray(super().eval(i, j, tau), dtype=float)
+                    if i == j == hole:
+                        out = np.where(out < 0.15, np.nan, out)
+                    return out if out.ndim else float(out)
 
-        class HoleyKernel(GaussianKernel):
-            def eval(self, i, j, tau):
-                out = np.asarray(super().eval(i, j, tau), dtype=float)
-                out = np.where(out < 0.3, np.nan, out)
-                return out if out.ndim else float(out)
-
-        report = validate(scalar_spec(kernel=HoleyKernel(unit.coeffs)), normalize=False)
-        assert report.failing_ids == ["1"]
-        assert np.isnan({c.condition: c for c in report.checks}["1"].worst_value)
+            kernel = HoleyKernel([[0.5, 0.5], [0.5, 0.5]])
+            report = validate(pair_spec(kernel=kernel), normalize=False)
+            assert report.failing_ids == ["1"]
+            check = {c.condition: c for c in report.checks}["1"]
+            assert np.isnan(check.worst_value)
+            assert check.worst_point.startswith(f"K[{hole},{hole}] ")
 
     def test_nan_at_zero_fails_conditions_i_ii_iv(self):
         class NanAtZero(PowerNonlin):
@@ -214,11 +243,15 @@ class TestNegativeCases:
                 out = np.where(np.asarray(u) == 0.0, np.nan, out)
                 return out if out.ndim else float(out)
 
-        report = validate(scalar_spec(nonlins=(NanAtZero(alpha=0.5, eta=1.0),)))
-        assert report.failing_ids == ["I", "II", "IV"]
-        for check in report.checks:
-            if not check.passed:
-                assert np.isnan(check.worst_value)
+        holey, plain = NanAtZero(alpha=0.5, eta=1.0), PowerNonlin(alpha=0.5, eta=1.0)
+        # the first NaN stays the worst value, so two are reported in component 1
+        for maps, k in (((holey, plain), 1), ((plain, holey), 2), ((holey, holey), 1)):
+            report = validate(pair_spec(nonlins=maps))
+            assert report.failing_ids == ["I", "II", "IV"]
+            for check in report.checks:
+                if not check.passed:
+                    assert np.isnan(check.worst_value)
+                    assert f"nonlin {k}" in check.worst_point
 
     def test_declared_eta_disagreement_fails_condition_ii(self):
         report = validate(
@@ -249,7 +282,7 @@ class TestNegativeCases:
 
         # nonlin 1 is off by 1e-3 in its declared eta, nonlin 2 by 1e-2 in
         # G(eta); the larger defect brings its own point and no note
-        spec = ProblemSpec(n=2, kernel=GaussianKernel([[0.6, 0.4], [0.4, 0.6]]),
+        spec = ProblemSpec(kernel=GaussianKernel([[0.6, 0.4], [0.4, 0.6]]),
                            weights=(ExpSqrtWeight(0.1), ExpSqrtWeight(0.1)),
                            nonlins=(PowerNonlin(alpha=0.5, eta=1.001),
                                     Raised(alpha=0.5, eta=1.0)),
@@ -304,19 +337,21 @@ class TestTabulatedWorkflow:
 
 
 def test_problem_spec_shape_enforced():
+    # the component count is the kernel's size; weights and maps must match it
+    two = GaussianKernel([[0.5, 0.3], [0.3, 0.7]])
+    assert scalar_spec().n == 1
     with pytest.raises(ValueError, match="expected 2 weights, got 1"):
-        ProblemSpec(n=2, kernel=GaussianKernel([[0.5, 0.3], [0.3, 0.7]]),
+        ProblemSpec(kernel=two,
                     weights=(ExpSqrtWeight(0.1),),
                     nonlins=(PowerNonlin(0.5, 1.0), PowerNonlin(0.5, 1.0)),
                     phi=PowerPhi(0.5))
-    # a kernel whose size differs from the component count, both ways
-    with pytest.raises(ValueError, match="expected a 1-component kernel, got 2"):
-        ProblemSpec(n=1, kernel=GaussianKernel([[0.5, 0.3], [0.3, 0.7]]),
-                    weights=(ExpSqrtWeight(0.1),),
+    with pytest.raises(ValueError, match="expected 2 nonlinearities, got 1"):
+        ProblemSpec(kernel=two,
+                    weights=(ExpSqrtWeight(0.1), ExpSqrtWeight(0.1)),
                     nonlins=(PowerNonlin(0.5, 1.0),),
                     phi=PowerPhi(0.5))
-    with pytest.raises(ValueError, match="expected a 2-component kernel, got 1"):
-        ProblemSpec(n=2, kernel=GaussianKernel([[1.0]]),
+    with pytest.raises(ValueError, match="expected 1 weights, got 2"):
+        ProblemSpec(kernel=GaussianKernel([[1.0]]),
                     weights=(ExpSqrtWeight(0.1), ExpSqrtWeight(0.1)),
                     nonlins=(PowerNonlin(0.5, 1.0), PowerNonlin(0.5, 1.0)),
                     phi=PowerPhi(0.5))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -275,12 +276,22 @@ class TestLoader:
         p.write_text("# gamma=0.5\nt,wrong\n0.1,1.0\n1.0,0.1\n")
         with pytest.raises(ValueError):
             load_tabulated_excess(p)
+        # the metadata line must hold a number
+        p.write_text("# gamma=abc\nt,mu_minus_1\n0.1,1.0\n1.0,0.1\n")
+        with pytest.raises(ValueError,
+                           match="bad.csv: line 1: could not convert string to float: 'abc'$"):
+            load_tabulated_excess(p)
 
     def test_header_only_table_refused(self, tmp_path):
+        # and a table whose rows are short of the header or not numbers
         p = tmp_path / "bad.csv"
-        p.write_text("# gamma=0.5\nt,mu_minus_1\n")
-        with pytest.raises(ValueError, match="bad.csv: no data rows$"):
-            load_tabulated_excess(p)
+        for rows, reason in [("", "no data rows"),
+                             ("0.1,1.0\n0.2\n1.0,0.1\n", "line 4: expected 2 numbers, got [0.2]"),
+                             ("0.1,1.0\n0.2,x\n",
+                              "line 4: could not convert string to float: 'x'")]:
+            p.write_text("# gamma=0.5\nt,mu_minus_1\n" + rows)
+            with pytest.raises(ValueError, match=f"bad.csv: {re.escape(reason)}$"):
+                load_tabulated_excess(p)
 
 
 def test_excess_tail_mass_negative_start():
