@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+# scipy.special is imported by the methods that call it: tabulated models need no scipy
 
 from ._tables import read_table
 
@@ -109,6 +109,7 @@ class GaussianKernel:
         return KernelScalars(a=c.copy(), sup=c / SQRT_PI, first_moment=c / (2.0 * SQRT_PI))
 
     def one_sided_tail(self, i, j, y):
+        from scipy import special
         y = np.asarray(y, dtype=float)
         out = self._c(i, j) * 0.5 * special.erfc(y)
         return out if out.ndim else float(out)
@@ -165,6 +166,7 @@ class ExpMixtureKernel:
 
     def _density_tail(self, s0: float) -> float:
         # bound on int_{s0}^inf s^{p-1} e^{-q s} ds
+        from scipy import special
         p, q = self.power, self.decay
         if p > 0.0:
             return float(special.gammaincc(p, q * s0) * special.gamma(p) * q ** (-p))

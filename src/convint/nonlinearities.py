@@ -283,6 +283,8 @@ def chord_slope_gap(model, u_lo, u_hi: float):
 
 def load_tabulated_nonlin(path, eta=None) -> TabulatedNonlin:
     """Read a CSV with columns u, g; eta from a '# eta=...' line or the argument."""
+    if eta is not None:
+        eta = _check_eta(eta)   # the caller's value: its error names no file
     with read_table(path, "eta") as (header, data, file_eta):
         if header[:2] != ["u", "g"]:
             raise ValueError("expected columns u, g")

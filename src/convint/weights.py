@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+# scipy.special is imported by the methods that call it: tabulated models need no scipy
 
 from ._tables import read_table
 
@@ -86,12 +86,14 @@ class ExpSqrtWeight:
         return 2.0 * self.eps * SQRT_PI
 
     def excess_tail(self, t_from: float) -> float:
+        from scipy import special
         return 2.0 * self.eps * SQRT_PI * float(special.gammaincc(0.5, t_from))
 
     def _mass_diff(self, edges, k, shape):
         # int e^-t t^(shape-1) dt over each cell in units of Gamma(shape):
         # differences of P at the edges of the first k cells (lo < 1), of
         # the complementary Q beyond, which keeps relative precision there
+        from scipy import special
         p = special.gammainc(shape, edges[:k + 1])
         q = special.gammaincc(shape, edges[k:])
         out = np.concatenate([p[1:] - p[:-1], q[:-1] - q[1:]])
@@ -139,6 +141,7 @@ class RationalWeight:
         return self.eps * math.pi / math.cos(math.pi * self.alpha / 2.0)
 
     def excess_tail(self, t_from: float) -> float:
+        from scipy import special
         if t_from <= 0.0:
             return self.excess_integral_closed()
         if t_from < 1.0:

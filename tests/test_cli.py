@@ -677,6 +677,16 @@ class TestTabulatedPipeline:
         assert capsys.readouterr().err == f"config error: {where}: {table}: {reason}\n"
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("eta", [-1, 0])
+    def test_config_eta_refused_without_the_file(self, tmp_path, capsys, eta):
+        # the table is sound; the refused value is the config's own
+        nl = write_nonlin_table(tmp_path / "good.csv")
+        doc = scalar_config(n_cells=512)
+        doc["nonlins"] = [{"variant": "tabulated", "path": nl.name, "eta": eta}]
+        assert run_cli(tmp_path, doc) == 1
+        assert capsys.readouterr().err == "config error: nonlin 1: eta must be finite and positive\n"
+        assert not (tmp_path / "report.json").exists()
+
     def test_fully_tabulated_instance_solves(self, tmp_path):
         kern = write_kernel_table(tmp_path / "kernel.csv", n=2001)
         excess = write_excess_table(tmp_path / "excess.csv")
@@ -753,12 +763,22 @@ class TestConsoleScript:
         assert "--config" in proc.stdout
 
     @pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate",
-                                        "scipy.interpolate", "scipy.fft"])
+                                        "scipy.interpolate", "scipy.fft",
+                                        "scipy.special", "scipy"])
     def test_import_leaves_heavy_scipy_unloaded(self, tmp_path, module):
         # each costs a cold start a large share of a second
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
         code = f"import sys, convint.cli; print({module!r} in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, cwd=tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_package_import_loads_no_scipy(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        code = "import sys, convint; print('scipy' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, cwd=tmp_path, env=env)
         assert proc.returncode == 0, proc.stderr
@@ -781,3 +801,21 @@ class TestConsoleScript:
                               capture_output=True, text=True, cwd=tmp_path, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["tabulated []", "linear_map []"]
+
+    def test_tabulated_solve_and_validate_load_no_scipy(self, tmp_path):
+        # closed-form kernels and weights import scipy.special on first
+        # use; a run of tabulated models calls none of them
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        code = ("import sys\n"
+                "from convint import cli\n"
+                "for mode in ('solve', 'validate'):\n"
+                "    argv = ['--config', f'{sys.argv[1]}/tabulated.json', '--mode', mode,\n"
+                "            '--out-dir', mode, '--quiet']\n"
+                "    assert cli.main(argv) == 0, mode\n"
+                "    print(mode, sorted(m for m in sys.modules\n"
+                "                       if m == 'scipy' or m.startswith('scipy.')))\n")
+        proc = subprocess.run([sys.executable, "-c", code, str(DEMO_CONFIGS)],
+                              capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["solve []", "validate []"]
