@@ -93,7 +93,9 @@ def _parse_numerics(d: dict) -> Numerics:
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, mode=None) -> RunConfig:
+    """The run config at path; mode, when given, overrides the config's own
+    (which is checked all the same)."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -102,12 +104,17 @@ def load_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "config root must be a JSON object")
+    unknown = sorted(set(raw) - set(_ROOT_KEYS))
+    _require(not unknown, f"unknown key(s) {', '.join(map(repr, unknown))}; "
+                          f"accepted keys: {', '.join(_ROOT_KEYS)}")
 
-    mode = raw.get("mode", "solve")
+    own = raw.get("mode", "solve")
+    mode = own if mode is None else mode
+    for value in (own, mode):
+        _require(value in ("solve", "validate", "validate-only", "sweep"),
+                 f"mode must be solve, validate, or sweep (got {value!r})")
     if mode == "validate-only":
         mode = "validate"
-    _require(mode in ("solve", "validate", "sweep"),
-             f"mode must be solve, validate, or sweep (got {mode!r})")
 
     for key in ("kernel", "weights", "nonlins", "phi"):
         _require(key in raw, f"config is missing the {key!r} section")
@@ -126,14 +133,12 @@ def load_config(path) -> RunConfig:
              f"sweep_eps entries must be finite and nonnegative (got {sweep_eps!r})")
     _require(mode != "sweep" or sweep_eps, "sweep mode needs a nonempty sweep_eps list")
 
-    labels = raw.get("labels")
-    if labels is not None:
-        _require(isinstance(labels, list) and len(labels) == len(raw["weights"]),
-                 "labels must list one name per component")
-
     return RunConfig(mode=mode, numerics=_parse_numerics(raw.get("numerics", {})),
                      sweep_eps=sweep_eps, base_dir=path.parent, raw=raw)
 
+
+# the keys a config's root may hold
+_ROOT_KEYS = ("mode", "kernel", "weights", "nonlins", "phi", "numerics", "sweep_eps")
 
 # each model section's variants: the constructor or table loader, and the
 # keys besides "variant" a section may hold, each one of its parameters
@@ -202,8 +207,10 @@ def _build(section: str, cfg, where: str, base_dir: Path, **defaults):
 
 
 def emit_report(doc: dict, path):
-    # numpy arrays and scalars are written as the Python values tolist() gives
-    text = json.dumps(doc, indent=2, sort_keys=True, default=lambda v: v.tolist())
+    """Write doc as JSON with sorted keys: a dataclass record as its fields, a
+    numpy array or scalar as the Python values tolist() gives."""
+    text = json.dumps(doc, indent=2, sort_keys=True,
+                      default=lambda v: vars(v) if dataclasses.is_dataclass(v) else v.tolist())
     Path(path).write_text(text + "\n")
 
 
@@ -236,6 +243,10 @@ def emit_profile(report, eta, path):
             fh.write("\n".join(lines[start:start + rows]) + "\n")
 
 
+def _validation_block(v) -> dict:
+    return {"passed": v.passed, "checks": v.checks}
+
+
 def _stage_blocks(res: RunResult) -> dict:
     """Report blocks of one run_instance result."""
     v, q, sol = res.validation, res.quad, res.sol
@@ -249,8 +260,7 @@ def _stage_blocks(res: RunResult) -> dict:
         "solve": {"iterations": sol.iterations, "termination": sol.termination,
                   "a_priori_n": sol.a_priori_n, "residual_sup": sol.residual_sup,
                   "alpha_plus": sol.alpha_plus,
-                  "asymptotics": sol.asymptotics.as_dict(),
-                  "trace": sol.trace.as_dict(),
+                  "asymptotics": sol.asymptotics, "trace": sol.trace,
                   "probe_deviation": sol.probe_deviation},
     }
 
@@ -312,7 +322,7 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
         validation = validate_problem(spec, scalars, eta, tol=config.numerics.tol_validate)
         doc = {"schema_version": SCHEMA_VERSION, "mode": config.mode,
                "config": config.raw, "kernel_scale": rho,
-               "validation": validation.as_dict()}
+               "validation": _validation_block(validation)}
         if config.mode == "validate" or not validation.passed:
             emit_report(doc, out / "report.json")
 
@@ -356,7 +366,7 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
             name = f"profile_{idx:03d}.csv"
             emit_profile(res.sol, res.validation.eta, out / name)
             entries[idx] = {"eps": eps, "profile": name,
-                            "validation": res.validation.as_dict(),
+                            "validation": _validation_block(res.validation),
                             **_stage_blocks(res)}
             del res
         doc["entries"] = entries
@@ -383,11 +393,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = load_config(args.config)
-        if args.mode and args.mode != config.mode:
-            if args.mode == "sweep" and not config.sweep_eps:
-                raise ConfigError("sweep mode needs a sweep_eps list in the config")
-            config = dataclasses.replace(config, mode=args.mode)
+        config = load_config(args.config, args.mode)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

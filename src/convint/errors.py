@@ -6,6 +6,9 @@ exceptions to distinct exit codes.
 
 from __future__ import annotations
 
+__all__ = ["ConvintError", "ConfigError", "ValidationFailure", "SpectralError",
+           "MajorantError", "SolveError"]
+
 
 class ConvintError(Exception):
     """Base class for all library errors."""

@@ -86,16 +86,6 @@ class ConditionCheck:
     tol: float
     note: str = ""
 
-    def as_dict(self):
-        return {
-            "condition": self.condition,
-            "passed": bool(self.passed),
-            "worst_point": self.worst_point,
-            "worst_value": float(self.worst_value),
-            "tol": float(self.tol),
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -131,9 +121,6 @@ class ValidationReport:
         if not self.passed:
             raise ValidationFailure(
                 f"condition(s) {', '.join(self.failing_ids)} failed", report=self)
-
-    def as_dict(self):
-        return {"passed": self.passed, "checks": [c.as_dict() for c in self.checks]}
 
     def __str__(self):
         lines = []

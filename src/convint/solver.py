@@ -77,23 +77,12 @@ class IterationTrace:
     mono_violation: list = field(default_factory=list)
     slab_excursion: list = field(default_factory=list)
 
-    def as_dict(self):
-        return {name: [float(v) for v in getattr(self, name)]
-                for name in ("d", "width", "mono_violation", "slab_excursion")}
-
 
 @dataclass(frozen=True)
 class AsymptoticsReport:
     edge_deviation: np.ndarray
     tail_integral: np.ndarray
     half_tail_ratio: np.ndarray
-
-    def as_dict(self):
-        return {
-            "edge_deviation": [float(v) for v in self.edge_deviation],
-            "tail_integral": [float(v) for v in self.tail_integral],
-            "half_tail_ratio": [float(v) for v in self.half_tail_ratio],
-        }
 
 
 @dataclass

@@ -464,6 +464,18 @@ class TestFailureExitCodes:
                "accepted keys: n_cells, tol_stop, tol_trunc, tol_validate" in err
         assert not (tmp_path / "report.json").exists()
 
+    # a misspelt root key is refused before any stage runs, not dropped
+    @pytest.mark.parametrize("key, value", [("mdoe", "validate"), ("numeric", {"n_cells": 512}),
+                                            ("sweep_esp", [0.1, 0.2])])
+    def test_unknown_root_key_exits_1(self, tmp_path, capsys, key, value):
+        doc = {**scalar_config(n_cells=512), key: value}
+        assert run_cli(tmp_path, doc) == 1
+        out, err = capsys.readouterr()
+        assert err == (f"config error: unknown key(s) '{key}'; accepted keys: mode, kernel, "
+                       "weights, nonlins, phi, numerics, sweep_eps\n")
+        assert out == ""
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("key, edit", [
         ("tol_stop", lambda d: d["numerics"].update(tol_stop="abc")),
         ("n_cells", lambda d: d["numerics"].update(n_cells="2048x")),
@@ -485,7 +497,9 @@ class TestFailureExitCodes:
          lambda d: d["kernel"].update(coeffs=[[0.5, 0.3], [0.3, 0.7]])),
         ("kernel is 1 x 1 but weights and nonlins have length 2",
          lambda d: d.update(weights=d["weights"] * 2, nonlins=d["nonlins"] * 2)),
-        ("labels must list one name per component", lambda d: d.update(labels=["a", "b"])),
+        # labels was an optional root key of earlier versions, now refused
+        ("unknown key(s) 'labels'; accepted keys: mode, kernel, weights, nonlins, phi, "
+         "numerics, sweep_eps", lambda d: d.update(labels=["a", "b"])),
         # model parameters follow the numerics rules: JSON numbers, known keys
         ("weight 1: eps must be a number", lambda d: d["weights"][0].update(eps=True)),
         ("weight 1: eps must be a number", lambda d: d["weights"][0].update(eps="0.1")),
@@ -624,6 +638,17 @@ class TestModeOverride:
             assert "config error:" in err and "sweep_eps" in err, extra
             assert "Traceback" not in err
             assert not (tmp_path / "report.json").exists()
+
+    def test_override_follows_the_mode_rules(self, tmp_path):
+        path = write_config(tmp_path / "c.json", scalar_config(n_cells=512))
+        assert cli.load_config(path).mode == "solve"
+        assert cli.load_config(path, "validate").mode == "validate"
+        with pytest.raises(ConfigError, match="^sweep mode needs a nonempty sweep_eps list$"):
+            cli.load_config(path, "sweep")
+        # the config's own mode is checked even where the override replaces it
+        bad = write_config(tmp_path / "bad.json", scalar_config(mode="slove"))
+        with pytest.raises(ConfigError, match="got 'slove'"):
+            cli.load_config(bad, "validate")
 
 
 class TestTabulatedPipeline:

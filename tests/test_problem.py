@@ -4,6 +4,7 @@ and the report's handoff to run_instance."""
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from convint import (
     PowerPhi,
     ProblemSpec,
     ValidationFailure,
+    cli,
     kernel_scalars,
     load_tabulated_excess,
     load_tabulated_nonlin,
@@ -72,14 +74,18 @@ class TestReportShape:
         assert report.passed
         assert report.failing_ids == []
 
-    def test_as_dict_and_str(self):
+    def test_as_dict_and_str(self, tmp_path):
+        # the validation block as the command line writes it into report.json
         report = validate(scalar_spec())
-        doc = report.as_dict()
+        cli.emit_report(cli._validation_block(report), tmp_path / "report.json")
+        doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["passed"] is True
         assert len(doc["checks"]) == 8
         for check in doc["checks"]:
             assert set(check) == {"condition", "passed", "worst_point",
                                   "worst_value", "tol", "note"}
+            assert isinstance(check["passed"], bool)
+            assert all(isinstance(check[key], float) for key in ("worst_value", "tol"))
         text = str(report)
         assert text.count("pass") == 8 and "FAIL" not in text
 

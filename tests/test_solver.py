@@ -97,11 +97,16 @@ class TestReferenceRun:
         assert width[-1] == sol.probe_deviation
         assert sol.probe_deviation <= flagship.numerics.tol_stop
 
-    def test_trace_serializes(self, flagship):
-        doc = flagship.sol.trace.as_dict()
+    def test_trace_serializes(self, flagship, tmp_path):
+        # both records as the command line writes them into report.json
+        sol = flagship.sol
+        cli.emit_report({"trace": sol.trace, "asymptotics": sol.asymptotics},
+                        tmp_path / "report.json")
+        written = json.loads((tmp_path / "report.json").read_text())
+        doc = written["trace"]
         assert set(doc) == {"d", "width", "mono_violation", "slab_excursion"}
         assert all(isinstance(v, float) for v in doc["d"] + doc["width"])
-        asym = flagship.sol.asymptotics.as_dict()
+        asym = written["asymptotics"]
         assert set(asym) == {"edge_deviation", "tail_integral", "half_tail_ratio"}
 
 
