@@ -10,6 +10,12 @@ from contextlib import contextmanager
 import numpy as np
 
 
+def increasing(x) -> bool:
+    """Whether the sample coordinates x are finite and strictly increasing;
+    false where one is NaN."""
+    return bool(np.all(np.isfinite(x)) and np.all(np.diff(x) > 0.0))
+
+
 @contextmanager
 def read_table(path, key=None):
     """The table at path as (header, data, value): the column names, a float

@@ -108,10 +108,12 @@ def solve_xi(a, b, nonlins, eta) -> np.ndarray:
         g = np.array([float(g_eval(nl, t)) for nl, t in zip(nonlins, tau)])
         return m @ g
 
+    # the image of the accepted supersolution is the iteration's first step
     s = 2.0
     for _ in range(SUPERSOLUTION_DOUBLINGS):
         tau = s * eta
-        if np.all(apply_map(tau) <= tau):
+        tau_next = apply_map(tau)
+        if np.all(tau_next <= tau):
             break
         s *= 2.0
     else:
@@ -121,7 +123,6 @@ def solve_xi(a, b, nonlins, eta) -> np.ndarray:
 
     slack = 1e-13 * float(np.max(tau))
     for _ in range(STEP_CAP):
-        tau_next = apply_map(tau)
         if np.any(tau_next > tau + slack):
             raise MajorantError("majorant iteration increased; "
                                 "monotonicity of the map is violated")
@@ -129,6 +130,7 @@ def solve_xi(a, b, nonlins, eta) -> np.ndarray:
         tau = tau_next
         if step <= XI_TOL:
             return tau
+        tau_next = apply_map(tau)
     raise MajorantError(f"majorant iteration did not settle within {STEP_CAP} steps")
 
 

@@ -278,8 +278,9 @@ def _say_stages(say, res: RunResult):
 
 
 def _say_operator(say, plan):
-    say(f"operator: transform length {plan.fft_len} (kernel reaches {plan.reach} "
-        f"of {plan.grid.n_cells // 2} half-grid cells)")
+    layout = "compact" if plan.hankel is None else "folded"
+    say(f"operator: {layout} layout, transform length {plan.fft_len} (kernel reaches "
+        f"{plan.reach} of {plan.grid.n_cells // 2} half-grid cells)")
 
 
 def _truncation_block(grid) -> dict:
@@ -298,7 +299,11 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
     say = (lambda *a, **k: None) if quiet else print
     out = Path(out_dir)
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out}: "
+                              f"{exc.strerror or exc}") from exc
         base = config.base_dir
         weights = [_build("weight", cfg, f"weight {j + 1}", base)
                    for j, cfg in enumerate(config.raw["weights"])]

@@ -14,14 +14,15 @@ the integral operator splits into three parts:
               kernel's reach L (the last lag-table index that holds a
               nonzero value), the plan uses one of two exact layouts:
               folded: the even sum at a node x >= 0 splits into a Toeplitz
-              part over t = 0..m (lags -m..m) and a Hankel part over
-              t = 1..m (lags 1..2m), both exact circular sums of length
-              p >= 2m; compact: each row is preceded by its first L cells
-              in mirrored order, so the sum over t = -L..m is one Toeplitz
-              sum against lags -L..L, exact at p >= m + 2L + 1. The plan
-              takes the compact layout when next_fast_len(m + 2L + 1) is
-              shorter than next_fast_len(n_cells), so p follows the
-              kernel's reach, and stores the spectra of its layout; an
+              convolution over t = 0..m (lags -m..m) and a Hankel
+              correlation over t = 1..m (lags 1..2m), both exact circular
+              sums of length p >= 2m, whose spectra T and H give the image
+              spectrum T v^ + H conj(v^); compact: each row is preceded by
+              its first L cells in mirrored order, so the sum over
+              t = -L..m is one Toeplitz sum against lags -L..L, exact at
+              p >= m + 2L + 1, with spectrum T v^. The plan takes the
+              compact layout when next_fast_len(m + 2L + 1) is shorter than
+              next_fast_len(n_cells), so p follows the kernel's reach; an
               application is N real FFTs of length p, products with the
               spectra per frequency, and N inverse FFTs (the tests hold
               both layouts to direct summation at 1e-12).
@@ -137,30 +138,26 @@ class OperatorPlan:
     L, the last index of the lag table (lags 0..2R) that holds a nonzero
     value; only exact zeros count. Of the two layouts below the plan takes
     the compact one when next_fast_len(m + 2L + 1) < next_fast_len(n_cells),
-    and the folded one otherwise.
+    and the folded one otherwise; hankel is None exactly in the compact one.
+    Both hold in toeplitz the real spectrum T of lags -k..k, k = min(L, m).
 
-    Folded layout (compact False): with the weighted row v halved at
-    x = 0 and padded to fft_len = p >= 2m, the regular sum at node x is the
-    circular Toeplitz sum of v against the lag table at the residues of
-    lags -m..m plus the circular Hankel sum against it at the residues of
-    lags 1..2m. Both are exact: at p = 2m the
-    lags +-m share a residue and the value K(m), and lag 2m wraps to
-    residue 0, which no other Hankel lag reaches. With T the (real)
-    Toeplitz spectrum and c + i d the Hankel one, a row spectrum a + i b
-    maps to (T + c) a + d b + i ((T - c) b + d a); the plan stores
-    T + c - d, T - c - d and d, so that three real products give it as
-    kernel_re a + w + i (kernel_im b + w) with w = kernel_cross (a + b).
-    center_fix restores, at x = 0, K(0) in place of the Hankel value at
-    residue 0 that the halved v_0 picked up.
+    Folded layout: with the weighted row v halved at x = 0 and padded to
+    fft_len = p >= 2m, the regular sum at node x is a Toeplitz convolution
+    of v with the lag table at the residues of lags -m..m plus a Hankel
+    correlation of v with it at the residues of lags 1..2m. Both are exact:
+    at p = 2m the lags +-m share a residue and the value K(m), and lag 2m
+    wraps to residue 0, which no other Hankel lag reaches. A correlation's
+    spectrum multiplies the conjugate, so the sums have the spectrum
+    T v^ + H conj(v^), H = hankel. center_fix restores, at x = 0, K(0) in
+    place of the Hankel value at residue 0 that the halved v_0 picked up.
 
-    Compact layout (compact True; kernel_im, kernel_cross and center_fix
-    stay None): the row v over cells 0..m is preceded by its cells L..1,
-    so it runs over t = -L..m, and the sum at x = 0..m is the plain
-    Toeplitz sum against lags -L..L, read at positions L..L + m of the
-    circular sum. The offsets x - t run over [-m, m + L], and once
-    p >= m + 2L + 1 none outside -L..L shares a residue with a lag inside
-    it, so the sum is exact with no Hankel table, center fix or halving.
-    kernel_re holds the one real spectrum T.
+    Compact layout (hankel and center_fix None): the row v over cells 0..m
+    is preceded by its cells L..1, so it runs over t = -L..m, and the sum
+    at x = 0..m is the plain Toeplitz sum against lags -L..L, read at
+    positions L..L + m of the circular sum. The offsets x - t run over
+    [-m, m + L], and once p >= m + 2L + 1 none outside -L..L shares a
+    residue with a lag inside it, so the sum is exact with no Hankel table,
+    center fix or halving.
 
     Factored plan (mix set): K_ij = mix_ij k, the spectra and center_fix
     are those of the one profile k, shapes (p // 2 + 1,) and (), and an
@@ -173,15 +170,13 @@ class OperatorPlan:
     grid: Grid
     fft_len: int               # p, 5-smooth: >= 2m folded, >= m + 2L + 1 compact
     reach: int                 # L, in cells
-    compact: bool              # the layout: compact, or folded
     mix: np.ndarray            # (N, N) coefficients of the profile, or None
     trapw: np.ndarray          # (m + 1,) end-corrected trapezoid weights
     omega: np.ndarray          # (N, m + 1) singular product weights
     tail: np.ndarray           # (N, m + 1) kernel mass beyond the grid times G(boundary)
-    kernel_re: np.ndarray      # T + c - d (folded) or T (compact)
-    kernel_im: np.ndarray = None      # T - c - d (folded only)
-    kernel_cross: np.ndarray = None   # d (folded only)
-    center_fix: np.ndarray = None     # K(0) minus the Hankel table at residue 0 (folded only)
+    toeplitz: np.ndarray       # T, real
+    hankel: np.ndarray = None       # H, complex (folded only)
+    center_fix: np.ndarray = None   # K(0) minus the Hankel table at residue 0 (folded only)
 
 
 def next_fast_len(n: int) -> int:
@@ -225,37 +220,35 @@ def _reach(row) -> int:
     return int(nonzero[-1]) if nonzero.size else 0
 
 
-def _lag_spectra(row, grid: Grid, p: int):
-    """(kernel_re, kernel_im, kernel_cross, center_fix) of one lag table
-    row at lags 0..2R, for the folded OperatorPlan layout at fft length p."""
-    half = grid.n_cells // 2
+def _lag_spectra(row, reach: int, p: int, folded: bool):
+    """(toeplitz, hankel, center_fix) of one lag table row at lags 0..2R at
+    fft length p: the real spectrum of lags -k..k, k = min(reach, m), and in
+    the folded layout the complex spectrum of lags 1..2m and the fix at
+    x = 0 (both None in the compact layout)."""
+    k = min(reach, row.size // 2)
+    toeplitz = np.zeros(p)
+    toeplitz[:k + 1] = row[:k + 1]
+    toeplitz[p - k:] = row[k:0:-1]
+    # the plan keeps a copy of .real (a view of the complex spectrum), made
+    # after the padded row is freed so that it takes the row's place in the
+    # heap; above it, bench coupled's peak resident memory rose by 0.3 MiB
+    toeplitz = rfft(toeplitz)
+    t_hat = toeplitz.real.copy()
+    if not folded:
+        return t_hat, None, None
+    hankel = np.zeros(p)
     top = min(p, row.size)
-    toeplitz, hankel = np.zeros(p), np.zeros(p)
-    toeplitz[:half + 1] = row[:half + 1]
-    toeplitz[p - half:] = row[half:0:-1]
     hankel[1:top] = row[1:top]
     # lag p, where the table reaches it (p = 2m), wraps to residue 0
     hankel[0] = row[p] if p < row.size else 0.0
-    t_hat = rfft(toeplitz).real
-    h_hat = rfft(hankel)
-    return (t_hat + h_hat.real - h_hat.imag, t_hat - h_hat.real - h_hat.imag,
-            h_hat.imag, row[0] - hankel[0])
-
-
-def _compact_spectra(row, reach: int, p: int):
-    """(kernel_re,): the real spectrum of one lag table row at lags
-    -L..L, L = reach, for the compact OperatorPlan layout at fft length p."""
-    toeplitz = np.zeros(p)
-    toeplitz[:reach + 1] = row[:reach + 1]
-    toeplitz[p - reach:] = row[reach:0:-1]
-    return (rfft(toeplitz).real,)
+    return t_hat, rfft(hankel), row[0] - hankel[0]
 
 
 def _kernel_spectra(kernel, factors, grid: Grid):
-    """(fft_len, reach, compact, tables) of the plan's kernel, in the layout
-    with the shorter transform; tables maps OperatorPlan field names to the
-    spectra of the profile when factors = kernel_factors(kernel) is set, of
-    every entry otherwise, stacked to (N, N, ...).
+    """(fft_len, reach, spectra) of the plan's kernel, in the layout with
+    the shorter transform; spectra is _lag_spectra's triple for the profile
+    when factors = kernel_factors(kernel) is set, for every entry otherwise,
+    each part stacked to (N, N, ...).
 
     In paired runs with each layout forced, the shorter transform also gave
     the faster application and solve on either side of the rule. Row
@@ -271,33 +264,22 @@ def _kernel_spectra(kernel, factors, grid: Grid):
     reach = max(_reach(row(i, j)) for i in range(n) for j in range(n))
     p = next_fast_len(grid.n_cells)
     compact_len = next_fast_len(grid.n_cells // 2 + 2 * reach + 1)
-    compact = compact_len < p
-    if compact:
-        p = compact_len
-        sizes = {"kernel_re": (p // 2 + 1,)}
-
-        def spectra_of(lag_row):
-            return _compact_spectra(lag_row, reach, p)
-    else:
-        sizes = {"kernel_re": (p // 2 + 1,), "kernel_im": (p // 2 + 1,),
-                 "kernel_cross": (p // 2 + 1,), "center_fix": ()}
-
-        def spectra_of(lag_row):
-            return _lag_spectra(lag_row, grid, p)
-    tables = {name: np.empty((n, n) + size) for name, size in sizes.items()}
+    folded = compact_len >= p
+    p = p if folded else compact_len
+    spectra = {}
     for i in range(n):
         for j in range(i, n):
             lag_row = row(i, j)
-            spectra = mirrored = spectra_of(lag_row)
+            spectra[i, j] = spectra[j, i] = _lag_spectra(lag_row, reach, p, folded)
             if j > i:
                 mirror = row(j, i)
                 if not np.array_equal(mirror, lag_row):
-                    mirrored = spectra_of(mirror)
-            for table, a, b in zip(tables.values(), spectra, mirrored):
-                table[i, j], table[j, i] = a, b
+                    spectra[j, i] = _lag_spectra(mirror, reach, p, folded)
     if factors is not None:
-        tables = {name: table[0, 0] for name, table in tables.items()}
-    return p, reach, compact, tables
+        return p, reach, spectra[0, 0]
+    return p, reach, [None if part is None else
+                      np.array([[spectra[i, j][k] for j in range(n)] for i in range(n)])
+                      for k, part in enumerate(spectra[0, 0])]
 
 
 def build_plan(spec, grid: Grid, boundary) -> OperatorPlan:
@@ -315,7 +297,7 @@ def build_plan(spec, grid: Grid, boundary) -> OperatorPlan:
 
     factors = kernel_factors(spec.kernel)
     mix, unit = (None, None) if factors is None else factors
-    p, reach, compact, tables = _kernel_spectra(spec.kernel, factors, grid)
+    p, reach, (toeplitz, hankel, center_fix) = _kernel_spectra(spec.kernel, factors, grid)
     trapw = _regular_node_weights(grid.h, grid.n_cells)
 
     # exact excess cell moments folded into per-node weights: a linear model
@@ -357,45 +339,18 @@ def build_plan(spec, grid: Grid, boundary) -> OperatorPlan:
     else:
         tail = (mix @ g_bound)[:, None] * one_sided(unit, 0, 0)
 
-    return OperatorPlan(grid=grid, fft_len=p, reach=reach, compact=compact, mix=mix,
-                        trapw=trapw, omega=omega, tail=tail, **tables)
+    return OperatorPlan(grid=grid, fft_len=p, reach=reach, mix=mix, trapw=trapw,
+                        omega=omega, tail=tail, toeplitz=toeplitz, hankel=hankel,
+                        center_fix=center_fix)
 
 
-def _folded_sums(plan: OperatorPlan, v):
-    """Regular-plus-singular sums at the x >= 0 nodes, tail included, of
-    the weighted rows v in the folded layout."""
-    v[:, 0] *= 0.5
+def _product(plan: OperatorPlan, table, x):
+    """table times the row spectra x per frequency, contracted over j in a
+    per-entry plan; in a factored one it overwrites x."""
     if plan.mix is None:
-        def contract(table, x):
-            return np.einsum("ijk,jk->ik", table, x)
-    else:
-        v = plan.mix @ v
-        contract = np.multiply
-    v_hat = rfft(v, n=plan.fft_len, axis=-1)
-    a, b = v_hat.real, v_hat.imag
-    w = contract(plan.kernel_cross, a + b)
-    re = contract(plan.kernel_re, a)
-    re += w
-    w += contract(plan.kernel_im, b)
-    v_hat.real, v_hat.imag = re, w
-    out = irfft(v_hat, n=plan.fft_len, axis=-1)[:, :plan.trapw.size] + plan.tail
-    out[:, 0] += np.dot(plan.center_fix, v[:, 0])
-    return out
-
-
-def _compact_sums(plan: OperatorPlan, v):
-    """The same sums in the compact layout: each row runs over t = -L..m,
-    its cells L..1 mirrored ahead of cells 0..m."""
-    reach = plan.reach
-    if plan.mix is not None:
-        v = plan.mix @ v
-    v_hat = rfft(np.concatenate([v[:, reach:0:-1], v], axis=1), n=plan.fft_len, axis=-1)
-    if plan.mix is None:
-        v_hat = np.einsum("ijk,jk->ik", plan.kernel_re, v_hat)
-    else:
-        v_hat *= plan.kernel_re
-    out = irfft(v_hat, n=plan.fft_len, axis=-1)
-    return out[:, reach:reach + plan.trapw.size] + plan.tail
+        return np.einsum("ijk,jk->ik", table, x)
+    x *= table
+    return x
 
 
 def apply_operator(plan: OperatorPlan, values, nonlins,
@@ -407,12 +362,9 @@ def apply_operator(plan: OperatorPlan, values, nonlins,
 
     Regular and singular parts share the kernel lag convolution (their node
     weights just add). The weighted rows, mixed by plan.mix when the kernel
-    factors, go through one real FFT of length plan.fft_len, products with
-    the plan's spectra and one inverse FFT, which give the sum over the
-    full grid at the x >= 0 nodes. In the folded layout the rows are halved
-    at x = 0 and the products take the Toeplitz and Hankel spectra; in the
-    compact one each row is preceded by its mirrored cells L..1 and the
-    product takes the one Toeplitz spectrum. The plan's tail adds the
+    factors, go through one real FFT of length plan.fft_len, the product
+    T v^ + H conj(v^) with the plan's spectra (T v^ alone in the compact
+    layout; see OperatorPlan) and one inverse FFT; the plan's tail adds the
     analytic correction for the constant continuation.
     """
     if np.shape(values) != plan.omega.shape:
@@ -420,7 +372,24 @@ def apply_operator(plan: OperatorPlan, values, nonlins,
                          f"{plan.omega.shape}, N x (n_cells // 2 + 1)")
     v = np.vstack([g_eval(nl, row) for nl, row in zip(nonlins, values)])
     v *= (plan.trapw + plan.omega) if include_singular else plan.trapw
-    return (_compact_sums if plan.compact else _folded_sums)(plan, v)
+    if plan.mix is not None:
+        v = plan.mix @ v
+    folded = plan.hankel is not None
+    if folded:
+        v[:, 0] *= 0.5
+    # the compact row is preceded by its mirrored cells L..1: sums start at L
+    start = 0 if folded else plan.reach
+    v_hat = rfft(v if folded else np.concatenate([v[:, start:0:-1], v], axis=1),
+                 n=plan.fft_len, axis=-1)
+    # the Hankel sum is a correlation, so its spectrum multiplies conj(v_hat)
+    hankel_part = _product(plan, plan.hankel, v_hat.conj()) if folded else None
+    u_hat = _product(plan, plan.toeplitz, v_hat)
+    if folded:
+        u_hat += hankel_part
+    out = irfft(u_hat, n=plan.fft_len, axis=-1)[:, start:start + plan.trapw.size] + plan.tail
+    if folded:
+        out[:, 0] += np.dot(plan.center_fix, v[:, 0])
+    return out
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 # scipy.special is imported by the methods that call it: tabulated models need no scipy
 
-from ._tables import read_table
+from ._tables import increasing, read_table
 
 SQRT_PI = math.sqrt(math.pi)
 MIXTURE_NODES = 96         # of ExpMixtureKernel's Gauss-Legendre rule in s
@@ -225,8 +225,8 @@ class TabulatedKernel:
         tau = np.asarray(tau, dtype=float)
         if tau.ndim != 1 or tau.size < 2:
             raise ValueError("need at least two tau samples")
-        if tau[0] != 0.0 or np.any(np.diff(tau) <= 0.0):
-            raise ValueError("tau samples must start at 0 and increase strictly")
+        if tau[0] != 0.0 or not increasing(tau):
+            raise ValueError("tau samples must be finite, start at 0 and increase strictly")
         tables = np.asarray(tables, dtype=float)
         if tables.ndim != 3 or tables.shape[2] != tau.size or tables.shape[0] != tables.shape[1]:
             raise ValueError("tables must have shape (n, n, len(tau))")

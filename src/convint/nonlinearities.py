@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from ._tables import read_table
+from ._tables import increasing, read_table
 
 __all__ = [
     "PowerNonlin",
@@ -192,11 +192,11 @@ class TabulatedNonlin:
     def __init__(self, u, values, eta):
         u = np.asarray(u, dtype=float)
         values = np.asarray(values, dtype=float)
-        if u.ndim != 1 or u.size < 3 or np.any(np.diff(u) <= 0.0):
-            raise ValueError("u samples must be strictly increasing, at least three")
+        if u.ndim != 1 or u.size < 3 or not increasing(u):
+            raise ValueError("u samples must be finite and strictly increasing, at least three")
         if u[0] != 0.0 or values[0] != 0.0:
             raise ValueError("table must start at (0, 0)")
-        if not np.all(np.isfinite(values)) or np.any(np.diff(values) <= 0.0):
+        if not increasing(values):
             raise ValueError("g samples must be finite and strictly increasing")
         self.eta = _check_eta(eta)
         if self.eta > u[-1]:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 # scipy.special is imported by the methods that call it: tabulated models need no scipy
 
-from ._tables import read_table
+from ._tables import increasing, read_table
 
 SQRT_PI = math.sqrt(math.pi)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
@@ -192,8 +192,8 @@ class TabulatedExcessWeight:
         gamma = float(gamma)
         if not (0.0 <= gamma < 1.0):
             raise ValueError("gamma must lie in [0, 1)")
-        if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0.0):
-            raise ValueError("t samples must be strictly increasing, at least two")
+        if t.ndim != 1 or t.size < 2 or not increasing(t):
+            raise ValueError("t samples must be finite and strictly increasing, at least two")
         if t[0] < 0.0:
             raise ValueError("samples must lie on the nonnegative axis; "
                              "the weight is even in t")

@@ -78,6 +78,20 @@ class TestMajorant:
         g = np.array([float(nls[j].g(xi[j])) for j in range(2)])
         np.testing.assert_allclose((a + b) @ g, xi, rtol=1e-11)
 
+    def test_map_is_never_evaluated_twice_at_one_point(self):
+        # the image of the accepted supersolution s * eta is the iteration's
+        # first step, not evaluated again there
+        seen = []
+
+        class Recorded(PowerNonlin):
+            def g(self, u):
+                seen.append(float(u))
+                return super().g(u)
+
+        xi = solve_xi(np.array([[1.0]]), np.array([[0.2]]), (Recorded(0.5, 1.0),), np.ones(1))
+        assert len(seen) == len(set(seen))
+        assert xi[0] == pytest.approx(1.2 ** 2, rel=1e-12)
+
     def test_zero_excess_returns_eta(self):
         nl = (PowerNonlin(alpha=0.5, eta=1.0),)
         xi = solve_xi(np.array([[1.0]]), np.zeros((1, 1)), nl, np.ones(1))

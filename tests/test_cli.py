@@ -385,9 +385,11 @@ class TestProgressLines:
     # compact layout to be shorter (folded); eps = 0.2 takes R = 64, where
     # it reaches 436 cells and the compact layout runs
     @pytest.mark.parametrize("eps, line", [
-        (0.1, "operator: transform length 2048 (kernel reaches 873 of 1024 half-grid cells)"),
-        (0.2, "operator: transform length 1920 (kernel reaches 436 of 1024 half-grid cells)"),
-    ])
+        (0.1, "operator: folded layout, transform length 2048 "
+              "(kernel reaches 873 of 1024 half-grid cells)"),
+        (0.2, "operator: compact layout, transform length 1920 "
+              "(kernel reaches 436 of 1024 half-grid cells)"),
+    ], ids=["0.1-folded", "0.2-compact"])
     def test_solve_names_the_transform(self, tmp_path, capsys, eps, line):
         path = write_config(tmp_path / "run.json", scalar_config(eps=eps, n_cells=2048))
         assert cli.main(["--config", path, "--out-dir", str(tmp_path / "out")]) == 0
@@ -406,7 +408,8 @@ class TestProgressLines:
         lines = capsys.readouterr().out.splitlines()
         grid = lines.index("sweep grid: R = 64, n_cells = 2048 (sized for eps = 0.2)")
         assert lines[grid + 1] == \
-            "operator: transform length 1920 (kernel reaches 436 of 1024 half-grid cells)"
+            "operator: compact layout, transform length 1920 " \
+            "(kernel reaches 436 of 1024 half-grid cells)"
         assert sum(line.startswith("operator: ") for line in lines) == 1
 
     def test_sweep_runs_largest_eps_first_and_quiet_keeps_the_report(self, tmp_path, capsys):
@@ -442,6 +445,22 @@ class TestFailureExitCodes:
         assert run_cli(tmp_path, scalar_config(p=1.0)) == 4
         err = capsys.readouterr().err
         assert "majorant stage failed: contraction factor k = 1 outside (0, 1)" in err
+
+    def test_uncreatable_out_dir_exits_1(self, tmp_path):
+        # an existing file, and a path below one, cannot be made a directory;
+        # the run stops before any stage prints
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        path = write_config(tmp_path / "run.json", scalar_config(n_cells=512))
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        for out in (taken, taken / "sub"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "convint.cli", "--config", path, "--out-dir", str(out)],
+                capture_output=True, text=True, cwd=tmp_path, env=env)
+            assert proc.returncode == 1
+            assert proc.stderr.startswith(f"config error: cannot create output directory {out}: ")
+            assert "Traceback" not in proc.stderr
+            assert proc.stdout == ""
 
     def test_config_error_exits_1(self, tmp_path, capsys):
         assert run_cli(tmp_path, {"mode": "solve"}) == 1
@@ -683,13 +702,27 @@ class TestTabulatedPipeline:
          "# gamma=abc\nt,mu_minus_1\n0.1,1.0\n1.0,0.1\n",
          "line 1: could not convert string to float: 'abc'"),
         ("nonlins", "tabulated", "nonlin 1", "# eta=1.0\nu,g\n0,0\n2,1.4\n1,1\n",
-         "u samples must be strictly increasing, at least three"),
+         "u samples must be finite and strictly increasing, at least three"),
+    ] + [
+        # a NaN or infinite last sample coordinate is refused by the model's
+        # constructor, not left to interpolation or validation
+        (section, variant, where, text.format(bad), reason)
+        for bad in ("nan", "inf")
+        for section, variant, where, text, reason in [
+            ("kernel", "tabulated", "kernel", "tau,k_1_1\n0,1\n1,0.5\n{},0.25\n",
+             "tau samples must be finite, start at 0 and increase strictly"),
+            ("weights", "tabulated_excess", "weight 1",
+             "# gamma=0.5\nt,mu_minus_1\n0.1,1.0\n1.0,0.5\n{},0.1\n",
+             "t samples must be finite and strictly increasing, at least two"),
+            ("nonlins", "tabulated", "nonlin 1", "# eta=1.0\nu,g\n0,0\n1,1\n{},1.4\n",
+             "u samples must be finite and strictly increasing, at least three")]
     ], ids=["kernel-header-only", "kernel-tau-only", "excess-header-only",
             "map-header-only", "map-short-row", "excess-short-row", "kernel-short-row",
             "kernel-empty-cell",
             "kernel-first-column", "kernel-column-name", "kernel-lower-pair",
             "kernel-missing-pair", "map-non-numeric", "excess-bad-gamma",
-            "map-not-increasing"])
+            "map-not-increasing", "kernel-nan-tau", "excess-nan-t", "map-nan-u",
+            "kernel-inf-tau", "excess-inf-t", "map-inf-u"])
     def test_table_without_data_exits_1(self, tmp_path, capsys, section, variant,
                                         where, text, reason):
         table = tmp_path / "table.csv"

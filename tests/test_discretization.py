@@ -150,10 +150,8 @@ class TestPlanTables:
         p = grid.n_cells
         assert plan.fft_len == p
         np.testing.assert_array_equal(plan.mix, [[1.0]])
-        assert plan.kernel_re.shape == (p // 2 + 1,)
-        re, im, d = plan.kernel_re, plan.kernel_im, plan.kernel_cross
-        toeplitz = irfft((re + im) / 2.0 + d, p)
-        hankel = irfft((re - im) / 2.0 + 1j * d, p)
+        assert plan.toeplitz.shape == plan.hankel.shape == (p // 2 + 1,)
+        toeplitz, hankel = irfft(plan.toeplitz, p), irfft(plan.hankel, p)
         assert np.max(np.abs(toeplitz[1:] - toeplitz[:0:-1])) <= 1e-15
         row = np.concatenate([toeplitz[:p // 2 + 1], hankel[p // 2 + 1:], hankel[:1]])
         lags = grid.h * np.arange(grid.n_cells + 1)
@@ -162,18 +160,17 @@ class TestPlanTables:
 
     @pytest.mark.parametrize("n_cells, fft_len", [(14, 15), (22, 24), (64, 64)])
     def test_spectra_recover_kernel_lag_table(self, n_cells, fft_len):
-        # the Toeplitz spectrum T and the Hankel spectrum c + i d, undone from
-        # the stored T + c - d, T - c - d and d, give back lags 0..2R: T at
-        # the residues of lags -m..m, the Hankel row at those of lags 1..2m
+        # the Toeplitz spectrum T and the Hankel spectrum H, undone, give
+        # back lags 0..2R: T at the residues of lags -m..m, H at those of
+        # lags 1..2m
         # (R = 1 keeps the kernel at lag 2R, 0.01, well above roundoff)
         grid = build_grid(1.0, n_cells)
         plan = build_plan(scalar_spec(), grid, [1.0])
         assert plan.fft_len == fft_len
         m, p = n_cells // 2, fft_len
-        assert plan.kernel_re.shape == (p // 2 + 1,) and np.ndim(plan.center_fix) == 0
-        re, im, d = plan.kernel_re, plan.kernel_im, plan.kernel_cross
-        toeplitz = irfft((re + im) / 2.0 + d, p)
-        hankel = irfft((re - im) / 2.0 + 1j * d, p)
+        assert plan.toeplitz.shape == plan.hankel.shape == (p // 2 + 1,)
+        assert np.ndim(plan.center_fix) == 0
+        toeplitz, hankel = irfft(plan.toeplitz, p), irfft(plan.hankel, p)
         expect = np.exp(-((grid.h * np.arange(n_cells + 1)) ** 2)) / np.sqrt(np.pi)
         residues = np.arange(n_cells + 1) % p
         assert np.max(np.abs(toeplitz[residues[:m + 1]] - expect[:m + 1])) <= 1e-15
@@ -270,7 +267,7 @@ class TestApplyOperator:
         spec = scalar_spec()
         grid = build_grid(r, n_cells)
         plan = build_plan(spec, grid, [1.3])
-        assert plan.compact == (r == 64.0)
+        assert (plan.hankel is None) == (r == 64.0)
         f = bumpy_field(grid, 1)
         fast = apply_operator(plan, f, spec.nonlins)
         slow = direct_apply(spec, plan, f, [1.3])
@@ -288,7 +285,7 @@ class TestApplyOperator:
                            nonlins=models["make_nonlins"]([1.0, 0.8]), phi=models["phi"])
         grid = build_grid(r, n_cells)
         plan = build_plan(spec, grid, [1.0, 0.8])
-        assert plan.compact == (r == 64.0)
+        assert (plan.hankel is None) == (r == 64.0)
         f = bumpy_field(grid, 2)
         fast = apply_operator(plan, f, spec.nonlins)
         slow = direct_apply(spec, plan, f, [1.0, 0.8])
@@ -366,6 +363,26 @@ class TestPlanSpectra:
         grid = build_grid(r, n_cells)
         return spec, build_plan(spec, grid, [1.0, 0.8])
 
+    # (spec, R, n_cells, factored, compact): each of the four plan kinds
+    @pytest.mark.parametrize("spec, r, n_cells, factored, compact", [
+        pytest.param(scalar_spec(), 8.0, 64, True, False, id="factored-folded"),
+        pytest.param(scalar_spec(), 64.0, 256, True, True, id="factored-compact"),
+        pytest.param(pair_spec(tabulated_pair()), 1.5, 22, False, False, id="per-entry-folded"),
+        pytest.param(pair_spec(tabulated_pair()), 16.0, 256, False, True,
+                     id="per-entry-compact"),
+    ])
+    def test_every_table_owns_its_memory(self, spec, r, n_cells, factored, compact):
+        # a view of a larger array (rfft(...).real is one half of a complex
+        # one) keeps all of it alive, and a plan's nbytes would not count it
+        plan = build_plan(spec, build_grid(r, n_cells), [1.0] * spec.n)
+        assert (plan.mix is not None) == factored and (plan.hankel is None) == compact
+        tables = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
+        tables = {name: t for name, t in tables.items() if isinstance(t, np.ndarray)}
+        assert {"toeplitz", "trapw", "omega", "tail"} <= set(tables)
+        assert ("hankel" in tables) == (not compact)
+        for name, table in tables.items():
+            assert table.base is None or table.base.nbytes == table.nbytes, name
+
     @pytest.mark.parametrize("n_cells", [22, 64])
     def test_last_bit_asymmetry_gets_its_own_rows(self, n_cells):
         base = coupled_models()["kernel"]
@@ -383,7 +400,7 @@ class TestPlanSpectra:
         assert plan.mix[0, 1] == plan_base.mix[0, 1]
         assert plan.mix[1, 0] == plan_up.mix[1, 0]
         assert plan.mix[1, 0] != plan.mix[0, 1]
-        for name in ("kernel_re", "kernel_im", "kernel_cross", "center_fix"):
+        for name in ("toeplitz", "hankel", "center_fix"):
             np.testing.assert_array_equal(getattr(plan, name), getattr(plan_base, name))
 
     @pytest.mark.parametrize("n_cells", [22, 64])
@@ -415,9 +432,10 @@ class TestPlanSpectra:
         # layout runs with L the largest reach over the entries
         spec, plan = self.coupled_plan(tabulated_pair(), n_cells, r)
         assert plan.mix is None
-        assert plan.kernel_re.shape == (2, 2, plan.fft_len // 2 + 1)
-        assert plan.compact == (r == 16.0)
-        if not plan.compact:
+        assert plan.toeplitz.shape == (2, 2, plan.fft_len // 2 + 1)
+        assert (plan.hankel is None) == (r == 16.0)
+        if plan.hankel is not None:
+            assert plan.hankel.shape == plan.toeplitz.shape
             assert plan.center_fix.shape == (2, 2)
         f = bumpy_field(plan.grid, 2)
         fast = apply_operator(plan, f, spec.nonlins)
@@ -462,12 +480,11 @@ class TestCompactLayout:
         assert plan.reach == reach
         folded, tight = next_fast_len(n_cells), next_fast_len(n_cells // 2 + 2 * reach + 1)
         assert plan.fft_len == fft_len == (tight if tight < folded else folded)
-        assert plan.compact == compact == (tight < folded)
-        assert (plan.kernel_cross is None) == (plan.center_fix is None) == compact
+        assert (plan.hankel is None) == (plan.center_fix is None) == compact == (tight < folded)
 
     def test_small_and_flagship_keep_the_folded_layout(self, small, flagship):
-        assert small[2].fft_len == 64 and not small[2].compact
-        assert flagship.plan.fft_len == 8192 and not flagship.plan.compact
+        assert small[2].fft_len == 64 and small[2].hankel is not None
+        assert flagship.plan.fft_len == 8192 and flagship.plan.hankel is not None
 
     @pytest.mark.parametrize("spec, r, n_cells", [
         pytest.param(scalar_spec(), 64.0, 256, id="gauss-r64-256"),
@@ -480,8 +497,8 @@ class TestCompactLayout:
         grid = build_grid(r, n_cells)
         plan = build_plan(spec, grid, [1.0])
         p, reach = plan.fft_len, plan.reach
-        assert plan.compact and plan.kernel_re.shape == (p // 2 + 1,)
-        table = irfft(plan.kernel_re, p)
+        assert plan.hankel is None and plan.toeplitz.shape == (p // 2 + 1,)
+        table = irfft(plan.toeplitz, p)
         expect = kernel_eval(spec.kernel, 0, 0, grid.h * np.arange(reach + 1))
         assert expect[-1] > 0.0
         assert np.max(np.abs(table[:reach + 1] - expect)) <= 1e-15
@@ -496,7 +513,7 @@ class TestCompactLayout:
         spec = ramp_spec()
         grid = build_grid(8.0, n_cells)
         plan = build_plan(spec, grid, [1.3])
-        assert plan.compact
+        assert plan.hankel is None
         assert kernel_eval(spec.kernel, 0, 0, grid.h * plan.reach) >= 0.2
         f = bumpy_field(grid, 1)
         fast = apply_operator(plan, f, spec.nonlins)
