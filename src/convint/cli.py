@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._g17 import format_rows
 from .errors import (ConfigError, MajorantError, SolveError, SpectralError,
                      ValidationFailure)
 from .kernels import ExpMixtureKernel, GaussianKernel, load_tabulated_kernel
@@ -53,7 +54,7 @@ __all__ = ["RunConfig", "load_config", "run", "emit_profile", "emit_report",
 
 SCHEMA_VERSION = 4
 
-# profile values formatted per call: bounds the writer's temporaries whatever
+# profile values joined per write: bounds the writer's temporaries whatever
 # the component count (8192 rows at one component, 1890 at six)
 _PROFILE_BLOCK_VALUES = 24576
 
@@ -219,28 +220,31 @@ def emit_profile(report, eta, path):
 
     One row per grid node, x from -R to R; the bytes are those of
     np.savetxt(fmt="%.17g") on the full table. The field stores the x >= 0
-    nodes: their rows are formatted once, in blocks, and each x < 0 row is
-    written from its mirror's text with a '-' before x.
+    nodes: their rows are formatted once, and each x < 0 row is written from
+    its mirror's text with a '-' before x.
+
+    The digits are computed in arrays by convint._g17, exactly and correctly
+    rounded: each |v| 10^q is formed without error from 10^q split into two
+    doubles and Dekker's error-free products, its decade is corrected from
+    the floor of that product, and a rounding up to 10^17 carries into the
+    next decade. Only a value outside 1e-30 <= |v| < 1e16 (zero, inf, nan,
+    tiny or huge) is printed by '%.17g' itself, one at a time.
     """
     f, grid = report.field, report.grid
     eta = np.asarray(eta, dtype=float)
     half = grid.n_cells // 2
     table = np.column_stack([grid.half_nodes, f.T, (f - eta[:, None]).T])
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    lines = format_rows(table)
     rows = max(1, _PROFILE_BLOCK_VALUES // table.shape[1])
-    lines = []
-    for start in range(0, half + 1, rows):
-        block = table[start:start + rows]
-        lines += (row * len(block) % tuple(block.ravel().tolist())).splitlines()
     header = ",".join(["x"] + [f"f_{i + 1}" for i in range(len(f))]
                       + [f"eta_gap_{i + 1}" for i in range(len(f))])
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         for stop in range(half, 0, -rows):
             start = max(stop - rows, 0)
-            fh.write("-" + "\n-".join(lines[stop:start:-1]) + "\n")
+            fh.write(b"-" + b"\n-".join(lines[stop:start:-1]) + b"\n")
         for start in range(0, half + 1, rows):
-            fh.write("\n".join(lines[start:start + rows]) + "\n")
+            fh.write(b"\n".join(lines[start:start + rows]) + b"\n")
 
 
 def _validation_block(v) -> dict:

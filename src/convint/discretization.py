@@ -257,11 +257,9 @@ def _kernel_spectra(kernel, factors, grid: Grid):
     """
     model, n = (kernel, kernel.n) if factors is None else (factors[1], 1)
     lags = np.linspace(0.0, 2.0 * grid.r, grid.n_cells + 1)
-
-    def row(i, j):
-        return kernel_eval(model, i, j, lags)
-
-    reach = max(_reach(row(i, j)) for i in range(n) for j in range(n))
+    # each lag table row is evaluated once, and dropped once its spectra are built
+    rows = {(i, j): kernel_eval(model, i, j, lags) for i in range(n) for j in range(n)}
+    reach = max(_reach(row) for row in rows.values())
     p = next_fast_len(grid.n_cells)
     compact_len = next_fast_len(grid.n_cells // 2 + 2 * reach + 1)
     folded = compact_len >= p
@@ -269,10 +267,10 @@ def _kernel_spectra(kernel, factors, grid: Grid):
     spectra = {}
     for i in range(n):
         for j in range(i, n):
-            lag_row = row(i, j)
+            lag_row = rows.pop((i, j))
             spectra[i, j] = spectra[j, i] = _lag_spectra(lag_row, reach, p, folded)
             if j > i:
-                mirror = row(j, i)
+                mirror = rows.pop((j, i))
                 if not np.array_equal(mirror, lag_row):
                     spectra[j, i] = _lag_spectra(mirror, reach, p, folded)
     if factors is not None:

@@ -176,25 +176,38 @@ class TestSolveMode:
 
 class TestProfileWriter:
     @staticmethod
-    def report(grid, n):
+    def report(grid, n, eta, dip):
         x = grid.half_nodes
         values = np.vstack([1.0 + 0.1 * (i + 1) * np.exp(-(i + 1) * (x / grid.r) ** 2)
                             for i in range(n)])
+        if dip:
+            # the field crosses eta: negative gaps, and one gap of exactly 0
+            values = eta[:, None] + 0.02 * np.cos(7.0 * x / grid.r) * values
+            values[0, 1] = eta[0]
         return SimpleNamespace(grid=grid, field=values)
 
-    # more than one block, the last one partial; two components; nodes so
-    # close to 0 that '%.17g' prints them in exponent form
-    @pytest.mark.parametrize("n, r, n_cells", [(1, 8.0, 4098), (2, 8.0, 64),
-                                               (2, 2e-5, 8)])
-    def test_bytes_match_savetxt_of_the_full_table(self, tmp_path, n, r, n_cells):
-        rep = self.report(build_grid(r, n_cells), n)
+    # (n, r, n_cells, dip): more than one block, the last one partial; two
+    # components; nodes so close to 0 that '%.17g' prints them in exponent
+    # form; six components over several blocks, the last one partial; a
+    # field that dips below eta; a non-dyadic h = 1/150
+    @pytest.mark.parametrize("n, r, n_cells, dip", [
+        pytest.param(1, 8.0, 4098, False, id="1-8.0-4098"),
+        pytest.param(2, 8.0, 64, False, id="2-8.0-64"),
+        pytest.param(2, 2e-5, 8, False, id="2-2e-05-8"),
+        pytest.param(6, 8.0, 8000, False, id="6-8.0-8000"),
+        pytest.param(3, 8.0, 512, True, id="3-8.0-512-dip"),
+        pytest.param(1, 10.0, 3000, False, id="1-10.0-3000")])
+    def test_bytes_match_savetxt_of_the_full_table(self, tmp_path, n, r, n_cells, dip):
         eta = np.linspace(0.99, 1.0, n)
+        rep = self.report(build_grid(r, n_cells), n, eta, dip)
         cli.emit_profile(rep, eta, tmp_path / "profile.csv")
         f = rep.field
         header = ",".join(["x"] + [f"f_{i + 1}" for i in range(n)]
                           + [f"eta_gap_{i + 1}" for i in range(n)])
         full = np.concatenate([f[:, :0:-1], f], axis=1)
         table = np.column_stack([rep.grid.nodes, full.T, (full - eta[:, None]).T])
+        if dip:
+            assert np.any(table[:, n + 1:] < 0) and np.any(table[:, n + 1:] == 0)
         np.savetxt(tmp_path / "reference.csv", table, fmt="%.17g", delimiter=",",
                    header=header, comments="")
         assert (tmp_path / "profile.csv").read_bytes() == \

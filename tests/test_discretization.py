@@ -14,6 +14,7 @@ from scipy.fft import irfft
 from scipy.fft import next_fast_len as scipy_next_fast_len
 from scipy.special import erfc, gamma, gammainc
 
+from convint import discretization
 from convint.discretization import (
     apply_operator,
     build_grid,
@@ -382,6 +383,22 @@ class TestPlanSpectra:
         assert ("hankel" in tables) == (not compact)
         for name, table in tables.items():
             assert table.base is None or table.base.nbytes == table.nbytes, name
+
+    @pytest.mark.parametrize("kernel, rows", [
+        pytest.param(coupled_models()["kernel"], 1, id="factored"),
+        pytest.param(tabulated_pair(), 4, id="per-entry"),
+    ])
+    def test_each_lag_row_is_evaluated_once(self, monkeypatch, kernel, rows):
+        # the reach and the spectra come from the same evaluation of each row
+        evaluated = []
+
+        def counted(model, i, j, lags):
+            evaluated.append((i, j))
+            return kernel_eval(model, i, j, lags)
+
+        monkeypatch.setattr(discretization, "kernel_eval", counted)
+        self.coupled_plan(kernel, 64)
+        assert len(evaluated) == len(set(evaluated)) == rows
 
     @pytest.mark.parametrize("n_cells", [22, 64])
     def test_last_bit_asymmetry_gets_its_own_rows(self, n_cells):
