@@ -2,26 +2,22 @@
 
 format_rows(block) gives the lines np.savetxt(fmt="%.17g", delimiter=",")
 writes for the block. A cell with 1e-30 <= |v| < 1e16 is formatted in
-arrays; any other cell (+-0, inf, nan, tiny or huge) one value at a time
+arrays where one error bound proves its digits; any other cell (+-0, inf,
+nan, tiny or huge, and the few the bound leaves open) one value at a time
 with '%.17g', the only other path.
 
-The 17 significant digits are correctly rounded, computed exactly:
-D = round-half-even(|v| 10^(16-k)), k the decade of |v|. With q = 16 - k
-in 1..46, |v| 10^q is formed without error: 10^q is the sum of two doubles
-hi + lo (exact for q <= 46), and |v| hi is a double p plus its rounding
-error e, by Dekker's product of Veltkamp-split halves (T. J. Dekker,
-Numer. Math. 18, 1971). p is an even integer, so D = p + n, n the integer
-nearest to e + |v| lo: n = rint(s), s = fl(e + |v| lo), unless s lies
-within 2^-40 of a half-integer. There the rounding errors of s and of
-|v| lo (below 2^-45 together) decide, and the sign of the remainder
-against 1/2 is taken from the exact sum, expanded by error-free additions;
-a tie goes to the even D, as in '%.17g'.
-
-k comes from floor(log10|v|), which can be one off near a power of ten.
-It is corrected from the floor of |v| 10^q, which must lie in
-[10^16, 10^17), decided exactly the same way, and never from the rounded D.
-A D that rounds up to 10^17 moves to the next decade as 10^16: the '%g'
-exponent is that of the rounded value.
+The 17 significant digits are D = round-half-even(|v| 10^q), q = 16 - k
+in 1..46, with k = floor(log10|v|), the decade of |v| but next to a power
+of ten. 10^q is the sum of two doubles hi + lo (exact for q <= 46), and
+|v| hi is a double p plus its rounding error e, by Dekker's product of
+Veltkamp-split halves (T. J. Dekker, Numer. Math. 18, 1971). So
+|v| 10^q = p + e + |v| lo exactly, and s = fl(e + fl(|v| lo)) lies within
+2^-45 of e + |v| lo. With nf = rint(s), one bound settles everything:
+wherever |s - nf| <= 1/2 - 2^-40 and 10^16 + 64 <= p + nf <= 10^17 - 64
+(p + nf as a double, off by at most 8), |v| 10^q - (p + nf) lies inside
+(-1/2, 1/2) and |v| 10^q in [10^16, 10^17), so D = p + nf is correctly
+rounded, below 10^17, and k is its decade. Any other cell (a tie or
+near-tie, a value next to a power of ten) goes to '%.17g' as well.
 
 The digits are laid out by C's '%g' rule: fixed notation for -4 <= k < 17,
 d.ddd...e-XX otherwise (k < -4 here), trailing zeros and a bare '.'
@@ -63,27 +59,10 @@ def _split(a):
     return hi, a - hi
 
 
-def _two_sum(a, b):
-    """(s, e) with s = fl(a + b) and s + e = a + b exactly."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
 def _prod_error(a, a_parts, b, b_parts, p):
     """a b - p exactly, for p = fl(a b) (Dekker)."""
     (ah, al), (bh, bl) = a_parts, b_parts
     return ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _sign3(a, b, c):
-    """The exact sign of a + b + c, as -1.0, 0.0 or 1.0: the sign of the
-    largest nonzero part of its nonoverlapping expansion (Shewchuk's
-    Grow-Expansion of b + c by a)."""
-    s, e = _two_sum(b, c)
-    s1, e1 = _two_sum(a, e)
-    s2, e2 = _two_sum(s1, s)
-    return np.sign(np.where(s2 != 0, s2, np.where(e2 != 0, e2, e1)))
 
 
 def _powers():
@@ -97,92 +76,19 @@ def _powers():
     return np.column_stack([hi, *_split(hi), lo])
 
 
-class _Scaled:
-    """|v| 10^q = n + g + r exactly for q = 16 - k: n = p + nf an integer
-    (p and nf integers as doubles), |g| <= 1/2 and |r| < 2^-45, while
-    |v| 10^q < 10^18. The parts of r are kept for the few places where they
-    decide."""
-
-    def __init__(self, a, k, powers):
-        hi, hh, hl, lo = powers.take((16 - k).astype(np.intp), axis=0).T
-        self.lo = lo.copy()
-        self.a = a
-        self.a_parts = _split(a)
-        self.p = a * hi
-        # |e| <= ulp(p)/2 <= 64 and |a lo| < 128
-        self.e = _prod_error(a, self.a_parts, hi, (hh, hl), self.p)
-        self.p2 = a * self.lo
-        self.s = self.e + self.p2
-        self.nf = np.rint(self.s)
-        self.g = self.s - self.nf
-        # p is an integer once p >= 2^53; below, n < 10^16 all the same
-        self.n = self.p.astype(np.int64) + self.nf.astype(np.int64)
-
-    def remainder(self, idx):
-        """(g, t, e2) at idx, r = t + e2: the rounding errors of s and of
-        a lo."""
-        a, lo, s, e, p2 = self.a[idx], self.lo[idx], self.s[idx], self.e[idx], self.p2[idx]
-        parts = self.a_parts[0][idx], self.a_parts[1][idx]
-        bb = s - e
-        t = (e - (s - bb)) + (p2 - bb)
-        return self.g[idx], t, _prod_error(a, parts, lo, _split(lo), p2)
-
-    def put(self, idx, other):
-        for name in ("a", "lo", "p", "e", "p2", "s", "nf", "g", "n"):
-            getattr(self, name)[idx] = getattr(other, name)
-        for mine, theirs in zip(self.a_parts, other.a_parts):
-            mine[idx] = theirs
-
-    def outside(self):
-        """The indices where |v| 10^q may lie outside [10^16, 10^17)."""
-        approx = self.p + self.nf
-        return np.flatnonzero((approx < 1e16 + 64) | (approx > 1e17 - 64))
-
-    def decade_shift(self, idx):
-        """At idx: -1 where |v| 10^q < 10^16, +1 where it is >= 10^17,
-        else 0."""
-        beyond = _sign3(*self.remainder(idx))  # the sign of |v| 10^q - n
-
-        def side(bound):  # the sign of |v| 10^q - bound
-            # n - bound as a double: exact where small, of the right sign
-            diff = (self.n[idx] - bound).astype(np.float64)
-            return np.where(diff != 0, np.sign(diff), beyond)
-        return np.where(side(10**16) < 0, -1.0, 0.0) + np.where(side(10**17) >= 0, 1.0, 0.0)
-
-    def rounded(self):
-        """(round-half-even(|v| 10^q) as int64, the indices where it is
-        10^17)."""
-        d = self.n
-        near = np.flatnonzero(np.abs(self.g) > 0.5 - 2.0**-40)
-        if near.size:
-            g, t, e2 = self.remainder(near)
-            side = np.sign(g)
-            over = _sign3(np.abs(g) - 0.5, side * t, side * e2)
-            # p is even, so n is odd where nf is
-            up = side * ((over > 0) | ((over == 0) & (np.fmod(self.nf[near], 2.0) != 0)))
-            d[near] += up.astype(np.int64)
-            self.nf[near] += up
-        top = np.flatnonzero(self.p + self.nf > 1e17 - 64)
-        return d, top[(d[top] - 10**17).astype(np.float64) == 0]
-
-
 def _decimal(a, powers):
-    """(D, k): |v| = D 10^(k-16) correctly rounded, 10^16 <= D < 10^17,
-    k as doubles."""
+    """(D, k, exact): |v| = D 10^(k-16) correctly rounded, 10^16 <= D < 10^17,
+    with k as doubles, wherever exact holds."""
     k = np.clip(np.floor(np.log10(a)), _K_MIN, _K_MAX)
-    scaled = _Scaled(a, k, powers)
-    idx = scaled.outside()
-    while idx.size:
-        shift = scaled.decade_shift(idx)
-        idx, shift = idx[shift != 0], shift[shift != 0]
-        k[idx] += shift
-        again = _Scaled(a[idx], k[idx], powers)
-        scaled.put(idx, again)
-        idx = idx[again.outside()]
-    d, carry = scaled.rounded()
-    d[carry] = 10**16
-    k[carry] += 1
-    return d, k
+    hi, hh, hl, lo = powers.take((16 - k).astype(np.intp), axis=0).T
+    p = a * hi
+    # |e| <= ulp(p)/2 <= 64 and |a lo| < 128
+    s = _prod_error(a, _split(a), hi, (hh, hl), p) + a * lo
+    nf = np.rint(s)
+    approx = p + nf
+    exact = (np.abs(s - nf) <= 0.5 - 2.0**-40) & (approx >= 1e16 + 64) & (approx <= 1e17 - 64)
+    # p is an integer wherever exact holds, since p > 2^53 there
+    return p.astype(np.int64) + nf.astype(np.int64), k, exact
 
 
 def _quads():
@@ -255,7 +161,8 @@ def _text(block, tables):
     v = block.ravel()
     a = np.abs(v)
     inside = (a >= _LOW) & (a < _HIGH)
-    d, k = _decimal(np.where(inside, a, 1.5), powers)
+    d, k, exact = _decimal(np.where(inside, a, 1.5), powers)
+    inside &= exact
     first, d1_8, d9_16 = _digit_words(d, quads)
     row = (k - _K_MIN).astype(np.intp)
 

@@ -223,12 +223,10 @@ def emit_profile(report, eta, path):
     nodes: their rows are formatted once, and each x < 0 row is written from
     its mirror's text with a '-' before x.
 
-    The digits are computed in arrays by convint._g17, exactly and correctly
-    rounded: each |v| 10^q is formed without error from 10^q split into two
-    doubles and Dekker's error-free products, its decade is corrected from
-    the floor of that product, and a rounding up to 10^17 carries into the
-    next decade. Only a value outside 1e-30 <= |v| < 1e16 (zero, inf, nan,
-    tiny or huge) is printed by '%.17g' itself, one at a time.
+    The digits come from convint._g17, byte-identical to
+    np.savetxt(fmt="%.17g"). '%.17g' itself prints, one at a time, each
+    value outside 1e-30 <= |v| < 1e16 (zero, inf, nan, tiny or huge) and
+    the few near a tie or a power of ten that _g17's error bound leaves open.
     """
     f, grid = report.field, report.grid
     eta = np.asarray(eta, dtype=float)

@@ -114,8 +114,8 @@ def choose_truncation(kernel, weights, tol_trunc: float, g_sup: float) -> float:
     if not (g_sup > 0.0):
         raise ValueError("g_sup must be positive")
     n = kernel.n
-    r = 1.0
-    for _ in range(R_DOUBLINGS):
+    for doubling in range(R_DOUBLINGS):
+        r = 2.0 ** doubling
         half = r / 2.0
         worst_kernel = max(kernel_tail_mass(kernel, i, j, half)
                            for i in range(n) for j in range(n))
@@ -123,7 +123,6 @@ def choose_truncation(kernel, weights, tol_trunc: float, g_sup: float) -> float:
         weights_ok = all(excess_tail_mass(w, half) <= tol_trunc for w in weights)
         if kernel_ok and weights_ok:
             return r
-        r *= 2.0
     raise SolveError(
         f"no truncation radius up to {r:g} meets tol {tol_trunc:g}; "
         "kernel or weight tails decay too slowly")

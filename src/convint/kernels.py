@@ -79,10 +79,10 @@ def _check_coeffs(c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError("coefficient matrix must be square")
-    if not np.allclose(c, c.T, rtol=0.0, atol=1e-13 * max(1.0, float(np.max(np.abs(c))))):
-        raise ValueError("coefficient matrix must be symmetric")
     if not np.all(np.isfinite(c)) or np.any(c <= 0.0):
         raise ValueError("coefficient entries must be finite and positive")
+    if not np.allclose(c, c.T, rtol=0.0, atol=1e-13 * max(1.0, float(np.max(c)))):
+        raise ValueError("coefficient matrix must be symmetric")
     return 0.5 * (c + c.T)
 
 

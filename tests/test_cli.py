@@ -552,6 +552,14 @@ class TestFailureExitCodes:
         ("kernel: mixture decay must be finite",
          lambda d: d.update(kernel={"variant": "exp_mixture", "coeffs": [[1.0]],
                                     "s_hi": "inf", "decay": float("inf")})),
+        # a coefficient that is not finite, named before any symmetry test
+        # (numpy warns of an infinite tolerance, and a NaN is never symmetric)
+        ("kernel: coefficient entries must be finite and positive",
+         lambda d: d["kernel"].update(coeffs=[[float("inf")]])),
+        ("kernel: coefficient entries must be finite and positive",
+         lambda d: d.update(kernel={"variant": "exp_mixture", "coeffs": [[float("inf")]]})),
+        ("kernel: coefficient entries must be finite and positive",
+         lambda d: d["kernel"].update(coeffs=[[float("nan")]])),
         # an infinite value fails its own rule, or, for a key of earlier
         # versions, is refused with the key
         *[(f"numerics.{key} must be finite" if key in ("tol_stop", "tol_trunc")
@@ -565,7 +573,8 @@ class TestFailureExitCodes:
             "nonlin-alpha-null", "phi-p-list", "kernel-scalars-zero",
             "kernel-2x2-one-weight", "kernel-1x1-two-weights", "labels-count",
             "eps-bool", "eps-str", "p-str", "coeffs-bool", "s_low-key", "path-number",
-            "power-inf", "power-nan", "decay-inf",
+            "power-inf", "power-nan", "decay-inf", "coeffs-inf", "mixture-coeffs-inf",
+            "coeffs-nan",
             *[f"{key}-{v}" for key in ("tol_stop", "tol_trunc", "tol_alg", "h_target",
                                        "mono_slack") for v in ("inf", "-inf")]])
     def test_malformed_value_exits_1(self, tmp_path, capsys, key, edit):

@@ -558,6 +558,22 @@ class TestTruncation:
         with pytest.raises(SolveError, match="decay too slowly"):
             choose_truncation(spec.kernel, (StickyWeight(),), 1e-8, g_sup=1.0)
 
+    def test_failure_names_the_last_radius_tried(self):
+        class HeavyKernel:
+            n = 1
+
+            def __init__(self):
+                self.radii = []
+
+            def one_sided_tail(self, i, j, y):
+                self.radii.append(2.0 * y)  # judged at R/2
+                return 1.0
+
+        kernel = HeavyKernel()
+        with pytest.raises(SolveError) as info:
+            choose_truncation(kernel, scalar_spec().weights, 1e-8, g_sup=1.0)
+        assert f"no truncation radius up to {max(kernel.radii):g} meets" in str(info.value)
+
     def test_bad_inputs_rejected(self):
         spec = scalar_spec()
         with pytest.raises(ValueError):

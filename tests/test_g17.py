@@ -4,7 +4,10 @@ Every case compares convint._g17.format_rows with '%.17g' applied to each
 value, the formatting np.savetxt(fmt="%.17g") does. The cases aim at the
 places an array formatter goes wrong: the decade of values next to a power
 of ten, roundings up into the next decade, exact ties, the edges of the
-array path's domain and the values it leaves to '%.17g'.
+array path's domain and the values it leaves to '%.17g'. Exact ties and
+the values next to a power of ten lie outside the array path's error
+bound and their neighbours inside it, so these cases also pin the
+boundary between the array path and '%.17g' from both sides.
 """
 
 from fractions import Fraction
@@ -49,9 +52,12 @@ def test_named_values():
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_powers_of_ten_within_12_ulps(sign):
-    # every decade of the array path, and one past each end of it
-    values = [v for k in range(_K_MIN - 1, _K_MAX + 2) for v in ulps_around(float(f"1e{k}"), 12)]
+def test_powers_of_ten_within_64_ulps(sign):
+    # every decade of the array path, and one past each end of it; the array
+    # path sends to '%.17g' the values whose 17 digits lie within 64 of a
+    # power of ten, 29 to 57 ulps above 10^k and 2 to 40 below it, so 64 ulps
+    # reach both sides of that edge
+    values = [v for k in range(_K_MIN - 1, _K_MAX + 2) for v in ulps_around(float(f"1e{k}"), 64)]
     assert_formats(sign * np.array(values), cols=5)
 
 
@@ -75,9 +81,10 @@ def test_round_ups_into_the_next_decade():
 def test_dyadic_ties_round_to_even():
     # 1 + j 2^-17 lies exactly halfway between two 17-digit decimals for odd j
     assert_formats(1.0 + np.arange(1, 2**17) * 2.0**-17, cols=4)
-    # and m 2^(k-17), m odd, does in every decade k that holds one
+    # and m 2^(k-17), m odd, does in every decade k that holds one, -8..15;
+    # in -8 and -7, 10^q is the sum of two doubles
     rng = np.random.default_rng(SEED)
-    for k in range(-5, _K_MAX + 1):
+    for k in range(-8, _K_MAX + 1):
         lo, hi = 10.0**k * 2.0 ** (17 - k), min(10.0 ** (k + 1) * 2.0 ** (17 - k), 2.0**53)
         m = rng.integers(np.ceil(lo), hi, 2000) | 1
         ties = m * 2.0 ** (k - 17)

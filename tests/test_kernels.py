@@ -76,6 +76,15 @@ class TestGaussian:
         with pytest.raises(ValueError):
             GaussianKernel([[1.0, 2.0]])
 
+    # finiteness is checked before symmetry: a NaN is not reported as
+    # asymmetric, and an infinite entry gives numpy no infinite tolerance
+    @pytest.mark.parametrize("model", [GaussianKernel, ExpMixtureKernel],
+                             ids=["gaussian", "exp_mixture"])
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_nonfinite_coeffs_rejected(self, model, entry):
+        with pytest.raises(ValueError, match="coefficient entries must be finite and positive"):
+            model([[entry]])
+
 
 class TestExpMixture:
     def test_unit_density_closed_forms(self):
