@@ -40,8 +40,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# scipy.special is imported by the methods that call it: tabulated models need no scipy
 
+from ._special import erfc, upper_gamma
 from ._tables import increasing, read_table
 
 SQRT_PI = math.sqrt(math.pi)
@@ -109,9 +109,8 @@ class GaussianKernel:
         return KernelScalars(a=c.copy(), sup=c / SQRT_PI, first_moment=c / (2.0 * SQRT_PI))
 
     def one_sided_tail(self, i, j, y):
-        from scipy import special
         y = np.asarray(y, dtype=float)
-        out = self._c(i, j) * 0.5 * special.erfc(y)
+        out = self._c(i, j) * 0.5 * erfc(y)
         return out if out.ndim else float(out)
 
     def rescaled(self, factor: float) -> "GaussianKernel":
@@ -165,12 +164,12 @@ class ExpMixtureKernel:
         self._dens = np.power(self._s, self.power) * np.exp(-self.decay * self._s)
 
     def _density_tail(self, s0: float) -> float:
-        # bound on int_{s0}^inf s^{p-1} e^{-q s} ds
-        from scipy import special
+        # bound on int_{s0}^inf s^{p-1} e^{-q s} ds = q^-p Gamma(p, q s0)
         p, q = self.power, self.decay
-        if p > 0.0:
-            return float(special.gammaincc(p, q * s0) * special.gamma(p) * q ** (-p))
-        return float(special.exp1(q * s0))
+        try:
+            return upper_gamma(p, q * s0) * q ** -p
+        except OverflowError:   # beyond the float range, so above any cut
+            return math.inf
 
     @property
     def n(self) -> int:

@@ -17,12 +17,14 @@ model provides
 Built-ins:
 
   ExpSqrtWeight:   mu(t) = 1 + eps exp(-|t|) / sqrt(|t|).
-                   w = 2 eps sqrt(pi); moments via incomplete gamma.
+                   w = 2 eps sqrt(pi); moments and tails from the
+                   regularized incomplete gamma functions at shapes 1/2 and
+                   3/2, in closed form through erf and erfc.
   RationalWeight:  mu(t) = 1 + eps / ((1 + t^2) |t|^alpha), alpha in (0, 1).
                    w = eps pi / cos(pi alpha / 2); moments by a
                    desingularizing substitution u = t^(1-alpha) and a fixed
                    Gauss rule on the (smooth) transformed integrand; tails
-                   as a hypergeometric function.
+                   by the same rule, beyond t = 1 after t = 1/v.
   TabulatedExcessWeight: samples of mu - 1 with a declared singularity
                    exponent gamma; the regular factor s(t) = (mu-1)|t|^gamma
                    is interpolated linearly and integrated against |t|^-gamma
@@ -35,8 +37,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# scipy.special is imported by the methods that call it: tabulated models need no scipy
 
+from . import _special
 from ._tables import increasing, read_table
 
 SQRT_PI = math.sqrt(math.pi)
@@ -86,18 +88,17 @@ class ExpSqrtWeight:
         return 2.0 * self.eps * SQRT_PI
 
     def excess_tail(self, t_from: float) -> float:
-        from scipy import special
-        return 2.0 * self.eps * SQRT_PI * float(special.gammaincc(0.5, t_from))
+        # Q(1/2, t) = erfc(sqrt t)
+        return 2.0 * self.eps * SQRT_PI * math.erfc(math.sqrt(t_from))
 
     def _mass_diff(self, edges, k, shape):
         # int e^-t t^(shape-1) dt over each cell in units of Gamma(shape):
         # differences of P at the edges of the first k cells (lo < 1), of
         # the complementary Q beyond, which keeps relative precision there
-        from scipy import special
-        p = special.gammainc(shape, edges[:k + 1])
-        q = special.gammaincc(shape, edges[k:])
+        p = _special.gammainc(shape, edges[:k + 1])
+        q = _special.gammaincc(shape, edges[k:])
         out = np.concatenate([p[1:] - p[:-1], q[:-1] - q[1:]])
-        out *= self.eps * float(special.gamma(shape))
+        out *= self.eps * math.gamma(shape)
         return out
 
     def cell_moments_batch(self, edges):
@@ -140,21 +141,25 @@ class RationalWeight:
     def excess_integral_closed(self) -> float:
         return self.eps * math.pi / math.cos(math.pi * self.alpha / 2.0)
 
+    def _moment(self, x: float, k: float) -> float:
+        # eps int_0^x v^k / (1 + v^2) dv, k > -1: the rule with gamma = -k
+        return _regular_integral(np.ones_like, lambda v: self.eps / (1.0 + v * v), -k,
+                                 _graded_edges(x, -k))
+
     def excess_tail(self, t_from: float) -> float:
-        from scipy import special
         if t_from <= 0.0:
             return self.excess_integral_closed()
-        if t_from < 1.0:
-            # the total less the head 2 eps int_0^t s^-alpha / (1 + s^2) ds,
-            # so no 1/t_from overflows as t_from -> 0
-            q = 1.0 - self.alpha
-            head = (2.0 * self.eps * t_from ** q / q
-                    * special.hyp2f1(1.0, q / 2.0, q / 2.0 + 1.0, -t_from * t_from))
-            return float(self.excess_integral_closed() - head)
-        # t = 1/v: 2 eps int_0^x v^alpha / (1 + v^2) dv with x = 1/t_from
-        x, q = 1.0 / t_from, 1.0 + self.alpha
-        return float(2.0 * self.eps * x ** q / q
-                     * special.hyp2f1(1.0, q / 2.0, q / 2.0 + 1.0, -x * x))
+        if t_from >= 1.0:
+            # t = 1/v: 2 eps int_0^x v^alpha / (1 + v^2) dv with x = 1/t_from
+            return 2.0 * self._moment(1.0 / t_from, self.alpha)
+        # the same from t = 1 on, plus int_t^1 s^-alpha / (1 + s^2) ds =
+        # (1 - t^q) / q - int_t^1 s^(2-alpha) / (1 + s^2) ds, q = 1 - alpha:
+        # no two terms cancel, as the total less the head would for alpha
+        # near 1, and no 1/t_from overflows as t_from -> 0
+        q, k = 1.0 - self.alpha, 2.0 - self.alpha
+        inner = (-self.eps * math.expm1(q * math.log(t_from)) / q
+                 - self._moment(1.0, k) + self._moment(t_from, k))
+        return 2.0 * (inner + self._moment(1.0, self.alpha))
 
     def cell_moments_batch(self, edges):
         lo, hi = _cells(edges)
@@ -299,7 +304,8 @@ def _graded_edges(hi: float, gamma: float):
 def _regular_integral(fn, s, gamma: float, edges) -> float:
     """int fn(t) (mu-1)(t) dt from edges[0] to edges[-1], (mu-1) = s(t) t^-gamma.
 
-    With p = 1 - gamma and u = t^p the integral is (1/p) int fn(t) s(t) du,
+    gamma < 1; a negative gamma is a zero of the integrand at t = 0. With
+    p = 1 - gamma and u = t^p the integral is (1/p) int fn(t) s(t) du,
     t = u^(1/p): a 16-point Gauss-Legendre rule on each panel between
     consecutive edges (mapped to u) evaluates it.
     """

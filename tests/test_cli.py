@@ -882,20 +882,25 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["tabulated []", "linear_map []"]
 
-    def test_tabulated_solve_and_validate_load_no_scipy(self, tmp_path):
-        # closed-form kernels and weights import scipy.special on first
-        # use; a run of tabulated models calls none of them
+    def test_bundled_configs_load_no_scipy(self, tmp_path):
+        # the closed-form kernels and weights evaluate their special
+        # functions with numpy alone: every bundled config, each in its own
+        # mode (solve, sweep, and the validates that refuse), runs in one
+        # process without loading any scipy module
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
         code = ("import sys\n"
+                "from pathlib import Path\n"
                 "from convint import cli\n"
-                "for mode in ('solve', 'validate'):\n"
-                "    argv = ['--config', f'{sys.argv[1]}/tabulated.json', '--mode', mode,\n"
-                "            '--out-dir', mode, '--quiet']\n"
-                "    assert cli.main(argv) == 0, mode\n"
-                "    print(mode, sorted(m for m in sys.modules\n"
-                "                       if m == 'scipy' or m.startswith('scipy.')))\n")
+                "for config in sorted(Path(sys.argv[1]).glob('*.json')):\n"
+                "    code = cli.main(['--config', str(config), '--out-dir', config.stem,\n"
+                "                     '--quiet'])\n"
+                "    print(config.stem, code, sorted(m for m in sys.modules\n"
+                "                                    if m == 'scipy' or m.startswith('scipy.')))\n")
         proc = subprocess.run([sys.executable, "-c", code, str(DEMO_CONFIGS)],
                               capture_output=True, text=True, cwd=tmp_path, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["solve []", "validate []"]
+        refused = {"linear_map", "mismatched_scaling", "unit_weight"}
+        names = sorted(p.stem for p in DEMO_CONFIGS.glob("*.json"))
+        assert proc.stdout.splitlines() == [
+            f"{name} {2 if name in refused else 0} []" for name in names]

@@ -93,6 +93,18 @@ def test_dyadic_ties_round_to_even():
         assert_formats(ties, cols=2)
 
 
+def test_near_ties_inside_the_tie_margin():
+    # |v| 10^23 of each lies 2^-50, 2^-51 and 2^-52 from a half-integer, closer
+    # than the computed s can tell apart from the tie, so only the margin
+    # |s - nf| <= 1/2 - 2^-40 sends them to '%.17g'; without it the arrays
+    # round them the wrong way (...243312e-07 for ...243311e-07)
+    values = [9.508396845224331e-07, 3.888475069819475e-07, 2.2422607587866907e-07]
+    for v in values:
+        off = abs(Fraction(v) * 10**23 % 1 - Fraction(1, 2))
+        assert Fraction(1, 2**52) <= off <= Fraction(1, 2**50)
+    assert_formats(values + [-v for v in values], cols=1)
+
+
 def test_values_outside_the_array_domain():
     assert_formats([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-31, 9.99e-31,
                     1e16, -1e16, 1e300, -1e300, 1.7976931348623157e308, np.inf, -np.inf,

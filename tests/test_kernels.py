@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +22,12 @@ from convint import (
     kernel_tail_one_sided,
     load_tabulated_kernel,
 )
+from convint.kernels import MIXTURE_TAIL_CUT
 from conftest import write_kernel_table
 from oracles import kernel_scalars_quadrature
 
 SQRT_PI = math.sqrt(math.pi)
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 COEFFS_2X2 = np.array([[0.8, 0.3], [0.3, 1.1]])
 
 
@@ -117,6 +121,45 @@ class TestExpMixture:
                                  power=1.0, decay=1.0)
         ref, _ = integrate.quad(lambda s: s * math.exp(-s - 0.5 * s), 1.0, np.inf)
         assert kernel_eval(model, 0, 0, 0.5) == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("power", [0.0, 1.0, 2.0, 0.5, 2.5, 7.3])
+    @pytest.mark.parametrize("decay", [0.01, 0.5, 2.0, 30.0])
+    def test_density_tail_against_scipy(self, power, decay):
+        # int_s0^inf s^(p-1) e^(-q s) ds: E1(q s0) at p = 0, else
+        # q^-p Gamma(p) Q(p, q s0). Within 512 ulp: scipy's own Q loses up
+        # to a few hundred near q s0 = 1 (tests/test_special.py)
+        model = ExpMixtureKernel(coeffs=[[1.0]], s_lo=1.0, s_hi=np.inf,
+                                 power=power, decay=decay)
+        for s0 in np.geomspace(1e-3, 100.0 / decay, 41):
+            y = decay * s0
+            want = (special.exp1(y) if power == 0.0 else
+                    special.gammaincc(power, y) * special.gamma(power) * decay ** -power)
+            got = model._density_tail(float(s0))
+            assert abs(got - want) <= 512 * np.spacing(want), s0
+
+    def test_density_tail_beyond_the_float_range(self):
+        # Gamma(172, 20) overflows although q^-p Gamma(p, q s0) does not for
+        # larger s0: the tail reads inf until it fits, and the rule ends at
+        # 32, where int_s0^inf s^171 e^(-20 s) ds first drops below 1e-14
+        # (1.8e-22 at 32 against 9.1e65 at 16)
+        model = ExpMixtureKernel(coeffs=[[1.0]], s_lo=1.0, s_hi=np.inf, power=172.0, decay=20.0)
+        assert model._density_tail(1.0) == math.inf
+        assert model._density_tail(32.0) == pytest.approx(1.844248587819768e-22, rel=1e-13)
+        finite = ExpMixtureKernel(coeffs=[[1.0]], s_lo=1.0, s_hi=32.0, power=172.0, decay=20.0)
+        assert np.array_equal(model._s, finite._s)
+
+    def test_radiative_cut_unchanged(self):
+        # demo radiative's s rule ends at the first doubling of s_lo with a
+        # density tail of at most 1e-14, the same doubling scipy's tail picks
+        doc = json.loads((DEMO_CONFIGS / "radiative.json").read_text())["kernel"]
+        p, q = doc["power"], doc["decay"]
+        cut = float(doc["s_lo"])
+        while special.gammaincc(p, q * cut) * special.gamma(p) * q ** -p > MIXTURE_TAIL_CUT:
+            cut *= 2.0
+        model = ExpMixtureKernel(doc["coeffs"], doc["s_lo"], math.inf, p, q)
+        finite = ExpMixtureKernel(doc["coeffs"], doc["s_lo"], cut, p, q)
+        assert cut == 16.0
+        assert np.array_equal(model._s, finite._s) and np.array_equal(model._w, finite._w)
 
     def test_bad_support_rejected(self):
         with pytest.raises(ValueError):

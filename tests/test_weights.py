@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from convint import (
     ExpMixtureKernel,
@@ -95,6 +95,44 @@ class TestRational:
                                                            rel=1e-15)
         # the heavy tail is what drives large truncation radii
         assert excess_tail_mass(w, 1000.0) > 1e-6
+
+    @pytest.mark.parametrize("alpha", [1e-9, 0.1, 0.4, 0.5, 0.7, 0.9, 0.99])
+    def test_tail_against_hypergeometric_form(self, alpha):
+        # scipy's hyp2f1 form of the tail: beyond t = 1, 2 eps x^q / q
+        # 2F1(1, q/2; q/2 + 1; -x^2) with x = 1/t and q = 1 + alpha; below
+        # it the total less the head, the same form with t and q = 1 - alpha.
+        # That difference loses an ulp of the total, so the bound below 1 is
+        # 32 ulp of the tail plus 32 of the total
+        w = RationalWeight(eps=0.3, alpha=alpha)
+        total = excess_integral(w)
+        for t0 in np.geomspace(1e-300, 1e300, 601):
+            t0 = float(t0)
+            q = 1.0 + alpha if t0 >= 1.0 else 1.0 - alpha
+            x = 1.0 / t0 if t0 >= 1.0 else t0
+            form = 2.0 * w.eps * x ** q / q * special.hyp2f1(1.0, q / 2.0, q / 2.0 + 1.0, -x * x)
+            want = form if t0 >= 1.0 else total - form
+            got = excess_tail_mass(w, t0)
+            if t0 >= 1.0:
+                assert got == want or abs(got - want) <= 32 * np.spacing(want), t0
+            else:
+                assert abs(got - want) <= 32 * (np.spacing(want) + np.spacing(total)), t0
+
+    @pytest.mark.parametrize("alpha, t0, want", [
+        # 60-digit values rounded to double
+        (0.99, 1e-300, 59.94246747212953),
+        (0.99, 1e-05, 6.527411184131455),
+        (0.99, 0.5, 0.4830487941896152),
+        (0.99, 2.0, 0.06776684525562267),
+        (0.999999, 1e-300, 414.322198692783),
+        (0.999999, 1e-05, 6.907715761669017),
+        (0.999999, 0.5, 0.4828313945480864),
+        (0.999999, 2.0, 0.06694314718076343),
+    ])
+    def test_tail_near_alpha_one(self, alpha, t0, want):
+        # the total (2 eps / (1 - alpha) here) less the head would cancel
+        # nearly all its digits; the tail is summed from terms that do not
+        assert excess_tail_mass(RationalWeight(eps=0.3, alpha=alpha), t0) == pytest.approx(
+            want, rel=8 * 2.0 ** -52)
 
     def test_alpha_range(self):
         with pytest.raises(ValueError):
