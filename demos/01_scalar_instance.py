@@ -63,7 +63,7 @@ def main():
           f"dropped tail {quad.dropped_tail:.1e})")
 
     print("\n== 5. monotone iteration ==")
-    print(f"{sol.iterations} iterations ({sol.termination}), "
+    print(f"{sol.iterations} iterations to the step tolerance, "
           f"residual {sol.residual_sup:.3e}")
     tr = sol.trace
     xi_max = float(np.max(xi))

@@ -59,7 +59,7 @@ def main():
           f"{a_priori_iterations(sigma, k, 1e-9)}")
     print(f"R = {grid.r:g} ({grid.n_cells} cells, h = {grid.h:g}); "
           f"quadrature error {res.quad.total:.3e}")
-    print(f"{sol.iterations} iterations ({sol.termination}), "
+    print(f"{sol.iterations} iterations to the step tolerance, "
           f"residual {sol.residual_sup:.3e}")
 
     center = sol.field[:, 0]     # column 0 of the x >= 0 nodes

@@ -36,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from ._g17 import format_rows
+from .algebra import a_priori_iterations
 from .errors import (ConfigError, MajorantError, SolveError, SpectralError,
                      ValidationFailure)
 from .kernels import ExpMixtureKernel, GaussianKernel, load_tabulated_kernel
@@ -250,7 +251,8 @@ def _validation_block(v) -> dict:
 
 
 def _stage_blocks(res: RunResult) -> dict:
-    """Report blocks of one run_instance result."""
+    """Report blocks of one run_instance result. A returned solve met the
+    stopping rule; alpha_plus is its field at x = R."""
     v, q, sol = res.validation, res.quad, res.sol
     sigma, k = v.contraction
     return {
@@ -259,9 +261,9 @@ def _stage_blocks(res: RunResult) -> dict:
         "quadrature_error": {"regular": q.regular, "singular": q.singular,
                              "dropped_tail": q.dropped_tail, "total": q.total,
                              "mono_slack": q.slack},
-        "solve": {"iterations": sol.iterations, "termination": sol.termination,
-                  "a_priori_n": sol.a_priori_n, "residual_sup": sol.residual_sup,
-                  "alpha_plus": sol.alpha_plus,
+        "solve": {"iterations": sol.iterations, "termination": "step_below_tol",
+                  "a_priori_n": a_priori_iterations(sigma, k, res.numerics.tol_stop),
+                  "residual_sup": sol.residual_sup, "alpha_plus": sol.field[:, -1],
                   "asymptotics": sol.asymptotics, "trace": sol.trace,
                   "probe_deviation": sol.probe_deviation},
     }
@@ -275,7 +277,7 @@ def _say_stages(say, res: RunResult):
     say(f"quadrature error budget {q.total:.3e} "
         f"(regular {q.regular:.1e}, singular {q.singular:.1e}, "
         f"dropped tail {q.dropped_tail:.1e}); slack {q.slack:.3e}")
-    say(f"solve: {sol.iterations} iterations ({sol.termination}), "
+    say(f"solve: {sol.iterations} iterations (step_below_tol), "
         f"residual {sol.residual_sup:.3e}, enclosure width {sol.probe_deviation:.3e}")
 
 

@@ -130,7 +130,8 @@ class ExpMixtureKernel:
     Requires a > 0 (so 1/s stays bounded), finite p >= 0 and finite q. The
     s integral is a 96-point Gauss-Legendre rule. An infinite b requires
     q > 0; the rule then ends at the first doubling of a beyond which the
-    mass of s^(p-1) e^(-q s) is at most 1e-14.
+    mass of s^(p-1) e^(-q s) is at most 1e-14. A density not finite on the
+    rule raises ValueError.
     """
 
     def __init__(self, coeffs, s_lo=1.0, s_hi=2.0, power=0.0, decay=0.0):
@@ -161,7 +162,12 @@ class ExpMixtureKernel:
         nodes, wts = np.polynomial.legendre.leggauss(MIXTURE_NODES)
         self._s = 0.5 * (hi - self.s_lo) * nodes + 0.5 * (hi + self.s_lo)
         self._w = 0.5 * (hi - self.s_lo) * wts
-        self._dens = np.power(self._s, self.power) * np.exp(-self.decay * self._s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._dens = np.power(self._s, self.power) * np.exp(-self.decay * self._s)
+        if not np.all(np.isfinite(self._dens)):
+            raise ValueError(f"mixture density s^power e^(-decay s) is not finite on the s "
+                             f"rule [{self.s_lo:g}, {hi:g}] (power {self.power:g}, "
+                             f"decay {self.decay:g})")
 
     def _density_tail(self, s0: float) -> float:
         # bound on int_{s0}^inf s^{p-1} e^{-q s} ds = q^-p Gamma(p, q s0)

@@ -19,9 +19,9 @@ s_n = p d(up_n, up_(n-1)) / (1 - p): exp(-s_n) up_n <= f_h <= exp(s_n) up_n,
 so the width expm1(s_n) max(up_n) bounds sup|up_n - f_h|. Solve checks
 condition IV again on any strip below eta the iterates reached; validation
 sampled it on [eta, xi]. The run stops when both d_n and the width drop
-to the step tolerance, or at the iteration cap MAX_ITERS, reported
-distinctly, with the pessimistic count from (sigma, k) alongside; the
-final width is reported as probe_deviation.
+to the step tolerance; the last iterate is the solve's field and the final
+width its probe_deviation. A run that reaches the iteration cap MAX_ITERS
+first raises SolveError there, so every returned field is certified.
 
 run_instance assembles the paper's stage chain for one validated problem
 once: (sigma, k) of the report's slab [eta, xi], truncation and grid,
@@ -37,7 +37,6 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .algebra import a_priori_iterations
 from .discretization import (Grid, OperatorPlan, QuadratureError,
                              apply_operator, build_grid, build_plan,
                              choose_truncation, estimate_quadrature_error)
@@ -60,7 +59,7 @@ __all__ = [
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
-# iterations of the upper sequence before a solve ends as "iteration_cap"
+# iterations of the upper sequence before a solve raises SolveError
 MAX_ITERS = 400
 
 
@@ -87,18 +86,24 @@ class AsymptoticsReport:
 
 @dataclass
 class SolutionReport:
-    """field is the (N, m + 1) array of the last iterate at grid.half_nodes."""
+    """What a solve measured. field is the (N, m + 1) array at
+    grid.half_nodes of the iterate that met the stopping rule; both edges
+    x = -R and x = R hold its last column. trace has one entry per step."""
 
     grid: Grid
     field: np.ndarray
-    iterations: int
-    termination: str
     residual_sup: float
-    alpha_plus: np.ndarray
     asymptotics: AsymptoticsReport
     trace: IterationTrace
-    a_priori_n: int
-    probe_deviation: float
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace.d)
+
+    @property
+    def probe_deviation(self) -> float:
+        """The enclosure width of field: sup|field - f_h| is at most it."""
+        return self.trace.width[-1]
 
 
 def _worst_node(delta, grid):
@@ -106,11 +111,11 @@ def _worst_node(delta, grid):
     return f"component {i + 1}, node x = {grid.half_nodes[m]:.6g}"
 
 
-def _iterate(slab, plan, tol_stop, slack, trace: IterationTrace):
-    """Upper sequence from xi; returns (field, iterations, termination,
-    each component's minimum over the iterates). Each step's guards read
-    per-component reductions; only a failing guard scans the field again,
-    to name the node."""
+def _iterate(slab, plan, tol_stop, slack):
+    """Upper sequence from xi until the step and the width drop to tol_stop;
+    returns (field, each component's minimum over the iterates, trace), or
+    raises SolveError at MAX_ITERS. Each step's guards read per-component
+    reductions; only a failing guard scans the field again, to name the node."""
     grid, problem = plan.grid, slab.spec
     eta = np.asarray(slab.eta, dtype=float)
     xi = np.asarray(slab.xi, dtype=float)
@@ -118,7 +123,7 @@ def _iterate(slab, plan, tol_stop, slack, trace: IterationTrace):
     floor = xi.copy()
     (sig, k), p = slab.contraction, problem.phi.p
     xi_max = float(np.max(xi))
-    termination, n_done = "iteration_cap", MAX_ITERS
+    trace = IterationTrace()
 
     for n in range(1, MAX_ITERS + 1):
         values = apply_operator(plan, up, problem.nonlins)
@@ -161,10 +166,11 @@ def _iterate(slab, plan, tol_stop, slack, trace: IterationTrace):
 
         up = values
         if d_n <= tol_stop and width <= tol_stop:
-            termination, n_done = "step_below_tol", n
-            break
+            return up, floor, trace
 
-    return up, n_done, termination, floor
+    raise SolveError(
+        f"iteration cap {MAX_ITERS} reached before the step tolerance {tol_stop:g} "
+        f"(last step {trace.d[-1]:.3e}, enclosure width {trace.width[-1]:.3e})")
 
 
 def solve(slab: ValidationReport, plan, tol_stop: float, slack: float) -> SolutionReport:
@@ -176,11 +182,10 @@ def solve(slab: ValidationReport, plan, tol_stop: float, slack: float) -> Soluti
     slab's contraction (sigma, k), from which the step envelope is built.
     It stops at tol_stop; each guard allows slack (quad.slack in run_instance).
     Raises the contraction's MajorantError, and SolveError when an iterate
-    is not finite, when a guard trips, or when condition IV fails on a
-    strip below eta that the iterates reached.
+    is not finite, when a guard trips, at the iteration cap MAX_ITERS, or
+    when condition IV fails on a strip below eta that the iterates reached.
     """
-    trace = IterationTrace()
-    f, iters, termination, floor = _iterate(slab, plan, tol_stop, slack, trace)
+    f, floor, trace = _iterate(slab, plan, tol_stop, slack)
     # the enclosure rests on condition IV at every value the iterates took;
     # validation sampled it on [eta, xi] only
     for j, (nl, lo, top) in enumerate(zip(slab.spec.nonlins, floor, slab.eta)):
@@ -192,21 +197,10 @@ def solve(slab: ValidationReport, plan, tol_stop: float, slack: float) -> Soluti
                     f"margin {margin:.3e} on the strip [{lo:.9g}, {top:.9g}] "
                     f"(nonlin {j + 1}); the enclosure does not hold")
 
-    res = residual(plan, f, slab.spec.nonlins)
-    asym = asymptotics_report(plan.grid, f, slab.eta)
-    # the field is even: both edges x = -R and x = R hold its last column
-    return SolutionReport(
-        grid=plan.grid,
-        field=f,
-        iterations=iters,
-        termination=termination,
-        residual_sup=res,
-        alpha_plus=f[:, -1].copy(),
-        asymptotics=asym,
-        trace=trace,
-        a_priori_n=a_priori_iterations(*slab.contraction, tol_stop),
-        probe_deviation=trace.width[-1],
-    )
+    return SolutionReport(grid=plan.grid, field=f,
+                          residual_sup=residual(plan, f, slab.spec.nonlins),
+                          asymptotics=asymptotics_report(plan.grid, f, slab.eta),
+                          trace=trace)
 
 
 def residual(plan, f, nonlins) -> float:
@@ -308,10 +302,8 @@ def run_instance(validation: ValidationReport, numerics: Numerics,
 
     Raises ValidationFailure when a condition failed, the report's
     MajorantError when no majorant exists or its contraction is outside
-    (0, 1), before the grid is sized, SolveError when a solve guard
-    trips or the iteration cap is reached before the step and the enclosure
-    width drop to the step tolerance, and ConfigError when a grid is needed
-    and numerics.n_cells is not set.
+    (0, 1), before the grid is sized, the solve's SolveError, and
+    ConfigError when a grid is needed and numerics.n_cells is not set.
     """
     validation.require_passed()
     if validation.xi is None:
@@ -330,14 +322,8 @@ def run_instance(validation: ValidationReport, numerics: Numerics,
 
     plan = build_plan(spec, grid, eta)
     quad = estimate_quadrature_error(spec, plan, eta, xi, validation.scalars)
-    sol = solve(validation, plan, num.tol_stop, quad.slack)
-    if sol.termination == "iteration_cap":
-        raise SolveError(
-            f"iteration cap {MAX_ITERS} reached before the step tolerance "
-            f"{num.tol_stop:g} (last step {sol.trace.d[-1]:.3e}, "
-            f"enclosure width {sol.trace.width[-1]:.3e})")
     return RunResult(validation=validation, plan=plan, quad=quad, numerics=num,
-                     sol=sol)
+                     sol=solve(validation, plan, num.tol_stop, quad.slack))
 
 
 def run_sweep(validation: ValidationReport, eps_values, numerics: Numerics):

@@ -12,7 +12,8 @@ model provides
   * tail masses outside [-T, T],
   * weighted integrals int_0^hi fn(t) (mu - 1)(t) dt, all by one rule: with
     mu - 1 = s(t) t^-gamma and s regular, u = t^(1-gamma) removes the
-    singular factor and a fixed Gauss-Legendre rule integrates the rest.
+    singular factor and a Gauss-Legendre rule in u integrates the rest on
+    panels graded dyadically toward t = 0.
 
 Built-ins:
 
@@ -109,7 +110,7 @@ class ExpSqrtWeight:
 
     def weighted_integral(self, fn, hi: float) -> float:
         return _regular_integral(fn, lambda t: self.eps * np.exp(-t), 0.5,
-                                 _graded_edges(hi, 0.5))
+                                 _graded_edges(hi))
 
     def with_eps(self, eps):
         return ExpSqrtWeight(eps)
@@ -144,7 +145,7 @@ class RationalWeight:
     def _moment(self, x: float, k: float) -> float:
         # eps int_0^x v^k / (1 + v^2) dv, k > -1: the rule with gamma = -k
         return _regular_integral(np.ones_like, lambda v: self.eps / (1.0 + v * v), -k,
-                                 _graded_edges(x, -k))
+                                 _graded_edges(x))
 
     def excess_tail(self, t_from: float) -> float:
         if t_from <= 0.0:
@@ -177,7 +178,7 @@ class RationalWeight:
 
     def weighted_integral(self, fn, hi: float) -> float:
         return _regular_integral(fn, lambda t: self.eps / (1.0 + t * t), self.alpha,
-                                 _graded_edges(hi, self.alpha))
+                                 _graded_edges(hi))
 
     def with_eps(self, eps):
         return RationalWeight(eps, self.alpha)
@@ -288,17 +289,17 @@ class TabulatedExcessWeight:
         return _regular_integral(fn, self._s_at, self.gamma_exponent, edges)
 
 
-def _graded_edges(hi: float, gamma: float):
-    """Panel edges on [0, hi], dyadically graded toward 0 in u = t^(1-gamma).
+def _graded_edges(hi: float):
+    """Panel edges on [0, hi], dyadically graded toward 0 in t.
 
-    Sixty halvings below u = hi^(1-gamma), two panels per level, then one
-    panel down to 0: t = u^(1/(1-gamma)) is not smooth at u = 0 unless
-    1/(1-gamma) is an integer, and a kernel with a cusp at the origin needs
-    the same refinement.
+    Sixty halvings below hi, two panels per level, then one panel down to
+    0: _regular_integral maps each panel to u = t^(1-gamma), where t(u) is
+    not smooth at u = 0 unless 1/(1-gamma) is an integer, and a kernel with
+    a cusp at the origin needs the same refinement. Each panel above the
+    first ends at most 3/2 times where it starts, whatever gamma is.
     """
     r = np.ldexp(1.0, -np.arange(61))
-    r = np.concatenate([[0.0], np.sort(np.concatenate([r, 0.75 * r[:-1]]))])
-    return hi * np.power(r, 1.0 / (1.0 - gamma))
+    return hi * np.concatenate([[0.0], np.sort(np.concatenate([r, 0.75 * r[:-1]]))])
 
 
 def _regular_integral(fn, s, gamma: float, edges) -> float:

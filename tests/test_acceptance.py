@@ -179,7 +179,8 @@ def test_criterion_06_residual_and_unit_weight_variant(flagship):
     plan = build_plan(spec, grid, eta)
     quad = estimate_quadrature_error(spec, plan, eta, xi, scalars)
     sol = solve(slab, plan, 1e-12, quad.slack)
-    assert sol.termination == "step_below_tol"
+    # a returned solve met the stopping rule
+    assert sol.trace.d[-1] <= 1e-12 and sol.probe_deviation <= 1e-12
 
     flat = float(np.max(np.abs(sol.field - eta[:, None])))
     assert flat <= quad.slack

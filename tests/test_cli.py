@@ -15,7 +15,7 @@ from convint import (ExpMixtureKernel, ExpSqrtWeight, GaussianKernel, Numerics,
                      PowerNonlin, PowerPhi, RationalWeight, RootPowerMeanNonlin,
                      SaturatingExpNonlin, TabulatedExcessWeight, TabulatedKernel,
                      TabulatedNonlin, TwoPowerMeanNonlin, cli, problem, solver)
-from convint.algebra import contraction_params
+from convint.algebra import a_priori_iterations, contraction_params
 from convint.discretization import build_grid
 from convint.errors import ConfigError
 from convint.problem import validate_problem
@@ -241,6 +241,38 @@ class TestDemoConfigs:
         assert solve["termination"] == "step_below_tol"
         assert width[-1] <= doc["config"]["numerics"].get("tol_stop", Numerics.tol_stop)
         assert width[-1] == solve["probe_deviation"]
+
+
+# every bundled config that solves: the solve and sweep modes
+SOLVING_CONFIGS = sorted(path.stem for path in DEMO_CONFIGS.glob("*.json")
+                         if json.loads(path.read_text())["mode"] in ("solve", "sweep"))
+
+
+@pytest.mark.parametrize("name", SOLVING_CONFIGS)
+def test_derived_solve_keys_match_the_trace_and_profile(tmp_path, name):
+    # the report derives termination, iterations, probe_deviation,
+    # alpha_plus and a_priori_n from what the solve measured; each entry's
+    # keys agree with its trace, its profile's x = R row and its (sigma, k)
+    assert cli.main(["--config", str(DEMO_CONFIGS / f"{name}.json"),
+                     "--out-dir", str(tmp_path), "--quiet"]) == 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    tol_stop = doc["config"].get("numerics", {}).get("tol_stop", Numerics.tol_stop)
+    entries = doc.get("entries", [doc])
+    assert entries
+    for entry in entries:
+        solve = entry["solve"]
+        trace = solve["trace"]
+        assert solve["termination"] == "step_below_tol"
+        assert solve["iterations"] == len(trace["d"])
+        assert solve["probe_deviation"] == trace["width"][-1]
+        spectral = entry["spectral"]
+        assert solve["a_priori_n"] == a_priori_iterations(spectral["sigma"], spectral["k"],
+                                                          tol_stop)
+        last = (tmp_path / entry.get("profile", "profile.csv")).read_text().splitlines()[-1]
+        cells = [float(cell) for cell in last.split(",")]
+        n = len(solve["alpha_plus"])
+        assert cells[0] == doc["truncation"]["r"]
+        assert cells[1:1 + n] == solve["alpha_plus"]
 
 
 class TestValidateMode:
@@ -474,6 +506,24 @@ class TestFailureExitCodes:
             assert proc.stderr.startswith(f"config error: cannot create output directory {out}: ")
             assert "Traceback" not in proc.stderr
             assert proc.stdout == ""
+
+    def test_overflowing_mixture_density_exits_1_without_warnings(self, tmp_path):
+        # s^200 e^-s overflows on the mixture's own s rule; under -W error a
+        # numpy warning would end the run with a traceback instead
+        doc = scalar_config(n_cells=512)
+        doc["kernel"] = {"variant": "exp_mixture", "coeffs": [[1.0]], "s_lo": 1.0,
+                         "s_hi": "inf", "power": 200.0, "decay": 1.0}
+        path = write_config(tmp_path / "run.json", doc)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "convint.cli", "--config", path,
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr == ("config error: kernel: mixture density s^power e^(-decay s) "
+                               "is not finite on the s rule [1, 2048] (power 200, decay 1)\n")
+        assert proc.stdout == ""
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_config_error_exits_1(self, tmp_path, capsys):
         assert run_cli(tmp_path, {"mode": "solve"}) == 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +148,21 @@ class TestExpMixture:
         assert model._density_tail(32.0) == pytest.approx(1.844248587819768e-22, rel=1e-13)
         finite = ExpMixtureKernel(coeffs=[[1.0]], s_lo=1.0, s_hi=32.0, power=172.0, decay=20.0)
         assert np.array_equal(model._s, finite._s)
+
+    def test_density_that_overflows_is_refused(self):
+        # s^200 overflows beyond s = 2^(1024/200), well inside the rule cut
+        # at 2048: refused with power and decay named, and without a numpy
+        # warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^mixture density s\^power e\^\(-decay s\) "
+                                                 r"is not finite on the s rule \[1, 2048\] "
+                                                 r"\(power 200, decay 1\)$"):
+                ExpMixtureKernel(coeffs=[[1.0]], s_lo=1.0, s_hi=np.inf, power=200.0, decay=1.0)
+            # power 172 with decay 20 fits the float range on its rule, cut at 32
+            model = ExpMixtureKernel(coeffs=[[1.0]], s_lo=1.0, s_hi=np.inf,
+                                     power=172.0, decay=20.0)
+        assert np.all(np.isfinite(model._dens)) and np.max(model._dens) > 0.0
 
     def test_radiative_cut_unchanged(self):
         # demo radiative's s rule ends at the first doubling of s_lo with a

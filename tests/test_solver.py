@@ -36,10 +36,14 @@ def solve_like(run, slab):
 
 class TestReferenceRun:
     def test_terminates_on_small_step(self, flagship):
-        sol = flagship.sol
-        assert sol.termination == "step_below_tol"
+        # a returned solve met the stopping rule: its last step and width
+        # are within the step tolerance, and the report says so
+        sol, tol = flagship.sol, flagship.numerics.tol_stop
+        assert sol.trace.d[-1] <= tol and sol.trace.width[-1] <= tol
         assert 20 <= sol.iterations <= 30
-        assert sol.a_priori_n == 40
+        block = cli._stage_blocks(flagship)["solve"]
+        assert block["termination"] == "step_below_tol"
+        assert block["a_priori_n"] == 40
 
     def test_residual_within_budget(self, flagship):
         assert flagship.sol.residual_sup <= flagship.numerics.tol_stop + flagship.quad.slack
@@ -72,17 +76,21 @@ class TestReferenceRun:
         assert vals.shape == (1, flagship.plan.grid.n_cells // 2 + 1)
 
     def test_edge_values_recorded(self, flagship):
-        # field[:, 0] is x = 0; both edges x = -R and x = R are field[:, -1]
+        # field[:, 0] is x = 0; both edges x = -R and x = R are field[:, -1],
+        # which the report writes as alpha_plus
         sol = flagship.sol
-        assert np.array_equal(sol.alpha_plus, sol.field[:, -1])
+        block = cli._stage_blocks(flagship)["solve"]
+        assert np.array_equal(block["alpha_plus"], sol.field[:, -1])
+        assert np.array_equal(sol.asymptotics.edge_deviation,
+                              np.abs(sol.field[:, -1] - flagship.validation.eta))
 
     def test_solves_in_the_validated_slab(self, flagship):
         # the solve's xi is the one condition IV was checked on, bit for bit:
         # replayed from it, the iterates reach the solve's field exactly
         iterates = replay_to_stall(flagship, cap=flagship.sol.iterations)
         assert iterates[-1].tobytes() == flagship.sol.field.tobytes()
-        # and its a priori count is the one of that slab's (sigma, k)
-        assert flagship.sol.a_priori_n == a_priori_iterations(
+        # and the report's a priori count is the one of that slab's (sigma, k)
+        assert cli._stage_blocks(flagship)["solve"]["a_priori_n"] == a_priori_iterations(
             *flagship.validation.contraction, flagship.numerics.tol_stop)
 
     def test_residual_recomputes(self, flagship):
@@ -212,12 +220,18 @@ class TestConditionIVBelowEta:
 
 
 class TestStoppingRules:
-    def test_iteration_cap_reported_not_raised(self, coarse, monkeypatch):
+    def test_iteration_cap_raises(self, coarse, monkeypatch):
+        # the cap raises where it is hit, naming the third step and width,
+        # the ones the uncapped solve traced at iteration 3
         monkeypatch.setattr(solver, "MAX_ITERS", 3)
-        sol = solve_like(coarse, coarse.validation)
-        assert sol.termination == "iteration_cap"
-        assert sol.iterations == 3
-        assert len(sol.trace.d) == 3
+        trace = coarse.sol.trace
+        assert coarse.sol.iterations > 3
+        with pytest.raises(SolveError) as info:
+            solve_like(coarse, coarse.validation)
+        assert str(info.value) == (
+            f"iteration cap 3 reached before the step tolerance "
+            f"{coarse.numerics.tol_stop:g} (last step {trace.d[2]:.3e}, "
+            f"enclosure width {trace.width[2]:.3e})")
 
     def test_option_validation(self):
         with pytest.raises(ValueError):
