@@ -7,8 +7,11 @@ condition for each. Every solve, sweep entries included, must stop on the
 step tolerance with its enclosure width at or below tol_stop, and its
 derived report keys must agree with its trace, its profile and its
 (sigma, k). A flagship run whose step tolerance no step reaches must stop
-at the iteration cap with exit code 5. Output directories land under
-demos/out/; the capped run writes to a temporary directory.
+at the iteration cap with exit code 5; one whose eps puts the excess mass
+beyond the float range must be refused with exit code 1, and one at an eps
+just below that must find no majorant, with exit code 4. Output
+directories land under demos/out/; the edited flagship runs write to
+temporary directories.
 """
 
 import json
@@ -41,6 +44,16 @@ def run(name, expect_code, config=None, out_dir=None):
     print(f"  exit code {proc.returncode}")
     assert proc.returncode == expect_code, (name, proc.returncode)
     return out_dir, proc.stderr
+
+
+def run_flagship(name, expect_code, **changes):
+    """Run demos/configs/flagship.json with its top-level sections replaced
+    by changes, from a temporary directory; returns its standard error."""
+    doc = dict(json.loads((CONFIGS / "flagship.json").read_text()), **changes)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / f"{name}.json"
+        config.write_text(json.dumps(doc, indent=1) + "\n")
+        return run(name, expect_code, config=config, out_dir=Path(tmp) / "out")[1]
 
 
 def certified(out_dir):
@@ -87,15 +100,17 @@ def main():
     certified(run("radiative", expect_code=0)[0])
 
     print("\nA step tolerance no step reaches ends the solve at the iteration cap:")
-    capped = json.loads((CONFIGS / "flagship.json").read_text())
-    capped["numerics"] = {"n_cells": 512, "tol_stop": 1e-300}
-    with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "flagship_capped.json"
-        config.write_text(json.dumps(capped, indent=1) + "\n")
-        _, err = run("flagship_capped", expect_code=5, config=config,
-                     out_dir=Path(tmp) / "out")
+    err = run_flagship("flagship_capped", 5, numerics={"n_cells": 512, "tol_stop": 1e-300})
     assert err.startswith("solve stage failed: iteration cap 400 reached before "
                           "the step tolerance 1e-300"), err
+
+    print("\nAn excess mass beyond the float range is refused, and one just below "
+          "it has no majorant:")
+    err = run_flagship("flagship_eps_1e308", 1, weights=[{"variant": "exp_sqrt", "eps": 1e308}])
+    assert err == ("config error: weight 1: eps must be nonnegative with a finite "
+                   "excess mass (got 1e+308)\n"), err
+    err = run_flagship("flagship_eps_1e306", 4, weights=[{"variant": "exp_sqrt", "eps": 1e306}])
+    assert err.startswith("majorant stage failed: no supersolution found by doubling"), err
 
     print("\nInadmissible inputs are refused with the condition named:")
     for name in ("unit_weight", "linear_map", "mismatched_scaling"):

@@ -9,8 +9,6 @@
     shapes a = 1/2 and 3/2 of the exp_sqrt weight, in closed form through
     erf and erfc of sqrt(x), with P(3/2, x) from its power series below
     x = 1, where the closed form cancels.
-  * The upper incomplete gamma function Gamma(p, y) of one argument, p >= 0
-    (E1 at p = 0), from Legendre's continued fraction and a power series.
 """
 
 from __future__ import annotations
@@ -136,64 +134,3 @@ def gammaincc(a, x):
         out += 2.0 * _INV_SQRT_PI * y * np.exp(-x)
     return out
 
-
-def upper_gamma(p: float, y: float) -> float:
-    """Gamma(p, y) = int_y^inf s^(p-1) e^-s ds for p >= 0 and y > 0; E1(y) at p = 0.
-
-    Legendre's continued fraction gives Gamma(p, top) at top = max(y, p + 1),
-    where it converges fast; below top a power series adds
-    int_y^top s^(p-1) e^-s ds. Raises OverflowError where the value
-    exceeds the float range.
-    """
-    top = max(y, p + 1.0)
-    # modified Lentz evaluation of e^-top top^p / (top + 1 - p -
-    # 1 (1 - p) / (top + 3 - p - 2 (2 - p) / (top + 5 - p - ...)))
-    tiny = 1e-300
-    b = top + 1.0 - p
-    c, d = 1.0 / tiny, 1.0 / b
-    frac = d
-    for i in range(1, 100000):
-        an = -i * (i - p)
-        b += 2.0
-        d = an * d + b
-        d = 1.0 / (d if abs(d) >= tiny else tiny)
-        c = b + an / c
-        c = c if abs(c) >= tiny else tiny
-        frac *= d * c
-        if abs(d * c - 1.0) <= 2.0 ** -53:
-            break
-    out = _power_exp(p, top) * frac
-    if y == top:
-        return out
-    if p >= 1.0:
-        # gamma(p, top) - gamma(p, y), each x^p e^-x sum_n x^n / (p (p+1) ... (p+n))
-        for x, sign in ((top, 1.0), (y, -1.0)):
-            term = total = 1.0 / p
-            n = 0
-            while term > total * 2.0 ** -56:
-                n += 1
-                term *= x / (p + n)
-                total += term
-            out += sign * _power_exp(p, x) * total
-        return out
-    # p < 1: sum_n (-1)^n (top^(p+n) - y^(p+n)) / (n! (p+n)), its n = 0 term
-    # by expm1 so that p -> 0 gives log(top / y)
-    log_ratio = math.log(top / y)
-    out += y ** p * (math.expm1(p * log_ratio) / p if p > 0.0 else log_ratio)
-    term = 1.0
-    for n in range(1, 60):
-        term *= -1.0 / n
-        step = term * (top ** (p + n) - y ** (p + n)) / (p + n)
-        out += step
-        if abs(step) <= abs(out) * 2.0 ** -56:
-            break
-    return out
-
-
-def _power_exp(p, x):
-    """x^p e^-x for x > 0: a product of two floats where neither leaves the
-    float range, else one exponential, whose argument rounds to about
-    |p log x| + x ulps."""
-    if x <= 700.0 and p * math.log(x) <= 700.0:
-        return x ** p * math.exp(-x)
-    return math.exp(p * math.log(x) - x)

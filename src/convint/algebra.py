@@ -110,16 +110,18 @@ def solve_xi(a, b, nonlins, eta) -> np.ndarray:
 
     # the image of the accepted supersolution is the iteration's first step
     s = 2.0
-    for _ in range(SUPERSOLUTION_DOUBLINGS):
-        tau = s * eta
-        tau_next = apply_map(tau)
-        if np.all(tau_next <= tau):
-            break
-        s *= 2.0
-    else:
-        raise MajorantError(
-            "no supersolution found by doubling; "
-            "a nonlinearity may grow superlinearly")
+    with np.errstate(over="ignore"):    # an image beyond the float range is inf
+        for _ in range(SUPERSOLUTION_DOUBLINGS):
+            tau = s * eta
+            tau_next = apply_map(tau)
+            if np.all(tau_next <= tau):
+                break
+            s *= 2.0
+        else:
+            raise MajorantError(
+                f"no supersolution found by doubling s * eta up to s = "
+                f"2^{SUPERSOLUTION_DOUBLINGS}; a nonlinearity may grow "
+                "superlinearly, or an excess mass be too large")
 
     slack = 1e-13 * float(np.max(tau))
     for _ in range(STEP_CAP):

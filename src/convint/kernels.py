@@ -17,8 +17,8 @@ Built-in shapes:
   * ExpMixtureKernel:  K_ij(tau) = int_a^b exp(-|tau| s) L_ij(s) ds with a
     parameterized mixture density L_ij(s) = c_ij s^p exp(-q s). The s
     integral is evaluated with a fixed Gauss-Legendre rule; an infinite upper
-    endpoint is truncated where the remaining mass of L/s is provably below
-    a tail tolerance.
+    endpoint is truncated where a closed-form bound on the remaining mass
+    of L/s is at most a tail tolerance.
   * TabulatedKernel:   per-entry samples on tau >= 0, extended evenly,
     interpolated linearly, zero beyond the table. Scalars are exact
     integrals of the interpolant.
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._special import erfc, upper_gamma
+from ._special import erfc
 from ._tables import increasing, read_table
 
 SQRT_PI = math.sqrt(math.pi)
@@ -129,9 +129,9 @@ class ExpMixtureKernel:
 
     Requires a > 0 (so 1/s stays bounded), finite p >= 0 and finite q. The
     s integral is a 96-point Gauss-Legendre rule. An infinite b requires
-    q > 0; the rule then ends at the first doubling of a beyond which the
-    mass of s^(p-1) e^(-q s) is at most 1e-14. A density not finite on the
-    rule raises ValueError.
+    q > 0; the rule then ends at the first doubling of a beyond which a
+    closed-form bound on the mass of s^(p-1) e^(-q s) is at most 1e-14. A
+    density not finite on the rule raises ValueError.
     """
 
     def __init__(self, coeffs, s_lo=1.0, s_hi=2.0, power=0.0, decay=0.0):
@@ -170,12 +170,15 @@ class ExpMixtureKernel:
                              f"decay {self.decay:g})")
 
     def _density_tail(self, s0: float) -> float:
-        # bound on int_{s0}^inf s^{p-1} e^{-q s} ds = q^-p Gamma(p, q s0)
+        # bound on int_{s0}^inf s^(p-1) e^(-q s) ds, exact at p = 1: for p >= 1
+        # the integrand's log is concave, so below its tangent at s0, of slope
+        # -rate; for p < 1, s^(p-1) <= s0^(p-1)
         p, q = self.power, self.decay
-        try:
-            return upper_gamma(p, q * s0) * q ** -p
-        except OverflowError:   # beyond the float range, so above any cut
+        rate = q - max(p - 1.0, 0.0) / s0
+        log_head = (p - 1.0) * math.log(s0) - q * s0
+        if rate <= 0.0 or log_head >= 709.0:    # no fall, or near the float range's top
             return math.inf
+        return math.exp(log_head) / rate
 
     @property
     def n(self) -> int:

@@ -336,8 +336,8 @@ def run_sweep(validation: ValidationReport, eps_values, numerics: Numerics):
     result before asking for the next: it holds a plan.
 
     Raises ValidationFailure when validation failed, ConfigError when a
-    weight has no eps parameter, and an entry's ValidationFailure,
-    MajorantError or SolveError with its eps named.
+    weight has no eps parameter or refuses an entry's eps, and an entry's
+    ValidationFailure, MajorantError or SolveError with its eps named.
     """
     validation.require_passed()
     ordered = sorted(eps_values)
@@ -367,4 +367,7 @@ def _swept(weight, eps: float, idx: int):
         raise ConfigError(
             f"weight {idx + 1} ({type(weight).__name__}) has no eps parameter; "
             "sweep mode needs parametric weights")
-    return weight.with_eps(eps)
+    try:
+        return weight.with_eps(eps)
+    except ValueError as exc:
+        raise ConfigError(f"sweep eps = {eps:g}: weight {idx + 1}: {exc}") from exc

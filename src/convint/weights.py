@@ -71,18 +71,19 @@ class ExpSqrtWeight:
     """mu(t) = 1 + eps * exp(-|t|) / sqrt(|t|); inverse-square-root singularity."""
 
     def __init__(self, eps):
-        eps = float(eps)
-        if not (eps >= 0.0) or not math.isfinite(eps):
-            raise ValueError("eps must be finite and nonnegative")
-        self.eps = eps
+        self.eps = float(eps)
         self.gamma_exponent = 0.5
+        if not (self.eps >= 0.0 and math.isfinite(self.excess_integral_closed())):
+            raise ValueError(f"eps must be nonnegative with a finite excess mass "
+                             f"(got {self.eps:g})")
 
     def excess(self, t):
         t = np.asarray(t, dtype=float)
         if np.any(t == 0.0):
             raise ValueError("weight is singular at t = 0")
         a = np.abs(t)
-        out = self.eps * np.exp(-a) / np.sqrt(a)
+        with np.errstate(over="ignore"):    # inf near t = 0 at a huge eps
+            out = self.eps * np.exp(-a) / np.sqrt(a)
         return out if out.ndim else float(out)
 
     def excess_integral_closed(self) -> float:
@@ -120,23 +121,23 @@ class RationalWeight:
     """mu(t) = 1 + eps / ((1 + t^2) |t|^alpha), alpha in (0, 1)."""
 
     def __init__(self, eps, alpha):
-        eps = float(eps)
-        alpha = float(alpha)
-        if not (eps >= 0.0) or not math.isfinite(eps):
-            raise ValueError("eps must be finite and nonnegative")
-        if not (0.0 < alpha < 1.0):
+        self.eps = float(eps)
+        self.alpha = float(alpha)
+        if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
-        self.eps = eps
-        self.alpha = alpha
-        self.gamma_exponent = alpha
-        self._beta = 1.0 / (1.0 - alpha)
+        if not (self.eps >= 0.0 and math.isfinite(self.excess_integral_closed())):
+            raise ValueError(f"eps must be nonnegative with a finite excess mass "
+                             f"(got {self.eps:g})")
+        self.gamma_exponent = self.alpha
+        self._beta = 1.0 / (1.0 - self.alpha)
 
     def excess(self, t):
         t = np.asarray(t, dtype=float)
         if np.any(t == 0.0):
             raise ValueError("weight is singular at t = 0")
         a = np.abs(t)
-        out = self.eps / ((1.0 + t * t) * np.power(a, self.alpha))
+        with np.errstate(over="ignore"):    # inf near t = 0 at a huge eps
+            out = self.eps / ((1.0 + t * t) * np.power(a, self.alpha))
         return out if out.ndim else float(out)
 
     def excess_integral_closed(self) -> float:

@@ -109,6 +109,15 @@ class TestMajorant:
         with pytest.raises(MajorantError):
             solve_xi(np.array([[1.0]]), np.array([[0.2]]), (Quadratic(),), np.ones(1))
 
+    def test_huge_excess_mass_refused_without_overflow_warnings(self):
+        # sqrt growth is concave, but b = 1e306 puts every image s * eta up
+        # to s = 2^60 above it, most beyond the float range
+        with pytest.raises(MajorantError, match=r"^no supersolution found by doubling s \* eta "
+                                                r"up to s = 2\^60; .* an excess mass be too "
+                                                r"large$"):
+            solve_xi(np.array([[1.0]]), np.array([[1e306]]), (PowerNonlin(0.5, 1.0),),
+                     np.ones(1))
+
     def test_input_validation(self):
         nl = (PowerNonlin(0.5, 1.0),)
         with pytest.raises(ValueError):

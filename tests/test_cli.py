@@ -525,6 +525,44 @@ class TestFailureExitCodes:
         assert proc.stdout == ""
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("variant, eps, mode, code, stderr", [
+        ("exp_sqrt", 1e306, "solve", 4, "majorant stage failed: no supersolution found by "
+                                        "doubling s * eta up to s = 2^60"),
+        ("exp_sqrt", 1e308, "validate", 1, "config error: weight 1: eps must be nonnegative "
+                                           "with a finite excess mass (got 1e+308)\n"),
+        ("rational", 1e306, "solve", 2, "validation failed: condition(s) b failed\n"),
+        ("rational", 1e308, "validate", 1, "config error: weight 1: eps must be nonnegative "
+                                           "with a finite excess mass (got 1e+308)\n")],
+        ids=["exp_sqrt-1e306-solve", "exp_sqrt-1e308-validate", "rational-1e306-solve",
+             "rational-1e308-validate"])
+    def test_huge_eps_exits_with_a_stage_without_warnings(self, tmp_path, variant, eps, mode,
+                                                          code, stderr):
+        # under -W error a numpy overflow warning would end the run with a
+        # traceback; a report written holds no NaN or Infinity token
+        doc = scalar_config(mode=mode, eps=eps, n_cells=512)
+        if variant == "rational":
+            doc["weights"][0].update(variant="rational", alpha=0.5)
+        path = write_config(tmp_path / "run.json", doc)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "convint.cli", "--config", path,
+             "--out-dir", str(tmp_path / "out"), "--quiet"],
+            capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert proc.returncode == code
+        assert proc.stderr.startswith(stderr) and "Traceback" not in proc.stderr
+        report = tmp_path / "out" / "report.json"
+        assert code != 1 or not report.exists()
+        if report.exists():
+            text = report.read_text()
+            assert "NaN" not in text and "Infinity" not in text
+
+    def test_refused_sweep_eps_exits_1(self, tmp_path, capsys):
+        doc = dict(scalar_config(mode="sweep", n_cells=512), sweep_eps=[0.1, 1e308])
+        assert run_cli(tmp_path, doc) == 1
+        assert capsys.readouterr().err == ("config error: sweep eps = 1e+308: weight 1: eps "
+                                           "must be nonnegative with a finite excess mass "
+                                           "(got 1e+308)\n")
+
     def test_config_error_exits_1(self, tmp_path, capsys):
         assert run_cli(tmp_path, {"mode": "solve"}) == 1
         assert "config error" in capsys.readouterr().err

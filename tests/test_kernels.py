@@ -28,8 +28,23 @@ from conftest import write_kernel_table
 from oracles import kernel_scalars_quadrature
 
 SQRT_PI = math.sqrt(math.pi)
+LAGUERRE_X, LAGUERRE_W = np.polynomial.laguerre.laggauss(100)
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 COEFFS_2X2 = np.array([[0.8, 0.3], [0.3, 1.1]])
+
+
+def exact_log_tail(p, q, s0):
+    """log of int_s0^inf s^(p-1) e^(-q s) ds. Below q s0 = 600 from scipy's
+    E1 and Q(p, q s0), in logs, as Gamma(p) q^-p overflows at p = 172; from
+    there, where Q underflows, by s = s0 + x / q and a 100-point
+    Gauss-Laguerre rule in x, within ~1e-14 of 50-digit values there."""
+    y = q * s0
+    if y >= 600.0:
+        body = np.sum(LAGUERRE_W * np.exp((p - 1.0) * np.log1p(LAGUERRE_X / y)))
+        return (p - 1.0) * math.log(s0) - y - math.log(q) + math.log(body)
+    if p == 0.0:
+        return math.log(special.exp1(y))
+    return math.log(special.gammaincc(p, y)) + special.gammaln(p) - p * math.log(q)
 
 
 class TestGaussian:
@@ -63,11 +78,12 @@ class TestGaussian:
     def test_tail_is_erfc(self):
         model = GaussianKernel(COEFFS_2X2)
         for r in (0.0, 1.0, 3.0):
-            ref, _ = integrate.quad(lambda t: model.eval(0, 1, t), r, np.inf)
+            ref, _ = integrate.quad(lambda t: model.eval(0, 1, t), r, np.inf,
+                                    epsabs=0.0, epsrel=1e-13)
             assert kernel_tail_mass(model, 0, 1, r) == pytest.approx(
-                2.0 * ref, rel=1e-12)
+                2.0 * ref, rel=1e-12, abs=0.0)
             assert kernel_tail_one_sided(model, 0, 1, r) == pytest.approx(
-                ref, rel=1e-12)
+                ref, rel=1e-12, abs=0.0)
 
     def test_rescaled_scales_scalars(self):
         sc = kernel_scalars(GaussianKernel(COEFFS_2X2).rescaled(0.25))
@@ -126,26 +142,33 @@ class TestExpMixture:
     @pytest.mark.parametrize("power", [0.0, 1.0, 2.0, 0.5, 2.5, 7.3])
     @pytest.mark.parametrize("decay", [0.01, 0.5, 2.0, 30.0])
     def test_density_tail_against_scipy(self, power, decay):
-        # int_s0^inf s^(p-1) e^(-q s) ds: E1(q s0) at p = 0, else
-        # q^-p Gamma(p) Q(p, q s0). Within 512 ulp: scipy's own Q loses up
-        # to a few hundred near q s0 = 1 (tests/test_special.py)
+        # the closed-form bound is at least int_s0^inf s^(p-1) e^(-q s) ds:
+        # E1(q s0) at p = 0, else q^-p Gamma(p) Q(p, q s0), less the few
+        # hundred ulp scipy's own Q loses near q s0 = 1. At p = 1 both are
+        # e^(-q s0) / q, from which scipy's Q(1, y) is up to ~50 ulp away,
+        # so the closed form is the oracle there
         model = ExpMixtureKernel(coeffs=[[1.0]], s_lo=1.0, s_hi=np.inf,
                                  power=power, decay=decay)
         for s0 in np.geomspace(1e-3, 100.0 / decay, 41):
             y = decay * s0
+            got = model._density_tail(float(s0))
+            if power == 1.0:
+                want = math.exp(-y) / decay
+                assert abs(got - want) <= 2 * np.spacing(want), s0
+                continue
             want = (special.exp1(y) if power == 0.0 else
                     special.gammaincc(power, y) * special.gamma(power) * decay ** -power)
-            got = model._density_tail(float(s0))
-            assert abs(got - want) <= 512 * np.spacing(want), s0
+            assert got >= want - 512 * np.spacing(want), s0
 
     def test_density_tail_beyond_the_float_range(self):
-        # Gamma(172, 20) overflows although q^-p Gamma(p, q s0) does not for
-        # larger s0: the tail reads inf until it fits, and the rule ends at
-        # 32, where int_s0^inf s^171 e^(-20 s) ds first drops below 1e-14
-        # (1.8e-22 at 32 against 9.1e65 at 16)
+        # at power 172 and decay 20 the integrand's log rises at s0 = 1, so
+        # the bound is inf there; the rule ends at 32, where the bound,
+        # 32^171 e^-640 / (20 - 171/32), first drops below 1e-14 (9.1e65 at
+        # 16), 7.7e-4 above the exact tail 1.844248587819768e-22
         model = ExpMixtureKernel(coeffs=[[1.0]], s_lo=1.0, s_hi=np.inf, power=172.0, decay=20.0)
         assert model._density_tail(1.0) == math.inf
-        assert model._density_tail(32.0) == pytest.approx(1.844248587819768e-22, rel=1e-13)
+        assert model._density_tail(32.0) == pytest.approx(1.8456740674411886e-22,
+                                                          rel=1e-13, abs=0.0)
         finite = ExpMixtureKernel(coeffs=[[1.0]], s_lo=1.0, s_hi=32.0, power=172.0, decay=20.0)
         assert np.array_equal(model._s, finite._s)
 
@@ -176,6 +199,33 @@ class TestExpMixture:
         finite = ExpMixtureKernel(doc["coeffs"], doc["s_lo"], cut, p, q)
         assert cut == 16.0
         assert np.array_equal(model._s, finite._s) and np.array_equal(model._w, finite._w)
+
+    @pytest.mark.parametrize("power", [0.0, 1e-9, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.7, 7.3,
+                                       10.0, 30.0, 100.0, 172.0])
+    def test_cut_where_the_exact_tail_drops(self, power):
+        # the bound cuts the rule at the same doubling of s_lo as the exact
+        # density tail: the rule, nodes, weights and density equal those of
+        # the finite support ending there, and a refused kernel is refused
+        # on that finite support too
+        for decay in (0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 30.0):
+            for s_lo in (1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 10.0):
+                cut = s_lo
+                while exact_log_tail(power, decay, cut) > math.log(MIXTURE_TAIL_CUT):
+                    cut *= 2.0
+                try:
+                    model = ExpMixtureKernel([[1.0]], s_lo, math.inf, power, decay)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        ExpMixtureKernel([[1.0]], s_lo, cut, power, decay)
+                    continue
+                where = (decay, s_lo, cut)
+                if cut == s_lo:     # no doubling: every node of the rule sits at s_lo
+                    assert np.all(model._s == s_lo), where
+                    continue
+                finite = ExpMixtureKernel([[1.0]], s_lo, cut, power, decay)
+                assert np.array_equal(model._s, finite._s), where
+                assert np.array_equal(model._w, finite._w), where
+                assert np.array_equal(model._dens, finite._dens), where
 
     def test_bad_support_rejected(self):
         with pytest.raises(ValueError):

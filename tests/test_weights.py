@@ -345,3 +345,16 @@ class TestLoader:
 def test_excess_tail_mass_negative_start():
     with pytest.raises(ValueError):
         excess_tail_mass(ExpSqrtWeight(0.1), -1.0)
+
+
+@pytest.mark.parametrize("make", [ExpSqrtWeight, lambda eps: RationalWeight(eps, 0.5)],
+                         ids=["exp_sqrt", "rational"])
+def test_huge_eps(make):
+    # an excess mass beyond the float range is refused with eps named; just
+    # below it, the excess overflows to inf near t = 0 without a warning
+    with pytest.raises(ValueError, match=r"^eps must be nonnegative with a finite excess "
+                                         r"mass \(got 1e\+308\)$"):
+        make(1e308)
+    w = make(1e306)
+    assert math.isfinite(excess_integral(w))
+    assert np.array_equal(w.excess(np.array([-1e-300, 1e-300])), [np.inf, np.inf])
