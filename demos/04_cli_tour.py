@@ -9,9 +9,9 @@ derived report keys must agree with its trace, its profile and its
 (sigma, k). A flagship run whose step tolerance no step reaches must stop
 at the iteration cap with exit code 5; one whose eps puts the excess mass
 beyond the float range must be refused with exit code 1, and one at an eps
-just below that must find no majorant, with exit code 4. Output
-directories land under demos/out/; the edited flagship runs write to
-temporary directories.
+just below that must find no majorant, with exit code 4 and the same
+message in solve and validate mode. Output directories land under
+demos/out/; the edited flagship runs write to temporary directories.
 """
 
 import json
@@ -109,15 +109,17 @@ def main():
     err = run_flagship("flagship_eps_1e308", 1, weights=[{"variant": "exp_sqrt", "eps": 1e308}])
     assert err == ("config error: weight 1: eps must be nonnegative with a finite "
                    "excess mass (got 1e+308)\n"), err
-    err = run_flagship("flagship_eps_1e306", 4, weights=[{"variant": "exp_sqrt", "eps": 1e306}])
+    huge = [{"variant": "exp_sqrt", "eps": 1e306}]
+    err = run_flagship("flagship_eps_1e306", 4, weights=huge)
     assert err.startswith("majorant stage failed: no supersolution found by doubling"), err
+    assert run_flagship("flagship_eps_1e306_validate", 4, weights=huge, mode="validate") == err
 
     print("\nInadmissible inputs are refused with the condition named:")
     for name in ("unit_weight", "linear_map", "mismatched_scaling"):
         out = run(name, expect_code=2)[0]
         report = json.loads((out / "report.json").read_text())
         failed = [c["condition"] for c in report["validation"]["checks"]
-                  if not c["passed"]]
+                  if c["passed"] is False]
         print(f"  -> report.json records failing condition(s): {failed}")
 
 

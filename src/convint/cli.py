@@ -16,10 +16,11 @@ to unit spectral radius and computes eta, convint.problem.validate_problem
 computes the excess masses and xi and checks the conditions on them,
 convint.solver.run_instance runs the chain from (sigma, k) to the solve on
 its report, and convint.solver.run_sweep runs that chain per sweep entry.
-Every failure maps to a distinct exit code with a message naming the
-stage or condition: 1 config, 2 validation, 3 spectral, 4 majorant,
-5 solve. Outputs are a report JSON (byte-reproducible: sorted keys, no
-timestamps) and a profile CSV with one row per grid node.
+Every mode admits by the report's one verdict, require_admitted. Every
+failure maps to a distinct exit code with a message naming the stage or
+condition: 1 config, 2 validation, 3 spectral, 4 majorant, 5 solve.
+Outputs are a report JSON (byte-reproducible: sorted keys, no timestamps)
+and a profile CSV with one row per grid node.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .weights import ExpSqrtWeight, RationalWeight, load_tabulated_excess
 __all__ = ["RunConfig", "load_config", "run", "emit_profile", "emit_report",
            "main"]
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 # profile values joined per write: bounds the writer's temporaries whatever
 # the component count (8192 rows at one component, 1890 at six)
@@ -113,10 +114,8 @@ def load_config(path, mode=None) -> RunConfig:
     own = raw.get("mode", "solve")
     mode = own if mode is None else mode
     for value in (own, mode):
-        _require(value in ("solve", "validate", "validate-only", "sweep"),
+        _require(value in ("solve", "validate", "sweep"),
                  f"mode must be solve, validate, or sweep (got {value!r})")
-    if mode == "validate-only":
-        mode = "validate"
 
     for key in ("kernel", "weights", "nonlins", "phi"):
         _require(key in raw, f"config is missing the {key!r} section")
@@ -332,16 +331,14 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
         doc = {"schema_version": SCHEMA_VERSION, "mode": config.mode,
                "config": config.raw, "kernel_scale": rho,
                "validation": _validation_block(validation)}
-        if config.mode == "validate" or not validation.passed:
+        # solve and sweep write a report here only when a condition failed
+        if config.mode == "validate" or validation.failing_ids:
             emit_report(doc, out / "report.json")
 
         if config.mode == "validate":
             say(validation)
-            if not validation.passed:
-                say(f"validation failed: condition(s) "
-                    f"{', '.join(validation.failing_ids)}")
-                return 2
-            say("all eight conditions pass")
+            validation.require_admitted()
+            say("all eight conditions pass, with a majorant and (sigma, k) in (0, 1)")
             return 0
 
         if config.mode == "solve":
@@ -385,7 +382,7 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
 
     except tuple(_FAILURES) as exc:
         code, what = next(v for cls, v in _FAILURES.items() if isinstance(exc, cls))
-        print(f"{what}: {exc}", file=sys.stderr)
+        sys.stderr.write(f"{what}: {exc}\n")
         return code
 
 

@@ -129,7 +129,7 @@ class ExpMixtureKernel:
 
     Requires a > 0 (so 1/s stays bounded), finite p >= 0 and finite q. The
     s integral is a 96-point Gauss-Legendre rule. An infinite b requires
-    q > 0; the rule then ends at the first doubling of a beyond which a
+    q > 0; the rule then ends at the first of 2a, 4a, ... beyond which a
     closed-form bound on the mass of s^(p-1) e^(-q s) is at most 1e-14. A
     density not finite on the rule raises ValueError.
     """
@@ -151,7 +151,7 @@ class ExpMixtureKernel:
         if math.isinf(self.s_hi):
             if self.decay <= 0.0:
                 raise ValueError("infinite mixture support needs exponential decay > 0")
-            cut = self.s_lo
+            cut = 2.0 * self.s_lo
             while self._density_tail(cut) > MIXTURE_TAIL_CUT:
                 cut *= 2.0
                 if cut > 1e12:

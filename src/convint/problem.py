@@ -14,7 +14,7 @@ eight admission conditions by sampling and by the models' analytic facilities:
       the declared eta_j and for the run's eigenvector eta
   III strict concavity, witnessed by a positive chord-slope gap
   IV  the scaling inequality G_j(sigma u) >= phi(sigma) G_j(u) on
-      [0,1] x [eta_j, xi_j]
+      [0,1] x [eta_j, xi_j]; not decided without a majorant
 
 normalize takes a raw kernel to the run's inputs: the kernel rescaled to
 unit spectral radius, its scalars and the eigenvector eta. validate_problem
@@ -30,7 +30,7 @@ sample by one rule: the smallest value, or the largest for a defect; on a
 tie the first component and its first sample; a NaN is worse than any
 number and the first one stays the worst, so the condition fails on it.
 validate_problem collects failures into the report and raises none; its
-require_passed raises them as ValidationFailure.
+require_admitted is the one admission verdict.
 """
 
 from __future__ import annotations
@@ -80,9 +80,9 @@ class ProblemSpec:
 @dataclass(frozen=True)
 class ConditionCheck:
     condition: str
-    passed: bool
+    passed: bool | None         # None, and worst_value too, when not decided
     worst_point: str
-    worst_value: float
+    worst_value: float | None
     tol: float
     note: str = ""
 
@@ -90,14 +90,13 @@ class ConditionCheck:
 @dataclass(frozen=True)
 class ValidationReport:
     """The checks and what they were made on. xi is None when no majorant
-    exists; majorant_error then holds the reason, if xi was attempted."""
+    exists; condition IV is then not decided, its note the reason."""
 
     spec: ProblemSpec
     scalars: object
     eta: np.ndarray
     excess: ExcessIntegrals = None
     xi: np.ndarray = None
-    majorant_error: MajorantError = None
     checks: tuple = ()
 
     @property
@@ -106,7 +105,7 @@ class ValidationReport:
 
     @property
     def failing_ids(self):
-        return [c.condition for c in self.checks if not c.passed]
+        return [c.condition for c in self.checks if c.passed is False]
 
     @cached_property
     def contraction(self):
@@ -115,20 +114,24 @@ class ValidationReport:
         contraction_params' MajorantError when either is outside (0, 1)."""
         return contraction_params(self.eta, self.xi, self.spec.phi)
 
-    def require_passed(self):
-        """Raise ValidationFailure, carrying this report, unless every
-        condition passed."""
-        if not self.passed:
+    def require_admitted(self):
+        """The one admission verdict: ValidationFailure, carrying this report,
+        when a condition failed, else MajorantError when no majorant exists
+        (IV's note) or (sigma, k) is outside (0, 1)."""
+        if self.failing_ids:
             raise ValidationFailure(
                 f"condition(s) {', '.join(self.failing_ids)} failed", report=self)
+        if self.xi is None:
+            raise MajorantError(self.checks[-1].note)
+        self.contraction
 
     def __str__(self):
         lines = []
         for c in self.checks:
-            status = "pass" if c.passed else "FAIL"
+            status = {True: "pass", False: "FAIL", None: "not decided"}[c.passed]
             note = f" ({c.note})" if c.note else ""
-            lines.append(f"condition {c.condition:>3}: {status}  "
-                         f"worst {c.worst_value:.3e} at {c.worst_point}{note}")
+            worst = "" if c.passed is None else f"  worst {c.worst_value:.3e} at {c.worst_point}"
+            lines.append(f"condition {c.condition:>3}: {status}{worst}{note}")
         return "\n".join(lines)
 
 
@@ -179,7 +182,7 @@ def validate_problem(spec: ProblemSpec, scalars, eta,
     nothing for condition failures (structural defects still raise
     ValueError)."""
     eta = np.asarray(eta, dtype=float)
-    checks, excess, xi, majorant_error = [], None, None, None
+    checks, excess, xi = [], None, None
 
     # condition 1: evenness, index symmetry, strict positivity of the kernel
     taus = np.linspace(0.0, spec.kernel.sample_span(), SAMPLES)
@@ -253,19 +256,14 @@ def validate_problem(spec: ProblemSpec, scalars, eta,
         checks.append(ConditionCheck(
             "b", False, "excess integral", float("nan"), tol, str(exc)))
 
-    # the run's majorant; the nonlinearity conditions sample up to 2 xi
-    xi_ref, xi_note = None, ""
+    # the run's majorant; I and III sample up to 2 xi, or 8 eta without it
+    no_xi = "no majorant without the excess masses of condition b"
     if excess is not None:
         try:
-            xi_ref = xi = solve_xi(scalars.a, excess.b, spec.nonlins, eta)
+            xi = solve_xi(scalars.a, excess.b, spec.nonlins, eta)
         except (MajorantError, ValueError) as exc:
-            majorant_error = (exc if isinstance(exc, MajorantError)
-                              else MajorantError(str(exc)))
-            xi_note = f"majorant solve failed ({exc}); using 4 eta"
-    if xi_ref is None:
-        xi_ref = 4.0 * eta
-        xi_note = xi_note or "majorant unavailable; using 4 eta"
-    u_top = 2.0 * float(np.max(xi_ref))
+            no_xi = str(exc)
+    u_top = 2.0 * float(np.max(4.0 * eta if xi is None else xi))
     # tabulated models are only defined up to their last sample
     tops = [u_top if getattr(nl, "u_max", None) is None else min(u_top, float(nl.u_max))
             for nl in spec.nonlins]
@@ -315,19 +313,21 @@ def validate_problem(spec: ProblemSpec, scalars, eta,
         "III", worst_gap > tol, gap_at, worst_gap, tol,
         "smallest chord-slope gap" if worst_gap > tol else "concavity not strict"))
 
-    # condition IV: scaling inequality on [0,1] x [eta_j, xi_j]; where a
-    # table ends inside that rectangle, on the part it covers (condition II
-    # separately flags the coverage gap)
-    boxes = []
-    for lo, xi_j, top in zip(eta.tolist(), xi_ref.tolist(), tops):
-        hi = min(max(xi_j, lo * (1.0 + 1e-9)), top)
-        boxes.append((hi / 2.0 if hi <= lo else lo, hi))
-    worst_iv, _, j = _worst([[check_condition_iv(nl, spec.phi, lo, hi, tol)[1]
-                              for nl, (lo, hi) in zip(spec.nonlins, boxes)]])
-    iv_at = "" if j is None else f"nonlin {j + 1} on [{boxes[j][0]:.6g}, {boxes[j][1]:.6g}]"
-    checks.append(ConditionCheck(
-        "IV", worst_iv >= -tol, iv_at, worst_iv, tol, xi_note))
+    # condition IV: scaling inequality on [0,1] x [eta_j, xi_j], not decided
+    # without xi; where a table ends inside that rectangle, on the part it
+    # covers (condition II separately flags the coverage gap)
+    if xi is None:
+        checks.append(ConditionCheck("IV", None, "", None, tol, no_xi))
+    else:
+        boxes = []
+        for lo, xi_j, top in zip(eta.tolist(), xi.tolist(), tops):
+            hi = min(max(xi_j, lo * (1.0 + 1e-9)), top)
+            boxes.append((hi / 2.0 if hi <= lo else lo, hi))
+        worst_iv, _, j = _worst([[check_condition_iv(nl, spec.phi, lo, hi, tol)[1]
+                                  for nl, (lo, hi) in zip(spec.nonlins, boxes)]])
+        iv_at = "" if j is None else f"nonlin {j + 1} on [{boxes[j][0]:.6g}, {boxes[j][1]:.6g}]"
+        checks.append(ConditionCheck("IV", worst_iv >= -tol, iv_at, worst_iv, tol))
 
     assert [c.condition for c in checks] == list(CONDITION_IDS)
     return ValidationReport(spec=spec, scalars=scalars, eta=eta, excess=excess, xi=xi,
-                            majorant_error=majorant_error, checks=tuple(checks))
+                            checks=tuple(checks))

@@ -300,17 +300,12 @@ def run_instance(validation: ValidationReport, numerics: Numerics,
     its entries); operator plan; quadrature error budget; monotone solve
     certified by its part-metric enclosure.
 
-    Raises ValidationFailure when a condition failed, the report's
-    MajorantError when no majorant exists or its contraction is outside
-    (0, 1), before the grid is sized, the solve's SolveError, and
+    Raises what validation.require_admitted, the one admission verdict,
+    raises (before the grid is sized), the solve's SolveError, and
     ConfigError when a grid is needed and numerics.n_cells is not set.
     """
-    validation.require_passed()
-    if validation.xi is None:
-        raise validation.majorant_error
+    validation.require_admitted()
     num, spec, eta, xi = numerics, validation.spec, validation.eta, validation.xi
-    # a k outside (0, 1) is refused here, before the grid is sized
-    validation.contraction
 
     if grid is None:
         if num.n_cells is None:
@@ -335,11 +330,11 @@ def run_sweep(validation: ValidationReport, eps_values, numerics: Numerics):
     validation; any other is validated at numerics.tol_validate. Drop each
     result before asking for the next: it holds a plan.
 
-    Raises ValidationFailure when validation failed, ConfigError when a
+    Raises what validation.require_admitted raises, ConfigError when a
     weight has no eps parameter or refuses an entry's eps, and an entry's
     ValidationFailure, MajorantError or SolveError with its eps named.
     """
-    validation.require_passed()
+    validation.require_admitted()
     ordered = sorted(eps_values)
     positions = list(range(len(ordered)))
     spec, grid = validation.spec, None

@@ -264,7 +264,7 @@ def test_criterion_11_named_condition_failures(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         code = cli.main(["--config", str(path), "--out-dir",
                          str(tmp_path / name)])
-        return code, capsys.readouterr().out
+        return code, capsys.readouterr().err
 
     base = {
         "mode": "validate",
@@ -275,21 +275,21 @@ def test_criterion_11_named_condition_failures(tmp_path, capsys):
     }
 
     unit_weight = dict(base, weights=[{"variant": "exp_sqrt", "eps": 0.0}])
-    code, out = run_validate("unit_weight", unit_weight)
-    assert code == 2 and "condition(s) a" in out
+    code, err = run_validate("unit_weight", unit_weight)
+    assert code == 2 and "condition(s) a" in err
 
     table = write_linear_nonlin_table(tmp_path / "linear_g.csv")
     linear = dict(base,
                   nonlins=[{"variant": "tabulated", "path": table.name}],
                   phi={"variant": "power", "p": 1.0})
-    code, out = run_validate("linear", linear)
-    assert code == 2 and "condition(s) III" in out
+    code, err = run_validate("linear", linear)
+    assert code == 2 and "condition(s) III" in err
 
     mismatched = dict(base,
                       nonlins=[{"variant": "power", "alpha": 0.9}],
                       phi={"variant": "power", "p": 0.01})
-    code, out = run_validate("mismatched", mismatched)
-    assert code == 2 and "condition(s) IV" in out
+    code, err = run_validate("mismatched", mismatched)
+    assert code == 2 and "condition(s) IV" in err
 
     print("[criterion 11] PASS: unit weight -> condition a, linear map -> "
           "condition III, mismatched scaling -> condition IV, each exit code 2")

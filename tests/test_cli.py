@@ -84,8 +84,11 @@ class TestLoadConfig:
             cli.load_config(path)
 
     def test_validate_only_alias(self, tmp_path):
+        # validate-only is not a mode
         path = write_config(tmp_path / "c.json", scalar_config(mode="validate-only"))
-        assert cli.load_config(path).mode == "validate"
+        with pytest.raises(ConfigError, match=r"^mode must be solve, validate, or sweep "
+                                              r"\(got 'validate-only'\)$"):
+            cli.load_config(path)
 
     def test_null_defaults_and_integral_floats(self, tmp_path):
         doc = scalar_config(n_cells=None)
@@ -115,7 +118,7 @@ class TestSolveMode:
 
     def test_report_schema(self, solve_outcome):
         doc = json.loads((solve_outcome[1] / "report.json").read_text())
-        assert doc["schema_version"] == 4
+        assert doc["schema_version"] == 5
         assert doc["mode"] == "solve"
         assert doc["validation"]["passed"] is True
         assert len(doc["validation"]["checks"]) == 8
@@ -286,8 +289,8 @@ class TestValidateMode:
 
     def test_unit_weight_fails_condition_a(self, tmp_path, capsys):
         assert run_cli(tmp_path, scalar_config(mode="validate", eps=0.0)) == 2
-        out = capsys.readouterr().out
-        assert "validation failed: condition(s) a" in out
+        err = capsys.readouterr().err
+        assert err == "validation failed: condition(s) a failed\n"
         doc = json.loads((tmp_path / "report.json").read_text())
         failed = [c["condition"] for c in doc["validation"]["checks"]
                   if not c["passed"]]
@@ -298,21 +301,20 @@ class TestValidateMode:
         doc = scalar_config(mode="validate", p=1.0)
         doc["nonlins"] = [{"variant": "tabulated", "path": table.name}]
         assert run_cli(tmp_path, doc) == 2
-        out = capsys.readouterr().out
-        assert "condition(s) III" in out
+        assert capsys.readouterr().err == "validation failed: condition(s) III failed\n"
 
     def test_linear_map_config_names_the_majorant_failure(self, tmp_path):
         assert cli.main(["--config", str(DEMO_CONFIGS / "linear_map.json"),
                          "--out-dir", str(tmp_path), "--quiet"]) == 2
         doc = json.loads((tmp_path / "report.json").read_text())
+        # without a majorant condition IV is not decided, and not failed
         check = {c["condition"]: c for c in doc["validation"]["checks"]}["IV"]
-        assert check["note"] == ("majorant solve failed (u beyond tabulated "
-                                 "range [0, 3.0]); using 4 eta")
+        assert check["passed"] is None and check["worst_value"] is None
+        assert check["note"] == "u beyond tabulated range [0, 3.0]"
 
     def test_mismatched_scaling_fails_condition_iv(self, tmp_path, capsys):
         assert run_cli(tmp_path, scalar_config(mode="validate", alpha=0.9, p=0.01)) == 2
-        out = capsys.readouterr().out
-        assert "condition(s) IV" in out
+        assert capsys.readouterr().err == "validation failed: condition(s) IV failed\n"
 
     def test_solve_mode_refuses_invalid_instance(self, tmp_path, capsys):
         assert run_cli(tmp_path, scalar_config(eps=0.0, n_cells=512)) == 2
@@ -419,10 +421,12 @@ class TestSweepMode:
         assert run_cli(tmp_path, scalar_config(n_cells=512), "--quiet") == 0
         assert len(calls) == 1
         calls.clear()
+        # the sweep's verdict on the configured instance, whose eps 0.1 is no
+        # entry, derives one pair more
         doc = scalar_config(mode="sweep", n_cells=512)
         doc["sweep_eps"] = np.linspace(0.02, 0.2, 16).tolist()
         assert run_cli(tmp_path, doc, "--quiet") == 0
-        assert len(calls) == 16
+        assert len(calls) == 17
 
 
 class TestProgressLines:
@@ -484,6 +488,17 @@ class TestFailureExitCodes:
         err = capsys.readouterr().err
         assert "solve stage failed" in err and "iteration cap 400 reached" in err
 
+    @pytest.mark.parametrize("mode", ["validate", "solve"])
+    def test_flagship_with_unit_phi_exponent_exits_4_in_every_mode(self, tmp_path, capsys,
+                                                                  mode):
+        # phi.p = 1 passes the eight conditions but gives k = 1; validate
+        # mode refuses it by the same verdict as the solve
+        doc = json.loads((DEMO_CONFIGS / "flagship.json").read_text())
+        doc["phi"]["p"] = 1.0
+        assert run_cli(tmp_path, doc, "--mode", mode, "--quiet") == 4
+        assert capsys.readouterr().err == ("majorant stage failed: contraction factor "
+                                           "k = 1 outside (0, 1)\n")
+
     def test_unit_contraction_factor_exits_4_before_grid_sizing(self, tmp_path, capsys):
         # p = 1 passes condition IV for any concave map but gives k = 1;
         # that is refused before the grid is sized, which needs n_cells
@@ -528,13 +543,15 @@ class TestFailureExitCodes:
     @pytest.mark.parametrize("variant, eps, mode, code, stderr", [
         ("exp_sqrt", 1e306, "solve", 4, "majorant stage failed: no supersolution found by "
                                         "doubling s * eta up to s = 2^60"),
+        ("exp_sqrt", 1e306, "validate", 4, "majorant stage failed: no supersolution found by "
+                                           "doubling s * eta up to s = 2^60"),
         ("exp_sqrt", 1e308, "validate", 1, "config error: weight 1: eps must be nonnegative "
                                            "with a finite excess mass (got 1e+308)\n"),
         ("rational", 1e306, "solve", 2, "validation failed: condition(s) b failed\n"),
         ("rational", 1e308, "validate", 1, "config error: weight 1: eps must be nonnegative "
                                            "with a finite excess mass (got 1e+308)\n")],
-        ids=["exp_sqrt-1e306-solve", "exp_sqrt-1e308-validate", "rational-1e306-solve",
-             "rational-1e308-validate"])
+        ids=["exp_sqrt-1e306-solve", "exp_sqrt-1e306-validate", "exp_sqrt-1e308-validate",
+             "rational-1e306-solve", "rational-1e308-validate"])
     def test_huge_eps_exits_with_a_stage_without_warnings(self, tmp_path, variant, eps, mode,
                                                           code, stderr):
         # under -W error a numpy overflow warning would end the run with a

@@ -203,13 +203,13 @@ class TestExpMixture:
     @pytest.mark.parametrize("power", [0.0, 1e-9, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.7, 7.3,
                                        10.0, 30.0, 100.0, 172.0])
     def test_cut_where_the_exact_tail_drops(self, power):
-        # the bound cuts the rule at the same doubling of s_lo as the exact
-        # density tail: the rule, nodes, weights and density equal those of
-        # the finite support ending there, and a refused kernel is refused
-        # on that finite support too
+        # the bound cuts the rule at the same doubling of s_lo, at least one,
+        # as the exact density tail: the rule, nodes, weights and density
+        # equal those of the finite support ending there, and a refused
+        # kernel is refused on that finite support too
         for decay in (0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 30.0):
             for s_lo in (1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 10.0):
-                cut = s_lo
+                cut = 2.0 * s_lo
                 while exact_log_tail(power, decay, cut) > math.log(MIXTURE_TAIL_CUT):
                     cut *= 2.0
                 try:
@@ -219,13 +219,22 @@ class TestExpMixture:
                         ExpMixtureKernel([[1.0]], s_lo, cut, power, decay)
                     continue
                 where = (decay, s_lo, cut)
-                if cut == s_lo:     # no doubling: every node of the rule sits at s_lo
-                    assert np.all(model._s == s_lo), where
-                    continue
                 finite = ExpMixtureKernel([[1.0]], s_lo, cut, power, decay)
                 assert np.array_equal(model._s, finite._s), where
                 assert np.array_equal(model._w, finite._w), where
                 assert np.array_equal(model._dens, finite._dens), where
+
+    def test_tail_already_negligible_at_s_lo_keeps_one_doubling(self):
+        # the tail bound at s_lo = 10 is e^-300 / 30, far below the cut, yet
+        # the rule runs over [10, 20], so the kernel is positive, with the
+        # finite support's a = 2 int_10^20 e^(-30 s) ds = 3.43e-132
+        model = ExpMixtureKernel([[1.0]], s_lo=10.0, s_hi=math.inf, power=1.0, decay=30.0)
+        finite = ExpMixtureKernel([[1.0]], s_lo=10.0, s_hi=20.0, power=1.0, decay=30.0)
+        a = model.scalars().a[0, 0]
+        assert model.eval(0, 0, 0.0) > 0.0
+        assert a == pytest.approx(finite.scalars().a[0, 0], rel=1e-12, abs=0.0)
+        assert a == pytest.approx(2.0 * (math.exp(-300.0) - math.exp(-600.0)) / 30.0,
+                                  rel=1e-12, abs=0.0)
 
     def test_bad_support_rejected(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from convint import (
     ExpSqrtWeight,
     GaussianKernel,
     KernelScalars,
+    MajorantError,
     Numerics,
     PowerNonlin,
     PowerPhi,
@@ -24,6 +25,7 @@ from convint import (
     load_tabulated_nonlin,
     problem,
     run_instance,
+    run_sweep,
     spectral_radius,
     validate_problem,
 )
@@ -308,7 +310,33 @@ class TestHandoff:
         assert report.eta.tolist() == [1.0]
         assert report.excess.b[0, 0] == pytest.approx(0.2, abs=1e-10)
         assert report.xi[0] == pytest.approx(1.44, abs=1e-10)
-        assert report.majorant_error is None
+
+    def test_no_majorant_leaves_condition_iv_undecided(self):
+        # eps = 10 with alpha = 0.99 has no supersolution: condition IV is
+        # neither passed nor failed, and the verdict raises the majorant's
+        # message, in run_sweep before its first entry too
+        report = validate(scalar_spec(weights=(ExpSqrtWeight(10.0),),
+                                      nonlins=(PowerNonlin(alpha=0.99, eta=1.0),),
+                                      phi=PowerPhi(0.99)))
+        check = report.checks[-1]
+        assert report.xi is None and report.failing_ids == [] and not report.passed
+        assert (check.condition, check.passed, check.worst_value) == ("IV", None, None)
+        assert check.note.startswith("no supersolution found by doubling s * eta")
+        assert str(report).splitlines()[-1] == f"condition  IV: not decided ({check.note})"
+        for verdict in (report.require_admitted,
+                        lambda: next(run_sweep(report, [0.1], Numerics(n_cells=512)))):
+            with pytest.raises(MajorantError) as info:
+                verdict()
+            assert str(info.value) == check.note
+
+    def test_failed_condition_outranks_the_contraction(self):
+        # eps = 0 fails condition a, and phi.p = 1 gives k = 1; the verdict
+        # names the condition
+        report = validate(scalar_spec(weights=(ExpSqrtWeight(0.0),), phi=PowerPhi(1.0)))
+        with pytest.raises(MajorantError, match=r"^contraction factor k = 1 outside"):
+            report.contraction
+        with pytest.raises(ValidationFailure, match=r"^condition\(s\) a failed$"):
+            report.require_admitted()
 
     def test_run_instance_refuses_the_unit_weight_report(self):
         report = validate(scalar_spec(weights=(ExpSqrtWeight(0.0),)))
