@@ -69,7 +69,10 @@ def certified(out_dir):
         trace = solve["trace"]
         assert solve["termination"] == "step_below_tol", where
         assert solve["iterations"] == len(trace["d"]), where
-        assert solve["probe_deviation"] == trace["width"][-1] <= tol_stop, where
+        # the field's own width, from one more application, is at most the
+        # last step's bound on it, up to rounding
+        assert solve["probe_deviation"] <= trace["width"][-1] * (1 + 1e-6), where
+        assert solve["probe_deviation"] <= tol_stop, where
         sigma, k = entry["spectral"]["sigma"], entry["spectral"]["k"]
         assert solve["a_priori_n"] == a_priori_iterations(sigma, k, tol_stop), where
         last = (out_dir / entry.get("profile", "profile.csv")).read_text().splitlines()[-1]

@@ -54,7 +54,7 @@ from .weights import ExpSqrtWeight, RationalWeight, load_tabulated_excess
 __all__ = ["RunConfig", "load_config", "run", "emit_profile", "emit_report",
            "main"]
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 # profile values joined per write: bounds the writer's temporaries whatever
 # the component count (8192 rows at one component, 1890 at six)
@@ -246,7 +246,12 @@ def emit_profile(report, eta, path):
 
 
 def _validation_block(v) -> dict:
-    return {"passed": v.passed, "checks": v.checks}
+    try:
+        v.require_admitted()
+        refusal = None
+    except (ValidationFailure, MajorantError) as exc:
+        refusal = str(exc)
+    return {"passed": v.passed, "checks": v.checks, "refusal": refusal}
 
 
 def _stage_blocks(res: RunResult) -> dict:

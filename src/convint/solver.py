@@ -13,14 +13,14 @@ finite aborts it too, named by its iteration.
 Condition IV with phi(s) = s^p, p < 1, gives T(s u) >= s^p T(u) for the
 discrete operator T, whose weights and tail term are nonnegative. So T
 contracts Thompson's part metric d(u, v) = max|log(u / v)| by the factor p
-(A. C. Thompson, 1963) and has one positive fixed point f_h. Summing the
-contraction over the remaining steps bounds d(up_n, f_h) by
-s_n = p d(up_n, up_(n-1)) / (1 - p): exp(-s_n) up_n <= f_h <= exp(s_n) up_n,
-so the width expm1(s_n) max(up_n) bounds sup|up_n - f_h|. Solve checks
+(A. C. Thompson, 1963) and has one positive fixed point f_h. For a positive
+field g, s = d(g, T g) / (1 - p) gives exp(-s) g <= f_h <= exp(s) g, so the
+width expm1(s) max(g) bounds sup|g - f_h|. Step n bounds d(up_n, T up_n) by
+p d(up_(n-1), up_n); the run stops when both d_n and that width drop to the
+step tolerance. One more pass applies T to the last iterate, the solve's
+field, for its residual and its own width, probe_deviation. Solve checks
 condition IV again on any strip below eta the iterates reached; validation
-sampled it on [eta, xi]. The run stops when both d_n and the width drop
-to the step tolerance; the last iterate is the solve's field and the final
-width its probe_deviation. A run that reaches the iteration cap MAX_ITERS
+sampled it on [eta, xi]. A run that reaches the iteration cap MAX_ITERS
 first raises SolveError there, so every returned field is certified.
 
 run_instance assembles the paper's stage chain for one validated problem
@@ -53,7 +53,6 @@ __all__ = [
     "AsymptoticsReport",
     "SolutionReport",
     "solve",
-    "residual",
     "asymptotics_report",
 ]
 
@@ -88,22 +87,20 @@ class AsymptoticsReport:
 class SolutionReport:
     """What a solve measured. field is the (N, m + 1) array at
     grid.half_nodes of the iterate that met the stopping rule; both edges
-    x = -R and x = R hold its last column. trace has one entry per step."""
+    x = -R and x = R hold its last column. residual_sup, sup|field - T field|,
+    and probe_deviation, field's own enclosure width (sup|field - f_h| is at
+    most it), come from one application of T. trace has one entry per step."""
 
     grid: Grid
     field: np.ndarray
     residual_sup: float
+    probe_deviation: float
     asymptotics: AsymptoticsReport
     trace: IterationTrace
 
     @property
     def iterations(self) -> int:
         return len(self.trace.d)
-
-    @property
-    def probe_deviation(self) -> float:
-        """The enclosure width of field: sup|field - f_h| is at most it."""
-        return self.trace.width[-1]
 
 
 def _worst_node(delta, grid):
@@ -113,8 +110,9 @@ def _worst_node(delta, grid):
 
 def _iterate(slab, plan, tol_stop, slack):
     """Upper sequence from xi until the step and the width drop to tol_stop;
-    returns (field, each component's minimum over the iterates, trace), or
-    raises SolveError at MAX_ITERS. Each step's guards read per-component
+    returns (field, each component's minimum over the iterates, trace,
+    residual_sup, probe_deviation), the last two from one more pass on field,
+    or raises SolveError at MAX_ITERS. Each step's guards read per-component
     reductions; only a failing guard scans the field again, to name the node."""
     grid, problem = plan.grid, slab.spec
     eta = np.asarray(slab.eta, dtype=float)
@@ -125,7 +123,8 @@ def _iterate(slab, plan, tol_stop, slack):
     xi_max = float(np.max(xi))
     trace = IterationTrace()
 
-    for n in range(1, MAX_ITERS + 1):
+    met = False
+    for n in range(1, MAX_ITERS + 2):
         values = apply_operator(plan, up, problem.nonlins)
         step = values - up
         rise, fall = float(np.max(step)), float(np.min(step))
@@ -153,10 +152,13 @@ def _iterate(slab, plan, tol_stop, slack):
             raise SolveError(
                 f"upper sequence: step {d_n:.3e} at iteration {n} exceeds the "
                 f"geometric bound {bound:.3e} (slack {slack:.3e})")
-        # part-metric step eps_n = max|log(up_n / up_(n-1))|; log1p is
+        # part-metric step eps_n = max|log(values / up)|; log1p is
         # increasing, so the extreme ratios give it
-        rel = step / up
-        eps_n = max(math.log1p(float(np.max(rel))), -math.log1p(float(np.min(rel))))
+        step /= up
+        eps_n = max(math.log1p(float(np.max(step))), -math.log1p(float(np.min(step))))
+        if met:
+            # the pass after the one that met the rule certifies its field, up
+            return up, floor, trace, d_n, math.expm1(eps_n / (1.0 - p)) * float(np.max(up))
         width = math.expm1(p * eps_n / (1.0 - p)) * float(np.max(hi))
         trace.d.append(d_n)
         trace.width.append(width)
@@ -165,12 +167,11 @@ def _iterate(slab, plan, tol_stop, slack):
         np.minimum(floor, lo, out=floor)
 
         up = values
-        if d_n <= tol_stop and width <= tol_stop:
-            return up, floor, trace
-
-    raise SolveError(
-        f"iteration cap {MAX_ITERS} reached before the step tolerance {tol_stop:g} "
-        f"(last step {trace.d[-1]:.3e}, enclosure width {trace.width[-1]:.3e})")
+        met = d_n <= tol_stop and width <= tol_stop
+        if n == MAX_ITERS and not met:
+            raise SolveError(
+                f"iteration cap {MAX_ITERS} reached before the step tolerance "
+                f"{tol_stop:g} (last step {d_n:.3e}, enclosure width {width:.3e})")
 
 
 def solve(slab: ValidationReport, plan, tol_stop: float, slack: float) -> SolutionReport:
@@ -185,7 +186,7 @@ def solve(slab: ValidationReport, plan, tol_stop: float, slack: float) -> Soluti
     is not finite, when a guard trips, at the iteration cap MAX_ITERS, or
     when condition IV fails on a strip below eta that the iterates reached.
     """
-    f, floor, trace = _iterate(slab, plan, tol_stop, slack)
+    f, floor, trace, res_sup, width = _iterate(slab, plan, tol_stop, slack)
     # the enclosure rests on condition IV at every value the iterates took;
     # validation sampled it on [eta, xi] only
     for j, (nl, lo, top) in enumerate(zip(slab.spec.nonlins, floor, slab.eta)):
@@ -197,16 +198,9 @@ def solve(slab: ValidationReport, plan, tol_stop: float, slack: float) -> Soluti
                     f"margin {margin:.3e} on the strip [{lo:.9g}, {top:.9g}] "
                     f"(nonlin {j + 1}); the enclosure does not hold")
 
-    return SolutionReport(grid=plan.grid, field=f,
-                          residual_sup=residual(plan, f, slab.spec.nonlins),
-                          asymptotics=asymptotics_report(plan.grid, f, slab.eta),
-                          trace=trace)
-
-
-def residual(plan, f, nonlins) -> float:
-    """Sup-norm defect of the fixed-point identity at the field f, the
-    (N, m + 1) array at plan.grid.half_nodes."""
-    return float(np.max(np.abs(f - apply_operator(plan, f, nonlins))))
+    return SolutionReport(grid=plan.grid, field=f, residual_sup=res_sup,
+                          probe_deviation=width, trace=trace,
+                          asymptotics=asymptotics_report(plan.grid, f, slab.eta))
 
 
 def asymptotics_report(grid: Grid, f, eta) -> AsymptoticsReport:

@@ -16,8 +16,7 @@ from convint.algebra import a_priori_iterations, contraction_params
 from convint.discretization import apply_operator, build_grid
 from convint.errors import SolveError
 from convint.nonlinearities import PowerPhi, check_condition_iv
-from convint.solver import (Numerics, asymptotics_report, residual, run_instance,
-                           run_sweep, solve)
+from convint.solver import Numerics, asymptotics_report, run_instance, run_sweep, solve
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
@@ -93,16 +92,25 @@ class TestReferenceRun:
         assert cli._stage_blocks(flagship)["solve"]["a_priori_n"] == a_priori_iterations(
             *flagship.validation.contraction, flagship.numerics.tol_stop)
 
-    def test_residual_recomputes(self, flagship):
-        again = residual(flagship.plan, flagship.sol.field, flagship.validation.spec.nonlins)
-        assert again == pytest.approx(flagship.sol.residual_sup, rel=1e-12)
+    def test_residual_and_width_recompute_from_one_application(self, flagship):
+        # one application of the operator to the written field gives its
+        # residual, bit for bit, and its own enclosure width
+        # expm1(d(f, T f) / (1 - p)) max(f)
+        sol, spec = flagship.sol, flagship.validation.spec
+        image = apply_operator(flagship.plan, sol.field, spec.nonlins)
+        assert float(np.max(np.abs(sol.field - image))) == sol.residual_sup
+        dist = float(np.max(np.abs(np.log1p((image - sol.field) / sol.field))))
+        width = np.expm1(dist / (1.0 - spec.phi.p)) * float(np.max(sol.field))
+        assert width == pytest.approx(sol.probe_deviation, rel=1e-12, abs=0.0)
 
     def test_enclosure_gap_closes_to_the_reported_width(self, flagship):
         sol = flagship.sol
         width = np.asarray(sol.trace.width)
         assert len(width) == sol.iterations
         assert np.all(np.diff(width) <= flagship.quad.slack)
-        assert width[-1] == sol.probe_deviation
+        # the field's own width is at most the last step's bound on it, up
+        # to rounding
+        assert sol.probe_deviation <= width[-1] * (1 + 1e-6)
         assert sol.probe_deviation <= flagship.numerics.tol_stop
 
     def test_trace_serializes(self, flagship, tmp_path):
@@ -173,6 +181,11 @@ class TestEnclosure:
             dist = [float(np.max(np.abs(up - f_h))) for up in iterates[:sol.iterations]]
             assert np.all(np.asarray(sol.trace.width) >= dist)
             assert sol.probe_deviation <= res.numerics.tol_stop
+            # the iterated fixed point keeps moving in its last bits; the
+            # replayed iterate with the least residual stands in for it
+            residuals = [float(np.max(np.abs(b - a))) for a, b in zip(iterates, iterates[1:])]
+            f_ref = iterates[int(np.argmin(residuals))]
+            assert float(np.max(np.abs(sol.field - f_ref))) <= sol.probe_deviation
 
     def test_one_operator_application_per_iteration(self, coarse, monkeypatch):
         # the solve applies the operator once per iteration, the residual once
@@ -221,13 +234,23 @@ class TestConditionIVBelowEta:
 
 class TestStoppingRules:
     def test_iteration_cap_raises(self, coarse, monkeypatch):
-        # the cap raises where it is hit, naming the third step and width,
-        # the ones the uncapped solve traced at iteration 3
+        # the cap raises where it is hit, after the third application,
+        # naming the third step and width, the ones the uncapped solve
+        # traced at iteration 3
         monkeypatch.setattr(solver, "MAX_ITERS", 3)
         trace = coarse.sol.trace
         assert coarse.sol.iterations > 3
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return apply_operator(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "apply_operator", counting)
         with pytest.raises(SolveError) as info:
             solve_like(coarse, coarse.validation)
+        # no application past the cap
+        assert len(calls) == 3
         assert str(info.value) == (
             f"iteration cap 3 reached before the step tolerance "
             f"{coarse.numerics.tol_stop:g} (last step {trace.d[2]:.3e}, "
